@@ -6,7 +6,7 @@ Usage:
     python scripts/reproduce_figures.py --only fig1a fig10 --format json
 
 Each recipe maps to one CLI invocation; pass --only to restrict the set.
-The opt-time recipe (fig10) is the slow one, about half a minute per curve.
+Each recipe takes about a second or less; fig10 (opt-time) is the slowest.
 """
 
 import argparse

@@ -39,7 +39,7 @@ from .decoherence import DEFAULT_QUADRATURE, ConvergenceError, QuadratureConfig
 from .probe_state import ProbeInit
 from .qfi_engine import Estimand, qfi_point
 from .spectral_bath import BathPoint, SpectralParams, SqueezeParams
-from .sweep_optimize import GridSpec, SweepSpec, density_grid, optimal_time, sweep
+from .sweep_optimize import SWEEP_AXES, GridSpec, SweepSpec, density_grid, optimal_time, sweep
 
 __all__ = ["main", "build_parser", "RECIPES", "EXIT_OK", "EXIT_USAGE", "EXIT_NUMERICAL"]
 
@@ -59,8 +59,6 @@ ESTIMANDS = {
 
 # sweep axis -> flag that would otherwise fix that variable
 AXIS_FLAG = {"T": "temp", "t": "time", "r": "r", "theta": "theta", "alpha": "alpha"}
-
-SWEEP_AXES_CHOICES = ("T", "t", "r", "theta", "alpha")
 
 POINT_COLUMNS = [
     "estimand", "T", "t", "r", "theta", "s", "omega_c", "alpha",
@@ -204,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_parser = subparsers.add_parser("sweep", help="1-D sweep over one axis")
     _add_shared_arguments(sweep_parser, with_recipe=True)
-    sweep_parser.add_argument("--axis", choices=SWEEP_AXES_CHOICES, default=None)
+    sweep_parser.add_argument("--axis", choices=SWEEP_AXES, default=None)
     sweep_parser.add_argument("--range", type=_range_arg, default=None, metavar="lo:hi")
     sweep_parser.add_argument("--points", type=int, default=None)
     sweep_parser.set_defaults(handler=cmd_sweep)

@@ -1,10 +1,12 @@
 """Two routes to the quantum Fisher information of the dephasing probe.
 
-The production route (`qfi_point`) evaluates the closed form
+The production route evaluates the closed form
 
     I = sin(alpha)^2 * (d gamma / d eta)^2 / (exp(2 gamma) - 1)
 
-with the analytic parameter derivative of the decay exponent. The oracle
+with the analytic parameter derivative of the decay exponent: `qfi_point`
+takes both from the adaptive quadrature of `decoherence`, `qfi_sample` from
+any caller that has them, such as the batched moment engine. The oracle
 route (`qfi_spectral`) differentiates the spectral decomposition of the
 density matrix by gauge-fixed central differences and sums the general
 two-term formula
@@ -42,6 +44,7 @@ __all__ = [
     "QfiSample",
     "DegenerateInputError",
     "qfi_closed_form",
+    "qfi_sample",
     "qfi_spectral",
     "qfi_point",
 ]
@@ -123,19 +126,18 @@ def _closed_form_split(alpha: float, gamma_value: float, qfi: float) -> tuple[fl
     return cfi, quantum
 
 
-def qfi_point(
+def qfi_sample(
     estimand: Estimand,
     point: BathPoint,
     sq: SqueezeParams,
     sp: SpectralParams,
-    init: ProbeInit = ProbeInit(),
-    qc: QuadratureConfig = DEFAULT_QUADRATURE,
+    init: ProbeInit,
+    gamma_value: float,
+    dgamma: float,
 ) -> QfiSample:
-    """Production path: analytic parameter derivative feeding the closed form."""
+    """Closed-form QFI record from an evaluated exponent and its derivative."""
     if estimand is Estimand.TEMPERATURE and not point.temperature > 0.0:
         raise ValueError("temperature estimation requires T > 0")
-    gamma_value = gamma(point, sq, sp, qc).value
-    dgamma = gamma_partial(estimand, point, sq, sp, qc)
     qfi = qfi_closed_form(init, gamma_value, dgamma)
     cfi, quantum = _closed_form_split(init.alpha, gamma_value, qfi)
     return QfiSample(
@@ -150,6 +152,20 @@ def qfi_point(
         cfi_term=cfi,
         quantum_term=quantum,
     )
+
+
+def qfi_point(
+    estimand: Estimand,
+    point: BathPoint,
+    sq: SqueezeParams,
+    sp: SpectralParams,
+    init: ProbeInit = ProbeInit(),
+    qc: QuadratureConfig = DEFAULT_QUADRATURE,
+) -> QfiSample:
+    """Production path for one point: adaptive gamma and analytic derivative, closed form."""
+    gamma_value = gamma(point, sq, sp, qc).value
+    dgamma = gamma_partial(estimand, point, sq, sp, qc)
+    return qfi_sample(estimand, point, sq, sp, init, gamma_value, dgamma)
 
 
 def qfi_spectral(

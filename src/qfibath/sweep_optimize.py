@@ -1,15 +1,19 @@
 """Parameter sweeps, (t, T) density grids and optimal-time search.
 
-Each sweep/grid point is an independent `qfi_point` evaluation; the
-implementation runs them sequentially so identical specs always produce
-bit-identical tables. The optimal-time search brackets the global maximum
-with a coarse scan before golden-section refinement, because the squeezing
-kernel can make the information oscillate in t and unimodal search alone
-would lock onto the wrong peak.
+Every table is computed as one batch by the moment engine (`moments`): the
+temperature factors once per table, the time kernel once per distinct time,
+then each row's exponent and derivative by algebra on the moments. Points
+where the engine's rule pair disagrees fall back to the adaptive path, and
+the tables' metadata counts them. Rows are assembled sequentially, so
+identical specs always produce bit-identical tables. The optimal-time search
+brackets the global maximum with a coarse scan before golden-section
+refinement, because the squeezing kernel can make the information oscillate
+in t and unimodal search alone would lock onto the wrong peak.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from math import isfinite, sqrt
@@ -17,8 +21,9 @@ from math import isfinite, sqrt
 import numpy as np
 
 from .decoherence import DEFAULT_QUADRATURE, ConvergenceError, QuadratureConfig
+from .moments import MomentEngine
 from .probe_state import ProbeInit
-from .qfi_engine import Estimand, QfiSample, qfi_point
+from .qfi_engine import Estimand, QfiSample, qfi_point, qfi_sample
 from .spectral_bath import BathPoint, SpectralParams, SqueezeParams
 
 __all__ = [
@@ -126,7 +131,7 @@ class OptimalTimeResult:
     bracket: float
 
 
-def _metadata(qc: QuadratureConfig) -> dict:
+def _metadata(qc: QuadratureConfig, fallbacks: int) -> dict:
     from . import __version__
 
     return {
@@ -138,8 +143,25 @@ def _metadata(qc: QuadratureConfig) -> dict:
             "max_subdivisions": qc.max_subdivisions,
             "omega_max_factor": qc.omega_max_factor,
         },
+        "fallbacks": fallbacks,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
+
+
+@contextmanager
+def _aborted_at(where: str):
+    """Re-raise a point's failure with the location that aborted the table."""
+    try:
+        yield
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"{where}: {exc}",
+            value=exc.value,
+            est_error=exc.est_error,
+            evaluations=exc.evaluations,
+        ) from exc
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def _with_axis_value(
@@ -157,26 +179,28 @@ def _with_axis_value(
 
 
 def sweep(spec: SweepSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> SweepTable:
-    """Evaluate qfi_point at `points` equally spaced axis values.
+    """The information at `points` equally spaced axis values.
 
-    A failure at any point aborts the whole sweep with the axis value
+    One moment evaluation serves the whole sweep: a T or t axis spans its
+    values in the batch, any other axis reuses the moments of its single
+    (T, t). A failure at any point aborts the whole sweep with the axis value
     attached; tables never contain silent gaps.
     """
+    values = [float(value) for value in np.linspace(spec.lo, spec.hi, spec.points)]
+    temperatures = values if spec.axis == "T" else [spec.point.temperature]
+    times = values if spec.axis == "t" else [spec.point.time]
+    engine = MomentEngine(spec.estimand, spec.sp, qc, temperatures, max(times))
+    moments = engine.moments(times)
+    exponents = engine.exponents(moments, spec.sq)
     rows = []
-    for value in np.linspace(spec.lo, spec.hi, spec.points):
-        value = float(value)
+    for k, value in enumerate(values):
         point, sq, init = _with_axis_value(spec.axis, value, spec.point, spec.sq, spec.init)
-        try:
-            sample = qfi_point(spec.estimand, point, sq, spec.sp, init, qc)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"sweep aborted at {spec.axis} = {value!r}: {exc}",
-                value=exc.value,
-                est_error=exc.est_error,
-                evaluations=exc.evaluations,
-            ) from exc
-        except ValueError as exc:
-            raise ValueError(f"sweep aborted at {spec.axis} = {value!r}: {exc}") from exc
+        with _aborted_at(f"sweep aborted at {spec.axis} = {value!r}"):
+            if spec.axis in ("r", "theta"):
+                exponents = engine.exponents(moments, sq)
+            i, j = (k if spec.axis == "T" else 0), (k if spec.axis == "t" else 0)
+            gamma_value, dgamma = engine.settle(exponents, i, j, point, sq)
+            sample = qfi_sample(spec.estimand, point, sq, spec.sp, init, gamma_value, dgamma)
         if not all(map(isfinite, (sample.gamma, sample.dgamma, sample.qfi))):
             raise ConvergenceError(
                 f"sweep produced a non-finite row at {spec.axis} = {value!r}",
@@ -185,29 +209,25 @@ def sweep(spec: SweepSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> SweepTa
                 evaluations=0,
             )
         rows.append((value, sample.gamma, sample.dgamma, sample.qfi))
-    return SweepTable(spec=spec, rows=tuple(rows), metadata=_metadata(qc))
+    return SweepTable(spec=spec, rows=tuple(rows), metadata=_metadata(qc, engine.fallbacks))
 
 
 def density_grid(spec: GridSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> GridTable:
-    """Full t x T grid of qfi_point evaluations, temperature outer, time inner."""
+    """Full t x T grid of information samples, temperature outer, time inner."""
+    temperatures = [float(T) for T in np.linspace(spec.T_lo, spec.T_hi, spec.T_points)]
+    times = [float(t) for t in np.linspace(spec.t_lo, spec.t_hi, spec.t_points)]
+    engine = MomentEngine(spec.estimand, spec.sp, qc, temperatures, times[-1])
+    exponents = engine.exponents(engine.moments(times), spec.sq)
     samples = []
-    for temperature in np.linspace(spec.T_lo, spec.T_hi, spec.T_points):
-        for time in np.linspace(spec.t_lo, spec.t_hi, spec.t_points):
-            point = BathPoint(temperature=float(temperature), time=float(time))
-            try:
-                samples.append(qfi_point(spec.estimand, point, spec.sq, spec.sp, spec.init, qc))
-            except ConvergenceError as exc:
-                raise ConvergenceError(
-                    f"grid aborted at (T, t) = ({float(temperature)!r}, {float(time)!r}): {exc}",
-                    value=exc.value,
-                    est_error=exc.est_error,
-                    evaluations=exc.evaluations,
-                ) from exc
-            except ValueError as exc:
-                raise ValueError(
-                    f"grid aborted at (T, t) = ({float(temperature)!r}, {float(time)!r}): {exc}"
-                ) from exc
-    return GridTable(spec=spec, samples=tuple(samples), metadata=_metadata(qc))
+    for i, temperature in enumerate(temperatures):
+        for j, time in enumerate(times):
+            point = BathPoint(temperature=temperature, time=time)
+            with _aborted_at(f"grid aborted at (T, t) = ({temperature!r}, {time!r})"):
+                gamma_value, dgamma = engine.settle(exponents, i, j, point, spec.sq)
+                samples.append(qfi_sample(
+                    spec.estimand, point, spec.sq, spec.sp, spec.init, gamma_value, dgamma
+                ))
+    return GridTable(spec=spec, samples=tuple(samples), metadata=_metadata(qc, engine.fallbacks))
 
 
 def optimal_time(
@@ -223,8 +243,10 @@ def optimal_time(
     """Interaction time maximizing qfi at fixed temperature.
 
     A coarse scan over [0, t_max] brackets the global maximum, then
-    golden-section refinement shrinks the bracket to 1e-4 * t_max. Ties break
-    toward the smallest t. A coarse scan flatter than 1e-14 is degenerate and
+    golden-section refinement shrinks the bracket to 1e-4 * t_max; the scan
+    is one moment batch and each refinement step one more time column.
+    qfi_star is a fresh `qfi_point` evaluation at t_star. Ties break toward
+    the smallest t. A coarse scan flatter than 1e-14 is degenerate and
     returns t_star = 0 with qfi_star = 0.
     """
     if not t_max > 0.0:
@@ -232,46 +254,55 @@ def optimal_time(
     if coarse_points < 3:
         raise ValueError(f"coarse_points must be >= 3, got {coarse_points}")
 
-    def evaluate(time: float) -> float:
-        point = BathPoint(temperature=temperature, time=time)
-        return qfi_point(estimand, point, sq, sp, init, qc).qfi
+    engine = MomentEngine(estimand, sp, qc, [temperature], t_max)
 
-    times = np.linspace(0.0, t_max, coarse_points)
-    values = [evaluate(float(time)) for time in times]
+    def evaluate(times: list[float]) -> list[float]:
+        exponents = engine.exponents(engine.moments(times), sq)
+        values = []
+        for j, time in enumerate(times):
+            point = BathPoint(temperature=temperature, time=time)
+            gamma_value, dgamma = engine.settle(exponents, 0, j, point, sq)
+            values.append(qfi_sample(estimand, point, sq, sp, init, gamma_value, dgamma).qfi)
+        return values
+
+    times = [float(time) for time in np.linspace(0.0, t_max, coarse_points)]
+    values = evaluate(times)
     if max(values) - min(values) < 1e-14:
         return OptimalTimeResult(
             temperature=temperature, t_star=0.0, qfi_star=0.0, bracket=float(t_max)
         )
 
     peak = int(np.argmax(values))  # first occurrence, i.e. the smallest t
-    best_t, best_q = float(times[peak]), values[peak]
+    best_t, best_q = times[peak], values[peak]
 
     def consider(time: float, value: float) -> None:
         nonlocal best_t, best_q
         if value > best_q or (value == best_q and time < best_t):
             best_t, best_q = time, value
 
-    lo = float(times[peak - 1]) if peak > 0 else float(times[0])
-    hi = float(times[peak + 1]) if peak < coarse_points - 1 else float(times[-1])
+    lo = times[peak - 1] if peak > 0 else times[0]
+    hi = times[peak + 1] if peak < coarse_points - 1 else times[-1]
     tolerance = 1e-4 * t_max
 
     left = hi - _INV_PHI * (hi - lo)
     right = lo + _INV_PHI * (hi - lo)
-    f_left, f_right = evaluate(left), evaluate(right)
+    f_left, f_right = evaluate([left, right])
     consider(left, f_left)
     consider(right, f_right)
     while hi - lo > tolerance:
         if f_left >= f_right:  # keep the left interval on ties
             hi, right, f_right = right, left, f_left
             left = hi - _INV_PHI * (hi - lo)
-            f_left = evaluate(left)
+            (f_left,) = evaluate([left])
             consider(left, f_left)
         else:
             lo, left, f_left = left, right, f_right
             right = lo + _INV_PHI * (hi - lo)
-            f_right = evaluate(right)
+            (f_right,) = evaluate([right])
             consider(right, f_right)
 
+    point = BathPoint(temperature=temperature, time=best_t)
+    qfi_star = qfi_point(estimand, point, sq, sp, init, qc).qfi
     return OptimalTimeResult(
-        temperature=temperature, t_star=best_t, qfi_star=best_q, bracket=float(hi - lo)
+        temperature=temperature, t_star=best_t, qfi_star=qfi_star, bracket=float(hi - lo)
     )

@@ -5,12 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from qfibath import __version__
 from qfibath.cli import RECIPES, main
+from qfibath.decoherence import DEFAULT_QUADRATURE
+from qfibath.moments import MomentEngine
 from qfibath.probe_state import ProbeInit
 from qfibath.qfi_engine import Estimand, qfi_point
 from qfibath.spectral_bath import BathPoint, SpectralParams, SqueezeParams
-from qfibath.sweep_optimize import optimal_time
+from qfibath.sweep_optimize import GridSpec, density_grid, optimal_time
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -171,7 +175,15 @@ def test_minimal_grid_round_trips_against_point_calls(tmp_path):
             "--s", "0.5", "--format", "json", "--out", str(grid_out)]
     assert run_cli(argv) == 0
     payload = json.loads(grid_out.read_text(encoding="utf-8"))
-    assert len(payload["rows"]) == 4
+    table = density_grid(GridSpec(
+        estimand=Estimand.TEMPERATURE, t_lo=0.5, t_hi=1.5, T_lo=0.4, T_hi=0.8,
+        t_points=2, T_points=2, sq=SqueezeParams(0.1, 1.0), sp=SpectralParams(0.5),
+    ))
+    # the CLI serializes the library's grid exactly
+    assert payload["rows"] == [
+        [s.point.temperature, s.point.time, s.gamma, s.dgamma, s.qfi] for s in table.samples
+    ]
+    # the batched grid agrees with independent adaptive point calls
     for row in payload["rows"]:
         temperature, time, gamma_value, dgamma, qfi = row
         sample = qfi_point(
@@ -180,9 +192,9 @@ def test_minimal_grid_round_trips_against_point_calls(tmp_path):
             SqueezeParams(0.1, 1.0),
             SpectralParams(0.5),
         )
-        assert gamma_value == sample.gamma
-        assert dgamma == sample.dgamma
-        assert qfi == sample.qfi
+        assert abs(gamma_value - sample.gamma) <= max(1e-8 * sample.gamma, 1e-12)
+        assert abs(dgamma - sample.dgamma) <= 1e-8 * max(abs(sample.dgamma), sample.gamma)
+        assert qfi == pytest.approx(sample.qfi, rel=1e-7)
 
 
 def test_grid_csv_columns_and_zero_time_column(tmp_path):
@@ -279,6 +291,27 @@ def test_quadrature_starvation_exits_three(capsys):
             "--max-subdivisions", "1", "--rel-tol", "1e-13", "--abs-tol", "1e-14"]
     assert run_cli(argv) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cancelling_panels_do_not_raise_a_false_convergence_error(tmp_path):
+    # the boundary panel of the r-derivative warns (QUADPACK ier=5) while meeting
+    # its own tolerance; the total is smaller than the panels because they cancel
+    out = tmp_path / "point.csv"
+    temperature, time = 2.9981285475680455, 5.874971139014988
+    r, theta, s = 0.5621318885832811, 0.6438194072155007, 0.40415440865457253
+    argv = ["point", "--estimand", "r", "--temp", repr(temperature), "--time", repr(time),
+            "--r", repr(r), "--theta", repr(theta), "--s", repr(s), "--out", str(out)]
+    assert run_cli(argv) == 0
+    _, header, rows = read_csv(out)
+    gamma_value = float(rows[0][header.index("gamma")])
+    dgamma = float(rows[0][header.index("dgamma")])
+    sq = SqueezeParams(r, theta)
+    engine = MomentEngine(
+        Estimand.SQUEEZE_AMPLITUDE, SpectralParams(s), DEFAULT_QUADRATURE, [temperature], time
+    )
+    _, derivatives, agree = engine.exponents(engine.moments([time]), sq)
+    assert agree[0][0]
+    assert abs(dgamma - derivatives[0][0]) <= 1e-8 * max(abs(dgamma), gamma_value)
 
 
 def test_omega_zero_is_recorded_but_inert(tmp_path):
