@@ -129,13 +129,19 @@ class MomentEngine:
 
     The constructor lays out the rule pair for `temperatures` and times up to
     `t_max`; `moments` evaluates any times up to t_max on it. `fallbacks`
-    counts the points `settle` handed to the adaptive path.
+    counts the points `settle` handed to the adaptive path. An engine is
+    mutable (that count, kept F blocks), so each sweep, grid or search
+    creates its own and the functions of `sweep_optimize` stay safe to call
+    concurrently.
     """
 
     def __init__(self, estimand: Estimand, sp: SpectralParams, qc: QuadratureConfig,
                  temperatures: list[float], t_max: float):
         self.estimand, self.sp, self.qc = estimand, sp, qc
         self.fallbacks = 0
+        # F blocks no larger than a K block, i.e. those of a few temperatures,
+        # are kept for the next call: optimal_time calls once per step
+        self._kept: dict[tuple[int, int, int], np.ndarray] = {}
         self._n_T = len(temperatures)
         # F rows: coth at each temperature, then d coth / dT for the T estimand
         self._rows = [(_coth, T) for T in temperatures]
@@ -165,9 +171,14 @@ class MomentEngine:
             time_chunk = max(1, K_BYTES // (24 * omega.size))
             for r0 in range(0, len(self._rows), row_chunk):
                 rows = self._rows[r0:r0 + row_chunk]
-                factors = np.empty((len(rows), omega.size))
-                for row, (thermal, T) in zip(factors, rows):
-                    np.multiply(base, thermal(omega, T), out=row)
+                key = (k, r0, len(rows))
+                factors = self._kept.get(key)
+                if factors is None:
+                    factors = np.empty((len(rows), omega.size))
+                    for row, (thermal, T) in zip(factors, rows):
+                        np.multiply(base, thermal(omega, T), out=row)
+                    if factors.nbytes <= K_BYTES:
+                        self._kept[key] = factors
                 for t0 in range(0, times.size, time_chunk):
                     kernel = _kernel(omega, times[t0:t0 + time_chunk])
                     block = factors @ kernel.reshape(omega.size, -1)

@@ -180,6 +180,7 @@ def test_row_and_time_chunks_do_not_change_the_moments(monkeypatch):
     )
     times = [0.0, 0.5, 3.0, 10.0]
     whole = engine.moments(times)
+    assert np.array_equal(engine.moments(times), whole)  # with the kept F blocks
     monkeypatch.setattr(moments, "K_BYTES", 1)
     monkeypatch.setattr(moments, "F_BYTES", 1)
     assert np.allclose(engine.moments(times), whole, rtol=1e-13, atol=0.0)
