@@ -19,6 +19,8 @@ Examples
 Numbers are serialized as shortest round-trip decimals; identical invocations
 produce identical data sections (only the timestamp metadata line varies).
 Exit codes: 0 success, 2 usage/validation failure, 3 numerical failure.
+The parameter records validate every value; a rejected one prints
+`error: <flag>: <message>`, the flag found from the field the record names.
 """
 
 from __future__ import annotations
@@ -28,18 +30,19 @@ import json
 import math
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
 
 from . import __version__
-from .decoherence import DEFAULT_QUADRATURE, ConvergenceError, QuadratureConfig
+from .decoherence import ConvergenceError, QuadratureConfig
 from .probe_state import ProbeInit
 from .qfi_engine import Estimand, qfi_point
 from .spectral_bath import BathPoint, SpectralParams, SqueezeParams
-from .sweep_optimize import SWEEP_AXES, GridSpec, SweepSpec, density_grid, optimal_time, sweep
+from .sweep_optimize import (
+    SWEEP_AXES, GridSpec, SweepSpec, density_grid, optimal_time, run_metadata, sweep,
+)
 
 __all__ = ["main", "build_parser", "RECIPES", "EXIT_OK", "EXIT_USAGE", "EXIT_NUMERICAL"]
 
@@ -59,6 +62,18 @@ ESTIMANDS = {
 
 # sweep axis -> flag that would otherwise fix that variable
 AXIS_FLAG = {"T": "temp", "t": "time", "r": "r", "theta": "theta", "alpha": "alpha"}
+
+# record field -> the flag that sets it. The records are the only validators,
+# and each of their ValueErrors starts with the name of the field at fault.
+FIELD_FLAGS = {
+    "temperature": "--temp", "time": "--time", "r": "--r", "theta": "--theta",
+    "s": "--s", "omega_c": "--omega-c", "alpha": "--alpha",
+    "rel_tol": "--rel-tol", "abs_tol": "--abs-tol",
+    "max_subdivisions": "--max-subdivisions", "omega_max_factor": "--omega-max-factor",
+    "lo": "--range", "hi": "--range", "points": "--points",
+    "t_lo": "--t-range", "T_lo": "--T-range", "t_points": "--t-points",
+    "T_points": "--T-points", "t_max": "--t-max",
+}
 
 POINT_COLUMNS = [
     "estimand", "T", "t", "r", "theta", "s", "omega_c", "alpha",
@@ -245,87 +260,38 @@ def _require(args: argparse.Namespace, dests: list[str]) -> None:
             _fail("--" + dest.replace("_", "-"), "is required")
 
 
+def _given(**fields) -> dict:
+    """The fields whose flags were set; unset ones take the record defaults."""
+    return {name: value for name, value in fields.items() if value is not None}
+
+
 def _quadrature_config(args: argparse.Namespace) -> QuadratureConfig:
     rel_tol = args.rel_tol
-    if rel_tol is None:
-        env_value = os.environ.get(ENV_REL_TOL)
-        if env_value is not None:
-            try:
-                rel_tol = float(env_value)
-            except ValueError:
-                _fail(ENV_REL_TOL, f"must be a float, got {env_value!r}")
-    if rel_tol is None:
-        rel_tol = DEFAULT_QUADRATURE.rel_tol
-    elif not rel_tol > 0.0:
-        _fail("--rel-tol", "must be > 0")
-    abs_tol = DEFAULT_QUADRATURE.abs_tol if args.abs_tol is None else args.abs_tol
-    if not abs_tol > 0.0:
-        _fail("--abs-tol", "must be > 0")
-    subdivisions = (
-        DEFAULT_QUADRATURE.max_subdivisions
-        if args.max_subdivisions is None
-        else args.max_subdivisions
-    )
-    if subdivisions < 1:
-        _fail("--max-subdivisions", "must be >= 1")
-    factor = (
-        DEFAULT_QUADRATURE.omega_max_factor
-        if args.omega_max_factor is None
-        else args.omega_max_factor
-    )
-    if not factor >= 10.0:
-        _fail("--omega-max-factor", "must be >= 10")
-    return QuadratureConfig(
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-        max_subdivisions=subdivisions,
-        omega_max_factor=factor,
+    env_value = os.environ.get(ENV_REL_TOL)
+    if rel_tol is None and env_value is not None:
+        try:
+            rel_tol = float(env_value)
+        except ValueError:
+            _fail(ENV_REL_TOL, f"must be a float, got {env_value!r}")
+    return QuadratureConfig(**_given(
+        rel_tol=rel_tol, abs_tol=args.abs_tol,
+        max_subdivisions=args.max_subdivisions, omega_max_factor=args.omega_max_factor,
+    ))
+
+
+def _records(args: argparse.Namespace) -> tuple[SqueezeParams, SpectralParams, ProbeInit]:
+    return (
+        SqueezeParams(r=args.r, theta=args.theta),
+        SpectralParams(**_given(s=args.s, omega_c=args.omega_c)),
+        ProbeInit(**_given(alpha=args.alpha)),
     )
 
 
-def _spectral_params(args: argparse.Namespace) -> SpectralParams:
-    if not args.s > 0.0:
-        _fail("--s", "must be > 0")
-    omega_c = 1.0 if args.omega_c is None else args.omega_c
-    if not omega_c > 0.0:
-        _fail("--omega-c", "must be > 0")
-    return SpectralParams(s=args.s, omega_c=omega_c)
-
-
-def _squeeze_params(args: argparse.Namespace, *, r: float | None = None,
-                    theta: float | None = None) -> SqueezeParams:
-    r = args.r if r is None else r
-    theta = args.theta if theta is None else theta
-    if not r >= 0.0:
-        _fail("--r", "must be >= 0")
-    if not math.isfinite(theta):
-        _fail("--theta", "must be finite")
-    return SqueezeParams(r=r, theta=theta)
-
-
-def _probe_init(args: argparse.Namespace, *, alpha: float | None = None) -> ProbeInit:
-    if alpha is None:
-        alpha = 0.5 * math.pi if args.alpha is None else args.alpha
-    if not 0.0 <= alpha <= math.pi:
-        _fail("--alpha", "must lie in [0, pi]")
-    return ProbeInit(alpha=alpha)
-
-
-def _metadata(args: argparse.Namespace, qc: QuadratureConfig, columns: list[str]) -> dict:
-    metadata = {
-        "tool": "qfibath",
-        "version": __version__,
-        "columns": columns,
-        "quadrature": {
-            "rel_tol": qc.rel_tol,
-            "abs_tol": qc.abs_tol,
-            "max_subdivisions": qc.max_subdivisions,
-            "omega_max_factor": qc.omega_max_factor,
-        },
-    }
+def _metadata(args: argparse.Namespace, library: dict, columns: list[str]) -> dict:
+    """The library's metadata plus the output columns and the inert omega_0."""
+    metadata = {**library, "columns": columns}
     if args.omega_0 is not None:
         metadata["omega_0"] = args.omega_0
-    metadata["timestamp"] = datetime.now(timezone.utc).isoformat()
     return metadata
 
 
@@ -373,26 +339,13 @@ def _emit(args: argparse.Namespace, spec: dict, metadata: dict,
         raise
 
 
-def _check_fixed_domains(args: argparse.Namespace, needed: list[str]) -> None:
-    if "temp" in needed and not args.temp >= 0.0:
-        _fail("--temp", "must be >= 0")
-    if "time" in needed and not args.time >= 0.0:
-        _fail("--time", "must be >= 0")
-
-
 def cmd_point(args: argparse.Namespace) -> int:
     _require(args, ["estimand", "temp", "time", "r", "theta", "s"])
-    _check_fixed_domains(args, ["temp", "time"])
-    estimand = ESTIMANDS[args.estimand]
-    if estimand is Estimand.TEMPERATURE and not args.temp > 0.0:
-        _fail("--temp", "must be > 0 when estimating T")
     qc = _quadrature_config(args)
-    sp = _spectral_params(args)
-    sq = _squeeze_params(args)
-    init = _probe_init(args)
+    sq, sp, init = _records(args)
     point = BathPoint(temperature=args.temp, time=args.time)
 
-    sample = qfi_point(estimand, point, sq, sp, init, qc)
+    sample = qfi_point(ESTIMANDS[args.estimand], point, sq, sp, init, qc)
     row = [
         args.estimand, point.temperature, point.time, sq.r, sq.theta, sp.s,
         sp.omega_c, init.alpha, sample.gamma, sample.dgamma, sample.qfi,
@@ -406,7 +359,7 @@ def cmd_point(args: argparse.Namespace) -> int:
             "theta": sq.theta, "s": sp.s, "omega_c": sp.omega_c, "alpha": init.alpha,
         },
     }
-    _emit(args, spec, _metadata(args, qc, POINT_COLUMNS), POINT_COLUMNS, [row])
+    _emit(args, spec, _metadata(args, run_metadata(qc), POINT_COLUMNS), POINT_COLUMNS, [row])
     return EXIT_OK
 
 
@@ -414,39 +367,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _apply_recipe(args)
     _require(args, ["estimand", "axis", "range", "points"])
     axis = args.axis
-    fixed_needed = [flag for ax, flag in AXIS_FLAG.items() if ax != axis and flag != "alpha"]
-    _require(args, fixed_needed + ["s"])
-    _check_fixed_domains(args, fixed_needed)
-    if args.points < 2:
-        _fail("--points", "must be >= 2")
+    _require(args, [flag for ax, flag in AXIS_FLAG.items() if ax not in (axis, "alpha")] + ["s"])
     lo, hi = args.range
-    estimand = ESTIMANDS[args.estimand]
-    if estimand is Estimand.TEMPERATURE:
-        if axis == "T" and lo <= 0.0:
-            _fail("--range", "T sweeps estimating T must start above 0")
-        if axis != "T" and not args.temp > 0.0:
-            _fail("--temp", "must be > 0 when estimating T")
-    qc = _quadrature_config(args)
-    sp = _spectral_params(args)
     # the swept variable takes its placeholder from the range start; each row
     # overrides it anyway
-    sq = _squeeze_params(
-        args,
-        r=lo if axis == "r" else args.r,
-        theta=lo if axis == "theta" else args.theta,
+    setattr(args, AXIS_FLAG[axis], lo)
+    qc = _quadrature_config(args)
+    sq, sp, init = _records(args)
+    point = BathPoint(temperature=args.temp, time=args.time)
+    spec_obj = SweepSpec(
+        estimand=ESTIMANDS[args.estimand], axis=axis, lo=lo, hi=hi, points=args.points,
+        point=point, sq=sq, sp=sp, init=init,
     )
-    init = _probe_init(args, alpha=lo if axis == "alpha" else None)
-    point = BathPoint(
-        temperature=lo if axis == "T" else args.temp,
-        time=lo if axis == "t" else args.time,
-    )
-    try:
-        spec_obj = SweepSpec(
-            estimand=estimand, axis=axis, lo=lo, hi=hi, points=args.points,
-            point=point, sq=sq, sp=sp, init=init,
-        )
-    except ValueError as exc:
-        _fail("--range", str(exc))
 
     table = sweep(spec_obj, qc)
     rows = [[axis, value, g, dg, q] for value, g, dg, q in table.rows]
@@ -470,34 +402,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "points": args.points,
         "fixed": fixed,
     }
-    _emit(args, spec, _metadata(args, qc, SWEEP_COLUMNS), SWEEP_COLUMNS, rows)
+    _emit(args, spec, _metadata(args, table.metadata, SWEEP_COLUMNS), SWEEP_COLUMNS, rows)
     return EXIT_OK
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
     _apply_recipe(args)
     _require(args, ["estimand", "t_range", "T_range", "t_points", "T_points", "r", "theta", "s"])
-    if args.t_points < 2:
-        _fail("--t-points", "must be >= 2")
-    if args.T_points < 2:
-        _fail("--T-points", "must be >= 2")
-    estimand = ESTIMANDS[args.estimand]
-    if estimand is Estimand.TEMPERATURE and args.T_range[0] <= 0.0:
-        _fail("--T-range", "must start above 0 when estimating T")
     qc = _quadrature_config(args)
-    sp = _spectral_params(args)
-    sq = _squeeze_params(args)
-    init = _probe_init(args)
-    try:
-        spec_obj = GridSpec(
-            estimand=estimand,
-            t_lo=args.t_range[0], t_hi=args.t_range[1],
-            T_lo=args.T_range[0], T_hi=args.T_range[1],
-            t_points=args.t_points, T_points=args.T_points,
-            sq=sq, sp=sp, init=init,
-        )
-    except ValueError as exc:
-        _fail("--t-range/--T-range", str(exc))
+    sq, sp, init = _records(args)
+    spec_obj = GridSpec(
+        estimand=ESTIMANDS[args.estimand],
+        t_lo=args.t_range[0], t_hi=args.t_range[1],
+        T_lo=args.T_range[0], T_hi=args.T_range[1],
+        t_points=args.t_points, T_points=args.T_points,
+        sq=sq, sp=sp, init=init,
+    )
 
     table = density_grid(spec_obj, qc)
     rows = [
@@ -515,7 +435,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
             "omega_c": sp.omega_c, "alpha": init.alpha,
         },
     }
-    _emit(args, spec, _metadata(args, qc, GRID_COLUMNS), GRID_COLUMNS, rows)
+    _emit(args, spec, _metadata(args, table.metadata, GRID_COLUMNS), GRID_COLUMNS, rows)
     return EXIT_OK
 
 
@@ -524,17 +444,15 @@ def cmd_opt_time(args: argparse.Namespace) -> int:
     if args.estimand is None:
         args.estimand = "T"
     _require(args, ["T_range", "T_points", "t_max", "r", "theta", "s"])
+    # optimal_time takes one temperature; the loop over them is the CLI's
     if args.T_points < 1:
         _fail("--T-points", "must be >= 1")
-    if not args.t_max > 0.0:
-        _fail("--t-max", "must be > 0")
     estimand = ESTIMANDS[args.estimand]
-    if estimand is Estimand.TEMPERATURE and args.T_range[0] <= 0.0:
-        _fail("--T-range", "must start above 0 when estimating T")
+    T_lo = args.T_range[0]
+    if not (T_lo > 0.0 if estimand is Estimand.TEMPERATURE else T_lo >= 0.0):
+        _fail("--T-range", "must start above 0 when estimating T, at or above 0 otherwise")
     qc = _quadrature_config(args)
-    sp = _spectral_params(args)
-    sq = _squeeze_params(args)
-    init = _probe_init(args)
+    sq, sp, init = _records(args)
 
     rows = []
     for temperature in np.linspace(args.T_range[0], args.T_range[1], args.T_points):
@@ -553,20 +471,27 @@ def cmd_opt_time(args: argparse.Namespace) -> int:
             "omega_c": sp.omega_c, "alpha": init.alpha,
         },
     }
-    _emit(args, spec, _metadata(args, qc, OPT_TIME_COLUMNS), OPT_TIME_COLUMNS, rows)
+    _emit(args, spec, _metadata(args, run_metadata(qc), OPT_TIME_COLUMNS), OPT_TIME_COLUMNS, rows)
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.omega_0 is not None and not math.isfinite(args.omega_0):
+        _fail("--omega-0", f"must be finite, got {args.omega_0}")
     try:
         return args.handler(args)
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        flag = FIELD_FLAGS.get(message.split(" ", 1)[0])
+        # a sweep builds the record of its swept variable from the range start
+        if flag is not None and flag[2:] == AXIS_FLAG.get(getattr(args, "axis", None)):
+            flag = "--range"
+        print(f"error: {flag}: {message}" if flag else f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -59,14 +59,17 @@ class QuadratureConfig:
     omega_max_factor: float = 50.0
 
     def __post_init__(self) -> None:
-        if not self.rel_tol > 0.0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if not self.abs_tol > 0.0:
-            raise ValueError(f"abs_tol must be > 0, got {self.abs_tol}")
+        # an infinite tolerance accepts any quadrature; an infinite limit breaks the rule layout
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
+        if not 0.0 < self.abs_tol < math.inf:
+            raise ValueError(f"abs_tol must be finite and > 0, got {self.abs_tol}")
         if self.max_subdivisions < 1:
             raise ValueError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
-        if not self.omega_max_factor >= 10.0:
-            raise ValueError(f"omega_max_factor must be >= 10, got {self.omega_max_factor}")
+        if not 10.0 <= self.omega_max_factor < math.inf:
+            raise ValueError(
+                f"omega_max_factor must be finite and >= 10, got {self.omega_max_factor}"
+            )
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()

@@ -126,6 +126,11 @@ def _closed_form_split(alpha: float, gamma_value: float, qfi: float) -> tuple[fl
     return cfi, quantum
 
 
+def _check_estimable(estimand: Estimand, point: BathPoint) -> None:
+    if estimand is Estimand.TEMPERATURE and not point.temperature > 0.0:
+        raise ValueError(f"temperature must be > 0 when estimating T, got {point.temperature}")
+
+
 def qfi_sample(
     estimand: Estimand,
     point: BathPoint,
@@ -136,8 +141,7 @@ def qfi_sample(
     dgamma: float,
 ) -> QfiSample:
     """Closed-form QFI record from an evaluated exponent and its derivative."""
-    if estimand is Estimand.TEMPERATURE and not point.temperature > 0.0:
-        raise ValueError("temperature estimation requires T > 0")
+    _check_estimable(estimand, point)
     qfi = qfi_closed_form(init, gamma_value, dgamma)
     cfi, quantum = _closed_form_split(init.alpha, gamma_value, qfi)
     return QfiSample(
@@ -163,6 +167,7 @@ def qfi_point(
     qc: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> QfiSample:
     """Production path for one point: adaptive gamma and analytic derivative, closed form."""
+    _check_estimable(estimand, point)
     gamma_value = gamma(point, sq, sp, qc).value
     dgamma = gamma_partial(estimand, point, sq, sp, qc)
     return qfi_sample(estimand, point, sq, sp, init, gamma_value, dgamma)

@@ -78,9 +78,9 @@ class SpectralParams:
         _check_finite("s", self.s)
         _check_finite("omega_c", self.omega_c)
         if not self.s > 0.0:
-            raise ValueError(f"ohmicity exponent s must be > 0, got {self.s}")
+            raise ValueError(f"s must be > 0, got {self.s}")
         if not self.omega_c > 0.0:
-            raise ValueError(f"cutoff frequency omega_c must be > 0, got {self.omega_c}")
+            raise ValueError(f"omega_c must be > 0, got {self.omega_c}")
 
     @property
     def regime(self) -> str:
@@ -106,7 +106,7 @@ class SqueezeParams:
         _check_finite("r", self.r)
         _check_finite("theta", self.theta)
         if not self.r >= 0.0:
-            raise ValueError(f"squeezing amplitude r must be >= 0, got {self.r}")
+            raise ValueError(f"r must be >= 0, got {self.r}")
         reduced = self.theta % TWO_PI
         if reduced == TWO_PI:  # -tiny % 2*pi can round up to 2*pi itself
             reduced = 0.0

@@ -14,7 +14,7 @@ in t and unimodal search alone would lock onto the wrong peak.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from math import isfinite, sqrt
 
@@ -23,7 +23,7 @@ import numpy as np
 from .decoherence import DEFAULT_QUADRATURE, ConvergenceError, QuadratureConfig
 from .moments import MomentEngine
 from .probe_state import ProbeInit
-from .qfi_engine import Estimand, QfiSample, qfi_point, qfi_sample
+from .qfi_engine import Estimand, QfiSample, _check_estimable, qfi_point, qfi_sample
 from .spectral_bath import BathPoint, SpectralParams, SqueezeParams
 
 __all__ = [
@@ -36,18 +36,12 @@ __all__ = [
     "sweep",
     "density_grid",
     "optimal_time",
+    "run_metadata",
 ]
 
 SWEEP_AXES = ("T", "t", "r", "theta", "alpha")
 
 _INV_PHI = 0.5 * (sqrt(5.0) - 1.0)
-
-
-def _axis_domain_check(axis: str, lo: float, hi: float) -> None:
-    if axis in ("T", "t", "r") and lo < 0.0:
-        raise ValueError(f"axis {axis} starts below its domain: {lo} < 0")
-    if axis == "alpha" and not (0.0 <= lo and hi <= np.pi):
-        raise ValueError(f"alpha range must lie inside [0, pi], got [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -68,12 +62,19 @@ class SweepSpec:
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
         if not (isfinite(self.lo) and isfinite(self.hi) and self.lo < self.hi):
-            raise ValueError(f"range must satisfy lo < hi, got [{self.lo}, {self.hi}]")
+            raise ValueError(f"lo must be finite and below hi, got [{self.lo}, {self.hi}]")
         if self.points < 2:
             raise ValueError(f"points must be >= 2, got {self.points}")
-        _axis_domain_check(self.axis, self.lo, self.hi)
+        # both ends must make valid records of the swept variable
+        for name, value in (("lo", self.lo), ("hi", self.hi)):
+            try:
+                _with_axis_value(self.axis, value, self.point, self.sq, self.init)
+            except ValueError as exc:
+                raise ValueError(f"{name} leaves the domain of axis {self.axis}: {exc}") from exc
         if self.estimand is Estimand.TEMPERATURE and self.axis == "T" and self.lo <= 0.0:
-            raise ValueError("temperature-estimand sweeps over T must start above 0")
+            raise ValueError(f"lo must be > 0 when estimating T, got {self.lo}")
+        if self.axis != "T":
+            _check_estimable(self.estimand, self.point)
 
 
 @dataclass(frozen=True)
@@ -101,15 +102,16 @@ class GridSpec:
     init: ProbeInit = ProbeInit()
 
     def __post_init__(self) -> None:
-        for name, lo, hi in (("t", self.t_lo, self.t_hi), ("T", self.T_lo, self.T_hi)):
+        for axis, lo, hi, points in (("t", self.t_lo, self.t_hi, self.t_points),
+                                     ("T", self.T_lo, self.T_hi, self.T_points)):
             if not (isfinite(lo) and isfinite(hi) and lo < hi):
-                raise ValueError(f"{name} range must satisfy lo < hi, got [{lo}, {hi}]")
+                raise ValueError(f"{axis}_lo must be finite and below {axis}_hi, got [{lo}, {hi}]")
             if lo < 0.0:
-                raise ValueError(f"{name} range starts below its domain: {lo} < 0")
-        if self.t_points < 2 or self.T_points < 2:
-            raise ValueError("grid needs at least 2 points per axis")
+                raise ValueError(f"{axis}_lo must be >= 0, got {lo}")
+            if points < 2:
+                raise ValueError(f"{axis}_points must be >= 2, got {points}")
         if self.estimand is Estimand.TEMPERATURE and self.T_lo <= 0.0:
-            raise ValueError("temperature-estimand grids must start above T = 0")
+            raise ValueError(f"T_lo must be > 0 when estimating T, got {self.T_lo}")
 
 
 @dataclass(frozen=True)
@@ -131,19 +133,15 @@ class OptimalTimeResult:
     bracket: float
 
 
-def _metadata(qc: QuadratureConfig, fallbacks: int) -> dict:
+def run_metadata(qc: QuadratureConfig, **counts: int) -> dict:
+    """Tool, version, quadrature settings, any counts of the run, and a UTC timestamp."""
     from . import __version__
 
     return {
         "tool": "qfibath",
         "version": __version__,
-        "quadrature": {
-            "rel_tol": qc.rel_tol,
-            "abs_tol": qc.abs_tol,
-            "max_subdivisions": qc.max_subdivisions,
-            "omega_max_factor": qc.omega_max_factor,
-        },
-        "fallbacks": fallbacks,
+        "quadrature": asdict(qc),
+        **counts,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 
@@ -209,7 +207,8 @@ def sweep(spec: SweepSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> SweepTa
                 evaluations=0,
             )
         rows.append((value, sample.gamma, sample.dgamma, sample.qfi))
-    return SweepTable(spec=spec, rows=tuple(rows), metadata=_metadata(qc, engine.fallbacks))
+    metadata = run_metadata(qc, fallbacks=engine.fallbacks)
+    return SweepTable(spec=spec, rows=tuple(rows), metadata=metadata)
 
 
 def density_grid(spec: GridSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> GridTable:
@@ -227,7 +226,8 @@ def density_grid(spec: GridSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> G
                 samples.append(qfi_sample(
                     spec.estimand, point, spec.sq, spec.sp, spec.init, gamma_value, dgamma
                 ))
-    return GridTable(spec=spec, samples=tuple(samples), metadata=_metadata(qc, engine.fallbacks))
+    metadata = run_metadata(qc, fallbacks=engine.fallbacks)
+    return GridTable(spec=spec, samples=tuple(samples), metadata=metadata)
 
 
 def optimal_time(
@@ -249,8 +249,8 @@ def optimal_time(
     the smallest t. A coarse scan flatter than 1e-14 is degenerate and
     returns t_star = 0 with qfi_star = 0.
     """
-    if not t_max > 0.0:
-        raise ValueError(f"t_max must be > 0, got {t_max}")
+    if not (isfinite(t_max) and t_max > 0.0):
+        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     if coarse_points < 3:
         raise ValueError(f"coarse_points must be >= 3, got {coarse_points}")
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -22,6 +23,18 @@ POINT_ARGS = [
     "point", "--estimand", "T", "--temp", "0.5", "--time", "1",
     "--r", "0.1", "--theta", "1", "--s", "0.5",
 ]
+SWEEP_ARGS = [
+    "sweep", "--estimand", "T", "--axis", "t", "--range", "0:2", "--points", "3",
+    "--temp", "0.5", "--time", "1", "--theta", "1", "--r", "0.1", "--s", "0.5",
+]
+GRID_ARGS = [
+    "grid", "--estimand", "T", "--t-range", "0:2", "--T-range", "0.4:0.8",
+    "--t-points", "2", "--T-points", "2", "--r", "0.1", "--theta", "1", "--s", "0.5",
+]
+OPT_TIME_ARGS = [
+    "opt-time", "--estimand", "T", "--T-range", "0.4:0.8", "--T-points", "1",
+    "--theta", "1", "--r", "0.5", "--s", "0.5", "--t-max", "4",
+]
 
 
 def run_cli(argv):
@@ -29,6 +42,17 @@ def run_cli(argv):
         return main(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+
+
+def with_flags(argv, changes):
+    """argv with each flag in `changes` set to its value, passed as --flag=value."""
+    argv = list(argv)
+    for flag, value in changes.items():
+        if flag in argv:
+            at = argv.index(flag)
+            del argv[at:at + 2]
+        argv.append(f"{flag}={value}")
+    return argv
 
 
 def read_csv(path):
@@ -120,6 +144,66 @@ def test_zero_width_range_is_rejected(capsys):
     assert "--range" in capsys.readouterr().err
 
 
+REJECTIONS = [
+    (POINT_ARGS, {"--s": "0"}, "--s"),
+    (POINT_ARGS, {"--s": "-1"}, "--s"),
+    (POINT_ARGS, {"--s": "nan"}, "--s"),
+    (POINT_ARGS, {"--omega-c": "0"}, "--omega-c"),
+    (POINT_ARGS, {"--omega-c": "inf"}, "--omega-c"),
+    (POINT_ARGS, {"--r": "-1"}, "--r"),
+    (POINT_ARGS, {"--r": "inf"}, "--r"),
+    (POINT_ARGS, {"--theta": "inf"}, "--theta"),
+    (POINT_ARGS, {"--alpha": "4"}, "--alpha"),
+    (POINT_ARGS, {"--temp": "-1"}, "--temp"),
+    (POINT_ARGS, {"--temp": "inf"}, "--temp"),
+    (POINT_ARGS, {"--temp": "0"}, "--temp"),  # estimand T
+    # rejected before any quadrature, so a starved one cannot exit 3 first
+    (POINT_ARGS, {"--temp": "0", "--max-subdivisions": "1", "--rel-tol": "1e-13"}, "--temp"),
+    (POINT_ARGS, {"--time": "-1"}, "--time"),
+    (POINT_ARGS, {"--rel-tol": "0"}, "--rel-tol"),
+    (POINT_ARGS, {"--abs-tol": "-1"}, "--abs-tol"),
+    (POINT_ARGS, {"--abs-tol": "inf"}, "--abs-tol"),
+    (POINT_ARGS, {"--max-subdivisions": "0"}, "--max-subdivisions"),
+    (POINT_ARGS, {"--omega-max-factor": "5"}, "--omega-max-factor"),
+    (SWEEP_ARGS, {"--omega-max-factor": "inf"}, "--omega-max-factor"),
+    (POINT_ARGS, {"--omega-0": "nan"}, "--omega-0"),
+    (SWEEP_ARGS, {"--points": "1"}, "--points"),
+    (SWEEP_ARGS, {"--estimand": "r", "--axis": "T", "--range": "-1:1"}, "--range"),
+    (SWEEP_ARGS, {"--axis": "T", "--range": "0:1"}, "--range"),  # estimand T
+    (SWEEP_ARGS, {"--axis": "alpha", "--range": "0:4"}, "--range"),
+    (SWEEP_ARGS, {"--axis": "r", "--range": "0:1", "--temp": "0"}, "--temp"),
+    (GRID_ARGS, {"--t-points": "1"}, "--t-points"),
+    (GRID_ARGS, {"--T-points": "1"}, "--T-points"),
+    (GRID_ARGS, {"--T-range": "0:1"}, "--T-range"),  # estimand T
+    (GRID_ARGS, {"--t-range": "-1:1"}, "--t-range"),
+    (OPT_TIME_ARGS, {"--T-points": "0"}, "--T-points"),
+    (OPT_TIME_ARGS, {"--t-max": "0"}, "--t-max"),
+    (OPT_TIME_ARGS, {"--t-max": "inf"}, "--t-max"),
+    (OPT_TIME_ARGS, {"--estimand": "r", "--T-range": "-1:1"}, "--T-range"),
+]
+
+
+@pytest.mark.parametrize("base, changes, flag", REJECTIONS, ids=[
+    " ".join([base[0], *(f"{key}={value}" for key, value in changes.items())])
+    for base, changes, _ in REJECTIONS
+])
+def test_rejected_value_exits_two_naming_its_flag(base, changes, flag, capsys):
+    assert run_cli(with_flags(base, changes)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
+
+def test_json_output_parses_strictly(tmp_path):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    out = tmp_path / "point.json"
+    assert run_cli(POINT_ARGS + ["--omega-0", "nan", "--format", "json", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert run_cli(POINT_ARGS + ["--omega-0", "5", "--format", "json", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject)
+    assert payload["metadata"]["omega_0"] == 5.0
+
+
 def test_sweep_schema_and_first_row(tmp_path):
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--estimand", "T", "--axis", "t", "--range", "0:2",
@@ -163,6 +247,7 @@ def test_json_layout(tmp_path):
     assert payload["spec"]["subcommand"] == "sweep"
     assert payload["metadata"]["columns"] == ["axis", "value", "gamma", "dgamma", "qfi"]
     assert payload["metadata"]["version"] == __version__
+    assert payload["metadata"]["fallbacks"] == 0
     assert len(payload["rows"]) == 4
     assert payload["rows"][0][0] == "t"
     assert payload["rows"][0][4] == 0.0
@@ -283,6 +368,16 @@ def test_every_documented_panel_has_a_recipe():
     expected = {f"fig{i}{p}" for i in range(1, 7) for p in "abcd"}
     expected |= {"fig7", "fig8", "fig9", "fig10"}
     assert set(RECIPES) == expected
+
+
+def test_reproduce_figures_writes_every_recipe_table(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
+    spec = importlib.util.spec_from_file_location("reproduce_figures", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(["--outdir", str(tmp_path)]) == 0
+    assert sorted(path.stem for path in tmp_path.glob("*.csv")) == sorted(RECIPES)
+    assert len(RECIPES) == 28
 
 
 def test_quadrature_starvation_exits_three(capsys):

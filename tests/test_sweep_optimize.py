@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qfibath.decoherence import QuadratureConfig
+from qfibath import moments, sweep_optimize
+from qfibath.decoherence import ConvergenceError, QuadratureConfig
 from qfibath.probe_state import ProbeInit
 from qfibath.qfi_engine import qfi_point
 from qfibath.spectral_bath import BathPoint, Estimand, SpectralParams, SqueezeParams
@@ -114,20 +115,33 @@ def test_sweep_spec_validation():
         )
 
 
-def test_sweep_aborts_with_the_failing_axis_value():
-    # T = 0 fixed while estimating T fails at the first point
-    spec = SweepSpec(
-        estimand=Estimand.TEMPERATURE,
-        axis="t",
-        lo=0.0,
-        hi=1.0,
-        points=3,
-        point=BathPoint(temperature=0.0, time=0.0),
-        sq=FIX_SQUEEZE,
-        sp=SUB_OHMIC,
-    )
-    with pytest.raises(ValueError, match="t = 0.0"):
-        sweep(spec)
+def test_sweep_aborts_with_the_failing_axis_value(monkeypatch):
+    # an order-2 rule cannot match the order-24 one, so every t > 0 point falls
+    # back to the adaptive path, which is starved of subdivisions here
+    monkeypatch.setattr(moments, "ORDER", 2)
+    starved = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-14, max_subdivisions=1)
+    with pytest.raises(ConvergenceError, match="sweep aborted at t = 0.5"):
+        sweep(_time_sweep_spec(points=3, hi=1.0), starved)
+
+
+def test_temperature_estimand_sweep_at_zero_temperature_is_rejected_before_any_moment(
+    monkeypatch,
+):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the moment engine was reached")
+
+    monkeypatch.setattr(sweep_optimize, "MomentEngine", no_engine)
+    with pytest.raises(ValueError, match="^temperature must be > 0 when estimating T"):
+        sweep(SweepSpec(
+            estimand=Estimand.TEMPERATURE,
+            axis="r",
+            lo=0.0,
+            hi=1.0,
+            points=3,
+            point=BathPoint(temperature=0.0, time=1.0),
+            sq=FIX_SQUEEZE,
+            sp=SUB_OHMIC,
+        ))
 
 
 def test_alpha_sweep_is_symmetric_around_the_equator():
@@ -248,6 +262,8 @@ def test_optimal_time_flat_function_degenerates_to_zero():
 def test_optimal_time_validation():
     with pytest.raises(ValueError):
         optimal_time(0.5, Estimand.TEMPERATURE, FIX_SQUEEZE, SUB_OHMIC, t_max=0.0)
+    with pytest.raises(ValueError, match="^t_max"):
+        optimal_time(0.5, Estimand.TEMPERATURE, FIX_SQUEEZE, SUB_OHMIC, t_max=math.inf)
     with pytest.raises(ValueError):
         optimal_time(
             0.5, Estimand.TEMPERATURE, FIX_SQUEEZE, SUB_OHMIC, t_max=5.0, coarse_points=2
