@@ -269,10 +269,11 @@ def _quadrature_config(args: argparse.Namespace) -> QuadratureConfig:
     rel_tol = args.rel_tol
     env_value = os.environ.get(ENV_REL_TOL)
     if rel_tol is None and env_value is not None:
+        # checked here, so a rejection names the variable instead of --rel-tol
         try:
-            rel_tol = float(env_value)
-        except ValueError:
-            _fail(ENV_REL_TOL, f"must be a float, got {env_value!r}")
+            rel_tol = QuadratureConfig(rel_tol=float(env_value)).rel_tol
+        except ValueError as exc:
+            _fail(ENV_REL_TOL, str(exc))
     return QuadratureConfig(**_given(
         rel_tol=rel_tol, abs_tol=args.abs_tol,
         max_subdivisions=args.max_subdivisions, omega_max_factor=args.omega_max_factor,
@@ -454,12 +455,13 @@ def cmd_opt_time(args: argparse.Namespace) -> int:
     qc = _quadrature_config(args)
     sq, sp, init = _records(args)
 
-    rows = []
+    rows, fallbacks = [], 0
     for temperature in np.linspace(args.T_range[0], args.T_range[1], args.T_points):
         result = optimal_time(
             float(temperature), estimand, sq, sp, init, t_max=args.t_max, qc=qc
         )
         rows.append([result.temperature, result.t_star, result.qfi_star])
+        fallbacks += result.fallbacks
     spec = {
         "subcommand": "opt-time",
         "estimand": args.estimand,
@@ -471,7 +473,8 @@ def cmd_opt_time(args: argparse.Namespace) -> int:
             "omega_c": sp.omega_c, "alpha": init.alpha,
         },
     }
-    _emit(args, spec, _metadata(args, run_metadata(qc), OPT_TIME_COLUMNS), OPT_TIME_COLUMNS, rows)
+    metadata = _metadata(args, run_metadata(qc, fallbacks=fallbacks), OPT_TIME_COLUMNS)
+    _emit(args, spec, metadata, OPT_TIME_COLUMNS, rows)
     return EXIT_OK
 
 

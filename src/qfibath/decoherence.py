@@ -1,8 +1,7 @@
 """Adaptive quadrature of the decoherence exponent and its derivatives.
 
-This is the per-point path: `qfi_engine.qfi_point` evaluates through it, and
-the batched moment engine (`moments`) uses it as oracle and as fallback for
-points where its fixed rule pair disagrees.
+The moment engine (`moments`) computes every runtime number; this path is its
+fallback, for points where its rule pair disagrees, and its oracle.
 
 The integrand from `spectral_bath` is integrated over [0, W] with
 W = omega_max_factor * omega_c * max(1, s); the exp(-w / omega_c) roll-off of
@@ -13,7 +12,7 @@ gets its own refinement budget instead of stalling the outer subdivision.
 Each panel goes through the QUADPACK adaptive Gauss-Kronrod integrator
 (scipy.integrate.quad).
 
-Parameter derivatives integrate analytically differentiated integrands;
+Parameter derivatives integrate the integrand of `spectral_bath.derivative_rule`;
 central finite differences are shipped as a cross-validation oracle
 (`gamma_partial_fd`), not as a production path.
 
@@ -33,7 +32,6 @@ from .spectral_bath import (
     SpectralParams,
     SqueezeParams,
     gamma_integrand,
-    gamma_integrand_partial,
     parameter_value,
     shift_parameter,
 )
@@ -179,7 +177,7 @@ def gamma_partial(
     sp: SpectralParams,
     qc: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> float:
-    """d(gamma)/d(estimand) by quadrature of the analytically differentiated integrand.
+    """d(gamma)/d(estimand) by quadrature of the integrand of its `derivative_rule`.
 
     t = 0 returns 0 exactly (the integrand vanishes identically), as does the
     T-derivative at T = 0, whose integrand dies off exponentially.
@@ -190,7 +188,7 @@ def gamma_partial(
         return 0.0
 
     def integrand(omega: float) -> float:
-        return gamma_integrand_partial(estimand, omega, point, sq, sp)
+        return gamma_integrand(omega, point, sq, sp, estimand)
 
     value, _, _ = _integrate(integrand, sp, qc)
     return value

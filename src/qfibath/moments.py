@@ -7,11 +7,11 @@ factor f(T, w) = J(w) coth(w / 2T) / w**2 and E(w, t) = 2 sin(w t / 2)**2,
     C  = cos(theta) Mc + sin(theta) Ms,
     gamma = [exp(-2r) (M0 + C) + exp(2r) (M0 - C)] / 2,
 
-grouped as in `spectral_bath.squeeze_kernel`. d gamma / dT is the same
-assembly on the moments of d coth / dT; d gamma / dr and d gamma / dtheta are
-exact algebra on the moments of coth. f depends only on (T, w) and the kernel
-E [1, cos, sin] only on (w, t), so on one fixed quadrature rule the moments of
-a whole (T, t) batch are one matrix product F @ K.
+grouped as in `spectral_bath.squeeze_kernel`; each derivative is the same
+assembly with the thermal row and weights of `spectral_bath.derivative_rule`.
+f depends only on (T, w) and the kernel E [1, cos, sin] only on (w, t), so on
+one fixed quadrature rule the moments of a whole (T, t) batch, or of the
+single point of `qfi_engine.qfi_point`, are one matrix product F @ K.
 
 The rule is composite Gauss-Legendre, laid out from the batch's inputs:
 
@@ -34,12 +34,14 @@ max(|d gamma|, gamma), is recomputed by the adaptive `gamma` and
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .decoherence import QuadratureConfig, _upper_limit, gamma, gamma_partial
-from .spectral_bath import COTH_SERIES_CUTOFF, BathPoint, Estimand, SpectralParams, SqueezeParams
+from .spectral_bath import (COTH_SERIES_CUTOFF, BathPoint, Estimand, SpectralParams,
+                            SqueezeParams, derivative_rule)
 
 __all__ = ["ORDER", "CHECK_ORDER", "F_BYTES", "K_BYTES", "MomentEngine"]
 
@@ -76,10 +78,18 @@ def _panel_layout(sp: SpectralParams, qc: QuadratureConfig,
     return a, np.concatenate(edges)
 
 
-def _rule(order: int, a: float, power: float, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite rule of one order."""
+@lru_cache(maxsize=None)
+def _unit_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on [0, 1], cached: it costs more than a one-point batch."""
     x, w = leggauss(order)
     x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = w.flags.writeable = False  # shared by every engine
+    return x, w
+
+
+def _rule(order: int, a: float, power: float, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite rule of one order."""
+    x, w = _unit_rule(order)
     lo, width = edges[:-1, None], np.diff(edges)[:, None]
     nodes = np.concatenate([a * x**power, (lo + width * x).ravel()])
     weights = np.concatenate([a * power * x ** (power - 1.0) * w, (width * w).ravel()])
@@ -130,9 +140,9 @@ class MomentEngine:
     The constructor lays out the rule pair for `temperatures` and times up to
     `t_max`; `moments` evaluates any times up to t_max on it. `fallbacks`
     counts the points `settle` handed to the adaptive path. An engine is
-    mutable (that count, kept F blocks), so each sweep, grid or search
-    creates its own and the functions of `sweep_optimize` stay safe to call
-    concurrently.
+    mutable (that count, kept F blocks), so each point, sweep, grid or search
+    creates its own and the functions of `qfi_engine` and `sweep_optimize`
+    stay safe to call concurrently.
     """
 
     def __init__(self, estimand: Estimand, sp: SpectralParams, qc: QuadratureConfig,
@@ -143,9 +153,9 @@ class MomentEngine:
         # are kept for the next call: optimal_time calls once per step
         self._kept: dict[tuple[int, int, int], np.ndarray] = {}
         self._n_T = len(temperatures)
-        # F rows: coth at each temperature, then d coth / dT for the T estimand
+        # F rows: coth at each temperature, then d coth / dT if the estimand takes it
         self._rows = [(_coth, T) for T in temperatures]
-        if estimand is Estimand.TEMPERATURE:
+        if derivative_rule(estimand, 0.0)[0]:
             self._rows += [(_coth_dT, T) for T in temperatures]
         a, edges = _panel_layout(sp, qc, temperatures, t_max)
         power = max(1.0, 2.0 / sp.s)
@@ -190,22 +200,17 @@ class MomentEngine:
     def exponents(self, moments: np.ndarray, sq: SqueezeParams) -> tuple[list, list, list]:
         """gamma, d gamma / d estimand and pair agreement per (T, t), as nested lists."""
         n_T = self._n_T
-        shrink, grow = math.exp(-2.0 * sq.r), math.exp(2.0 * sq.r)
         cos_th, sin_th = math.cos(sq.theta), math.sin(sq.theta)
 
-        def assemble(m):
-            m0, c = m[:, :, 0], cos_th * m[:, :, 1] + sin_th * m[:, :, 2]
-            return m0, c, 0.5 * (shrink * (m0 + c) + grow * (m0 - c))
+        def assemble(estimand):
+            dT, (a, b, c) = derivative_rule(estimand, sq.r)
+            m = moments[:, n_T:] if dT else moments[:, :n_T]
+            # the moments of 1 + cos(theta - w t), 1 - cos(theta - w t), sin(theta - w t)
+            even = cos_th * m[:, :, 1] + sin_th * m[:, :, 2]
+            odd = sin_th * m[:, :, 1] - cos_th * m[:, :, 2]
+            return a * (m[:, :, 0] + even) + b * (m[:, :, 0] - even) + c * odd
 
-        m0, c, value = assemble(moments[:, :n_T])
-        if self.estimand is Estimand.TEMPERATURE:
-            derivative = assemble(moments[:, n_T:])[2]
-        elif self.estimand is Estimand.SQUEEZE_AMPLITUDE:
-            derivative = grow * (m0 - c) - shrink * (m0 + c)
-        else:
-            derivative = math.sinh(2.0 * sq.r) * (
-                sin_th * moments[:, :n_T, 1] - cos_th * moments[:, :n_T, 2]
-            )
+        value, derivative = assemble(None), assemble(self.estimand)
         qc = self.qc
         value_ok = np.abs(value[0] - value[1]) <= np.maximum(
             qc.abs_tol, qc.rel_tol * np.abs(value[1])

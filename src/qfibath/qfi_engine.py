@@ -5,11 +5,11 @@ The production route evaluates the closed form
     I = sin(alpha)^2 * (d gamma / d eta)^2 / (exp(2 gamma) - 1)
 
 with the analytic parameter derivative of the decay exponent: `qfi_point`
-takes both from the adaptive quadrature of `decoherence`, `qfi_sample` from
-any caller that has them, such as the batched moment engine. The oracle
-route (`qfi_spectral`) differentiates the spectral decomposition of the
-density matrix by gauge-fixed central differences and sums the general
-two-term formula
+evaluates both for one point on the moment engine (`moments`), `qfi_sample`
+takes them from any caller that has them, such as a batch on that engine.
+The oracle route (`qfi_spectral`) differentiates the spectral decomposition
+of the density matrix by gauge-fixed central differences and sums the
+general two-term formula
 
     I = sum_i (d lambda_i)^2 / lambda_i
         + 2 sum_{i != j} (lambda_i - lambda_j)^2 / (lambda_i + lambda_j)
@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import DEFAULT_QUADRATURE, QuadratureConfig, gamma, gamma_partial
+from .decoherence import DEFAULT_QUADRATURE, QuadratureConfig, gamma
+from .moments import MomentEngine
 from .probe_state import ProbeInit, eigensystem, reduced_dm
 from .spectral_bath import (
     BathPoint,
@@ -166,10 +167,11 @@ def qfi_point(
     init: ProbeInit = ProbeInit(),
     qc: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> QfiSample:
-    """Production path for one point: adaptive gamma and analytic derivative, closed form."""
+    """Production path for one point: a 1 x 1 moment batch (or its fallback), closed form."""
     _check_estimable(estimand, point)
-    gamma_value = gamma(point, sq, sp, qc).value
-    dgamma = gamma_partial(estimand, point, sq, sp, qc)
+    engine = MomentEngine(estimand, sp, qc, [point.temperature], point.time)
+    exponents = engine.exponents(engine.moments([point.time]), sq)
+    gamma_value, dgamma = engine.settle(exponents, 0, 0, point, sq)
     return qfi_sample(estimand, point, sq, sp, init, gamma_value, dgamma)
 
 

@@ -10,8 +10,9 @@ qubit coherence by exp(-gamma(T, t)) with
 
 where J is the ohmic-family spectral density and (r, theta) parametrize the
 mode-uniform squeezing of the reservoir. This module owns every pointwise
-factor of that integrand, plus the analytic derivatives with respect to the
-estimable parameters (T, r, theta). Quadrature lives in `decoherence`.
+factor of that integrand, and `derivative_rule`, the one statement of how
+gamma and its derivatives with respect to the estimable parameters (T, r,
+theta) are integrated. Quadrature lives in `decoherence` and `moments`.
 
 All functions are pure and all parameter records are immutable value types,
 so everything here is safe to call concurrently without synchronization.
@@ -31,13 +32,11 @@ __all__ = [
     "SqueezeParams",
     "BathPoint",
     "spectral_density",
+    "derivative_rule",
     "squeeze_kernel",
-    "squeeze_kernel_dr",
-    "squeeze_kernel_dtheta",
     "thermal_factor",
     "thermal_factor_dT",
     "gamma_integrand",
-    "gamma_integrand_partial",
     "parameter_value",
     "shift_parameter",
 ]
@@ -142,26 +141,37 @@ def spectral_density(omega: float, sp: SpectralParams) -> float:
     return omega**sp.s * sp.omega_c ** (1.0 - sp.s) * math.exp(-omega / sp.omega_c)
 
 
-def squeeze_kernel(omega: float, t: float, sq: SqueezeParams) -> float:
-    """Squeezing bracket cosh(2 r) - cos(theta - w t) sinh(2 r).
+def derivative_rule(estimand: Estimand | None, r: float) -> tuple[bool, tuple[float, ...]]:
+    """Thermal row flag and bracket weights (dT, (a, b, c)) of gamma or d gamma / d estimand.
 
-    Evaluated as a non-negatively weighted mix of exp(-2r) and exp(2r), so the
-    bounds exp(-2r) <= kernel <= exp(2r) hold to roundoff instead of suffering
-    the cosh - sinh cancellation.
+    gamma (estimand None) and each derivative integrate J(w) E(w, t) / w**2
+    times coth(w / 2T), or d coth / dT when dT is set, times
+    a (1 + cos(theta - w t)) + b (1 - cos(theta - w t)) + c sin(theta - w t).
+    d/dT changes only the thermal row; d/dr and d/dtheta only the weights.
     """
-    c = math.cos(sq.theta - omega * t)
-    return 0.5 * ((1.0 + c) * math.exp(-2.0 * sq.r) + (1.0 - c) * math.exp(2.0 * sq.r))
+    shrink, grow = 0.5 * math.exp(-2.0 * r), 0.5 * math.exp(2.0 * r)
+    if estimand is None or estimand is Estimand.TEMPERATURE:
+        return estimand is not None, (shrink, grow, 0.0)
+    if estimand is Estimand.SQUEEZE_AMPLITUDE:
+        return False, (-2.0 * shrink, 2.0 * grow, 0.0)
+    if estimand is Estimand.SQUEEZE_PHASE:
+        return False, (0.0, 0.0, math.sinh(2.0 * r))
+    raise ValueError(f"unknown estimand {estimand!r}")
 
 
-def squeeze_kernel_dr(omega: float, t: float, sq: SqueezeParams) -> float:
-    """d/dr of the squeezing bracket: 2 sinh(2r) - 2 cos(theta - w t) cosh(2r)."""
-    c = math.cos(sq.theta - omega * t)
-    return (1.0 - c) * math.exp(2.0 * sq.r) - (1.0 + c) * math.exp(-2.0 * sq.r)
+def squeeze_kernel(omega: float, t: float, sq: SqueezeParams,
+                   weights: tuple | None = None) -> float:
+    """Squeezing bracket cosh(2 r) - cos(theta - w t) sinh(2 r), or the bracket
+    with `derivative_rule` weights.
 
-
-def squeeze_kernel_dtheta(omega: float, t: float, sq: SqueezeParams) -> float:
-    """d/dtheta of the squeezing bracket: sin(theta - w t) sinh(2r)."""
-    return math.sin(sq.theta - omega * t) * math.sinh(2.0 * sq.r)
+    gamma's weights mix exp(-2r) and exp(2r) non-negatively, so the bounds
+    exp(-2r) <= kernel <= exp(2r) hold to roundoff instead of suffering the
+    cosh - sinh cancellation.
+    """
+    a, b, c = derivative_rule(None, sq.r)[1] if weights is None else weights
+    phase = sq.theta - omega * t
+    cos_phase = math.cos(phase)
+    return a * (1.0 + cos_phase) + b * (1.0 - cos_phase) + c * math.sin(phase)
 
 
 def thermal_factor(omega: float, temperature: float) -> float:
@@ -202,47 +212,26 @@ def thermal_factor_dT(omega: float, temperature: float) -> float:
 
 
 def gamma_integrand(
-    omega: float, point: BathPoint, sq: SqueezeParams, sp: SpectralParams
+    omega: float, point: BathPoint, sq: SqueezeParams, sp: SpectralParams,
+    estimand: Estimand | None = None,
 ) -> float:
-    """Full integrand of the decoherence exponent at frequency w > 0.
+    """Integrand of gamma, or of d gamma / d estimand, at frequency w > 0.
 
     (1 - cos(w t)) / w**2 is evaluated as 2 sin(w t / 2)**2 / w**2 to avoid
-    cancellation at small w t; every factor is non-negative.
+    cancellation at small w t; every factor of gamma's integrand is non-negative.
     """
     if omega <= 0.0:
         raise ValueError(f"frequency must be > 0, got {omega}")
+    dT, weights = derivative_rule(estimand, sq.r)
+    thermal = thermal_factor_dT if dT else thermal_factor
     half = math.sin(0.5 * omega * point.time)
     envelope = 2.0 * half * half / (omega * omega)
     return (
         spectral_density(omega, sp)
         * envelope
-        * squeeze_kernel(omega, point.time, sq)
-        * thermal_factor(omega, point.temperature)
+        * squeeze_kernel(omega, point.time, sq, weights)
+        * thermal(omega, point.temperature)
     )
-
-
-def gamma_integrand_partial(
-    estimand: Estimand,
-    omega: float,
-    point: BathPoint,
-    sq: SqueezeParams,
-    sp: SpectralParams,
-) -> float:
-    """Integrand of d(gamma)/d(estimand), differentiated under the integral."""
-    if omega <= 0.0:
-        raise ValueError(f"frequency must be > 0, got {omega}")
-    half = math.sin(0.5 * omega * point.time)
-    base = spectral_density(omega, sp) * 2.0 * half * half / (omega * omega)
-    if estimand is Estimand.TEMPERATURE:
-        return base * squeeze_kernel(omega, point.time, sq) * thermal_factor_dT(
-            omega, point.temperature
-        )
-    thermal = thermal_factor(omega, point.temperature)
-    if estimand is Estimand.SQUEEZE_AMPLITUDE:
-        return base * squeeze_kernel_dr(omega, point.time, sq) * thermal
-    if estimand is Estimand.SQUEEZE_PHASE:
-        return base * squeeze_kernel_dtheta(omega, point.time, sq) * thermal
-    raise ValueError(f"unknown estimand {estimand!r}")
 
 
 def parameter_value(estimand: Estimand, point: BathPoint, sq: SqueezeParams) -> float:

@@ -1,10 +1,10 @@
 """Parameter sweeps, (t, T) density grids and optimal-time search.
 
-Every table is computed as one batch by the moment engine (`moments`): the
-temperature factors once per table, the time kernel once per distinct time,
-then each row's exponent and derivative by algebra on the moments. Points
-where the engine's rule pair disagrees fall back to the adaptive path, and
-the tables' metadata counts them. Rows are assembled sequentially, so
+Every table and search runs on the moment engine (`moments`), as single
+points do. A table is one batch: the temperature factors once per table, the
+time kernel once per distinct time, then each row's exponent and derivative
+by algebra on the moments. Points where the engine's rule pair disagrees fall
+back to the adaptive path, and the tables' and searches' metadata count them. Rows are assembled sequentially, so
 identical specs always produce bit-identical tables. The optimal-time search
 brackets the global maximum with a coarse scan before golden-section
 refinement, because the squeezing kernel can make the information oscillate
@@ -23,7 +23,7 @@ import numpy as np
 from .decoherence import DEFAULT_QUADRATURE, ConvergenceError, QuadratureConfig
 from .moments import MomentEngine
 from .probe_state import ProbeInit
-from .qfi_engine import Estimand, QfiSample, _check_estimable, qfi_point, qfi_sample
+from .qfi_engine import Estimand, QfiSample, _check_estimable, qfi_sample
 from .spectral_bath import BathPoint, SpectralParams, SqueezeParams
 
 __all__ = [
@@ -125,12 +125,14 @@ class GridTable:
 
 @dataclass(frozen=True)
 class OptimalTimeResult:
-    """Interaction time maximizing the information at one temperature."""
+    """Interaction time maximizing the information at one temperature; `fallbacks`
+    counts the search's points the moment engine handed to the adaptive path."""
 
     temperature: float
     t_star: float
     qfi_star: float
     bracket: float
+    fallbacks: int = 0
 
 
 def run_metadata(qc: QuadratureConfig, **counts: int) -> dict:
@@ -245,8 +247,8 @@ def optimal_time(
     A coarse scan over [0, t_max] brackets the global maximum, then
     golden-section refinement shrinks the bracket to 1e-4 * t_max; the scan
     is one moment batch and each refinement step one more time column.
-    qfi_star is a fresh `qfi_point` evaluation at t_star. Ties break toward
-    the smallest t. A coarse scan flatter than 1e-14 is degenerate and
+    qfi_star is the largest value the search evaluated, at t_star. Ties break
+    toward the smallest t. A coarse scan flatter than 1e-14 is degenerate and
     returns t_star = 0 with qfi_star = 0.
     """
     if not (isfinite(t_max) and t_max > 0.0):
@@ -269,7 +271,8 @@ def optimal_time(
     values = evaluate(times)
     if max(values) - min(values) < 1e-14:
         return OptimalTimeResult(
-            temperature=temperature, t_star=0.0, qfi_star=0.0, bracket=float(t_max)
+            temperature=temperature, t_star=0.0, qfi_star=0.0, bracket=float(t_max),
+            fallbacks=engine.fallbacks,
         )
 
     peak = int(np.argmax(values))  # first occurrence, i.e. the smallest t
@@ -301,8 +304,7 @@ def optimal_time(
             (f_right,) = evaluate([right])
             consider(right, f_right)
 
-    point = BathPoint(temperature=temperature, time=best_t)
-    qfi_star = qfi_point(estimand, point, sq, sp, init, qc).qfi
     return OptimalTimeResult(
-        temperature=temperature, t_star=best_t, qfi_star=qfi_star, bracket=float(hi - lo)
+        temperature=temperature, t_star=best_t, qfi_star=best_q, bracket=float(hi - lo),
+        fallbacks=engine.fallbacks,
     )

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qfibath import __version__
+from qfibath import __version__, moments
 from qfibath.cli import RECIPES, main
 from qfibath.decoherence import DEFAULT_QUADRATURE
 from qfibath.moments import MomentEngine
@@ -251,6 +251,11 @@ def test_json_layout(tmp_path):
     assert len(payload["rows"]) == 4
     assert payload["rows"][0][0] == "t"
     assert payload["rows"][0][4] == 0.0
+    opt_out = tmp_path / "opt.json"
+    assert run_cli(OPT_TIME_ARGS + ["--format", "json", "--out", str(opt_out)]) == 0
+    metadata = json.loads(opt_out.read_text(encoding="utf-8"))["metadata"]
+    assert metadata["columns"] == ["T", "t_star", "qfi_star"]
+    assert metadata["fallbacks"] == 0
 
 
 def test_minimal_grid_round_trips_against_point_calls(tmp_path):
@@ -268,7 +273,7 @@ def test_minimal_grid_round_trips_against_point_calls(tmp_path):
     assert payload["rows"] == [
         [s.point.temperature, s.point.time, s.gamma, s.dgamma, s.qfi] for s in table.samples
     ]
-    # the batched grid agrees with independent adaptive point calls
+    # the batched grid agrees with point calls, each on its own 1 x 1 engine
     for row in payload["rows"]:
         temperature, time, gamma_value, dgamma, qfi = row
         sample = qfi_point(
@@ -380,7 +385,10 @@ def test_reproduce_figures_writes_every_recipe_table(tmp_path):
     assert len(RECIPES) == 28
 
 
-def test_quadrature_starvation_exits_three(capsys):
+def test_quadrature_starvation_exits_three(capsys, monkeypatch):
+    # an order-2 rule disagrees with its check rule, so the point falls back to
+    # the adaptive path, whose subdivision budget is starved
+    monkeypatch.setattr(moments, "ORDER", 2)
     argv = ["point", "--estimand", "T", "--temp", "1", "--time", "3.7",
             "--r", "1", "--theta", "1", "--s", "0.5",
             "--max-subdivisions", "1", "--rel-tol", "1e-13", "--abs-tol", "1e-14"]
@@ -388,15 +396,18 @@ def test_quadrature_starvation_exits_three(capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_cancelling_panels_do_not_raise_a_false_convergence_error(tmp_path):
+def test_cancelling_panels_do_not_raise_a_false_convergence_error(tmp_path, monkeypatch):
     # the boundary panel of the r-derivative warns (QUADPACK ier=5) while meeting
-    # its own tolerance; the total is smaller than the panels because they cancel
+    # its own tolerance; the total is smaller than the panels because they cancel.
+    # An order-2 rule sends the point to that adaptive path.
     out = tmp_path / "point.csv"
     temperature, time = 2.9981285475680455, 5.874971139014988
     r, theta, s = 0.5621318885832811, 0.6438194072155007, 0.40415440865457253
     argv = ["point", "--estimand", "r", "--temp", repr(temperature), "--time", repr(time),
             "--r", repr(r), "--theta", repr(theta), "--s", repr(s), "--out", str(out)]
-    assert run_cli(argv) == 0
+    with monkeypatch.context() as forced:
+        forced.setattr(moments, "ORDER", 2)
+        assert run_cli(argv) == 0
     _, header, rows = read_csv(out)
     gamma_value = float(rows[0][header.index("gamma")])
     dgamma = float(rows[0][header.index("dgamma")])
@@ -407,6 +418,40 @@ def test_cancelling_panels_do_not_raise_a_false_convergence_error(tmp_path):
     _, derivatives, agree = engine.exponents(engine.moments([time]), sq)
     assert agree[0][0]
     assert abs(dgamma - derivatives[0][0]) <= 1e-8 * max(abs(dgamma), gamma_value)
+
+
+# (argv, gamma, dgamma) with gamma and dgamma from an independent 20-digit mpmath
+# quadrature of the integral's definition. The first point lost 1.1e-7 relative
+# on gamma to adaptive quadrature; the other two made it exit 3.
+ORACLE_POINTS = [
+    (["--estimand", "T", "--temp", "1.5994425362135922", "--time", "6.093650998519315",
+      "--r", "0.9489758460143188", "--theta", "2.000962607736446", "--s", "0.939139385761002"],
+     52.27075148237731, 32.384021376012534),
+    (["--estimand", "r", "--temp", "0", "--time", "1000", "--r", "0.5", "--theta", "1",
+      "--s", "3"],
+     1.8605646890210181, 3.1841362169675804),
+    (["--estimand", "T", "--temp", "0.5", "--time", "1", "--r", "0.1", "--theta", "1",
+      "--s", "0.5", "--omega-c", "1000"],
+     97.69393185984286, 63.14516069927912),
+]
+
+
+@pytest.mark.parametrize("flags, gamma_value, dgamma", ORACLE_POINTS,
+                         ids=["point-stream", "t=1000", "omega_c=1000"])
+def test_point_matches_the_mpmath_oracle(flags, gamma_value, dgamma, tmp_path):
+    out = tmp_path / "point.csv"
+    assert run_cli(["point", *flags, "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    got_gamma = float(rows[0][header.index("gamma")])
+    got_dgamma = float(rows[0][header.index("dgamma")])
+    assert abs(got_gamma - gamma_value) <= 1e-8 * gamma_value
+    assert abs(got_dgamma - dgamma) <= 1e-8 * max(abs(dgamma), gamma_value) + 1e-12
+
+
+def test_rejected_environment_tolerance_names_the_variable(monkeypatch, capsys):
+    monkeypatch.setenv("QFIBATH_REL_TOL", "0")
+    assert run_cli(POINT_ARGS) == 2
+    assert capsys.readouterr().err.startswith("error: QFIBATH_REL_TOL: rel_tol must be")
 
 
 def test_omega_zero_is_recorded_but_inert(tmp_path):

@@ -11,14 +11,12 @@ from qfibath.spectral_bath import (
     Estimand,
     SpectralParams,
     SqueezeParams,
+    derivative_rule,
     gamma_integrand,
-    gamma_integrand_partial,
     parameter_value,
     shift_parameter,
     spectral_density,
     squeeze_kernel,
-    squeeze_kernel_dr,
-    squeeze_kernel_dtheta,
     thermal_factor,
     thermal_factor_dT,
 )
@@ -188,18 +186,23 @@ def test_thermal_factor_derivative_matches_finite_difference(omega, temperature)
 @pytest.mark.parametrize("omega,t,r,theta", [(0.7, 1.3, 0.4, 1.1), (2.0, 0.3, 1.5, 4.0)])
 def test_squeeze_kernel_derivatives_match_finite_differences(omega, t, r, theta):
     h = 1e-6
+
+    def rule_kernel(estimand):
+        return squeeze_kernel(omega, t, SqueezeParams(r, theta), derivative_rule(estimand, r)[1])
+
     fd_r = (
         squeeze_kernel(omega, t, SqueezeParams(r + h, theta))
         - squeeze_kernel(omega, t, SqueezeParams(r - h, theta))
     ) / (2.0 * h)
-    assert squeeze_kernel_dr(omega, t, SqueezeParams(r, theta)) == pytest.approx(fd_r, rel=1e-8)
+    assert rule_kernel(Estimand.SQUEEZE_AMPLITUDE) == pytest.approx(fd_r, rel=1e-8)
     fd_theta = (
         squeeze_kernel(omega, t, SqueezeParams(r, theta + h))
         - squeeze_kernel(omega, t, SqueezeParams(r, theta - h))
     ) / (2.0 * h)
-    assert squeeze_kernel_dtheta(omega, t, SqueezeParams(r, theta)) == pytest.approx(
-        fd_theta, rel=1e-7, abs=1e-9
-    )
+    assert rule_kernel(Estimand.SQUEEZE_PHASE) == pytest.approx(fd_theta, rel=1e-7, abs=1e-9)
+    # d/dT leaves the bracket as it is and takes the d coth / dT row
+    assert rule_kernel(Estimand.TEMPERATURE) == squeeze_kernel(omega, t, SqueezeParams(r, theta))
+    assert [derivative_rule(e, r)[0] for e in (None, *Estimand)] == [False, True, False, False]
 
 
 @given(omega=st.floats(1e-6, 100.0))
@@ -245,16 +248,15 @@ def test_gamma_integrand_rejects_nonpositive_frequency():
     point = BathPoint(temperature=1.0, time=1.0)
     with pytest.raises(ValueError):
         gamma_integrand(0.0, point, SqueezeParams(0.0), SpectralParams(1.0))
-    with pytest.raises(ValueError):
-        gamma_integrand_partial(
-            Estimand.TEMPERATURE, -1.0, point, SqueezeParams(0.0), SpectralParams(1.0)
-        )
+    for estimand in Estimand:
+        with pytest.raises(ValueError):
+            gamma_integrand(-1.0, point, SqueezeParams(0.0), SpectralParams(1.0), estimand)
 
 
 def test_gamma_integrand_partial_theta_vanishes_without_squeezing():
     point = BathPoint(temperature=1.0, time=1.0)
-    value = gamma_integrand_partial(
-        Estimand.SQUEEZE_PHASE, 0.7, point, SqueezeParams(0.0, 1.0), SpectralParams(1.0)
+    value = gamma_integrand(
+        0.7, point, SqueezeParams(0.0, 1.0), SpectralParams(1.0), Estimand.SQUEEZE_PHASE
     )
     assert value == 0.0
 
