@@ -6,7 +6,8 @@ Usage:
     python scripts/reproduce_figures.py --only fig1a fig10 --format json
 
 Each recipe maps to one CLI invocation; pass --only to restrict the set.
-Each recipe takes about a second or less; fig10 (opt-time) is the slowest.
+Each recipe takes a fraction of a second on one core (fig10, the slowest,
+about 0.2 s); all 28 take about 1.5 s.
 """
 
 import argparse

@@ -45,11 +45,14 @@ from .qfi_engine import (
 from .sweep_optimize import (
     GridSpec,
     GridTable,
+    OptimalTimeCurve,
     OptimalTimeResult,
+    OptimalTimeSpec,
     SweepSpec,
     SweepTable,
     density_grid,
     optimal_time,
+    optimal_time_curve,
     sweep,
 )
 
@@ -87,8 +90,11 @@ __all__ = [
     "SweepTable",
     "GridSpec",
     "GridTable",
+    "OptimalTimeSpec",
     "OptimalTimeResult",
+    "OptimalTimeCurve",
     "sweep",
     "density_grid",
+    "optimal_time_curve",
     "optimal_time",
 ]

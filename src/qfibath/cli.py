@@ -30,10 +30,9 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import NoReturn
-
-import numpy as np
 
 from . import __version__
 from .decoherence import ConvergenceError, QuadratureConfig
@@ -41,7 +40,8 @@ from .probe_state import ProbeInit
 from .qfi_engine import Estimand, qfi_point
 from .spectral_bath import BathPoint, SpectralParams, SqueezeParams
 from .sweep_optimize import (
-    SWEEP_AXES, GridSpec, SweepSpec, density_grid, optimal_time, run_metadata, sweep,
+    SWEEP_AXES, GridSpec, OptimalTimeSpec, SweepSpec, density_grid, optimal_time_curve,
+    run_metadata, sweep,
 )
 
 __all__ = ["main", "build_parser", "RECIPES", "EXIT_OK", "EXIT_USAGE", "EXIT_NUMERICAL"]
@@ -445,23 +445,15 @@ def cmd_opt_time(args: argparse.Namespace) -> int:
     if args.estimand is None:
         args.estimand = "T"
     _require(args, ["T_range", "T_points", "t_max", "r", "theta", "s"])
-    # optimal_time takes one temperature; the loop over them is the CLI's
-    if args.T_points < 1:
-        _fail("--T-points", "must be >= 1")
-    estimand = ESTIMANDS[args.estimand]
-    T_lo = args.T_range[0]
-    if not (T_lo > 0.0 if estimand is Estimand.TEMPERATURE else T_lo >= 0.0):
-        _fail("--T-range", "must start above 0 when estimating T, at or above 0 otherwise")
     qc = _quadrature_config(args)
     sq, sp, init = _records(args)
+    spec_obj = OptimalTimeSpec(
+        estimand=ESTIMANDS[args.estimand], T_lo=args.T_range[0], T_hi=args.T_range[1],
+        T_points=args.T_points, sq=sq, sp=sp, init=init, t_max=args.t_max,
+    )
 
-    rows, fallbacks = [], 0
-    for temperature in np.linspace(args.T_range[0], args.T_range[1], args.T_points):
-        result = optimal_time(
-            float(temperature), estimand, sq, sp, init, t_max=args.t_max, qc=qc
-        )
-        rows.append([result.temperature, result.t_star, result.qfi_star])
-        fallbacks += result.fallbacks
+    curve = optimal_time_curve(spec_obj, qc)
+    rows = [[result.temperature, result.t_star, result.qfi_star] for result in curve.results]
     spec = {
         "subcommand": "opt-time",
         "estimand": args.estimand,
@@ -473,14 +465,18 @@ def cmd_opt_time(args: argparse.Namespace) -> int:
             "omega_c": sp.omega_c, "alpha": init.alpha,
         },
     }
-    metadata = _metadata(args, run_metadata(qc, fallbacks=fallbacks), OPT_TIME_COLUMNS)
-    _emit(args, spec, metadata, OPT_TIME_COLUMNS, rows)
+    _emit(args, spec, _metadata(args, curve.metadata, OPT_TIME_COLUMNS), OPT_TIME_COLUMNS, rows)
     return EXIT_OK
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses: parsing leaves it unchanged, each call gets a fresh namespace."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.omega_0 is not None and not math.isfinite(args.omega_0):
         _fail("--omega-0", f"must be finite, got {args.omega_0}")
     try:

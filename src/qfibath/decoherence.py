@@ -10,7 +10,8 @@ default tolerances for s <= 3. The interval is split at omega_c / 100 so the
 boundary panel, where sub-ohmic integrands at T > 0 ramp like w**(s - 1),
 gets its own refinement budget instead of stalling the outer subdivision.
 Each panel goes through the QUADPACK adaptive Gauss-Kronrod integrator
-(scipy.integrate.quad).
+(scipy.integrate.quad), which is imported on the first integral, so a run
+that never falls back never loads SciPy.
 
 Parameter derivatives integrate the integrand of `spectral_bath.derivative_rule`;
 central finite differences are shipped as a cross-validation oracle
@@ -23,8 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.integrate import quad
 
 from .spectral_bath import (
     BathPoint,
@@ -114,6 +113,9 @@ def _integrate(f, sp: SpectralParams, qc: QuadratureConfig) -> tuple[float, floa
     cancel, so a total smaller than its panels must not fail panels that met
     their own request.
     """
+    # SciPy loads here, on the first fallback, not with the package
+    from scipy.integrate import quad
+
     split = sp.omega_c / 100.0
     total = 0.0
     est_error = 0.0

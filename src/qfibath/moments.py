@@ -11,7 +11,9 @@ grouped as in `spectral_bath.squeeze_kernel`; each derivative is the same
 assembly with the thermal row and weights of `spectral_bath.derivative_rule`.
 f depends only on (T, w) and the kernel E [1, cos, sin] only on (w, t), so on
 one fixed quadrature rule the moments of a whole (T, t) batch, or of the
-single point of `qfi_engine.qfi_point`, are one matrix product F @ K.
+single point of `qfi_engine.qfi_point`, are one matrix product F @ K. A
+search that needs one time per temperature takes each temperature's row of F
+against its own kernel column instead (`pairs`), with F built once.
 
 The rule is composite Gauss-Legendre, laid out from the batch's inputs:
 
@@ -134,29 +136,46 @@ def _kernel(omega: np.ndarray, times: np.ndarray) -> np.ndarray:
     return kernel
 
 
+def _factor_rows(omega: np.ndarray, base: np.ndarray, rows: list) -> np.ndarray:
+    """F: one row base * thermal(omega, T) per (thermal, T) of `rows`."""
+    factors = np.empty((len(rows), omega.size))
+    for row, (thermal, T) in zip(factors, rows):
+        np.multiply(base, thermal(omega, T), out=row)
+    return factors
+
+
+def _product(omega: np.ndarray, factors: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """F @ K at every row of F and every time, K in blocks below K_BYTES: (rows, 3, n_t)."""
+    out = np.empty((factors.shape[0], 3, times.size))
+    chunk = max(1, K_BYTES // (24 * omega.size))
+    for t0 in range(0, times.size, chunk):
+        kernel = _kernel(omega, times[t0:t0 + chunk])
+        block = factors @ kernel.reshape(omega.size, -1)
+        out[:, :, t0:t0 + chunk] = block.reshape(factors.shape[0], 3, -1)
+    return out
+
+
 class MomentEngine:
     """Moments of one spectral density at a fixed set of temperatures.
 
     The constructor lays out the rule pair for `temperatures` and times up to
-    `t_max`; `moments` evaluates any times up to t_max on it. `fallbacks`
-    counts the points `settle` handed to the adaptive path. An engine is
-    mutable (that count, kept F blocks), so each point, sweep, grid or search
-    creates its own and the functions of `qfi_engine` and `sweep_optimize`
-    stay safe to call concurrently.
+    `t_max`. `moments` evaluates any times up to t_max at every temperature;
+    `factors` builds the F rows of one block of temperatures, which `scan`
+    evaluates at a list of times and `pairs` at one time per temperature, so
+    a search builds F once and reuses it every round. `fallbacks` counts the
+    points `settle` handed to the adaptive path. That count makes an engine
+    mutable, so each point, sweep, grid or search creates its own and the
+    functions of `qfi_engine` and `sweep_optimize` stay safe to call
+    concurrently.
     """
 
     def __init__(self, estimand: Estimand, sp: SpectralParams, qc: QuadratureConfig,
                  temperatures: list[float], t_max: float):
         self.estimand, self.sp, self.qc = estimand, sp, qc
         self.fallbacks = 0
-        # F blocks no larger than a K block, i.e. those of a few temperatures,
-        # are kept for the next call: optimal_time calls once per step
-        self._kept: dict[tuple[int, int, int], np.ndarray] = {}
-        self._n_T = len(temperatures)
-        # F rows: coth at each temperature, then d coth / dT if the estimand takes it
-        self._rows = [(_coth, T) for T in temperatures]
-        if derivative_rule(estimand, 0.0)[0]:
-            self._rows += [(_coth_dT, T) for T in temperatures]
+        self._temperatures = list(temperatures)
+        # F rows per temperature: coth, then d coth / dT if the estimand takes it
+        self._thermal = [_coth, _coth_dT] if derivative_rule(estimand, 0.0)[0] else [_coth]
         a, edges = _panel_layout(sp, qc, temperatures, t_max)
         power = max(1.0, 2.0 / sp.s)
         # per rule: nodes, and weights times J(w) / w**2
@@ -171,35 +190,66 @@ class MomentEngine:
     def moments(self, times: list[float]) -> np.ndarray:
         """(M0, Mc, Ms) per rule, F row and time: shape (2, rows, 3, n_t).
 
-        Rows are the temperatures, followed for the temperature estimand by
-        the same temperatures with d coth / dT.
+        Rows are as in `factors` of all the engine's temperatures, built in
+        chunks of at most F_BYTES per rule.
         """
         times = np.asarray(times, dtype=float)
-        out = np.empty((2, len(self._rows), 3, times.size))
+        rows = [(thermal, T) for thermal in self._thermal for T in self._temperatures]
+        out = np.empty((2, len(rows), 3, times.size))
         for k, (omega, base) in enumerate(self._rules):
-            row_chunk = max(1, F_BYTES // (8 * omega.size))
-            time_chunk = max(1, K_BYTES // (24 * omega.size))
-            for r0 in range(0, len(self._rows), row_chunk):
-                rows = self._rows[r0:r0 + row_chunk]
-                key = (k, r0, len(rows))
-                factors = self._kept.get(key)
-                if factors is None:
-                    factors = np.empty((len(rows), omega.size))
-                    for row, (thermal, T) in zip(factors, rows):
-                        np.multiply(base, thermal(omega, T), out=row)
-                    if factors.nbytes <= K_BYTES:
-                        self._kept[key] = factors
-                for t0 in range(0, times.size, time_chunk):
-                    kernel = _kernel(omega, times[t0:t0 + time_chunk])
-                    block = factors @ kernel.reshape(omega.size, -1)
-                    out[k, r0:r0 + len(rows), :, t0:t0 + time_chunk] = block.reshape(
-                        len(rows), 3, -1
-                    )
+            chunk = max(1, F_BYTES // (8 * omega.size))
+            for r0 in range(0, len(rows), chunk):
+                factors = _factor_rows(omega, base, rows[r0:r0 + chunk])
+                out[k, r0:r0 + chunk] = _product(omega, factors, times)
+        return out
+
+    def blocks(self) -> list[range]:
+        """The engine's temperatures in runs whose F rows stay within F_BYTES per rule."""
+        nodes = max(omega.size for omega, _ in self._rules)
+        size = max(1, F_BYTES // (8 * len(self._thermal) * nodes))
+        n_T = len(self._temperatures)
+        return [range(i, min(i + size, n_T)) for i in range(0, n_T, size)]
+
+    def factors(self, block: range) -> list[np.ndarray]:
+        """F of the temperatures in `block`, one (rows, nodes) array per rule.
+
+        Rows are the block's temperatures with coth, followed for the
+        temperature estimand by the same temperatures with d coth / dT.
+        """
+        rows = [(thermal, self._temperatures[i]) for thermal in self._thermal for i in block]
+        return [_factor_rows(omega, base, rows) for omega, base in self._rules]
+
+    def scan(self, factors: list[np.ndarray], times: list[float]) -> np.ndarray:
+        """(M0, Mc, Ms) per rule, row of `factors` and time: shape (2, rows, 3, n_t)."""
+        times = np.asarray(times, dtype=float)
+        return np.stack([_product(omega, rows, times)
+                         for (omega, _), rows in zip(self._rules, factors)])
+
+    def pairs(self, factors: list[np.ndarray], temperatures: list[int],
+              times: list[float]) -> np.ndarray:
+        """(M0, Mc, Ms) per rule and thermal row of each (temperature, time) pair,
+        not of their cross product: shape (2, rows per temperature, 3, pairs).
+
+        `temperatures[p]`, an index into the block of `factors`, pairs with `times[p]`.
+        """
+        times = np.asarray(times, dtype=float)
+        sets = len(self._thermal)
+        out = np.empty((2, sets, 3, times.size))
+        for k, ((omega, _), rows) in enumerate(zip(self._rules, factors)):
+            rows = rows.reshape(sets, -1, omega.size)
+            chunk = max(1, K_BYTES // (24 * omega.size))
+            for t0 in range(0, times.size, chunk):
+                kernel = _kernel(omega, times[t0:t0 + chunk])
+                picked = rows[:, temperatures[t0:t0 + chunk]]
+                out[k, :, :, t0:t0 + chunk] = np.einsum("spw,wcp->scp", picked, kernel)
         return out
 
     def exponents(self, moments: np.ndarray, sq: SqueezeParams) -> tuple[list, list, list]:
-        """gamma, d gamma / d estimand and pair agreement per (T, t), as nested lists."""
-        n_T = self._n_T
+        """gamma, d gamma / d estimand and pair agreement per (T, t), as nested lists.
+
+        Takes the output of `moments` or `scan`, or of `pairs` as one row.
+        """
+        n_T = moments.shape[1] // len(self._thermal)
         cos_th, sin_th = math.cos(sq.theta), math.sin(sq.theta)
 
         def assemble(estimand):

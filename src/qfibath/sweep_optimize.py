@@ -1,14 +1,18 @@
-"""Parameter sweeps, (t, T) density grids and optimal-time search.
+"""Parameter sweeps, (t, T) density grids and optimal-time curves.
 
 Every table and search runs on the moment engine (`moments`), as single
 points do. A table is one batch: the temperature factors once per table, the
 time kernel once per distinct time, then each row's exponent and derivative
 by algebra on the moments. Points where the engine's rule pair disagrees fall
-back to the adaptive path, and the tables' and searches' metadata count them. Rows are assembled sequentially, so
-identical specs always produce bit-identical tables. The optimal-time search
-brackets the global maximum with a coarse scan before golden-section
-refinement, because the squeezing kernel can make the information oscillate
-in t and unimodal search alone would lock onto the wrong peak.
+back to the adaptive path, and the tables' and curves' metadata count them.
+Rows are assembled sequentially, so identical specs always produce
+bit-identical tables. The optimal-time search brackets the global maximum
+with a coarse scan before golden-section refinement, because the squeezing
+kernel can make the information oscillate in t and unimodal search alone
+would lock onto the wrong peak. A curve searches all its temperatures as one
+batch: their coarse scans are one (T, t) batch like a grid, and the
+refinement runs in lockstep, each round one (T, t) pair per temperature
+whose bracket is still open, against temperature factors built once.
 """
 
 from __future__ import annotations
@@ -32,9 +36,12 @@ __all__ = [
     "SweepTable",
     "GridSpec",
     "GridTable",
+    "OptimalTimeSpec",
     "OptimalTimeResult",
+    "OptimalTimeCurve",
     "sweep",
     "density_grid",
+    "optimal_time_curve",
     "optimal_time",
     "run_metadata",
 ]
@@ -124,6 +131,38 @@ class GridTable:
 
 
 @dataclass(frozen=True)
+class OptimalTimeSpec:
+    """Optimal-time curve: `T_points` temperatures evenly spaced over [T_lo, T_hi]
+    (T_lo alone when T_points is 1), each searched over [0, t_max]."""
+
+    estimand: Estimand
+    T_lo: float
+    T_hi: float
+    T_points: int
+    sq: SqueezeParams
+    sp: SpectralParams
+    init: ProbeInit = ProbeInit()
+    t_max: float = 10.0
+    coarse_points: int = 64
+
+    def __post_init__(self) -> None:
+        if not (isfinite(self.T_lo) and isfinite(self.T_hi) and self.T_lo <= self.T_hi):
+            raise ValueError(
+                f"T_lo must be finite and at most T_hi, got [{self.T_lo}, {self.T_hi}]"
+            )
+        if self.T_lo < 0.0:
+            raise ValueError(f"T_lo must be >= 0, got {self.T_lo}")
+        if self.estimand is Estimand.TEMPERATURE and self.T_lo <= 0.0:
+            raise ValueError(f"T_lo must be > 0 when estimating T, got {self.T_lo}")
+        if self.T_points < 1:
+            raise ValueError(f"T_points must be >= 1, got {self.T_points}")
+        if not (isfinite(self.t_max) and self.t_max > 0.0):
+            raise ValueError(f"t_max must be finite and > 0, got {self.t_max}")
+        if self.coarse_points < 3:
+            raise ValueError(f"coarse_points must be >= 3, got {self.coarse_points}")
+
+
+@dataclass(frozen=True)
 class OptimalTimeResult:
     """Interaction time maximizing the information at one temperature; `fallbacks`
     counts the search's points the moment engine handed to the adaptive path."""
@@ -133,6 +172,15 @@ class OptimalTimeResult:
     qfi_star: float
     bracket: float
     fallbacks: int = 0
+
+
+@dataclass(frozen=True)
+class OptimalTimeCurve:
+    """One OptimalTimeResult per temperature of the spec, in ascending order."""
+
+    spec: OptimalTimeSpec
+    results: tuple[OptimalTimeResult, ...]
+    metadata: dict = field(compare=False)
 
 
 def run_metadata(qc: QuadratureConfig, **counts: int) -> dict:
@@ -232,6 +280,110 @@ def density_grid(spec: GridSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> G
     return GridTable(spec=spec, samples=tuple(samples), metadata=metadata)
 
 
+def _search(times: list[float], tolerance: float):
+    """One temperature's optimal-time search, as a coroutine.
+
+    It yields the times it needs evaluated and is sent their values: first
+    the coarse scan `times`, then golden-section probes until the bracket is
+    at most `tolerance`. It returns (t_star, qfi_star, bracket).
+    """
+    values = yield times
+    if max(values) - min(values) < 1e-14:
+        return 0.0, 0.0, times[-1]
+    peak = int(np.argmax(values))  # first occurrence, i.e. the smallest t
+    best = (values[peak], -times[peak])  # the larger value, on ties the smaller t
+    lo = times[peak - 1] if peak > 0 else times[0]
+    hi = times[peak + 1] if peak < len(times) - 1 else times[-1]
+
+    left = hi - _INV_PHI * (hi - lo)
+    right = lo + _INV_PHI * (hi - lo)
+    f_left, f_right = yield [left, right]
+    best = max(best, (f_left, -left), (f_right, -right))
+    while hi - lo > tolerance:
+        if f_left >= f_right:  # keep the left interval on ties
+            hi, right, f_right = right, left, f_left
+            left = hi - _INV_PHI * (hi - lo)
+            (f_left,) = yield [left]
+            best = max(best, (f_left, -left))
+        else:
+            lo, left, f_left = left, right, f_right
+            right = lo + _INV_PHI * (hi - lo)
+            (f_right,) = yield [right]
+            best = max(best, (f_right, -right))
+    return -best[1], best[0], hi - lo
+
+
+def _search_block(engine: MomentEngine, block: range, temperatures: list[float],
+                  spec: OptimalTimeSpec) -> list[OptimalTimeResult]:
+    """The searches of one block of the engine's temperatures, round by round."""
+    factors = engine.factors(block)
+    fallbacks = [0] * len(block)
+
+    def information(exponents, i: int, j: int, row: int, time: float) -> float:
+        """qfi from cell (i, j) of `exponents`, at the block's row-th temperature and `time`."""
+        temperature = temperatures[block[row]]
+        point = BathPoint(temperature=temperature, time=time)
+        fallbacks[row] += not exponents[2][i][j]  # settle falls back where the pair disagreed
+        with _aborted_at(f"optimal-time search aborted at (T, t) = ({temperature!r}, {time!r})"):
+            gamma_value, dgamma = engine.settle(exponents, i, j, point, spec.sq)
+            return qfi_sample(
+                spec.estimand, point, spec.sq, spec.sp, spec.init, gamma_value, dgamma
+            ).qfi
+
+    scan = [float(time) for time in np.linspace(0.0, spec.t_max, spec.coarse_points)]
+    searches = [_search(scan, 1e-4 * spec.t_max) for _ in block]
+    for search in searches:
+        next(search)  # each asks for the coarse scan first
+    exponents = engine.exponents(engine.scan(factors, scan), spec.sq)
+    values = {row: [information(exponents, row, j, row, time) for j, time in enumerate(scan)]
+              for row in range(len(block))}
+    outcomes = {}
+    while True:
+        probes = {}
+        for row, sent in values.items():
+            try:
+                probes[row] = searches[row].send(sent)
+            except StopIteration as done:
+                outcomes[row] = done.value
+        if not probes:
+            break
+        rows = [row for row, times in probes.items() for _ in times]
+        times = [time for times in probes.values() for time in times]
+        exponents = engine.exponents(engine.pairs(factors, rows, times), spec.sq)
+        flat = iter([information(exponents, 0, p, row, time)
+                     for p, (row, time) in enumerate(zip(rows, times))])
+        values = {row: [next(flat) for _ in times] for row, times in probes.items()}
+    return [
+        OptimalTimeResult(temperature=temperatures[i], t_star=outcomes[row][0],
+                          qfi_star=outcomes[row][1], bracket=outcomes[row][2],
+                          fallbacks=fallbacks[row])
+        for row, i in enumerate(block)
+    ]
+
+
+def optimal_time_curve(
+    spec: OptimalTimeSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE
+) -> OptimalTimeCurve:
+    """Interaction time maximizing qfi at each temperature of the curve.
+
+    Per temperature, a coarse scan over [0, t_max] brackets the global
+    maximum, then golden-section refinement shrinks the bracket to
+    1e-4 * t_max. qfi_star is the largest value the search evaluated, at
+    t_star. Ties break toward the smallest t. A coarse scan flatter than
+    1e-14 is degenerate and returns t_star = 0 with qfi_star = 0. One engine
+    serves the curve: the scans of all temperatures are one moment batch, and
+    each refinement round evaluates one (T, t) pair per temperature still
+    searching, on temperature factors built once per block of temperatures.
+    """
+    temperatures = [float(T) for T in np.linspace(spec.T_lo, spec.T_hi, spec.T_points)]
+    engine = MomentEngine(spec.estimand, spec.sp, qc, temperatures, spec.t_max)
+    results = []
+    for block in engine.blocks():
+        results += _search_block(engine, block, temperatures, spec)
+    metadata = run_metadata(qc, fallbacks=sum(result.fallbacks for result in results))
+    return OptimalTimeCurve(spec=spec, results=tuple(results), metadata=metadata)
+
+
 def optimal_time(
     temperature: float,
     estimand: Estimand,
@@ -242,69 +394,10 @@ def optimal_time(
     qc: QuadratureConfig = DEFAULT_QUADRATURE,
     coarse_points: int = 64,
 ) -> OptimalTimeResult:
-    """Interaction time maximizing qfi at fixed temperature.
-
-    A coarse scan over [0, t_max] brackets the global maximum, then
-    golden-section refinement shrinks the bracket to 1e-4 * t_max; the scan
-    is one moment batch and each refinement step one more time column.
-    qfi_star is the largest value the search evaluated, at t_star. Ties break
-    toward the smallest t. A coarse scan flatter than 1e-14 is degenerate and
-    returns t_star = 0 with qfi_star = 0.
-    """
-    if not (isfinite(t_max) and t_max > 0.0):
-        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
-    if coarse_points < 3:
-        raise ValueError(f"coarse_points must be >= 3, got {coarse_points}")
-
-    engine = MomentEngine(estimand, sp, qc, [temperature], t_max)
-
-    def evaluate(times: list[float]) -> list[float]:
-        exponents = engine.exponents(engine.moments(times), sq)
-        values = []
-        for j, time in enumerate(times):
-            point = BathPoint(temperature=temperature, time=time)
-            gamma_value, dgamma = engine.settle(exponents, 0, j, point, sq)
-            values.append(qfi_sample(estimand, point, sq, sp, init, gamma_value, dgamma).qfi)
-        return values
-
-    times = [float(time) for time in np.linspace(0.0, t_max, coarse_points)]
-    values = evaluate(times)
-    if max(values) - min(values) < 1e-14:
-        return OptimalTimeResult(
-            temperature=temperature, t_star=0.0, qfi_star=0.0, bracket=float(t_max),
-            fallbacks=engine.fallbacks,
-        )
-
-    peak = int(np.argmax(values))  # first occurrence, i.e. the smallest t
-    best_t, best_q = times[peak], values[peak]
-
-    def consider(time: float, value: float) -> None:
-        nonlocal best_t, best_q
-        if value > best_q or (value == best_q and time < best_t):
-            best_t, best_q = time, value
-
-    lo = times[peak - 1] if peak > 0 else times[0]
-    hi = times[peak + 1] if peak < coarse_points - 1 else times[-1]
-    tolerance = 1e-4 * t_max
-
-    left = hi - _INV_PHI * (hi - lo)
-    right = lo + _INV_PHI * (hi - lo)
-    f_left, f_right = evaluate([left, right])
-    consider(left, f_left)
-    consider(right, f_right)
-    while hi - lo > tolerance:
-        if f_left >= f_right:  # keep the left interval on ties
-            hi, right, f_right = right, left, f_left
-            left = hi - _INV_PHI * (hi - lo)
-            (f_left,) = evaluate([left])
-            consider(left, f_left)
-        else:
-            lo, left, f_left = left, right, f_right
-            right = lo + _INV_PHI * (hi - lo)
-            (f_right,) = evaluate([right])
-            consider(right, f_right)
-
-    return OptimalTimeResult(
-        temperature=temperature, t_star=best_t, qfi_star=best_q, bracket=float(hi - lo),
-        fallbacks=engine.fallbacks,
+    """Interaction time maximizing qfi at one temperature: the one-temperature
+    curve of `optimal_time_curve`, which describes the search."""
+    spec = OptimalTimeSpec(
+        estimand=estimand, T_lo=temperature, T_hi=temperature, T_points=1,
+        sq=sq, sp=sp, init=init, t_max=t_max, coarse_points=coarse_points,
     )
+    return optimal_time_curve(spec, qc).results[0]

@@ -326,6 +326,39 @@ def test_opt_time_single_temperature_matches_the_library(tmp_path):
     assert float(rows[0][2]) == result.qfi_star
 
 
+def test_opt_time_curve_matches_the_library_per_temperature(tmp_path):
+    out = tmp_path / "opt.json"
+    argv = ["opt-time", "--estimand", "r", "--T-range", "0:2", "--T-points", "3",
+            "--theta", "1", "--r", "0.5", "--s", "1", "--t-max", "6",
+            "--format", "json", "--out", str(out)]
+    assert run_cli(argv) == 0
+    rows = json.loads(out.read_text(encoding="utf-8"))["rows"]
+    assert [row[0] for row in rows] == [0.0, 1.0, 2.0]
+    for temperature, t_star, qfi_star in rows:
+        result = optimal_time(
+            temperature, Estimand.SQUEEZE_AMPLITUDE, SqueezeParams(0.5, 1.0),
+            SpectralParams(1.0), t_max=6.0,
+        )
+        assert t_star == result.t_star
+        assert abs(qfi_star - result.qfi_star) <= 1e-12 * result.qfi_star
+
+
+def test_opt_time_fallbacks_in_metadata_are_the_per_temperature_sum(tmp_path, monkeypatch):
+    # an order-2 rule cannot match the order-24 one, so the searches fall back
+    monkeypatch.setattr(moments, "ORDER", 2)
+    out = tmp_path / "opt.json"
+    argv = with_flags(OPT_TIME_ARGS, {"--T-points": "2"}) + ["--format", "json", "--out", str(out)]
+    assert run_cli(argv) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    counts = [
+        optimal_time(temperature, Estimand.TEMPERATURE, SqueezeParams(0.5, 1.0),
+                     SpectralParams(0.5), t_max=4.0).fallbacks
+        for temperature, _, _ in payload["rows"]
+    ]
+    assert min(counts) > 0
+    assert payload["metadata"]["fallbacks"] == sum(counts)
+
+
 def test_stdout_output_matches_file_output(tmp_path, capsys):
     out = tmp_path / "point.csv"
     assert run_cli(POINT_ARGS + ["--out", str(out)]) == 0
@@ -474,3 +507,35 @@ def test_module_entry_point_runs_in_a_subprocess():
     )
     assert completed.returncode == 0
     assert "qfi" in completed.stdout
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, qfibath.cli as cli; cli.build_parser(); print('scipy' in sys.modules)"
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"
+
+
+def test_consecutive_calls_match_the_same_calls_run_alone(capsys):
+    # the recipe's r estimand would show in the opt-time call, which leaves
+    # --estimand unset, if recipe values leaked into the next call's namespace
+    calls = [
+        ["sweep", "--recipe", "fig2a", "--points", "5"],
+        POINT_ARGS,
+        [arg for arg in OPT_TIME_ARGS if arg not in ("--estimand", "T")],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    strip = lambda text: [line for line in text.splitlines() if not line.startswith("# timestamp")]
+    for argv in calls:
+        assert run_cli(argv) == 0
+        alone = subprocess.run(
+            [sys.executable, "-m", "qfibath", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert alone.returncode == 0, alone.stderr
+        assert strip(capsys.readouterr().out) == strip(alone.stdout)

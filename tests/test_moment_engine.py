@@ -179,7 +179,44 @@ def test_row_and_time_chunks_do_not_change_the_moments(monkeypatch):
     )
     times = [0.0, 0.5, 3.0, 10.0]
     whole = engine.moments(times)
-    assert np.array_equal(engine.moments(times), whole)  # with the kept F blocks
+    assert np.array_equal(engine.moments(times), whole)  # a second call repeats exactly
     monkeypatch.setattr(moments, "K_BYTES", 1)
     monkeypatch.setattr(moments, "F_BYTES", 1)
     assert np.allclose(engine.moments(times), whole, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("estimand", list(Estimand))
+def test_pairs_are_the_diagonal_of_the_cross_product(estimand, monkeypatch):
+    temperatures = [0.0, 0.01, 0.5, 3.0]
+    engine = MomentEngine(estimand, SpectralParams(0.5), DEFAULT_QUADRATURE, temperatures, 20.0)
+    block = range(1, 4) if estimand is Estimand.TEMPERATURE else range(4)
+    factors = engine.factors(block)
+    times = [0.0, 0.3, 7.5, 20.0]
+    cross = engine.scan(factors, times)
+    sets = cross.shape[1] // len(block)
+    rows = [row for row in range(len(block)) for _ in times]
+    columns = [j for _ in block for j in range(len(times))]
+    pairs = engine.pairs(factors, rows, [times[j] for j in columns])
+    assert pairs.shape == (2, sets, 3, len(rows))
+    picked = np.empty_like(pairs)
+    for p, (row, j) in enumerate(zip(rows, columns)):
+        for s in range(sets):
+            picked[:, s, :, p] = cross[:, s * len(block) + row, :, j]
+    scale = np.abs(picked).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(pairs - picked) <= 1e-13 * scale)
+    # time chunks of one pair give the same values
+    monkeypatch.setattr(moments, "K_BYTES", 1)
+    assert np.array_equal(engine.pairs(factors, rows, [times[j] for j in columns]), pairs)
+
+
+def test_blocks_cover_the_temperatures_within_the_factor_bound(monkeypatch):
+    temperatures = [float(T) for T in np.linspace(0.2, 2.0, 40)]
+    engine = MomentEngine(
+        Estimand.TEMPERATURE, SpectralParams(0.5), DEFAULT_QUADRATURE, temperatures, 20.0
+    )
+    assert engine.blocks() == [range(40)]
+    monkeypatch.setattr(moments, "F_BYTES", 8 * 2 * 7 * max(o.size for o, _ in engine._rules))
+    blocks = engine.blocks()
+    assert [len(block) for block in blocks] == [7] * 5 + [5]
+    assert [i for block in blocks for i in block] == list(range(40))
+    assert all(f.nbytes <= moments.F_BYTES for f in engine.factors(blocks[0]))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from qfibath.spectral_bath import BathPoint, Estimand, SpectralParams, SqueezePa
 from qfibath.sweep_optimize import (
     GridSpec,
     OptimalTimeResult,
+    OptimalTimeSpec,
     SweepSpec,
     density_grid,
     optimal_time,
+    optimal_time_curve,
     sweep,
 )
 
@@ -268,6 +271,116 @@ def test_optimal_time_validation():
         optimal_time(
             0.5, Estimand.TEMPERATURE, FIX_SQUEEZE, SUB_OHMIC, t_max=5.0, coarse_points=2
         )
+
+
+FIG10 = OptimalTimeSpec(
+    estimand=Estimand.TEMPERATURE, T_lo=0.2, T_hi=2.0, T_points=40,
+    sq=SqueezeParams(r=0.5, theta=0.5 * math.pi), sp=SUB_OHMIC, t_max=20.0,
+)
+
+
+def _assert_curve_matches_single_searches(curve, qc=None):
+    spec = curve.spec
+    assert [r.temperature for r in curve.results] == [
+        float(T) for T in np.linspace(spec.T_lo, spec.T_hi, spec.T_points)
+    ]
+    for result in curve.results:
+        single = optimal_time(
+            result.temperature, spec.estimand, spec.sq, spec.sp, spec.init, spec.t_max,
+            **({} if qc is None else {"qc": qc}),
+        )
+        assert result.t_star == single.t_star
+        assert result.bracket == single.bracket
+        assert result.fallbacks == single.fallbacks
+        assert abs(result.qfi_star - single.qfi_star) <= 1e-12 * single.qfi_star
+
+
+def test_fig10_curve_matches_per_temperature_searches():
+    curve = optimal_time_curve(FIG10)
+    _assert_curve_matches_single_searches(curve)
+    assert curve.metadata["fallbacks"] == 0
+    assert all(result.qfi_star > 0.0 for result in curve.results)
+
+
+def test_squeezing_amplitude_curve_from_zero_temperature_matches_per_temperature_searches():
+    spec = OptimalTimeSpec(
+        estimand=Estimand.SQUEEZE_AMPLITUDE, T_lo=0.0, T_hi=2.0, T_points=11,
+        sq=SqueezeParams(r=0.5, theta=1.0), sp=SpectralParams(s=1.0), t_max=10.0,
+    )
+    curve = optimal_time_curve(spec)
+    assert curve.results[0].temperature == 0.0 and curve.results[0].qfi_star > 0.0
+    _assert_curve_matches_single_searches(curve)
+
+
+def test_curve_keeps_flat_scan_temperatures_at_zero():
+    # the information about T at T = 1e6 underflows to 0 at every scanned time
+    curve = optimal_time_curve(OptimalTimeSpec(
+        estimand=Estimand.TEMPERATURE, T_lo=0.5, T_hi=1e6, T_points=2,
+        sq=FIG10.sq, sp=SUB_OHMIC, t_max=4.0,
+    ))
+    _assert_curve_matches_single_searches(curve)
+    assert curve.results[0].qfi_star > 0.0
+    assert curve.results[1] == OptimalTimeResult(
+        temperature=1e6, t_star=0.0, qfi_star=0.0, bracket=4.0
+    )
+    # no squeezing makes the phase information zero at every temperature
+    flat = optimal_time_curve(OptimalTimeSpec(
+        estimand=Estimand.SQUEEZE_PHASE, T_lo=0.0, T_hi=1.0, T_points=3,
+        sq=SqueezeParams(0.0), sp=SUB_OHMIC, t_max=5.0,
+    ))
+    assert flat.results == tuple(
+        OptimalTimeResult(temperature=T, t_star=0.0, qfi_star=0.0, bracket=5.0)
+        for T in (0.0, 0.5, 1.0)
+    )
+
+
+def test_curve_blocks_do_not_change_the_search(monkeypatch):
+    whole = optimal_time_curve(FIG10)
+    monkeypatch.setattr(moments, "F_BYTES", 1)  # one temperature per block
+    for one, result in zip(whole.results, optimal_time_curve(FIG10).results):
+        assert (one.temperature, one.t_star, one.bracket) == (
+            result.temperature, result.t_star, result.bracket
+        )
+        assert abs(one.qfi_star - result.qfi_star) <= 1e-12 * one.qfi_star
+
+
+def test_curve_counts_fallbacks_per_temperature(monkeypatch):
+    # an order-2 rule cannot match the order-24 one, so every t > 0 point falls back
+    monkeypatch.setattr(moments, "ORDER", 2)
+    spec = OptimalTimeSpec(
+        estimand=Estimand.TEMPERATURE, T_lo=0.4, T_hi=0.8, T_points=2,
+        sq=FIG10.sq, sp=SUB_OHMIC, t_max=4.0,
+    )
+    curve = optimal_time_curve(spec)
+    counts = [result.fallbacks for result in curve.results]
+    # the t = 0 scan point agrees exactly; every other scanned or probed time falls back
+    assert all(count >= spec.coarse_points - 1 for count in counts)
+    assert curve.metadata["fallbacks"] == sum(counts)
+    _assert_curve_matches_single_searches(curve)
+
+
+def test_curve_aborts_with_the_failing_point(monkeypatch):
+    # every t > 0 point falls back to an adaptive path starved of subdivisions
+    monkeypatch.setattr(moments, "ORDER", 2)
+    starved = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-14, max_subdivisions=1)
+    spec = replace(FIG10, T_points=2, t_max=63.0)
+    with pytest.raises(ConvergenceError, match=r"search aborted at \(T, t\) = \(0\.2, 1\.0\)"):
+        optimal_time_curve(spec, starved)
+
+
+@pytest.mark.parametrize("changes, field", [
+    ({"T_points": 0}, "T_points"),
+    ({"T_lo": -1.0, "estimand": Estimand.SQUEEZE_AMPLITUDE}, "T_lo"),
+    ({"T_lo": 0.0}, "T_lo"),  # estimand T
+    ({"T_lo": 3.0}, "T_lo"),  # above T_hi
+    ({"T_lo": math.nan}, "T_lo"),
+    ({"t_max": 0.0}, "t_max"),
+    ({"t_max": math.inf}, "t_max"),
+    ({"coarse_points": 2}, "coarse_points"),
+])
+def test_optimal_time_spec_names_the_rejected_field(changes, field):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        replace(FIG10, **changes)
 
 
 def test_table_metadata_records_the_quadrature():
