@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import __version__
-from .decoherence import ConvergenceError, QuadratureConfig
+from .moments import ConvergenceError, QuadratureConfig
 from .probe_state import ProbeInit
 from .qfi_engine import Estimand, qfi_point
 from .spectral_bath import BathPoint, SpectralParams, SqueezeParams
@@ -68,8 +68,7 @@ AXIS_FLAG = {"T": "temp", "t": "time", "r": "r", "theta": "theta", "alpha": "alp
 FIELD_FLAGS = {
     "temperature": "--temp", "time": "--time", "r": "--r", "theta": "--theta",
     "s": "--s", "omega_c": "--omega-c", "alpha": "--alpha",
-    "rel_tol": "--rel-tol", "abs_tol": "--abs-tol",
-    "max_subdivisions": "--max-subdivisions", "omega_max_factor": "--omega-max-factor",
+    "rel_tol": "--rel-tol", "abs_tol": "--abs-tol", "omega_max_factor": "--omega-max-factor",
     "lo": "--range", "hi": "--range", "points": "--points",
     "t_lo": "--t-range", "T_lo": "--T-range", "t_points": "--t-points",
     "T_points": "--T-points", "t_max": "--t-max",
@@ -191,8 +190,6 @@ def _add_shared_arguments(parser: argparse.ArgumentParser, with_recipe: bool) ->
                         help=f"relative quadrature tolerance (default 1e-8; env {ENV_REL_TOL})")
     parser.add_argument("--abs-tol", type=float, default=None,
                         help="absolute quadrature tolerance (default 1e-12)")
-    parser.add_argument("--max-subdivisions", type=int, default=None,
-                        help="adaptive subdivision budget per panel (default 200)")
     parser.add_argument("--omega-max-factor", type=float, default=None,
                         help="upper integration limit in units of omega_c * max(1, s), >= 10")
     parser.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
@@ -275,8 +272,7 @@ def _quadrature_config(args: argparse.Namespace) -> QuadratureConfig:
         except ValueError as exc:
             _fail(ENV_REL_TOL, str(exc))
     return QuadratureConfig(**_given(
-        rel_tol=rel_tol, abs_tol=args.abs_tol,
-        max_subdivisions=args.max_subdivisions, omega_max_factor=args.omega_max_factor,
+        rel_tol=rel_tol, abs_tol=args.abs_tol, omega_max_factor=args.omega_max_factor,
     ))
 
 

@@ -5,8 +5,9 @@ The production route evaluates the closed form
     I = sin(alpha)^2 * (d gamma / d eta)^2 / (exp(2 gamma) - 1)
 
 with the analytic parameter derivative of the decay exponent: `qfi_point`
-evaluates both for one point on the moment engine (`moments`), `qfi_sample`
-takes them from any caller that has them, such as a batch on that engine.
+evaluates both for one point on the moment engine (`moments.point_exponents`,
+on the refined rule where the base rule pair disagrees), `qfi_sample` takes
+them from any caller that has them, such as a batch on that engine.
 The oracle route (`qfi_spectral`) differentiates the spectral decomposition
 of the density matrix by gauge-fixed central differences and sums the
 general two-term formula
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import DEFAULT_QUADRATURE, QuadratureConfig, gamma
-from .moments import MomentEngine
+from .decoherence import gamma
+from .moments import DEFAULT_QUADRATURE, QuadratureConfig, point_exponents
 from .probe_state import ProbeInit, eigensystem, reduced_dm
 from .spectral_bath import (
     BathPoint,
@@ -167,11 +168,9 @@ def qfi_point(
     init: ProbeInit = ProbeInit(),
     qc: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> QfiSample:
-    """Production path for one point: a 1 x 1 moment batch (or its fallback), closed form."""
+    """Production path for one point: `moments.point_exponents`, then the closed form."""
     _check_estimable(estimand, point)
-    engine = MomentEngine(estimand, sp, qc, [point.temperature], point.time)
-    exponents = engine.exponents(engine.moments([point.time]), sq)
-    gamma_value, dgamma = engine.settle(exponents, 0, 0, point, sq)
+    gamma_value, dgamma, _, _ = point_exponents(estimand, point, sq, sp, qc)
     return qfi_sample(estimand, point, sq, sp, init, gamma_value, dgamma)
 
 

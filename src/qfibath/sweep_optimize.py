@@ -3,8 +3,9 @@
 Every table and search runs on the moment engine (`moments`), as single
 points do. A table is one batch: the temperature factors once per table, the
 time kernel once per distinct time, then each row's exponent and derivative
-by algebra on the moments. Points where the engine's rule pair disagrees fall
-back to the adaptive path, and the tables' and curves' metadata count them.
+by algebra on the moments. Points where the engine's rule pair disagrees are
+recomputed on its refined rule, and the tables' and curves' metadata count
+them as `fallbacks`; a point whose refined pair disagrees too aborts the run.
 Rows are assembled sequentially, so identical specs always produce
 bit-identical tables. The optimal-time search brackets the global maximum
 with a coarse scan before golden-section refinement, because the squeezing
@@ -24,8 +25,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .decoherence import DEFAULT_QUADRATURE, ConvergenceError, QuadratureConfig
-from .moments import MomentEngine
+from .moments import DEFAULT_QUADRATURE, ConvergenceError, MomentEngine, QuadratureConfig
 from .probe_state import ProbeInit
 from .qfi_engine import Estimand, QfiSample, _check_estimable, qfi_sample
 from .spectral_bath import BathPoint, SpectralParams, SqueezeParams
@@ -165,7 +165,7 @@ class OptimalTimeSpec:
 @dataclass(frozen=True)
 class OptimalTimeResult:
     """Interaction time maximizing the information at one temperature; `fallbacks`
-    counts the search's points the moment engine handed to the adaptive path."""
+    counts the search's points the moment engine computed on its refined rule."""
 
     temperature: float
     t_star: float
@@ -323,7 +323,7 @@ def _search_block(engine: MomentEngine, block: range, temperatures: list[float],
         """qfi from cell (i, j) of `exponents`, at the block's row-th temperature and `time`."""
         temperature = temperatures[block[row]]
         point = BathPoint(temperature=temperature, time=time)
-        fallbacks[row] += not exponents[2][i][j]  # settle falls back where the pair disagreed
+        fallbacks[row] += not exponents[2][i][j]  # settle refines where the pair disagreed
         with _aborted_at(f"optimal-time search aborted at (T, t) = ({temperature!r}, {time!r})"):
             gamma_value, dgamma = engine.settle(exponents, i, j, point, spec.sq)
             return qfi_sample(

@@ -2,16 +2,17 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import adaptive_reference
 from qfibath import __version__, moments
 from qfibath.cli import RECIPES, main
-from qfibath.decoherence import DEFAULT_QUADRATURE
-from qfibath.moments import MomentEngine
 from qfibath.probe_state import ProbeInit
 from qfibath.qfi_engine import Estimand, qfi_point
 from qfibath.spectral_bath import BathPoint, SpectralParams, SqueezeParams
@@ -157,13 +158,12 @@ REJECTIONS = [
     (POINT_ARGS, {"--temp": "-1"}, "--temp"),
     (POINT_ARGS, {"--temp": "inf"}, "--temp"),
     (POINT_ARGS, {"--temp": "0"}, "--temp"),  # estimand T
-    # rejected before any quadrature, so a starved one cannot exit 3 first
-    (POINT_ARGS, {"--temp": "0", "--max-subdivisions": "1", "--rel-tol": "1e-13"}, "--temp"),
+    # rejected before any quadrature, so one no rule pair can meet cannot exit 3 first
+    (POINT_ARGS, {"--temp": "0", "--rel-tol": "1e-300", "--abs-tol": "1e-300"}, "--temp"),
     (POINT_ARGS, {"--time": "-1"}, "--time"),
     (POINT_ARGS, {"--rel-tol": "0"}, "--rel-tol"),
     (POINT_ARGS, {"--abs-tol": "-1"}, "--abs-tol"),
     (POINT_ARGS, {"--abs-tol": "inf"}, "--abs-tol"),
-    (POINT_ARGS, {"--max-subdivisions": "0"}, "--max-subdivisions"),
     (POINT_ARGS, {"--omega-max-factor": "5"}, "--omega-max-factor"),
     (SWEEP_ARGS, {"--omega-max-factor": "inf"}, "--omega-max-factor"),
     (POINT_ARGS, {"--omega-0": "nan"}, "--omega-0"),
@@ -343,16 +343,16 @@ def test_opt_time_curve_matches_the_library_per_temperature(tmp_path):
         assert abs(qfi_star - result.qfi_star) <= 1e-12 * result.qfi_star
 
 
-def test_opt_time_fallbacks_in_metadata_are_the_per_temperature_sum(tmp_path, monkeypatch):
-    # an order-2 rule cannot match the order-24 one, so the searches fall back
-    monkeypatch.setattr(moments, "ORDER", 2)
+def test_opt_time_fallbacks_in_metadata_are_the_per_temperature_sum(tmp_path):
+    # at s = 0.02 the base rule's moments are not finite, so the searches refine
     out = tmp_path / "opt.json"
-    argv = with_flags(OPT_TIME_ARGS, {"--T-points": "2"}) + ["--format", "json", "--out", str(out)]
+    argv = with_flags(OPT_TIME_ARGS, {"--T-points": "2", "--s": "0.02"}) + [
+        "--format", "json", "--out", str(out)]
     assert run_cli(argv) == 0
     payload = json.loads(out.read_text(encoding="utf-8"))
     counts = [
         optimal_time(temperature, Estimand.TEMPERATURE, SqueezeParams(0.5, 1.0),
-                     SpectralParams(0.5), t_max=4.0).fallbacks
+                     SpectralParams(0.02), t_max=4.0).fallbacks
         for temperature, _, _ in payload["rows"]
     ]
     assert min(counts) > 0
@@ -419,43 +419,42 @@ def test_reproduce_figures_writes_every_recipe_table(tmp_path):
 
 
 def test_quadrature_starvation_exits_three(capsys, monkeypatch):
-    # an order-2 rule disagrees with its check rule, so the point falls back to
-    # the adaptive path, whose subdivision budget is starved
+    # an order-2 rule disagrees with its check rule on the base layout and on
+    # the refined one
     monkeypatch.setattr(moments, "ORDER", 2)
     argv = ["point", "--estimand", "T", "--temp", "1", "--time", "3.7",
-            "--r", "1", "--theta", "1", "--s", "0.5",
-            "--max-subdivisions", "1", "--rel-tol", "1e-13", "--abs-tol", "1e-14"]
+            "--r", "1", "--theta", "1", "--s", "0.5"]
     assert run_cli(argv) == 3
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_cancelling_panels_do_not_raise_a_false_convergence_error(tmp_path, monkeypatch):
-    # the boundary panel of the r-derivative warns (QUADPACK ier=5) while meeting
-    # its own tolerance; the total is smaller than the panels because they cancel.
-    # An order-2 rule sends the point to that adaptive path.
+def test_cancelling_panels_do_not_raise_a_false_convergence_error(tmp_path):
+    # the adaptive reference's boundary panel of the r-derivative warns (QUADPACK
+    # ier=5) while meeting its own tolerance; the total is smaller than the panels
+    # because they cancel. The reference must still agree with the CLI's value.
     out = tmp_path / "point.csv"
     temperature, time = 2.9981285475680455, 5.874971139014988
     r, theta, s = 0.5621318885832811, 0.6438194072155007, 0.40415440865457253
     argv = ["point", "--estimand", "r", "--temp", repr(temperature), "--time", repr(time),
             "--r", repr(r), "--theta", repr(theta), "--s", repr(s), "--out", str(out)]
-    with monkeypatch.context() as forced:
-        forced.setattr(moments, "ORDER", 2)
-        assert run_cli(argv) == 0
+    assert run_cli(argv) == 0
     _, header, rows = read_csv(out)
     gamma_value = float(rows[0][header.index("gamma")])
     dgamma = float(rows[0][header.index("dgamma")])
-    sq = SqueezeParams(r, theta)
-    engine = MomentEngine(
-        Estimand.SQUEEZE_AMPLITUDE, SpectralParams(s), DEFAULT_QUADRATURE, [temperature], time
+    reference = adaptive_reference.gamma_partial(
+        Estimand.SQUEEZE_AMPLITUDE, BathPoint(temperature, time), SqueezeParams(r, theta),
+        SpectralParams(s),
     )
-    _, derivatives, agree = engine.exponents(engine.moments([time]), sq)
-    assert agree[0][0]
-    assert abs(dgamma - derivatives[0][0]) <= 1e-8 * max(abs(dgamma), gamma_value)
+    assert abs(dgamma - reference) <= 1e-8 * max(abs(dgamma), gamma_value)
 
 
 # (argv, gamma, dgamma) with gamma and dgamma from an independent 20-digit mpmath
 # quadrature of the integral's definition. The first point lost 1.1e-7 relative
-# on gamma to adaptive quadrature; the other two made it exit 3.
+# on gamma to adaptive quadrature; the other two made it exit 3. The last five
+# refine; their values come from the 30-digit log-variable mpmath integral of
+# scripts/make_oracle_points.py. Adaptive quadrature was 3.4e-4 off on d gamma
+# at the two s ~ 0.02 points and 4.9e-7 off at s = 0.001, and exited 3 on the two
+# s = 0.05 points.
 ORACLE_POINTS = [
     (["--estimand", "T", "--temp", "1.5994425362135922", "--time", "6.093650998519315",
       "--r", "0.9489758460143188", "--theta", "2.000962607736446", "--s", "0.939139385761002"],
@@ -466,11 +465,29 @@ ORACLE_POINTS = [
     (["--estimand", "T", "--temp", "0.5", "--time", "1", "--r", "0.1", "--theta", "1",
       "--s", "0.5", "--omega-c", "1000"],
      97.69393185984286, 63.14516069927912),
+    (["--estimand", "T", "--temp", "0.001010978599556907", "--time", "0.011872206906483511",
+      "--r", "0.5", "--theta", "1", "--s", "0.018298995385134315",
+      "--omega-c", "0.5989569279067135"],
+     2.6315401433198988e-5, 0.0037964051923142371),
+    (["--estimand", "T", "--temp", "0.01760295524751876", "--time", "0.32784051923015306",
+      "--r", "0.5", "--theta", "1", "--s", "0.024814729752182865",
+      "--omega-c", "11.041716622533146"],
+     3.4876039677310338, 37.926281047232099),
+    (["--estimand", "r", "--temp", "0.5", "--time", "1000", "--r", "0.5", "--theta", "1",
+      "--s", "0.05", "--omega-c", "1"],
+     6517749.6889266575, 4494301.7144798078),
+    (["--estimand", "r", "--temp", "0", "--time", "1", "--r", "0.5", "--theta", "1",
+      "--s", "0.05", "--omega-c", "1000"],
+     1282.1278316761485, 1441.1139084295346),
+    (["--estimand", "T", "--temp", "0.001", "--time", "0.3", "--r", "0.5", "--theta", "1",
+      "--s", "0.001", "--omega-c", "1"],
+     0.11178401153746624, 81.248749121055489),
 ]
 
 
 @pytest.mark.parametrize("flags, gamma_value, dgamma", ORACLE_POINTS,
-                         ids=["point-stream", "t=1000", "omega_c=1000"])
+                         ids=["point-stream", "t=1000", "omega_c=1000", "s=0.018",
+                              "s=0.025", "s=0.05,t=1000", "s=0.05,omega_c=1000", "s=0.001"])
 def test_point_matches_the_mpmath_oracle(flags, gamma_value, dgamma, tmp_path):
     out = tmp_path / "point.csv"
     assert run_cli(["point", *flags, "--out", str(out)]) == 0
@@ -510,14 +527,40 @@ def test_module_entry_point_runs_in_a_subprocess():
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
+    # nor does a point on the refined rule (s = 0.02) or one that fails on it (s = 150)
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    code = "import sys, qfibath.cli as cli; cli.build_parser(); print('scipy' in sys.modules)"
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        import qfibath.cli as cli
+        cli.build_parser()
+        point = ["point", "--estimand", "T", "--temp", "0.5", "--time", "1", "--r", "0.1",
+                 "--theta", "1", "--s"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes = [cli.main(point + ["0.02"]), cli.main(point + ["150"])]
+        print(codes, "scipy" in sys.modules)
+    """)
     completed = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert completed.returncode == 0, completed.stderr
-    assert completed.stdout.strip() == "False"
+    assert completed.stdout.strip() == "[0, 3] False"
+
+
+@pytest.mark.parametrize("base, where", [
+    (POINT_ARGS, r"at \(T, t\) = \(0\.5, 1\.0\)"),
+    (SWEEP_ARGS, r"sweep aborted at t = 1\.0"),  # t = 0 is exactly 0 on any rule
+    (GRID_ARGS, r"grid aborted at \(T, t\) = \(0\.4, 2\.0\)"),
+    (OPT_TIME_ARGS, r"search aborted at \(T, t\) = \(0\.4, 0\.0634"),
+], ids=["point", "sweep", "grid", "opt-time"])
+def test_overflowing_spectral_density_exits_three_naming_the_point(base, where, tmp_path, capsys):
+    # at s = 150, J(w) overflows on both rules, so no row may be written
+    out = tmp_path / "table.csv"
+    assert run_cli(with_flags(base, {"--s": "150"}) + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and re.search(where, err), err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_consecutive_calls_match_the_same_calls_run_alone(capsys):

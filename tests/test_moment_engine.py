@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from adaptive_reference import gamma, gamma_partial
 from qfibath import moments
-from qfibath.decoherence import DEFAULT_QUADRATURE, gamma, gamma_partial
-from qfibath.moments import MomentEngine
+from qfibath.moments import DEFAULT_QUADRATURE, MomentEngine, point_exponents
+from qfibath.probe_state import ProbeInit
+from qfibath.qfi_engine import qfi_point
 from qfibath.spectral_bath import BathPoint, Estimand, SpectralParams, SqueezeParams
 from qfibath.sweep_optimize import GridSpec, density_grid
 from reference_values import REFERENCE_VALUES
@@ -119,24 +121,24 @@ def test_vectorized_thermal_factors_match_references():
     )
 
 
-def test_pair_disagreement_falls_back_to_the_adaptive_path(monkeypatch):
-    # an order-2 rule cannot match the order-24 one, so every t > 0 point falls back
-    monkeypatch.setattr(moments, "ORDER", 2)
-    sq, sp = SqueezeParams(0.1, 1.0), SpectralParams(0.5)
+def test_pair_disagreement_refines_the_point():
+    # at s = 0.02 the base rule's map w = a x**(2 / s) underflows to w = 0, so its
+    # moments are not finite and every point, t = 0 included, goes to the refined rule
+    sq, sp = SqueezeParams(0.1, 1.0), SpectralParams(0.02)
     spec = GridSpec(
         estimand=Estimand.TEMPERATURE, t_lo=0.0, t_hi=1.5, T_lo=0.4, T_hi=0.8,
         t_points=3, T_points=2, sq=sq, sp=sp,
     )
     table = density_grid(spec)
-    assert table.metadata["fallbacks"] == 4  # the t = 0 column agrees exactly
+    assert table.metadata["fallbacks"] == 6
     for sample in table.samples:
         if sample.point.time == 0.0:
-            assert sample.gamma == 0.0
+            assert sample.gamma == 0.0 and sample.dgamma == 0.0
             continue
-        assert (sample.gamma, sample.dgamma) == (
-            gamma(sample.point, sq, sp).value,
-            gamma_partial(Estimand.TEMPERATURE, sample.point, sq, sp),
-        )
+        assert math.isfinite(sample.qfi) and sample.gamma > 0.0
+        assert (sample.gamma, sample.dgamma) == point_exponents(
+            Estimand.TEMPERATURE, sample.point, sq, sp
+        )[:2]
 
 
 def test_agreeing_grid_counts_no_fallback():
@@ -220,3 +222,52 @@ def test_blocks_cover_the_temperatures_within_the_factor_bound(monkeypatch):
     assert [len(block) for block in blocks] == [7] * 5 + [5]
     assert [i for block in blocks for i in block] == list(range(40))
     assert all(f.nbytes <= moments.F_BYTES for f in engine.factors(blocks[0]))
+
+
+@pytest.mark.parametrize(
+    "temperature,t,r,theta,s,key",
+    [
+        (0.7, 1.3, 0.4, 1.1, 0.5, "gamma_T0.7_t1.3_r0.4_th1.1_s0.5"),
+        (0.7, 1.3, 0.4, 1.1, 3.0, "gamma_T0.7_t1.3_r0.4_th1.1_s3"),
+        (1.0, 5.0, 1.5, math.pi, 0.5, "gamma_T1_t5_r1.5_thpi_s0.5"),
+        (0.0, 1.0, 0.5, 2.0, 0.5, "gamma_T0_t1_r0.5_th2_s0.5"),
+    ],
+)
+def test_refined_rule_matches_high_precision_references(temperature, t, r, theta, s, key):
+    point, sq = BathPoint(temperature, t), SqueezeParams(r, theta)
+    engine = MomentEngine(Estimand.TEMPERATURE, SpectralParams(s), DEFAULT_QUADRATURE,
+                          [temperature], t, refined=True)
+    values, derivatives, agree = engine.exponents(engine.moments([t]), sq)
+    assert agree[0][0]
+    assert values[0][0] == pytest.approx(REFERENCE_VALUES[key], rel=1e-10)
+    # the closed-form head and the extra panels leave the refined derivative on the base one
+    if temperature > 0.0:
+        _, derivative, _, _ = point_exponents(Estimand.TEMPERATURE, point, sq, SpectralParams(s))
+        assert derivatives[0][0] == pytest.approx(derivative, rel=1e-9)
+
+
+def test_seeded_domain_sample_is_finite():
+    # s in [0.001, 10], omega_c in [0.01, 100], t <= 300, T in {0} and [1e-3, 100],
+    # omega_c t max(1, s) <= 3e3: larger products need rules of millions of nodes
+    rng = np.random.default_rng(20261018)
+    estimands = list(Estimand)
+    checked = refined = 0
+    while checked < 200:
+        s = float(10.0 ** rng.uniform(-3.0, 1.0))
+        omega_c = float(10.0 ** rng.uniform(-2.0, 2.0))
+        t = float(10.0 ** rng.uniform(-2.0, math.log10(300.0)))
+        if omega_c * t * max(1.0, s) > 3e3:
+            continue
+        estimand = estimands[checked % 3]
+        T = 0.0 if checked % 5 == 0 and estimand is not Estimand.TEMPERATURE else float(
+            10.0 ** rng.uniform(-3.0, 2.0)
+        )
+        point, sq = BathPoint(T, t), SqueezeParams(float(rng.uniform(0.0, 1.5)),
+                                                    float(rng.uniform(0.0, 2.0 * math.pi)))
+        sp = SpectralParams(s, omega_c)
+        sample = qfi_point(estimand, point, sq, sp, ProbeInit())
+        assert all(map(math.isfinite, (sample.gamma, sample.dgamma, sample.qfi))), (point, sq, sp)
+        engine = MomentEngine(estimand, sp, DEFAULT_QUADRATURE, [T], t)
+        refined += not engine.exponents(engine.moments([t]), sq)[2][0][0]
+        checked += 1
+    assert refined > 0  # the sample reaches the refined rule

@@ -119,12 +119,11 @@ def test_sweep_spec_validation():
 
 
 def test_sweep_aborts_with_the_failing_axis_value(monkeypatch):
-    # an order-2 rule cannot match the order-24 one, so every t > 0 point falls
-    # back to the adaptive path, which is starved of subdivisions here
+    # an order-2 rule cannot match the order-24 one, so every t > 0 point goes to
+    # the refined rule, whose order-2 pair disagrees too
     monkeypatch.setattr(moments, "ORDER", 2)
-    starved = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-14, max_subdivisions=1)
     with pytest.raises(ConvergenceError, match="sweep aborted at t = 0.5"):
-        sweep(_time_sweep_spec(points=3, hi=1.0), starved)
+        sweep(_time_sweep_spec(points=3, hi=1.0))
 
 
 def test_temperature_estimand_sweep_at_zero_temperature_is_rejected_before_any_moment(
@@ -225,7 +224,7 @@ def test_dense_grid_peak_is_interior():
 
 def test_optimal_time_matches_brute_force_grid():
     sq = SqueezeParams(r=0.5, theta=0.5 * math.pi)
-    quick = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10, max_subdivisions=200)
+    quick = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10)
     t_max = 4.0
     result = optimal_time(
         0.5, Estimand.TEMPERATURE, sq, SUB_OHMIC, t_max=t_max, qc=quick
@@ -344,28 +343,27 @@ def test_curve_blocks_do_not_change_the_search(monkeypatch):
         assert abs(one.qfi_star - result.qfi_star) <= 1e-12 * one.qfi_star
 
 
-def test_curve_counts_fallbacks_per_temperature(monkeypatch):
-    # an order-2 rule cannot match the order-24 one, so every t > 0 point falls back
-    monkeypatch.setattr(moments, "ORDER", 2)
+def test_curve_counts_fallbacks_per_temperature():
+    # at s = 0.02 the base rule's moments are not finite, so every scanned or
+    # probed point, t = 0 included, is computed on the refined rule
     spec = OptimalTimeSpec(
         estimand=Estimand.TEMPERATURE, T_lo=0.4, T_hi=0.8, T_points=2,
-        sq=FIG10.sq, sp=SUB_OHMIC, t_max=4.0,
+        sq=FIG10.sq, sp=SpectralParams(s=0.02), t_max=4.0,
     )
     curve = optimal_time_curve(spec)
     counts = [result.fallbacks for result in curve.results]
-    # the t = 0 scan point agrees exactly; every other scanned or probed time falls back
-    assert all(count >= spec.coarse_points - 1 for count in counts)
+    assert all(count > spec.coarse_points for count in counts)
     assert curve.metadata["fallbacks"] == sum(counts)
+    assert all(result.qfi_star > 0.0 for result in curve.results)
     _assert_curve_matches_single_searches(curve)
 
 
 def test_curve_aborts_with_the_failing_point(monkeypatch):
-    # every t > 0 point falls back to an adaptive path starved of subdivisions
+    # every t > 0 point goes to the refined rule, whose order-2 pair disagrees too
     monkeypatch.setattr(moments, "ORDER", 2)
-    starved = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-14, max_subdivisions=1)
     spec = replace(FIG10, T_points=2, t_max=63.0)
     with pytest.raises(ConvergenceError, match=r"search aborted at \(T, t\) = \(0\.2, 1\.0\)"):
-        optimal_time_curve(spec, starved)
+        optimal_time_curve(spec)
 
 
 @pytest.mark.parametrize("changes, field", [
