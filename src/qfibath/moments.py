@@ -11,9 +11,12 @@ grouped as in `spectral_bath.squeeze_kernel`; each derivative is the same
 assembly with the thermal row and weights of `spectral_bath.derivative_rule`.
 f depends only on (T, w) and the kernel E [1, cos, sin] only on (w, t), so on
 one fixed quadrature rule the moments of a whole (T, t) batch, or of a single
-point (`point_exponents`), are one matrix product F @ K. A search that needs
-one time per temperature takes each temperature's row of F against its own
-kernel column instead (`pairs`), with F built once.
+point (`point_exponents`), are one matrix product F @ K. F has a thermal-set
+axis (coth, and d coth / dT for the temperature estimand), a temperature axis
+and a node axis, and is built in blocks of temperatures (`blocks`). A search
+that needs one time per temperature takes each temperature's row of F against
+its own kernel column instead (`pairs`), with F built once. Both products run
+through one method, which also adds the refined rule's closed-form head.
 
 The base rule is composite Gauss-Legendre, laid out from the batch's inputs:
 
@@ -58,8 +61,8 @@ __all__ = [
 ORDER = 20
 CHECK_ORDER = 24
 
-# blocks of the temperature factor F (rows x nodes) and of the time kernel K
-# (nodes x 3 x times), in bytes: a batch is processed in as many chunks as it
+# blocks of the temperature factor F (sets x temperatures x nodes) and of the time
+# kernel K (nodes x 3 x times), in bytes: a batch is processed in as many chunks as it
 # takes to keep each block below these sizes, so its temporaries stay off the
 # process's peak RSS. Blocks this small cost no measurable time.
 F_BYTES = 2**22
@@ -203,50 +206,26 @@ def _kernel(omega: np.ndarray, times: np.ndarray) -> np.ndarray:
     return kernel
 
 
-def _factor_rows(omega: np.ndarray, base: np.ndarray, rows: list) -> np.ndarray:
-    """F: one row base * thermal(omega, T) per (thermal, T) of `rows`."""
-    factors = np.empty((len(rows), omega.size))
-    with np.errstate(**_NON_FINITE):
-        for row, (thermal, T) in zip(factors, rows):
-            np.multiply(base, thermal(omega, T), out=row)
-    return factors
-
-
-def _product(omega: np.ndarray, factors: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """F @ K at every row of F and every time, K in blocks below K_BYTES: (rows, 3, n_t)."""
-    out = np.empty((factors.shape[0], 3, times.size))
-    chunk = max(1, K_BYTES // (24 * omega.size))
-    for t0 in range(0, times.size, chunk):
-        kernel = _kernel(omega, times[t0:t0 + chunk])
-        with np.errstate(**_NON_FINITE):
-            block = factors @ kernel.reshape(omega.size, -1)
-        out[:, :, t0:t0 + chunk] = block.reshape(factors.shape[0], 3, -1)
-    return out
-
-
 class MomentEngine:
     """Moments of one spectral density at a fixed set of temperatures.
 
     The constructor lays out the rule pair for `temperatures` and times up to
-    `t_max`. `moments` evaluates any times up to t_max at every temperature;
-    `factors` builds the F rows of one block of temperatures, which `scan`
-    evaluates at a list of times and `pairs` at one time per temperature, so
-    a search builds F once and reuses it every round. `refined` selects the
-    refined layout, which `point_exponents` builds for one point and
-    evaluates with `moments`, the one method that adds its closed-form head.
-    `fallbacks` counts the points `settle` computed on the refined rule. That
-    count makes an engine mutable, so each point, sweep, grid or search
-    creates its own and the functions of `qfi_engine` and `sweep_optimize`
-    stay safe to call concurrently.
+    `t_max`. `blocks` splits the temperatures into runs whose F stays within
+    F_BYTES per rule, and `factors` builds the F of one run. `scan` evaluates
+    those factors at a list of times and `pairs` at one time per temperature,
+    so a search builds F once and reuses it every round; `moments` runs `scan`
+    over every block. F has one thermal set per row of `derivative_rule`:
+    coth, then, for the temperature estimand, d coth / dT. `refined` selects
+    the refined layout, whose closed-form head `scan` and `pairs` both add.
+    An engine does not change after construction, so the functions of
+    `qfi_engine` and `sweep_optimize` stay safe to call concurrently.
     """
 
     def __init__(self, estimand: Estimand | None, sp: SpectralParams, qc: QuadratureConfig,
                  temperatures: list[float], t_max: float, refined: bool = False):
         self.estimand, self.sp, self.qc = estimand, sp, qc
-        self.fallbacks = 0
         self._temperatures = list(temperatures)
-        # F rows per temperature: coth, then d coth / dT if the estimand takes it
-        self._thermal = [_coth, _coth_dT] if derivative_rule(estimand, 0.0)[0] else [_coth]
+        self._sets = [_coth, _coth_dT] if derivative_rule(estimand, 0.0)[0] else [_coth]
         edges = _panel_layout(sp, qc, temperatures, t_max)
         power, self._heads = max(1.0, 2.0 / sp.s), None
         with np.errstate(**_NON_FINITE):
@@ -255,9 +234,9 @@ class MomentEngine:
                 scales = [sp.omega_c, *(T for T in temperatures if T > 0.0)]
                 w0 = HEAD * min(scales + ([1.0 / t_max] if t_max > 0.0 else []))
                 edges, power = np.concatenate([_geometric(w0, edges[0])[:-1], edges]), None
-                # per F row, the head [0, w0] without its factor (t**2 / 2) [1, 1, 0]
-                self._heads = [scale * _head(thermal, T, sp.s, w0)
-                               for thermal in self._thermal for T in temperatures]
+                # per set and temperature, the head [0, w0] without its factor (t**2 / 2) [1, 1, 0]
+                self._heads = np.array([[scale * _head(thermal, T, sp.s, w0) for T in temperatures]
+                                        for thermal in self._sets])
             # per rule: nodes, and weights times J(w) / w**2
             self._rules = []
             for order in (ORDER, CHECK_ORDER):
@@ -266,73 +245,77 @@ class MomentEngine:
                 self._rules.append((omega, weights * spectral))
 
     def moments(self, times: list[float]) -> np.ndarray:
-        """(M0, Mc, Ms) per rule, F row and time: shape (2, rows, 3, n_t).
-
-        Rows are as in `factors` of all the engine's temperatures, built in
-        chunks of at most F_BYTES per rule.
-        """
-        times = np.asarray(times, dtype=float)
-        rows = [(thermal, T) for thermal in self._thermal for T in self._temperatures]
-        out = np.empty((2, len(rows), 3, times.size))
-        for k, (omega, base) in enumerate(self._rules):
-            chunk = max(1, F_BYTES // (8 * omega.size))
-            for r0 in range(0, len(rows), chunk):
-                factors = _factor_rows(omega, base, rows[r0:r0 + chunk])
-                out[k, r0:r0 + chunk] = _product(omega, factors, times)
-        if self._heads is not None:
-            out[:, :, :2] += np.multiply.outer(self._heads, 0.5 * times**2)[:, None, :]
+        """(M0, Mc, Ms) per rule, thermal set, temperature and time:
+        shape (2, sets, temperatures, 3, n_t), `scan` block by block."""
+        out = np.empty((2, len(self._sets), len(self._temperatures), 3, len(times)))
+        for block in self.blocks():
+            out[:, :, block.start:block.stop] = self.scan(self.factors(block), times)
         return out
 
     def blocks(self) -> list[range]:
-        """The engine's temperatures in runs whose F rows stay within F_BYTES per rule."""
+        """The engine's temperatures in runs whose F stays within F_BYTES per rule."""
         nodes = max(omega.size for omega, _ in self._rules)
-        size = max(1, F_BYTES // (8 * len(self._thermal) * nodes))
+        size = max(1, F_BYTES // (8 * len(self._sets) * nodes))
         n_T = len(self._temperatures)
         return [range(i, min(i + size, n_T)) for i in range(0, n_T, size)]
 
-    def factors(self, block: range) -> list[np.ndarray]:
-        """F of the temperatures in `block`, one (rows, nodes) array per rule.
+    def factors(self, block: range) -> tuple[list[np.ndarray], np.ndarray | None]:
+        """F of the temperatures in `block`, one (sets, temperatures, nodes) array per
+        rule, and the refined rule's head per set and temperature (None otherwise)."""
+        rules = []
+        for omega, base in self._rules:
+            factors = np.empty((len(self._sets), len(block), omega.size))
+            with np.errstate(**_NON_FINITE):
+                for thermal, rows in zip(self._sets, factors):
+                    for row, i in zip(rows, block):
+                        np.multiply(base, thermal(omega, self._temperatures[i]), out=row)
+            rules.append(factors)
+        return rules, None if self._heads is None else self._heads[:, block.start:block.stop]
 
-        Rows are the block's temperatures with coth, followed for the
-        temperature estimand by the same temperatures with d coth / dT.
-        """
-        rows = [(thermal, self._temperatures[i]) for thermal in self._thermal for i in block]
-        return [_factor_rows(omega, base, rows) for omega, base in self._rules]
+    def scan(self, factors: tuple, times: list[float]) -> np.ndarray:
+        """(M0, Mc, Ms) per rule, thermal set, temperature of `factors` and time:
+        shape (2, sets, temperatures, 3, n_t)."""
+        return self._product(factors, np.asarray(times, dtype=float), None)
 
-    def scan(self, factors: list[np.ndarray], times: list[float]) -> np.ndarray:
-        """(M0, Mc, Ms) per rule, row of `factors` and time: shape (2, rows, 3, n_t)."""
-        times = np.asarray(times, dtype=float)
-        return np.stack([_product(omega, rows, times)
-                         for (omega, _), rows in zip(self._rules, factors)])
-
-    def pairs(self, factors: list[np.ndarray], temperatures: list[int],
-              times: list[float]) -> np.ndarray:
-        """(M0, Mc, Ms) per rule and thermal row of each (temperature, time) pair,
-        not of their cross product: shape (2, rows per temperature, 3, pairs).
+    def pairs(self, factors: tuple, temperatures: list[int], times: list[float]) -> np.ndarray:
+        """(M0, Mc, Ms) per rule and thermal set of each (temperature, time) pair, not
+        of their cross product: shape (2, sets, 1, 3, pairs).
 
         `temperatures[p]`, an index into the block of `factors`, pairs with `times[p]`.
         """
-        times = np.asarray(times, dtype=float)
-        sets = len(self._thermal)
-        out = np.empty((2, sets, 3, times.size))
-        for k, ((omega, _), rows) in enumerate(zip(self._rules, factors)):
-            rows = rows.reshape(sets, -1, omega.size)
-            chunk = max(1, K_BYTES // (24 * omega.size))
-            for t0 in range(0, times.size, chunk):
-                kernel = _kernel(omega, times[t0:t0 + chunk])
-                picked = rows[:, temperatures[t0:t0 + chunk]]
-                with np.errstate(**_NON_FINITE):
-                    out[k, :, :, t0:t0 + chunk] = np.einsum("spw,wcp->scp", picked, kernel)
+        return self._product(factors, np.asarray(times, dtype=float), temperatures)
+
+    def _product(self, factors: tuple, times: np.ndarray, picks: list[int] | None) -> np.ndarray:
+        """F @ K, K in blocks of times below K_BYTES, plus the closed-form head: every
+        temperature at every time, or with `picks` temperature picks[p] at times[p]."""
+        rules, heads = factors
+        sets, n_T = rules[0].shape[:2]
+        out = np.empty((2, sets, n_T if picks is None else 1, 3, times.size))
+        with np.errstate(**_NON_FINITE):
+            for k, ((omega, _), rows) in enumerate(zip(self._rules, rules)):
+                chunk = max(1, K_BYTES // (24 * omega.size))
+                for t0 in range(0, times.size, chunk):
+                    span = slice(t0, t0 + chunk)
+                    kernel = _kernel(omega, times[span])
+                    if picks is None:
+                        block = rows.reshape(-1, omega.size) @ kernel.reshape(omega.size, -1)
+                        out[k, ..., span] = block.reshape(sets, n_T, 3, -1)
+                    else:
+                        out[k, :, 0, :, span] = np.einsum("spw,wcp->scp", rows[:, picks[span]],
+                                                          kernel)
+            if heads is not None:
+                half = 0.5 * times**2
+                head = heads[:, :, None] * half if picks is None else heads[:, None, picks] * half
+                out[:, :, :, :2] += head[:, :, None]
         return out
 
     def _pair(self, moments: np.ndarray, sq: SqueezeParams) -> tuple[np.ndarray, ...]:
         """gamma and d gamma / d estimand per rule and (T, t), and the pair's agreement."""
-        n_T = moments.shape[1] // len(self._thermal)
         cos_th, sin_th = math.cos(sq.theta), math.sin(sq.theta)
 
         def assemble(estimand):
             dT, (a, b, c) = derivative_rule(estimand, sq.r)
-            m = moments[:, n_T:] if dT else moments[:, :n_T]
+            m = moments[:, int(dT)]
             # the moments of 1 + cos(theta - w t), 1 - cos(theta - w t), sin(theta - w t)
             even = cos_th * m[:, :, 1] + sin_th * m[:, :, 2]
             odd = sin_th * m[:, :, 1] - cos_th * m[:, :, 2]
@@ -358,13 +341,14 @@ class MomentEngine:
         return np.maximum(value[1], 0.0).tolist(), derivative[1].tolist(), agree.tolist()
 
     def settle(self, exponents: tuple[list, list, list], i: int, j: int,
-               point: BathPoint, sq: SqueezeParams) -> tuple[float, float]:
-        """(gamma, d gamma) at row i, time j; the refined rule where the pair disagreed."""
+               point: BathPoint, sq: SqueezeParams) -> tuple[float, float, bool]:
+        """(gamma, d gamma) at row i, time j, and whether they took the refined rule,
+        as they do where the pair disagreed at t > 0 (t = 0 is exactly 0)."""
         values, derivatives, agree = exponents
         if agree[i][j]:
-            return values[i][j], derivatives[i][j]
-        self.fallbacks += 1
-        return _one_point(self.estimand, point, sq, self.sp, self.qc, (True,))[:2]
+            return values[i][j], derivatives[i][j], False
+        gamma_value, dgamma = _one_point(self.estimand, point, sq, self.sp, self.qc, (True,))[:2]
+        return gamma_value, dgamma, point.time > 0.0
 
 
 def point_exponents(estimand: Estimand | None, point: BathPoint, sq: SqueezeParams,

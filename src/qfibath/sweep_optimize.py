@@ -3,9 +3,11 @@
 Every table and search runs on the moment engine (`moments`), as single
 points do. A table is one batch: the temperature factors once per table, the
 time kernel once per distinct time, then each row's exponent and derivative
-by algebra on the moments. Points where the engine's rule pair disagrees are
-recomputed on its refined rule, and the tables' and curves' metadata count
-them as `fallbacks`; a point whose refined pair disagrees too aborts the run.
+by algebra on the moments. Sweeps, grids and curves turn each cell into a
+sample through one step (`_cell`): cells where the engine's rule pair
+disagrees at t > 0 are recomputed on its refined rule and counted in the
+metadata as `fallbacks`; a cell whose refined pair disagrees too, or whose
+sample is not finite, aborts the run with the cell's location.
 Rows are assembled sequentially, so identical specs always produce
 bit-identical tables. The optimal-time search brackets the global maximum
 with a coarse scan before golden-section refinement, because the squeezing
@@ -212,6 +214,25 @@ def _aborted_at(where: str):
         raise ValueError(f"{where}: {exc}") from exc
 
 
+def _cell(engine: MomentEngine, exponents: tuple, cell: tuple[int, int], point: BathPoint,
+          sq: SqueezeParams, init: ProbeInit, where: str) -> tuple[QfiSample, bool]:
+    """The sample at `cell` (i, j) of `exponents`, which sits at `point`, and whether
+    the engine computed it on its refined rule. A failure, or a sample that is not
+    finite, raises with `where` attached."""
+    with _aborted_at(where):
+        gamma_value, dgamma, refined = engine.settle(exponents, *cell, point, sq)
+        sample = qfi_sample(engine.estimand, point, sq, engine.sp, init, gamma_value, dgamma)
+        if not all(map(isfinite, (sample.gamma, sample.dgamma, sample.qfi))):
+            raise ConvergenceError(
+                f"non-finite sample: gamma {sample.gamma!r}, dgamma {sample.dgamma!r}, "
+                f"qfi {sample.qfi!r}",
+                value=sample.gamma,
+                est_error=float("nan"),
+                evaluations=0,
+            )
+    return sample, refined
+
+
 def _with_axis_value(
     axis: str, value: float, point: BathPoint, sq: SqueezeParams, init: ProbeInit
 ) -> tuple[BathPoint, SqueezeParams, ProbeInit]:
@@ -240,24 +261,17 @@ def sweep(spec: SweepSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> SweepTa
     engine = MomentEngine(spec.estimand, spec.sp, qc, temperatures, max(times))
     moments = engine.moments(times)
     exponents = engine.exponents(moments, spec.sq)
-    rows = []
+    rows, fallbacks = [], 0
     for k, value in enumerate(values):
         point, sq, init = _with_axis_value(spec.axis, value, spec.point, spec.sq, spec.init)
-        with _aborted_at(f"sweep aborted at {spec.axis} = {value!r}"):
-            if spec.axis in ("r", "theta"):
-                exponents = engine.exponents(moments, sq)
-            i, j = (k if spec.axis == "T" else 0), (k if spec.axis == "t" else 0)
-            gamma_value, dgamma = engine.settle(exponents, i, j, point, sq)
-            sample = qfi_sample(spec.estimand, point, sq, spec.sp, init, gamma_value, dgamma)
-        if not all(map(isfinite, (sample.gamma, sample.dgamma, sample.qfi))):
-            raise ConvergenceError(
-                f"sweep produced a non-finite row at {spec.axis} = {value!r}",
-                value=sample.gamma,
-                est_error=float("nan"),
-                evaluations=0,
-            )
+        if spec.axis in ("r", "theta"):
+            exponents = engine.exponents(moments, sq)
+        cell = (k if spec.axis == "T" else 0, k if spec.axis == "t" else 0)
+        sample, refined = _cell(engine, exponents, cell, point, sq, init,
+                                f"sweep aborted at {spec.axis} = {value!r}")
+        fallbacks += refined
         rows.append((value, sample.gamma, sample.dgamma, sample.qfi))
-    metadata = run_metadata(qc, fallbacks=engine.fallbacks)
+    metadata = run_metadata(qc, fallbacks=fallbacks)
     return SweepTable(spec=spec, rows=tuple(rows), metadata=metadata)
 
 
@@ -267,16 +281,15 @@ def density_grid(spec: GridSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> G
     times = [float(t) for t in np.linspace(spec.t_lo, spec.t_hi, spec.t_points)]
     engine = MomentEngine(spec.estimand, spec.sp, qc, temperatures, times[-1])
     exponents = engine.exponents(engine.moments(times), spec.sq)
-    samples = []
+    samples, fallbacks = [], 0
     for i, temperature in enumerate(temperatures):
         for j, time in enumerate(times):
-            point = BathPoint(temperature=temperature, time=time)
-            with _aborted_at(f"grid aborted at (T, t) = ({temperature!r}, {time!r})"):
-                gamma_value, dgamma = engine.settle(exponents, i, j, point, spec.sq)
-                samples.append(qfi_sample(
-                    spec.estimand, point, spec.sq, spec.sp, spec.init, gamma_value, dgamma
-                ))
-    metadata = run_metadata(qc, fallbacks=engine.fallbacks)
+            sample, refined = _cell(engine, exponents, (i, j), BathPoint(temperature, time),
+                                    spec.sq, spec.init,
+                                    f"grid aborted at (T, t) = ({temperature!r}, {time!r})")
+            fallbacks += refined
+            samples.append(sample)
+    metadata = run_metadata(qc, fallbacks=fallbacks)
     return GridTable(spec=spec, samples=tuple(samples), metadata=metadata)
 
 
@@ -322,13 +335,12 @@ def _search_block(engine: MomentEngine, block: range, temperatures: list[float],
     def information(exponents, i: int, j: int, row: int, time: float) -> float:
         """qfi from cell (i, j) of `exponents`, at the block's row-th temperature and `time`."""
         temperature = temperatures[block[row]]
-        point = BathPoint(temperature=temperature, time=time)
-        fallbacks[row] += not exponents[2][i][j]  # settle refines where the pair disagreed
-        with _aborted_at(f"optimal-time search aborted at (T, t) = ({temperature!r}, {time!r})"):
-            gamma_value, dgamma = engine.settle(exponents, i, j, point, spec.sq)
-            return qfi_sample(
-                spec.estimand, point, spec.sq, spec.sp, spec.init, gamma_value, dgamma
-            ).qfi
+        sample, refined = _cell(
+            engine, exponents, (i, j), BathPoint(temperature, time), spec.sq, spec.init,
+            f"optimal-time search aborted at (T, t) = ({temperature!r}, {time!r})",
+        )
+        fallbacks[row] += refined
+        return sample.qfi
 
     scan = [float(time) for time in np.linspace(0.0, spec.t_max, spec.coarse_points)]
     searches = [_search(scan, 1e-4 * spec.t_max) for _ in block]

@@ -123,14 +123,15 @@ def test_vectorized_thermal_factors_match_references():
 
 def test_pair_disagreement_refines_the_point():
     # at s = 0.02 the base rule's map w = a x**(2 / s) underflows to w = 0, so its
-    # moments are not finite and every point, t = 0 included, goes to the refined rule
+    # moments are not finite and every point goes to the refined rule; the t = 0
+    # points are exactly 0 with no nodes and are not counted
     sq, sp = SqueezeParams(0.1, 1.0), SpectralParams(0.02)
     spec = GridSpec(
         estimand=Estimand.TEMPERATURE, t_lo=0.0, t_hi=1.5, T_lo=0.4, T_hi=0.8,
         t_points=3, T_points=2, sq=sq, sp=sp,
     )
     table = density_grid(spec)
-    assert table.metadata["fallbacks"] == 6
+    assert table.metadata["fallbacks"] == 4
     for sample in table.samples:
         if sample.point.time == 0.0:
             assert sample.gamma == 0.0 and sample.dgamma == 0.0
@@ -181,9 +182,11 @@ def test_row_and_time_chunks_do_not_change_the_moments(monkeypatch):
     )
     times = [0.0, 0.5, 3.0, 10.0]
     whole = engine.moments(times)
+    assert whole.shape == (2, 2, 3, 3, len(times))
     assert np.array_equal(engine.moments(times), whole)  # a second call repeats exactly
     monkeypatch.setattr(moments, "K_BYTES", 1)
     monkeypatch.setattr(moments, "F_BYTES", 1)
+    assert len(engine.blocks()) == 3  # one temperature per block
     assert np.allclose(engine.moments(times), whole, rtol=1e-13, atol=0.0)
 
 
@@ -195,15 +198,15 @@ def test_pairs_are_the_diagonal_of_the_cross_product(estimand, monkeypatch):
     factors = engine.factors(block)
     times = [0.0, 0.3, 7.5, 20.0]
     cross = engine.scan(factors, times)
-    sets = cross.shape[1] // len(block)
+    sets = cross.shape[1]
+    assert cross.shape == (2, sets, len(block), 3, len(times))
     rows = [row for row in range(len(block)) for _ in times]
     columns = [j for _ in block for j in range(len(times))]
     pairs = engine.pairs(factors, rows, [times[j] for j in columns])
-    assert pairs.shape == (2, sets, 3, len(rows))
+    assert pairs.shape == (2, sets, 1, 3, len(rows))
     picked = np.empty_like(pairs)
     for p, (row, j) in enumerate(zip(rows, columns)):
-        for s in range(sets):
-            picked[:, s, :, p] = cross[:, s * len(block) + row, :, j]
+        picked[:, :, 0, :, p] = cross[:, :, row, :, j]
     scale = np.abs(picked).max(axis=-1, keepdims=True)
     assert np.all(np.abs(pairs - picked) <= 1e-13 * scale)
     # time chunks of one pair give the same values
@@ -221,7 +224,29 @@ def test_blocks_cover_the_temperatures_within_the_factor_bound(monkeypatch):
     blocks = engine.blocks()
     assert [len(block) for block in blocks] == [7] * 5 + [5]
     assert [i for block in blocks for i in block] == list(range(40))
-    assert all(f.nbytes <= moments.F_BYTES for f in engine.factors(blocks[0]))
+    assert all(f.nbytes <= moments.F_BYTES for f in engine.factors(blocks[0])[0])
+
+
+@pytest.mark.parametrize("estimand", list(Estimand))
+def test_every_product_of_a_refined_engine_adds_the_head(estimand):
+    # at s = 0.02 the head [0, w0] carries over half of gamma
+    sq, temperatures, times = SqueezeParams(0.5, 1.0), [0.5, 1.0], [0.5, 1.0]
+    engine = MomentEngine(estimand, SpectralParams(0.02), DEFAULT_QUADRATURE,
+                          temperatures, max(times), refined=True)
+    factors = engine.factors(range(2))
+    rows = [i for i in range(2) for _ in times]
+    expected = engine.exponents(engine.moments(times), sq)
+    scanned = engine.exponents(engine.scan(factors, times), sq)
+    paired = engine.exponents(engine.pairs(factors, rows, times * 2), sq)
+    for k in (0, 1):  # gamma, d gamma
+        for i in range(2):
+            for j in range(2):
+                value = expected[k][i][j]
+                assert scanned[k][i][j] == pytest.approx(value, rel=1e-13, abs=0.0)
+                assert paired[k][0][2 * i + j] == pytest.approx(value, rel=1e-13, abs=0.0)
+    assert expected[0][0][1] == pytest.approx(
+        point_exponents(None, BathPoint(0.5, 1.0), sq, SpectralParams(0.02))[0], rel=1e-12
+    )
 
 
 @pytest.mark.parametrize(

@@ -345,7 +345,7 @@ def test_curve_blocks_do_not_change_the_search(monkeypatch):
 
 def test_curve_counts_fallbacks_per_temperature():
     # at s = 0.02 the base rule's moments are not finite, so every scanned or
-    # probed point, t = 0 included, is computed on the refined rule
+    # probed point with t > 0 is computed on the refined rule
     spec = OptimalTimeSpec(
         estimand=Estimand.TEMPERATURE, T_lo=0.4, T_hi=0.8, T_points=2,
         sq=FIG10.sq, sp=SpectralParams(s=0.02), t_max=4.0,
@@ -356,6 +356,21 @@ def test_curve_counts_fallbacks_per_temperature():
     assert curve.metadata["fallbacks"] == sum(counts)
     assert all(result.qfi_star > 0.0 for result in curve.results)
     _assert_curve_matches_single_searches(curve)
+
+
+def test_table_fallbacks_count_the_refined_cells():
+    # at s = 0.02 every cell with t > 0 is computed on the refined rule; the t = 0
+    # cells are exactly 0 with no nodes
+    sp = SpectralParams(s=0.02)
+    table = sweep(replace(_time_sweep_spec(points=4, hi=1.5), sp=sp))
+    assert table.metadata["fallbacks"] == sum(row[0] > 0.0 for row in table.rows) == 3
+    grid = density_grid(GridSpec(
+        estimand=Estimand.SQUEEZE_AMPLITUDE, t_lo=0.0, t_hi=2.0, T_lo=0.3, T_hi=0.9,
+        t_points=4, T_points=3, sq=FIX_SQUEEZE, sp=sp,
+    ))
+    assert grid.metadata["fallbacks"] == sum(
+        sample.point.time > 0.0 for sample in grid.samples
+    ) == 9
 
 
 def test_curve_aborts_with_the_failing_point(monkeypatch):
