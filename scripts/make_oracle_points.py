@@ -34,6 +34,12 @@ POINTS = [
     ("r", "0.5", "1000", "0.5", "1", "0.05", "1"),
     ("r", "0", "1", "0.5", "1", "0.05", "1000"),
     ("T", "0.001", "0.3", "0.5", "1", "0.001", "1"),
+    ("T", "0.5", "1e-06", "1.5", "0", "2.5", "1"),
+    ("T", "0.5", "0.0001", "1.5", "0", "2.5", "1"),
+    ("r", "0.5", "1e-06", "1.5", "0", "10", "1"),
+    ("r", "0.5", "0.0001", "1.5", "0", "10", "1"),
+    ("theta", "0.5", "1e-06", "1.5", "0", "0.5", "1"),
+    ("theta", "0.5", "0.0001", "1.5", "0", "0.5", "1"),
 ]
 
 

@@ -191,7 +191,8 @@ def _add_shared_arguments(parser: argparse.ArgumentParser, with_recipe: bool) ->
     parser.add_argument("--abs-tol", type=float, default=None,
                         help="absolute quadrature tolerance (default 1e-12)")
     parser.add_argument("--omega-max-factor", type=float, default=None,
-                        help="upper integration limit in units of omega_c * max(1, s), >= 10")
+                        help="upper limit of the thermal integral in units of "
+                             "max(1, s) / (1/omega_c + 1/T_max), >= 10")
     parser.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     if with_recipe:

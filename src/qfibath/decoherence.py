@@ -59,8 +59,10 @@ def gamma(
 ) -> GammaResult:
     """Decoherence exponent gamma(T, t) at one point.
 
-    t = 0 is exactly 0 with no integrand calls. Raises ConvergenceError when
-    the refined rule pair disagrees above tolerance.
+    t = 0 is exactly 0 with no integrand calls, and T = 0 needs none either:
+    its gamma is all vacuum part, in closed form. Raises ConvergenceError when
+    the refined rule pair disagrees above tolerance or the rule would exceed
+    the node budget.
     """
     value, _, est_error, evaluations = point_exponents(None, point, sq, sp, qc)
     return GammaResult(value=value, est_error=est_error, evaluations=evaluations)

@@ -9,33 +9,48 @@ factor f(T, w) = J(w) coth(w / 2T) / w**2 and E(w, t) = 2 sin(w t / 2)**2,
 
 grouped as in `spectral_bath.squeeze_kernel`; each derivative is the same
 assembly with the thermal row and weights of `spectral_bath.derivative_rule`.
-f depends only on (T, w) and the kernel E [1, cos, sin] only on (w, t), so on
-one fixed quadrature rule the moments of a whole (T, t) batch, or of a single
-point (`point_exponents`), are one matrix product F @ K. F has a thermal-set
-axis (coth, and d coth / dT for the temperature estimand), a temperature axis
-and a node axis, and is built in blocks of temperatures (`blocks`). A search
-that needs one time per temperature takes each temperature's row of F against
-its own kernel column instead (`pairs`), with F built once. Both products run
-through one method, which also adds the refined rule's closed-form head.
+
+coth(w / 2T) = 1 + 2 n(w) splits each moment into a vacuum part and a thermal
+part. The vacuum part has a closed form: with x = omega_c t,
+L_k = log(1 - i k x) and I_k = Gamma(s) expm1((1 - s) L_k) / (1 - s) (L_k at
+s = 1), M0 = Re I_1, Mc = -Re I_1 + Re I_2 / 2 and Ms = -Im I_1 + Im I_2 / 2.
+Below x = VACUUM_SERIES_CUTOFF, where that difference cancels the linear term
+of Ms, their Taylor series in x take over. d coth / dT has no vacuum part.
+
+Only the thermal part, 2 n(w) = 2 / expm1(w / T) (exactly 0 at T = 0), and
+d coth / dT are integrated. That factor depends only on (T, w) and the kernel
+E [1, cos, sin] only on (w, t), so on one fixed quadrature rule the moments of
+a whole (T, t) batch, or of a single point (`point_exponents`), are one matrix
+product F @ K. F has a thermal-set axis (2 n, and d coth / dT for the
+temperature estimand), a temperature axis and a node axis, and is built in
+blocks of temperatures (`blocks`). A search that needs one time per
+temperature takes each temperature's row of F against its own kernel column
+instead (`pairs`), with F built once. Both products run through one method,
+which also adds the vacuum moments and the refined rule's closed-form head.
 
 The base rule is composite Gauss-Legendre, laid out from the batch's inputs:
 
 - a boundary panel [0, a], a = min(omega_c / 100, T_min / 2, 1 / t_max), under
   w = a x**p with p = max(1, 2 / s), which turns the w**(s - 1) endpoint of
   the integrand into a smooth function of x. a stays below the smallest
-  positive temperature and below 1 / t_max, so coth and E are smooth there;
-- geometric panels (ratio at most 2) from a to omega_c;
+  positive temperature and below 1 / t_max, so n(w) and E are smooth there;
+- geometric panels (ratio at most 2) from a to min(omega_c, W);
 - every panel beyond a no wider than min(omega_c, 16 / t_max), so none spans
   more than 16 radians of the oscillation, up to the upper limit
-  W = omega_max_factor * omega_c * max(1, s).
+  W = omega_max_factor * max(1, s) / (1 / omega_c + 1 / T_max), where
+  exp(-w / omega_c) n(w) has decayed.
+
+An engine whose temperatures are all 0 has no thermal part and no rule. A rule
+pair of more than NODE_BUDGET nodes raises ConvergenceError before any of it
+is allocated.
 
 Every panel carries an order-20 rule and an order-24 rule. The order-24
 values are reported. A point where the two disagree by more than the
 QuadratureConfig tolerance, on gamma or on d gamma relative to
 max(|d gamma|, gamma), or are not finite (for small s, w = a x**p underflows
 to 0), is recomputed alone on the refined rule. That rule takes the head
-[0, w0], w0 = 1e-10 * min(omega_c, 1 / t, T if T > 0), in closed form: there
-f E [1, cos, sin] is omega_c**(1 - s) w**(s - 1) 2T (w**s at T = 0) times
+[0, w0], w0 = 1e-10 * min(omega_c, 1 / t, T), in closed form: there
+f E [1, cos, sin] of the thermal part is omega_c**(1 - s) w**(s - 1) 2T times
 (t**2 / 2) [1, 1, 0], and d coth / dT is 2 / w. Geometric panels carry it on
 to a, then the base panels follow, with no x**p map. Where the refined pair
 disagrees too, the point raises ConvergenceError.
@@ -50,11 +65,11 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .spectral_bath import (COTH_SERIES_CUTOFF, BathPoint, Estimand, SpectralParams,
-                            SqueezeParams, derivative_rule)
+from .spectral_bath import BathPoint, Estimand, SpectralParams, SqueezeParams, derivative_rule
 
 __all__ = [
-    "ORDER", "CHECK_ORDER", "F_BYTES", "K_BYTES", "QuadratureConfig", "DEFAULT_QUADRATURE",
+    "ORDER", "CHECK_ORDER", "F_BYTES", "K_BYTES", "NODE_BUDGET", "VACUUM_SERIES_CUTOFF",
+    "QuadratureConfig", "DEFAULT_QUADRATURE",
     "ConvergenceError", "MomentEngine", "point_exponents",
 ]
 
@@ -67,6 +82,13 @@ CHECK_ORDER = 24
 # process's peak RSS. Blocks this small cost no measurable time.
 F_BYTES = 2**22
 K_BYTES = 2**18
+
+# largest rule pair an engine lays out, in nodes of both orders; a temperature-estimand
+# point at the budget peaks near 350 MiB of RSS
+NODE_BUDGET = 2**22
+
+# omega_c t below which the vacuum moments come from their Taylor series
+VACUUM_SERIES_CUTOFF = 1e-3
 
 # widest panel, in radians of the oscillation w t_max
 MAX_PHASE = 16.0
@@ -81,7 +103,8 @@ _NON_FINITE = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerance the rule pair must meet, and the upper integration limit."""
+    """Tolerance the rule pair must meet, and the upper limit of the thermal integral
+    in units of max(1, s) / (1 / omega_c + 1 / T_max)."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
@@ -103,10 +126,12 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 class ConvergenceError(RuntimeError):
-    """The refined rule pair still disagreed above tolerance.
+    """The refined rule pair still disagreed above tolerance, or the rule pair
+    would exceed NODE_BUDGET nodes.
 
     Carries the reported value, the pair's gap on it and the rule's node count,
-    so callers can see how far off it ended up.
+    so callers can see how far off it ended up; a refused rule carries nan, nan
+    and 0.
     """
 
     def __init__(self, message: str, value: float, est_error: float, evaluations: int):
@@ -118,20 +143,41 @@ class ConvergenceError(RuntimeError):
 
 def _panel_layout(sp: SpectralParams, qc: QuadratureConfig,
                   temperatures: list[float], t_max: float) -> np.ndarray:
-    """Panel edges from the boundary panel end a to the upper limit W."""
-    a = sp.omega_c / 100.0
+    """Panel edges from the boundary panel end a to the upper limit W of the thermal
+    part, empty where every temperature is 0.
+
+    Raises ConvergenceError, naming (T_max, t_max), where the rule pair would
+    exceed NODE_BUDGET nodes.
+    """
     positive = [T for T in temperatures if T > 0.0]
-    if positive:
-        a = min(a, 0.5 * min(positive))
+    if not positive:
+        return np.empty(0)
+    top = qc.omega_max_factor * max(1.0, sp.s) / (1.0 / sp.omega_c + 1.0 / max(positive))
+    a = min(sp.omega_c / 100.0, 0.5 * min(positive))
     width = sp.omega_c
     if t_max > 0.0:
         a = min(a, 1.0 / t_max)
         width = min(width, MAX_PHASE / t_max)
-    coarse = np.append(_geometric(a, sp.omega_c), qc.omega_max_factor * sp.omega_c * max(1.0, sp.s))
-    edges = [coarse[:1]]
-    for lo, hi in zip(coarse[:-1], coarse[1:]):
-        edges.append(np.linspace(lo, hi, math.ceil((hi - lo) / width) + 1)[1:])
-    return np.concatenate(edges)
+    coarse = _geometric(a, min(sp.omega_c, top))
+    if top > coarse[-1]:
+        coarse = np.append(coarse, top)
+    spans = np.diff(coarse)
+    panels = np.ceil(spans / width)
+    nodes = (1.0 + panels.sum()) * (ORDER + CHECK_ORDER)
+    if not nodes <= NODE_BUDGET:
+        raise ConvergenceError(
+            f"rule pair of {nodes:.4g} nodes at (T, t) = ({max(positive)!r}, {t_max!r}) is "
+            f"over the node budget of {NODE_BUDGET}",
+            value=math.nan, est_error=math.nan, evaluations=0,
+        )
+    # each coarse segment [lo, hi] in `panels` equal panels, spaced as linspace spaces them
+    counts = panels.astype(np.int64)
+    ends = np.cumsum(counts)
+    segment = np.repeat(np.arange(counts.size), counts)
+    step = np.arange(1, ends[-1] + 1) - np.repeat(ends - counts, counts)
+    edges = step * (spans / panels)[segment] + coarse[segment]
+    edges[ends - 1] = coarse[1:]
+    return np.concatenate([coarse[:1], edges])
 
 
 def _geometric(lo: float, hi: float) -> np.ndarray:
@@ -161,18 +207,16 @@ def _rule(order: int, edges: np.ndarray, power: float | None) -> tuple[np.ndarra
             np.concatenate([a * power * x ** (power - 1.0) * w, weights]))
 
 
-def _coth(omega: np.ndarray, temperature: float) -> np.ndarray:
-    """Vectorized `spectral_bath.thermal_factor`: coth(w / 2T), exactly 1 at T = 0."""
+def _thermal(omega: np.ndarray, temperature: float) -> np.ndarray:
+    """Thermal part 2 n(w) = 2 / expm1(w / T) of coth(w / 2T) = 1 + 2 n(w), exactly
+    0 at T = 0."""
     if temperature == 0.0:
-        return np.ones_like(omega)
-    x = omega / (2.0 * temperature)
-    out = 1.0 + 2.0 / np.expm1(2.0 * x)  # inf from expm1 (warning silenced by callers) gives 1
-    small = x < COTH_SERIES_CUTOFF
-    out[small] = 1.0 / x[small] + x[small] / 3.0
-    return out
+        return np.zeros_like(omega)
+    # an inf from expm1 (its warning silenced by callers) gives 0
+    return 2.0 / np.expm1(omega / temperature)
 
 
-def _coth_dT(omega: np.ndarray, temperature: float) -> np.ndarray:
+def _thermal_dT(omega: np.ndarray, temperature: float) -> np.ndarray:
     """Vectorized `spectral_bath.thermal_factor_dT`, exactly 0 at T = 0."""
     if temperature == 0.0:
         return np.zeros_like(omega)
@@ -185,8 +229,59 @@ def _head(thermal, temperature: float, s: float, w0: float) -> float:
     """int_0^w0 w**s thermal(w, T) dw to leading order in w0 / T: the head's F entry
     over omega_c**(1 - s)."""
     if temperature == 0.0:
-        return w0 ** (s + 1.0) / (s + 1.0) if thermal is _coth else 0.0
-    return (2.0 * temperature if thermal is _coth else 2.0) * w0**s / s
+        return 0.0
+    return (2.0 * temperature if thermal is _thermal else 2.0) * w0**s / s
+
+
+def _gamma_function(s: float) -> float:
+    """Gamma(s), inf where it overflows, so the point fails the pair check instead."""
+    try:
+        return math.gamma(s)
+    except OverflowError:
+        return math.inf
+
+
+def _vacuum(sp: SpectralParams, times: np.ndarray) -> np.ndarray:
+    """Vacuum part of (M0, Mc, Ms) at each time, shape (3, times): the integrals of
+    J(w) E(w, t) [1, cos, sin] / w**2, in closed form or, below VACUUM_SERIES_CUTOFF
+    in x = omega_c t, as Taylor series."""
+    s, x = sp.s, sp.omega_c * times
+    scale = _gamma_function(s)
+    # I_k = Gamma(s) E(L_k), E(L) = expm1((1 - s) L) / (1 - s), L_k = log(1 - i k x)
+    parts = []
+    for k in (1.0, 2.0):
+        real, imag = 0.5 * np.log1p((k * x) ** 2), -np.arctan(k * x)
+        if s != 1.0:
+            u, v = (1.0 - s) * real, (1.0 - s) * imag
+            half = np.sin(0.5 * v)
+            real = (np.expm1(u) * np.cos(v) - 2.0 * half * half) / (1.0 - s)
+            imag = np.exp(u) * np.sin(v) / (1.0 - s)
+        parts.append((real, imag))
+    (re1, im1), (re2, im2) = parts
+    out = scale * np.array([re1, 0.5 * re2 - re1, 0.5 * im2 - im1])
+    small = x < VACUUM_SERIES_CUTOFF
+    if small.any():
+        out[:, small] = _vacuum_series(s, scale, x[small])
+    return out
+
+
+def _vacuum_series(s: float, scale: float, x: np.ndarray) -> np.ndarray:
+    """`_vacuum` as power series in x = omega_c t, from int J(w) w**(n - 2) dw =
+    Gamma(s + n - 1) omega_c**n: with a_n = Gamma(s + n - 1) x**n / n!,
+    M0 = sum_even -(-1)**(n/2) a_n, Mc = sum_even (-1)**(n/2) (1 - 2**(n-1)) a_n,
+    Ms = sum_odd (-1)**((n-1)/2) (1 - 2**(n-1)) a_n. Fourteen orders leave the
+    truncation below 1e-25 relative for x < 1e-3 and s <= 10."""
+    out = np.zeros((3, x.size))
+    term = scale * x  # a_1
+    for n in range(2, 16):
+        term = term * x * ((s + n - 2.0) / n)
+        sign, doubled = (-1.0) ** (n // 2), 1.0 - 2.0 ** (n - 1)
+        if n % 2:
+            out[2] += sign * doubled * term
+        else:
+            out[0] -= sign * term
+            out[1] += sign * doubled * term
+    return out
 
 
 def _kernel(omega: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -215,8 +310,9 @@ class MomentEngine:
     those factors at a list of times and `pairs` at one time per temperature,
     so a search builds F once and reuses it every round; `moments` runs `scan`
     over every block. F has one thermal set per row of `derivative_rule`:
-    coth, then, for the temperature estimand, d coth / dT. `refined` selects
-    the refined layout, whose closed-form head `scan` and `pairs` both add.
+    2 n(w), then, for the temperature estimand, d coth / dT. `scan` and `pairs`
+    add the vacuum moments to the first set. `refined` selects the refined
+    layout, whose closed-form head they both add.
     An engine does not change after construction, so the functions of
     `qfi_engine` and `sweep_optimize` stay safe to call concurrently.
     """
@@ -225,12 +321,12 @@ class MomentEngine:
                  temperatures: list[float], t_max: float, refined: bool = False):
         self.estimand, self.sp, self.qc = estimand, sp, qc
         self._temperatures = list(temperatures)
-        self._sets = [_coth, _coth_dT] if derivative_rule(estimand, 0.0)[0] else [_coth]
+        self._sets = [_thermal, _thermal_dT] if derivative_rule(estimand, 0.0)[0] else [_thermal]
         edges = _panel_layout(sp, qc, temperatures, t_max)
         power, self._heads = max(1.0, 2.0 / sp.s), None
         with np.errstate(**_NON_FINITE):
             scale = np.float64(sp.omega_c) ** (1.0 - sp.s)
-            if refined:
+            if refined and edges.size:
                 scales = [sp.omega_c, *(T for T in temperatures if T > 0.0)]
                 w0 = HEAD * min(scales + ([1.0 / t_max] if t_max > 0.0 else []))
                 edges, power = np.concatenate([_geometric(w0, edges[0])[:-1], edges]), None
@@ -240,7 +336,7 @@ class MomentEngine:
             # per rule: nodes, and weights times J(w) / w**2
             self._rules = []
             for order in (ORDER, CHECK_ORDER):
-                omega, weights = _rule(order, edges, power)
+                omega, weights = _rule(order, edges, power) if edges.size else (edges, edges)
                 spectral = omega ** (sp.s - 2.0) * scale * np.exp(-omega / sp.omega_c)
                 self._rules.append((omega, weights * spectral))
 
@@ -254,7 +350,7 @@ class MomentEngine:
 
     def blocks(self) -> list[range]:
         """The engine's temperatures in runs whose F stays within F_BYTES per rule."""
-        nodes = max(omega.size for omega, _ in self._rules)
+        nodes = max(1, *(omega.size for omega, _ in self._rules))
         size = max(1, F_BYTES // (8 * len(self._sets) * nodes))
         n_T = len(self._temperatures)
         return [range(i, min(i + size, n_T)) for i in range(0, n_T, size)]
@@ -286,13 +382,16 @@ class MomentEngine:
         return self._product(factors, np.asarray(times, dtype=float), temperatures)
 
     def _product(self, factors: tuple, times: np.ndarray, picks: list[int] | None) -> np.ndarray:
-        """F @ K, K in blocks of times below K_BYTES, plus the closed-form head: every
-        temperature at every time, or with `picks` temperature picks[p] at times[p]."""
+        """F @ K, K in blocks of times below K_BYTES, plus the vacuum moments and the
+        closed-form head: every temperature at every time, or with `picks` temperature
+        picks[p] at times[p]."""
         rules, heads = factors
         sets, n_T = rules[0].shape[:2]
-        out = np.empty((2, sets, n_T if picks is None else 1, 3, times.size))
+        out = np.zeros((2, sets, n_T if picks is None else 1, 3, times.size))
         with np.errstate(**_NON_FINITE):
             for k, ((omega, _), rows) in enumerate(zip(self._rules, rules)):
+                if not omega.size:  # every temperature is 0: no thermal part
+                    continue
                 chunk = max(1, K_BYTES // (24 * omega.size))
                 for t0 in range(0, times.size, chunk):
                     span = slice(t0, t0 + chunk)
@@ -303,6 +402,7 @@ class MomentEngine:
                     else:
                         out[k, :, 0, :, span] = np.einsum("spw,wcp->scp", rows[:, picks[span]],
                                                           kernel)
+            out[:, 0] += _vacuum(self.sp, times)  # the 2 n(w) set carries all of coth
             if heads is not None:
                 half = 0.5 * times**2
                 head = heads[:, :, None] * half if picks is None else heads[:, None, picks] * half
@@ -358,8 +458,9 @@ def point_exponents(estimand: Estimand | None, point: BathPoint, sq: SqueezePara
 
     A 1 x 1 batch on the base rule pair, then, where that pair disagrees, on
     the refined rule; estimand None takes gamma itself as the derivative.
-    t = 0 is exactly 0 with no nodes. Raises ConvergenceError where the
-    refined pair disagrees too.
+    t = 0 is exactly 0 with no nodes, and T = 0 takes no nodes either. Raises
+    ConvergenceError where the refined pair disagrees too, or where the rule
+    would exceed NODE_BUDGET.
     """
     return _one_point(estimand, point, sq, sp, qc, (False, True))
 

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -454,7 +455,8 @@ def test_cancelling_panels_do_not_raise_a_false_convergence_error(tmp_path):
 # refine; their values come from the 30-digit log-variable mpmath integral of
 # scripts/make_oracle_points.py. Adaptive quadrature was 3.4e-4 off on d gamma
 # at the two s ~ 0.02 points and 4.9e-7 off at s = 0.001, and exited 3 on the two
-# s = 0.05 points.
+# s = 0.05 points. The last six sit at omega_c t = 1e-6 and 1e-4, below the
+# cutoff where the vacuum moments switch from closed form to Taylor series.
 ORACLE_POINTS = [
     (["--estimand", "T", "--temp", "1.5994425362135922", "--time", "6.093650998519315",
       "--r", "0.9489758460143188", "--theta", "2.000962607736446", "--s", "0.939139385761002"],
@@ -482,12 +484,32 @@ ORACLE_POINTS = [
     (["--estimand", "T", "--temp", "0.001", "--time", "0.3", "--r", "0.5", "--theta", "1",
       "--s", "0.001", "--omega-c", "1"],
      0.11178401153746624, 81.248749121055489),
+    (["--estimand", "T", "--temp", "0.5", "--time", "1e-06", "--r", "1.5", "--theta", "0",
+      "--s", "2.5", "--omega-c", "1"],
+     8.7221148791342382e-14, 2.2061922311624236e-14),
+    (["--estimand", "T", "--temp", "0.5", "--time", "0.0001", "--r", "1.5", "--theta", "0",
+      "--s", "2.5", "--omega-c", "1"],
+     8.7222465163810203e-10, 2.2061972038526369e-10),
+    (["--estimand", "r", "--temp", "0.5", "--time", "1e-06", "--r", "1.5", "--theta", "0",
+      "--s", "10", "--omega-c", "1"],
+     9.0334681715534402e-8, -1.806693586205606e-7),
+    (["--estimand", "r", "--temp", "0.5", "--time", "0.0001", "--r", "1.5", "--theta", "0",
+      "--s", "10", "--omega-c", "1"],
+     0.00090346667036894922, -0.0018064522900634113),
+    (["--estimand", "theta", "--temp", "0.5", "--time", "1e-06", "--r", "1.5", "--theta", "0",
+      "--s", "0.5", "--omega-c", "1"],
+     5.2451282519966553e-14, -8.048143530142302e-18),
+    (["--estimand", "theta", "--temp", "0.5", "--time", "0.0001", "--r", "1.5", "--theta", "0",
+      "--s", "0.5", "--omega-c", "1"],
+     5.2451370189266316e-10, -8.048143382142258e-12),
 ]
 
 
 @pytest.mark.parametrize("flags, gamma_value, dgamma", ORACLE_POINTS,
                          ids=["point-stream", "t=1000", "omega_c=1000", "s=0.018",
-                              "s=0.025", "s=0.05,t=1000", "s=0.05,omega_c=1000", "s=0.001"])
+                              "s=0.025", "s=0.05,t=1000", "s=0.05,omega_c=1000", "s=0.001",
+                              "T,t=1e-6", "T,t=1e-4", "r,t=1e-6", "r,t=1e-4", "theta,t=1e-6",
+                              "theta,t=1e-4"])
 def test_point_matches_the_mpmath_oracle(flags, gamma_value, dgamma, tmp_path):
     out = tmp_path / "point.csv"
     assert run_cli(["point", *flags, "--out", str(out)]) == 0
@@ -495,7 +517,7 @@ def test_point_matches_the_mpmath_oracle(flags, gamma_value, dgamma, tmp_path):
     got_gamma = float(rows[0][header.index("gamma")])
     got_dgamma = float(rows[0][header.index("dgamma")])
     assert abs(got_gamma - gamma_value) <= 1e-8 * gamma_value
-    assert abs(got_dgamma - dgamma) <= 1e-8 * max(abs(dgamma), gamma_value) + 1e-12
+    assert abs(got_dgamma - dgamma) <= 1e-8 * max(abs(dgamma), gamma_value)
 
 
 def test_rejected_environment_tolerance_names_the_variable(monkeypatch, capsys):
@@ -554,13 +576,40 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     (OPT_TIME_ARGS, r"search aborted at \(T, t\) = \(0\.4, 0\.0634"),
 ], ids=["point", "sweep", "grid", "opt-time"])
 def test_overflowing_spectral_density_exits_three_naming_the_point(base, where, tmp_path, capsys):
-    # at s = 150, J(w) overflows on both rules, so no row may be written
+    # at s = 150, J(w) overflows on both rules, and at s = 200 so does Gamma(s) in
+    # the vacuum moments, so no row may be written
     out = tmp_path / "table.csv"
-    assert run_cli(with_flags(base, {"--s": "150"}) + ["--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: ") and re.search(where, err), err
-    assert "Traceback" not in err
-    assert not out.exists()
+    for s in ("150", "200"):
+        assert run_cli(with_flags(base, {"--s": s}) + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and re.search(where, err), (s, err)
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+# inputs whose rule pair is over the node budget: 7e8 nodes at s = 1e6, and 1.25e8
+# at omega_c = 1000, T = 100, t = 1000, s = 10
+OVER_BUDGET = {
+    "point": (POINT_ARGS, {"--omega-c": "1000", "--temp": "100", "--time": "1000"}),
+    "sweep": (SWEEP_ARGS, {"--omega-c": "1000", "--temp": "100", "--range": "0:1000"}),
+    "grid": (GRID_ARGS, {"--omega-c": "1000", "--T-range": "0.4:100", "--t-range": "0:1000"}),
+    "opt-time": (OPT_TIME_ARGS, {"--omega-c": "1000", "--T-range": "0.4:100", "--T-points": "2",
+                                 "--t-max": "1000"}),
+}
+
+
+@pytest.mark.parametrize("subcommand", list(OVER_BUDGET))
+def test_rule_over_the_node_budget_exits_three_before_allocating(subcommand, tmp_path, capsys):
+    base, large = OVER_BUDGET[subcommand]
+    out = tmp_path / "table.csv"
+    for changes in ({"--s": "1e6"}, {**large, "--s": "10"}):
+        started = time.perf_counter()
+        assert run_cli(with_flags(base, changes) + ["--out", str(out)]) == 3
+        assert time.perf_counter() - started < 10.0
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: rule pair of "), (changes, err)
+        assert "nodes at (T, t) = (" in err and "over the node budget" in err, err
+        assert not out.exists()
 
 
 def test_consecutive_calls_match_the_same_calls_run_alone(capsys):

@@ -1,14 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import hurwitz_reference
 from adaptive_reference import gamma, gamma_partial
 from qfibath import moments
-from qfibath.moments import DEFAULT_QUADRATURE, MomentEngine, point_exponents
+from qfibath.moments import DEFAULT_QUADRATURE, ConvergenceError, MomentEngine, point_exponents
 from qfibath.probe_state import ProbeInit
 from qfibath.qfi_engine import qfi_point
-from qfibath.spectral_bath import BathPoint, Estimand, SpectralParams, SqueezeParams
+from qfibath.spectral_bath import (BathPoint, Estimand, SpectralParams, SqueezeParams,
+                                   thermal_factor)
 from qfibath.sweep_optimize import GridSpec, density_grid
 from reference_values import REFERENCE_VALUES
 
@@ -52,18 +55,18 @@ def test_engine_matches_the_adaptive_path(estimand, s):
                 ), (point, sq)
 
 
-@pytest.mark.parametrize(
-    "temperature,t,r,theta,s,key",
-    [
-        (0.7, 1.3, 0.4, 1.1, 0.5, "gamma_T0.7_t1.3_r0.4_th1.1_s0.5"),
-        (0.7, 1.3, 0.4, 1.1, 1.0, "gamma_T0.7_t1.3_r0.4_th1.1_s1"),
-        (0.7, 1.3, 0.4, 1.1, 3.0, "gamma_T0.7_t1.3_r0.4_th1.1_s3"),
-        (0.3, 2.0, 1.0, 4.0, 1.0, "gamma_T0.3_t2_r1_th4_s1"),
-        (2.0, 0.5, 0.0, 0.0, 3.0, "gamma_T2_t0.5_r0_th0_s3"),
-        (1.0, 5.0, 1.5, math.pi, 0.5, "gamma_T1_t5_r1.5_thpi_s0.5"),
-        (0.0, 1.0, 0.5, 2.0, 0.5, "gamma_T0_t1_r0.5_th2_s0.5"),
-    ],
-)
+GAMMA_REFERENCES = [
+    (0.7, 1.3, 0.4, 1.1, 0.5, "gamma_T0.7_t1.3_r0.4_th1.1_s0.5"),
+    (0.7, 1.3, 0.4, 1.1, 1.0, "gamma_T0.7_t1.3_r0.4_th1.1_s1"),
+    (0.7, 1.3, 0.4, 1.1, 3.0, "gamma_T0.7_t1.3_r0.4_th1.1_s3"),
+    (0.3, 2.0, 1.0, 4.0, 1.0, "gamma_T0.3_t2_r1_th4_s1"),
+    (2.0, 0.5, 0.0, 0.0, 3.0, "gamma_T2_t0.5_r0_th0_s3"),
+    (1.0, 5.0, 1.5, math.pi, 0.5, "gamma_T1_t5_r1.5_thpi_s0.5"),
+    (0.0, 1.0, 0.5, 2.0, 0.5, "gamma_T0_t1_r0.5_th2_s0.5"),
+]
+
+
+@pytest.mark.parametrize("temperature,t,r,theta,s,key", GAMMA_REFERENCES)
 def test_gamma_matches_high_precision_references(temperature, t, r, theta, s, key):
     value, _, agree = engine_point(
         Estimand.SQUEEZE_PHASE, BathPoint(temperature, t), SqueezeParams(r, theta),
@@ -101,9 +104,11 @@ def test_zero_time_is_exactly_zero(estimand):
 
 
 def test_zero_temperature_thermal_factors_are_exact():
+    # the integrated part of coth = 1 + 2 n(w) is 2 n(w), which vanishes at T = 0
     omega = np.geomspace(1e-12, 50.0, 101)
-    assert np.all(moments._coth(omega, 0.0) == 1.0)
-    assert np.all(moments._coth_dT(omega, 0.0) == 0.0)
+    assert np.all(moments._thermal(omega, 0.0) == 0.0)
+    assert np.all(1.0 + moments._thermal(omega, 0.0) == [thermal_factor(w, 0.0) for w in omega])
+    assert np.all(moments._thermal_dT(omega, 0.0) == 0.0)
     _, derivative, _ = engine_point(
         Estimand.TEMPERATURE, BathPoint(0.0, 2.0), SqueezeParams(0.4, 1.0), SpectralParams(0.5)
     )
@@ -111,12 +116,15 @@ def test_zero_temperature_thermal_factors_are_exact():
 
 
 def test_vectorized_thermal_factors_match_references():
-    coth = moments._coth(np.array([2.0, 1e-8, 2.0 * 9.99e-5, 2.0 * 1.001e-4]), 1.0)
-    for value, key, rel in zip(
-        coth, ("coth_1", "coth_5e-9", "coth_9.99e-5", "coth_1.001e-4"), (1e-12, 1e-12, 1e-10, 1e-10)
+    omega = [2.0, 1e-8, 2.0 * 9.99e-5, 2.0 * 1.001e-4]
+    coth = 1.0 + moments._thermal(np.array(omega), 1.0)
+    for w, value, key, rel in zip(
+        omega, coth, ("coth_1", "coth_5e-9", "coth_9.99e-5", "coth_1.001e-4"),
+        (1e-12, 1e-12, 1e-10, 1e-10),
     ):
         assert value == pytest.approx(REFERENCE_VALUES[key], rel=rel)
-    assert moments._coth_dT(np.array([1.0]), 0.7)[0] == pytest.approx(
+        assert value == pytest.approx(thermal_factor(w, 1.0), rel=rel)
+    assert moments._thermal_dT(np.array([1.0]), 0.7)[0] == pytest.approx(
         REFERENCE_VALUES["dcoth_dT_w1_T0.7"], rel=1e-12
     )
 
@@ -271,28 +279,112 @@ def test_refined_rule_matches_high_precision_references(temperature, t, r, theta
         assert derivatives[0][0] == pytest.approx(derivative, rel=1e-9)
 
 
-def test_seeded_domain_sample_is_finite():
-    # s in [0.001, 10], omega_c in [0.01, 100], t <= 300, T in {0} and [1e-3, 100],
-    # omega_c t max(1, s) <= 3e3: larger products need rules of millions of nodes
-    rng = np.random.default_rng(20261018)
+@pytest.mark.parametrize("omega_c", [1e-3, 1.0, 1e3])
+def test_ohmic_vacuum_is_half_log1p(omega_c):
+    # T = 0, r = 0, s = 1: gamma = int e^(-w / omega_c) (1 - cos wt) / w dw
+    for x in np.geomspace(1e-3, 1e6, 37):
+        point = BathPoint(0.0, float(x) / omega_c)
+        value, _, _, nodes = point_exponents(None, point, SqueezeParams(0.0),
+                                             SpectralParams(1.0, omega_c))
+        assert nodes == 0
+        assert value == pytest.approx(0.5 * math.log1p((omega_c * point.time) ** 2), rel=1e-13)
+
+
+@pytest.mark.parametrize("s", [0.05, 0.5, 1.5, 2.0, 2.5, 10.0])
+def test_zero_temperature_gamma_matches_the_mpmath_closed_form(s):
+    # at T = 0 the oracle is the vacuum integrals Gamma(s - 1) [1 - (1 - i k omega_c t)**(1 - s)],
+    # k = 1, 2, alone
+    sq = SqueezeParams(0.7, 2.0)
+    for omega_c, t in itertools.product((1e-3, 1.0, 1e3), (1e-6, 1e-2, 1.0, 30.0, 1e3)):
+        point, sp = BathPoint(0.0, t), SpectralParams(s, omega_c)
+        expected, _ = hurwitz_reference.exponents(Estimand.SQUEEZE_AMPLITUDE, point, sq, sp)
+        assert point_exponents(None, point, sq, sp)[0] == pytest.approx(expected, rel=1e-12), (
+            omega_c, t)
+
+
+def test_long_time_sub_ohmic_gamma_matches_the_hurwitz_zeta_value():
+    # point --estimand T --temp 0.5 --time 1000 --r 0.5 --theta 1 --s 0.3; the value is
+    # ROADMAP item 2's, from an earlier evaluation of the same closed form
+    point, sq, sp = BathPoint(0.5, 1000.0), SqueezeParams(0.5, 1.0), SpectralParams(0.3)
+    expected = 234268.67760999647
+    assert hurwitz_reference.exponents(Estimand.TEMPERATURE, point, sq, sp)[0] == pytest.approx(
+        expected, rel=1e-13)
+    value = point_exponents(Estimand.TEMPERATURE, point, sq, sp)[0]
+    assert value == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("temperature,t,r,theta,s,key",
+                         [case for case in GAMMA_REFERENCES if case[4] not in (1.0, 2.0)])
+def test_zeta_oracle_reproduces_the_frozen_references(temperature, t, r, theta, s, key):
+    # s = 1 and s = 2 are poles of the oracle's closed form
+    expected = REFERENCE_VALUES[key]
+    assert hurwitz_reference.exponents(
+        Estimand.SQUEEZE_PHASE, BathPoint(temperature, t), SqueezeParams(r, theta),
+        SpectralParams(s),
+    )[0] == pytest.approx(expected, rel=1e-14)
+
+
+def test_large_cutoff_long_time_point_needs_few_nodes():
+    # omega_c t = 1e5: only the thermal part, which ends near 50 / (1/omega_c + 1/T), is
+    # integrated; integrating the vacuum part too took 13,750,396 nodes
+    estimand, point = Estimand.SQUEEZE_AMPLITUDE, BathPoint(0.5, 100.0)
+    sq, sp = SqueezeParams(0.5, 1.0), SpectralParams(0.5, 1000.0)
+    value, derivative, _, nodes = point_exponents(estimand, point, sq, sp)
+    assert nodes < 10**4
+    expected, expected_derivative = hurwitz_reference.exponents(estimand, point, sq, sp)
+    assert abs(value - expected) <= 1e-8 * expected
+    assert abs(derivative - expected_derivative) <= 1e-8 * max(abs(expected_derivative), expected)
+
+
+def _domain_sample():
+    """(estimand, point, squeeze, spectral) at the corners of the supported domain
+    (s in [0.05, 10], omega_c in [1e-3, 1e3], t <= 1e3, T >= 0, here T <= 100), then
+    at 200 seeded points inside it, T = 0 at every fifth."""
     estimands = list(Estimand)
-    checked = refined = 0
-    while checked < 200:
-        s = float(10.0 ** rng.uniform(-3.0, 1.0))
-        omega_c = float(10.0 ** rng.uniform(-2.0, 2.0))
-        t = float(10.0 ** rng.uniform(-2.0, math.log10(300.0)))
-        if omega_c * t * max(1.0, s) > 3e3:
-            continue
+    for k, (s, omega_c, t, T) in enumerate(itertools.product(
+            (0.05, 10.0), (1e-3, 1e3), (1e-6, 1e3), (0.0, 100.0))):
+        estimand = estimands[k % 3] if T > 0.0 else Estimand.SQUEEZE_AMPLITUDE
+        yield estimand, BathPoint(T, t), SqueezeParams(0.5, 1.0), SpectralParams(s, omega_c)
+    rng = np.random.default_rng(20261018)
+    for checked in range(200):
+        s = float(10.0 ** rng.uniform(math.log10(0.05), 1.0))
+        omega_c = float(10.0 ** rng.uniform(-3.0, 3.0))
+        t = float(10.0 ** rng.uniform(-6.0, 3.0))
         estimand = estimands[checked % 3]
         T = 0.0 if checked % 5 == 0 and estimand is not Estimand.TEMPERATURE else float(
             10.0 ** rng.uniform(-3.0, 2.0)
         )
-        point, sq = BathPoint(T, t), SqueezeParams(float(rng.uniform(0.0, 1.5)),
-                                                    float(rng.uniform(0.0, 2.0 * math.pi)))
-        sp = SpectralParams(s, omega_c)
-        sample = qfi_point(estimand, point, sq, sp, ProbeInit())
+        sq = SqueezeParams(float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.0, 2.0 * math.pi)))
+        yield estimand, BathPoint(T, t), sq, SpectralParams(s, omega_c)
+
+
+def test_seeded_domain_sample_is_finite():
+    # every point is finite, or too large for the node budget and refused with
+    # ConvergenceError before its rule is allocated
+    refused = refined = 0
+    for estimand, point, sq, sp in _domain_sample():
+        try:
+            sample = qfi_point(estimand, point, sq, sp, ProbeInit())
+        except ConvergenceError as exc:
+            assert "over the node budget" in str(exc), (point, sq, sp)
+            refused += 1
+            continue
         assert all(map(math.isfinite, (sample.gamma, sample.dgamma, sample.qfi))), (point, sq, sp)
-        engine = MomentEngine(estimand, sp, DEFAULT_QUADRATURE, [T], t)
-        refined += not engine.exponents(engine.moments([t]), sq)[2][0][0]
-        checked += 1
+        engine = MomentEngine(estimand, sp, DEFAULT_QUADRATURE, [point.temperature], point.time)
+        refined += not engine.exponents(engine.moments([point.time]), sq)[2][0][0]
+    assert refused > 0  # the corner omega_c = 1e3, t = 1e3, T = 100
     assert refined > 0  # the sample reaches the refined rule
+
+
+def test_seeded_domain_sample_meets_tolerance_against_the_zeta_oracle():
+    # inside the supported domain every result the engine returns meets 1e-8 on gamma,
+    # and on d gamma relative to max(|d gamma|, gamma)
+    for estimand, point, sq, sp in _domain_sample():
+        try:
+            value, derivative, _, _ = point_exponents(estimand, point, sq, sp)
+        except ConvergenceError:
+            continue  # refused for the node budget, checked above
+        expected, expected_derivative = hurwitz_reference.exponents(estimand, point, sq, sp)
+        assert abs(value - expected) <= 1e-8 * expected, (estimand, point, sq, sp)
+        assert abs(derivative - expected_derivative) <= 1e-8 * max(
+            abs(expected_derivative), expected), (estimand, point, sq, sp)
