@@ -2,9 +2,8 @@
 
 `gamma` and `gamma_partial` are single-point evaluations on the moment engine
 (`moments.point_exponents`), the same evaluation `qfi_engine.qfi_point` makes:
-a 1 x 1 batch on the base rule pair, and where that pair disagrees, on the
-refined rule. Each derivative integrates the integrand of
-`spectral_bath.derivative_rule`; central finite differences are shipped as a
+a 1 x 1 batch on the engine's rule pair. Each derivative integrates the
+integrand of `spectral_bath.derivative_rule`; central finite differences are shipped as a
 cross-validation oracle (`gamma_partial_fd`), not as a production path.
 
 Pure functions over immutable inputs; concurrently callable. No caches.
@@ -61,8 +60,7 @@ def gamma(
 
     t = 0 is exactly 0 with no integrand calls, and T = 0 needs none either:
     its gamma is all vacuum part, in closed form. Raises ConvergenceError when
-    the refined rule pair disagrees above tolerance or the rule would exceed
-    the node budget.
+    the rule pair disagrees above tolerance or would exceed the node budget.
     """
     value, _, est_error, evaluations = point_exponents(None, point, sq, sp, qc)
     return GammaResult(value=value, est_error=est_error, evaluations=evaluations)

@@ -26,34 +26,32 @@ temperature estimand), a temperature axis and a node axis, and is built in
 blocks of temperatures (`blocks`). A search that needs one time per
 temperature takes each temperature's row of F against its own kernel column
 instead (`pairs`), with F built once. Both products run through one method,
-which also adds the vacuum moments and the refined rule's closed-form head.
+which also adds the vacuum moments and sets every moment at t = 0 to exactly 0.
 
-The base rule is composite Gauss-Legendre, laid out from the batch's inputs:
+The rule is composite Gauss-Legendre, laid out from the batch's inputs:
 
-- a boundary panel [0, a], a = min(omega_c / 100, T_min / 2, 1 / t_max), under
-  w = a x**p with p = max(1, 2 / s), which turns the w**(s - 1) endpoint of
-  the integrand into a smooth function of x. a stays below the smallest
-  positive temperature and below 1 / t_max, so n(w) and E are smooth there;
+- a boundary panel [0, a], a = min(omega_c / 100, T_min / 2, 1 / t_max). a stays
+  below the smallest positive temperature and below 1 / t_max, so n(w) and E
+  are smooth there, and the integrand is w**(s - 1) times a smooth function.
+  The panel keeps its Gauss-Legendre nodes, with product-integration weights
+  exact for w**(s - 1) times any polynomial of degree below the rule's order:
+  W_i = g_i sum_k (2k + 1) P_k(2 x_i - 1) m_k on [0, 1], with the moments
+  m_k = int_0^1 u**(s - 1) P_k(2u - 1) du, m_0 = 1 / s and
+  m_k = m_(k-1) (s - k) / (s + k);
 - geometric panels (ratio at most 2) from a to min(omega_c, W);
 - every panel beyond a no wider than min(omega_c, 16 / t_max), so none spans
   more than 16 radians of the oscillation, up to the upper limit
   W = omega_max_factor * max(1, s) / (1 / omega_c + 1 / T_max), where
   exp(-w / omega_c) n(w) has decayed.
 
-An engine whose temperatures are all 0 has no thermal part and no rule. A rule
-pair of more than NODE_BUDGET nodes raises ConvergenceError before any of it
-is allocated.
+An engine whose temperatures are all 0, or whose times are, integrates nothing
+and has no rule. A rule pair of more than NODE_BUDGET nodes raises
+ConvergenceError before any of it is allocated.
 
 Every panel carries an order-20 rule and an order-24 rule. The order-24
 values are reported. A point where the two disagree by more than the
 QuadratureConfig tolerance, on gamma or on d gamma relative to
-max(|d gamma|, gamma), or are not finite (for small s, w = a x**p underflows
-to 0), is recomputed alone on the refined rule. That rule takes the head
-[0, w0], w0 = 1e-10 * min(omega_c, 1 / t, T), in closed form: there
-f E [1, cos, sin] of the thermal part is omega_c**(1 - s) w**(s - 1) 2T times
-(t**2 / 2) [1, 1, 0], and d coth / dT is 2 / w. Geometric panels carry it on
-to a, then the base panels follow, with no x**p map. Where the refined pair
-disagrees too, the point raises ConvergenceError.
+max(|d gamma|, gamma), or are not finite, raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 
 from .spectral_bath import BathPoint, Estimand, SpectralParams, SqueezeParams, derivative_rule
 
@@ -93,11 +91,8 @@ VACUUM_SERIES_CUTOFF = 1e-3
 # widest panel, in radians of the oscillation w t_max
 MAX_PHASE = 16.0
 
-# end of the refined rule's closed-form head, relative to the point's smallest scale
-HEAD = 1e-10
-
 # a rule whose weights under- or overflow computes non-finite moments without
-# warnings; they fail the pair check, which sends the point to the refined rule
+# warnings; they fail the pair check, which raises ConvergenceError
 _NON_FINITE = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
 
 
@@ -126,8 +121,7 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 class ConvergenceError(RuntimeError):
-    """The refined rule pair still disagreed above tolerance, or the rule pair
-    would exceed NODE_BUDGET nodes.
+    """The rule pair disagreed above tolerance, or would exceed NODE_BUDGET nodes.
 
     Carries the reported value, the pair's gap on it and the rule's node count,
     so callers can see how far off it ended up; a refused rule carries nan, nan
@@ -144,21 +138,20 @@ class ConvergenceError(RuntimeError):
 def _panel_layout(sp: SpectralParams, qc: QuadratureConfig,
                   temperatures: list[float], t_max: float) -> np.ndarray:
     """Panel edges from the boundary panel end a to the upper limit W of the thermal
-    part, empty where every temperature is 0.
+    part, empty where every temperature is 0 or t_max is.
 
     Raises ConvergenceError, naming (T_max, t_max), where the rule pair would
     exceed NODE_BUDGET nodes.
     """
     positive = [T for T in temperatures if T > 0.0]
-    if not positive:
+    if not positive or t_max == 0.0:  # no thermal part, or E(w, 0) = 0
         return np.empty(0)
     top = qc.omega_max_factor * max(1.0, sp.s) / (1.0 / sp.omega_c + 1.0 / max(positive))
-    a = min(sp.omega_c / 100.0, 0.5 * min(positive))
-    width = sp.omega_c
-    if t_max > 0.0:
-        a = min(a, 1.0 / t_max)
-        width = min(width, MAX_PHASE / t_max)
-    coarse = _geometric(a, min(sp.omega_c, top))
+    a = min(sp.omega_c / 100.0, 0.5 * min(positive), 1.0 / t_max)
+    width = min(sp.omega_c, MAX_PHASE / t_max)
+    # geometric edges from a to min(omega_c, top), ratio at most 2
+    hi = min(sp.omega_c, top)
+    coarse = np.geomspace(a, hi, math.ceil(math.log2(hi / a)) + 1)
     if top > coarse[-1]:
         coarse = np.append(coarse, top)
     spans = np.diff(coarse)
@@ -180,11 +173,6 @@ def _panel_layout(sp: SpectralParams, qc: QuadratureConfig,
     return np.concatenate([coarse[:1], edges])
 
 
-def _geometric(lo: float, hi: float) -> np.ndarray:
-    """Edges from lo to hi with ratio at most 2."""
-    return np.geomspace(lo, hi, math.ceil(math.log2(hi / lo)) + 1)
-
-
 @lru_cache(maxsize=None)
 def _unit_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule on [0, 1], cached: it costs more than a one-point batch."""
@@ -194,17 +182,36 @@ def _unit_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _rule(order: int, edges: np.ndarray, power: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite rule of one order on the panels of `edges`,
-    after the boundary panel [0, edges[0]] under w = edges[0] x**power unless power is None."""
+@lru_cache(maxsize=None)
+def _legendre_basis(order: int) -> np.ndarray:
+    """(2k + 1) P_k(2 x_i - 1) g_i on the nodes x_i and weights g_i of `_unit_rule`,
+    as [k, i], cached like it."""
     x, w = _unit_rule(order)
-    lo, width = edges[:-1, None], np.diff(edges)[:, None]
-    nodes, weights = (lo + width * x).ravel(), (width * w).ravel()
-    if power is None:
-        return nodes, weights
-    a = edges[0]
-    return (np.concatenate([a * x**power, nodes]),
-            np.concatenate([a * power * x ** (power - 1.0) * w, weights]))
+    basis = legvander(2.0 * x - 1.0, order - 1).T * (2.0 * np.arange(order) + 1.0)[:, None] * w
+    basis.flags.writeable = False
+    return basis
+
+
+def _boundary_weights(order: int, s: float) -> np.ndarray:
+    """Weights on the nodes of `_unit_rule` that integrate u**(s - 1) p(u) over [0, 1]
+    exactly for every polynomial p of degree below `order`: sum_k m_k (2k + 1) P_k g_i,
+    with m_k = int_0^1 u**(s - 1) P_k(2u - 1) du = prod_{j <= k} ((s - j) / (s + j)) / s."""
+    k = np.arange(float(order))
+    return np.cumprod((s - k) / (s + k)) @ _legendre_basis(order) / s
+
+
+def _rule(order: int, edges: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite rule of one order on the boundary panel
+    [0, edges[0]] and the panels of `edges`. The boundary panel's weights integrate
+    w**(s - 1) times a polynomial exactly, and are divided by w**(s - 1) there, so
+    the integrand's own w**(s - 2) factor applies on every panel alike."""
+    x, w = _unit_rule(order)
+    ends = np.concatenate([[0.0], edges])
+    width = np.diff(ends)[:, None]
+    nodes, weights = width * x, (width * w).ravel()
+    nodes += ends[:-1, None]
+    weights[:order] = edges[0] * _boundary_weights(order, s) / x ** (s - 1.0)
+    return nodes.ravel(), weights
 
 
 def _thermal(omega: np.ndarray, temperature: float) -> np.ndarray:
@@ -223,14 +230,6 @@ def _thermal_dT(omega: np.ndarray, temperature: float) -> np.ndarray:
     x = omega / (2.0 * temperature)
     em = np.expm1(-2.0 * x)
     return x * 4.0 * np.exp(-2.0 * x) / (em * em) / temperature
-
-
-def _head(thermal, temperature: float, s: float, w0: float) -> float:
-    """int_0^w0 w**s thermal(w, T) dw to leading order in w0 / T: the head's F entry
-    over omega_c**(1 - s)."""
-    if temperature == 0.0:
-        return 0.0
-    return (2.0 * temperature if thermal is _thermal else 2.0) * w0**s / s
 
 
 def _gamma_function(s: float) -> float:
@@ -311,34 +310,33 @@ class MomentEngine:
     so a search builds F once and reuses it every round; `moments` runs `scan`
     over every block. F has one thermal set per row of `derivative_rule`:
     2 n(w), then, for the temperature estimand, d coth / dT. `scan` and `pairs`
-    add the vacuum moments to the first set. `refined` selects the refined
-    layout, whose closed-form head they both add.
+    add the vacuum moments to the first set. `nodes` is the pair's node count.
     An engine does not change after construction, so the functions of
     `qfi_engine` and `sweep_optimize` stay safe to call concurrently.
     """
 
     def __init__(self, estimand: Estimand | None, sp: SpectralParams, qc: QuadratureConfig,
-                 temperatures: list[float], t_max: float, refined: bool = False):
+                 temperatures: list[float], t_max: float):
         self.estimand, self.sp, self.qc = estimand, sp, qc
         self._temperatures = list(temperatures)
         self._sets = [_thermal, _thermal_dT] if derivative_rule(estimand, 0.0)[0] else [_thermal]
         edges = _panel_layout(sp, qc, temperatures, t_max)
-        power, self._heads = max(1.0, 2.0 / sp.s), None
+        # per rule: nodes, and weights times J(w) / w**2, built in the weights' array
+        self._rules = []
         with np.errstate(**_NON_FINITE):
             scale = np.float64(sp.omega_c) ** (1.0 - sp.s)
-            if refined and edges.size:
-                scales = [sp.omega_c, *(T for T in temperatures if T > 0.0)]
-                w0 = HEAD * min(scales + ([1.0 / t_max] if t_max > 0.0 else []))
-                edges, power = np.concatenate([_geometric(w0, edges[0])[:-1], edges]), None
-                # per set and temperature, the head [0, w0] without its factor (t**2 / 2) [1, 1, 0]
-                self._heads = np.array([[scale * _head(thermal, T, sp.s, w0) for T in temperatures]
-                                        for thermal in self._sets])
-            # per rule: nodes, and weights times J(w) / w**2
-            self._rules = []
             for order in (ORDER, CHECK_ORDER):
-                omega, weights = _rule(order, edges, power) if edges.size else (edges, edges)
-                spectral = omega ** (sp.s - 2.0) * scale * np.exp(-omega / sp.omega_c)
-                self._rules.append((omega, weights * spectral))
+                if not edges.size:
+                    self._rules.append((edges, edges))
+                    continue
+                omega, weighted = _rule(order, edges, sp.s)
+                spectral = np.power(omega, sp.s - 2.0)
+                spectral *= scale
+                weighted *= spectral
+                np.exp(np.divide(omega, -sp.omega_c, out=spectral), out=spectral)
+                weighted *= spectral
+                self._rules.append((omega, weighted))
+        self.nodes = sum(omega.size for omega, _ in self._rules)
 
     def moments(self, times: list[float]) -> np.ndarray:
         """(M0, Mc, Ms) per rule, thermal set, temperature and time:
@@ -355,9 +353,8 @@ class MomentEngine:
         n_T = len(self._temperatures)
         return [range(i, min(i + size, n_T)) for i in range(0, n_T, size)]
 
-    def factors(self, block: range) -> tuple[list[np.ndarray], np.ndarray | None]:
-        """F of the temperatures in `block`, one (sets, temperatures, nodes) array per
-        rule, and the refined rule's head per set and temperature (None otherwise)."""
+    def factors(self, block: range) -> list[np.ndarray]:
+        """F of the temperatures in `block`, one (sets, temperatures, nodes) array per rule."""
         rules = []
         for omega, base in self._rules:
             factors = np.empty((len(self._sets), len(block), omega.size))
@@ -366,14 +363,15 @@ class MomentEngine:
                     for row, i in zip(rows, block):
                         np.multiply(base, thermal(omega, self._temperatures[i]), out=row)
             rules.append(factors)
-        return rules, None if self._heads is None else self._heads[:, block.start:block.stop]
+        return rules
 
-    def scan(self, factors: tuple, times: list[float]) -> np.ndarray:
+    def scan(self, factors: list[np.ndarray], times: list[float]) -> np.ndarray:
         """(M0, Mc, Ms) per rule, thermal set, temperature of `factors` and time:
         shape (2, sets, temperatures, 3, n_t)."""
         return self._product(factors, np.asarray(times, dtype=float), None)
 
-    def pairs(self, factors: tuple, temperatures: list[int], times: list[float]) -> np.ndarray:
+    def pairs(self, factors: list[np.ndarray], temperatures: list[int],
+              times: list[float]) -> np.ndarray:
         """(M0, Mc, Ms) per rule and thermal set of each (temperature, time) pair, not
         of their cross product: shape (2, sets, 1, 3, pairs).
 
@@ -381,16 +379,16 @@ class MomentEngine:
         """
         return self._product(factors, np.asarray(times, dtype=float), temperatures)
 
-    def _product(self, factors: tuple, times: np.ndarray, picks: list[int] | None) -> np.ndarray:
-        """F @ K, K in blocks of times below K_BYTES, plus the vacuum moments and the
-        closed-form head: every temperature at every time, or with `picks` temperature
-        picks[p] at times[p]."""
-        rules, heads = factors
-        sets, n_T = rules[0].shape[:2]
+    def _product(self, factors: list[np.ndarray], times: np.ndarray,
+                 picks: list[int] | None) -> np.ndarray:
+        """F @ K, K in blocks of times below K_BYTES, plus the vacuum moments: every
+        temperature at every time, or with `picks` temperature picks[p] at times[p].
+        Every moment at t = 0 is exactly 0, as E(w, 0) is, even where F is not finite."""
+        sets, n_T = factors[0].shape[:2]
         out = np.zeros((2, sets, n_T if picks is None else 1, 3, times.size))
         with np.errstate(**_NON_FINITE):
-            for k, ((omega, _), rows) in enumerate(zip(self._rules, rules)):
-                if not omega.size:  # every temperature is 0: no thermal part
+            for k, ((omega, _), rows) in enumerate(zip(self._rules, factors)):
+                if not omega.size:  # no thermal part to integrate
                     continue
                 chunk = max(1, K_BYTES // (24 * omega.size))
                 for t0 in range(0, times.size, chunk):
@@ -403,14 +401,15 @@ class MomentEngine:
                         out[k, :, 0, :, span] = np.einsum("spw,wcp->scp", rows[:, picks[span]],
                                                           kernel)
             out[:, 0] += _vacuum(self.sp, times)  # the 2 n(w) set carries all of coth
-            if heads is not None:
-                half = 0.5 * times**2
-                head = heads[:, :, None] * half if picks is None else heads[:, None, picks] * half
-                out[:, :, :, :2] += head[:, :, None]
+        out[..., times == 0.0] = 0.0
         return out
 
-    def _pair(self, moments: np.ndarray, sq: SqueezeParams) -> tuple[np.ndarray, ...]:
-        """gamma and d gamma / d estimand per rule and (T, t), and the pair's agreement."""
+    def exponents(self, moments: np.ndarray, sq: SqueezeParams) -> tuple[list, ...]:
+        """gamma, d gamma / d estimand, the pair's agreement and its gap on gamma per
+        (T, t), as nested lists.
+
+        Takes the output of `moments` or `scan`, or of `pairs` as one row.
+        """
         cos_th, sin_th = math.cos(sq.theta), math.sin(sq.theta)
 
         def assemble(estimand):
@@ -429,26 +428,28 @@ class MomentEngine:
             agree = agrees(value, np.abs(value[1])) & agrees(
                 derivative, np.maximum(np.abs(derivative[1]), value[1])
             )
-        return value, derivative, agree
-
-    def exponents(self, moments: np.ndarray, sq: SqueezeParams) -> tuple[list, list, list]:
-        """gamma, d gamma / d estimand and pair agreement per (T, t), as nested lists.
-
-        Takes the output of `moments` or `scan`, or of `pairs` as one row.
-        """
-        value, derivative, agree = self._pair(moments, sq)
+            gap = np.abs(value[0] - value[1])
         # the integrand of gamma is non-negative; roundoff can undershoot 0
-        return np.maximum(value[1], 0.0).tolist(), derivative[1].tolist(), agree.tolist()
+        return (np.maximum(value[1], 0.0).tolist(), derivative[1].tolist(), agree.tolist(),
+                gap.tolist())
 
-    def settle(self, exponents: tuple[list, list, list], i: int, j: int,
-               point: BathPoint, sq: SqueezeParams) -> tuple[float, float, bool]:
-        """(gamma, d gamma) at row i, time j, and whether they took the refined rule,
-        as they do where the pair disagreed at t > 0 (t = 0 is exactly 0)."""
-        values, derivatives, agree = exponents
-        if agree[i][j]:
-            return values[i][j], derivatives[i][j], False
-        gamma_value, dgamma = _one_point(self.estimand, point, sq, self.sp, self.qc, (True,))[:2]
-        return gamma_value, dgamma, point.time > 0.0
+    def exponent(self, exponents: tuple[list, ...], i: int, j: int,
+                 point: BathPoint) -> tuple[float, float]:
+        """(gamma, d gamma) at row i, time j of `exponents`, which sit at `point`.
+
+        Raises ConvergenceError, naming the point, where the pair disagrees there.
+        """
+        values, derivatives, agree, gaps = exponents
+        if not agree[i][j]:
+            raise ConvergenceError(
+                f"rule pair disagrees at (T, t) = ({point.temperature!r}, {point.time!r}): "
+                f"gamma {values[i][j]!r}, pair gap {gaps[i][j]:.3e} above tolerance "
+                f"(rel_tol {self.qc.rel_tol:g}, abs_tol {self.qc.abs_tol:g}) on gamma or d gamma",
+                value=values[i][j],
+                est_error=gaps[i][j],
+                evaluations=self.nodes,
+            )
+        return values[i][j], derivatives[i][j]
 
 
 def point_exponents(estimand: Estimand | None, point: BathPoint, sq: SqueezeParams,
@@ -456,33 +457,12 @@ def point_exponents(estimand: Estimand | None, point: BathPoint, sq: SqueezePara
                     ) -> tuple[float, float, float, int]:
     """gamma, d gamma / d estimand, the pair's gap on gamma and its node count at one point.
 
-    A 1 x 1 batch on the base rule pair, then, where that pair disagrees, on
-    the refined rule; estimand None takes gamma itself as the derivative.
-    t = 0 is exactly 0 with no nodes, and T = 0 takes no nodes either. Raises
-    ConvergenceError where the refined pair disagrees too, or where the rule
-    would exceed NODE_BUDGET.
+    A 1 x 1 batch; estimand None takes gamma itself as the derivative. t = 0 is
+    exactly 0 with no nodes, and T = 0 takes no nodes either. Raises
+    ConvergenceError where the pair disagrees, or where the rule would exceed
+    NODE_BUDGET.
     """
-    return _one_point(estimand, point, sq, sp, qc, (False, True))
-
-
-def _one_point(estimand: Estimand | None, point: BathPoint, sq: SqueezeParams,
-               sp: SpectralParams, qc: QuadratureConfig,
-               layouts: tuple[bool, ...]) -> tuple[float, float, float, int]:
-    """`point_exponents` on each of `layouts` (refined or not) in turn until a pair agrees."""
-    if point.time == 0.0:
-        return 0.0, 0.0, 0.0, 0
-    for refined in layouts:
-        engine = MomentEngine(estimand, sp, qc, [point.temperature], point.time, refined)
-        value, derivative, agree = engine._pair(engine.moments([point.time]), sq)
-        gamma_value, gap = value[1].item(), abs(value[0] - value[1]).item()
-        nodes = sum(omega.size for omega, _ in engine._rules)
-        if agree.item():
-            return max(gamma_value, 0.0), derivative[1].item(), gap, nodes
-    raise ConvergenceError(
-        f"rule pair disagrees at (T, t) = ({point.temperature!r}, {point.time!r}) on the "
-        f"refined rule: gamma {gamma_value!r}, pair gap {gap:.3e} above tolerance "
-        f"(rel_tol {qc.rel_tol:g}, abs_tol {qc.abs_tol:g}) on gamma or d gamma",
-        value=gamma_value,
-        est_error=gap,
-        evaluations=nodes,
-    )
+    engine = MomentEngine(estimand, sp, qc, [point.temperature], point.time)
+    exponents = engine.exponents(engine.moments([point.time]), sq)
+    gamma_value, dgamma = engine.exponent(exponents, 0, 0, point)
+    return gamma_value, dgamma, exponents[3][0][0], engine.nodes

@@ -5,9 +5,9 @@ The production route evaluates the closed form
     I = sin(alpha)^2 * (d gamma / d eta)^2 / (exp(2 gamma) - 1)
 
 with the analytic parameter derivative of the decay exponent: `qfi_point`
-evaluates both for one point on the moment engine (`moments.point_exponents`,
-on the refined rule where the base rule pair disagrees), `qfi_sample` takes
-them from any caller that has them, such as a batch on that engine.
+evaluates both for one point on the moment engine (`moments.point_exponents`),
+`qfi_sample` takes them from any caller that has them, such as a batch on that
+engine.
 The oracle route (`qfi_spectral`) differentiates the spectral decomposition
 of the density matrix by gauge-fixed central differences and sums the
 general two-term formula

@@ -4,10 +4,9 @@ Every table and search runs on the moment engine (`moments`), as single
 points do. A table is one batch: the temperature factors once per table, the
 time kernel once per distinct time, then each row's exponent and derivative
 by algebra on the moments. Sweeps, grids and curves turn each cell into a
-sample through one step (`_cell`): cells where the engine's rule pair
-disagrees at t > 0 are recomputed on its refined rule and counted in the
-metadata as `fallbacks`; a cell whose refined pair disagrees too, or whose
-sample is not finite, aborts the run with the cell's location.
+sample through one step (`_cell`): a cell where the engine's rule pair
+disagrees, or whose sample is not finite, aborts the run with the cell's
+location.
 Rows are assembled sequentially, so identical specs always produce
 bit-identical tables. The optimal-time search brackets the global maximum
 with a coarse scan before golden-section refinement, because the squeezing
@@ -166,14 +165,12 @@ class OptimalTimeSpec:
 
 @dataclass(frozen=True)
 class OptimalTimeResult:
-    """Interaction time maximizing the information at one temperature; `fallbacks`
-    counts the search's points the moment engine computed on its refined rule."""
+    """Interaction time maximizing the information at one temperature."""
 
     temperature: float
     t_star: float
     qfi_star: float
     bracket: float
-    fallbacks: int = 0
 
 
 @dataclass(frozen=True)
@@ -185,15 +182,14 @@ class OptimalTimeCurve:
     metadata: dict = field(compare=False)
 
 
-def run_metadata(qc: QuadratureConfig, **counts: int) -> dict:
-    """Tool, version, quadrature settings, any counts of the run, and a UTC timestamp."""
+def run_metadata(qc: QuadratureConfig) -> dict:
+    """Tool, version, quadrature settings and a UTC timestamp."""
     from . import __version__
 
     return {
         "tool": "qfibath",
         "version": __version__,
         "quadrature": asdict(qc),
-        **counts,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 
@@ -215,12 +211,11 @@ def _aborted_at(where: str):
 
 
 def _cell(engine: MomentEngine, exponents: tuple, cell: tuple[int, int], point: BathPoint,
-          sq: SqueezeParams, init: ProbeInit, where: str) -> tuple[QfiSample, bool]:
-    """The sample at `cell` (i, j) of `exponents`, which sits at `point`, and whether
-    the engine computed it on its refined rule. A failure, or a sample that is not
-    finite, raises with `where` attached."""
+          sq: SqueezeParams, init: ProbeInit, where: str) -> QfiSample:
+    """The sample at `cell` (i, j) of `exponents`, which sits at `point`. A pair that
+    disagrees there, or a sample that is not finite, raises with `where` attached."""
     with _aborted_at(where):
-        gamma_value, dgamma, refined = engine.settle(exponents, *cell, point, sq)
+        gamma_value, dgamma = engine.exponent(exponents, *cell, point)
         sample = qfi_sample(engine.estimand, point, sq, engine.sp, init, gamma_value, dgamma)
         if not all(map(isfinite, (sample.gamma, sample.dgamma, sample.qfi))):
             raise ConvergenceError(
@@ -230,7 +225,7 @@ def _cell(engine: MomentEngine, exponents: tuple, cell: tuple[int, int], point: 
                 est_error=float("nan"),
                 evaluations=0,
             )
-    return sample, refined
+    return sample
 
 
 def _with_axis_value(
@@ -261,18 +256,16 @@ def sweep(spec: SweepSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> SweepTa
     engine = MomentEngine(spec.estimand, spec.sp, qc, temperatures, max(times))
     moments = engine.moments(times)
     exponents = engine.exponents(moments, spec.sq)
-    rows, fallbacks = [], 0
+    rows = []
     for k, value in enumerate(values):
         point, sq, init = _with_axis_value(spec.axis, value, spec.point, spec.sq, spec.init)
         if spec.axis in ("r", "theta"):
             exponents = engine.exponents(moments, sq)
         cell = (k if spec.axis == "T" else 0, k if spec.axis == "t" else 0)
-        sample, refined = _cell(engine, exponents, cell, point, sq, init,
-                                f"sweep aborted at {spec.axis} = {value!r}")
-        fallbacks += refined
+        sample = _cell(engine, exponents, cell, point, sq, init,
+                       f"sweep aborted at {spec.axis} = {value!r}")
         rows.append((value, sample.gamma, sample.dgamma, sample.qfi))
-    metadata = run_metadata(qc, fallbacks=fallbacks)
-    return SweepTable(spec=spec, rows=tuple(rows), metadata=metadata)
+    return SweepTable(spec=spec, rows=tuple(rows), metadata=run_metadata(qc))
 
 
 def density_grid(spec: GridSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> GridTable:
@@ -281,16 +274,12 @@ def density_grid(spec: GridSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> G
     times = [float(t) for t in np.linspace(spec.t_lo, spec.t_hi, spec.t_points)]
     engine = MomentEngine(spec.estimand, spec.sp, qc, temperatures, times[-1])
     exponents = engine.exponents(engine.moments(times), spec.sq)
-    samples, fallbacks = [], 0
-    for i, temperature in enumerate(temperatures):
-        for j, time in enumerate(times):
-            sample, refined = _cell(engine, exponents, (i, j), BathPoint(temperature, time),
-                                    spec.sq, spec.init,
-                                    f"grid aborted at (T, t) = ({temperature!r}, {time!r})")
-            fallbacks += refined
-            samples.append(sample)
-    metadata = run_metadata(qc, fallbacks=fallbacks)
-    return GridTable(spec=spec, samples=tuple(samples), metadata=metadata)
+    samples = [
+        _cell(engine, exponents, (i, j), BathPoint(temperature, time), spec.sq, spec.init,
+              f"grid aborted at (T, t) = ({temperature!r}, {time!r})")
+        for i, temperature in enumerate(temperatures) for j, time in enumerate(times)
+    ]
+    return GridTable(spec=spec, samples=tuple(samples), metadata=run_metadata(qc))
 
 
 def _search(times: list[float], tolerance: float):
@@ -330,17 +319,14 @@ def _search_block(engine: MomentEngine, block: range, temperatures: list[float],
                   spec: OptimalTimeSpec) -> list[OptimalTimeResult]:
     """The searches of one block of the engine's temperatures, round by round."""
     factors = engine.factors(block)
-    fallbacks = [0] * len(block)
 
     def information(exponents, i: int, j: int, row: int, time: float) -> float:
         """qfi from cell (i, j) of `exponents`, at the block's row-th temperature and `time`."""
         temperature = temperatures[block[row]]
-        sample, refined = _cell(
+        return _cell(
             engine, exponents, (i, j), BathPoint(temperature, time), spec.sq, spec.init,
             f"optimal-time search aborted at (T, t) = ({temperature!r}, {time!r})",
-        )
-        fallbacks[row] += refined
-        return sample.qfi
+        ).qfi
 
     scan = [float(time) for time in np.linspace(0.0, spec.t_max, spec.coarse_points)]
     searches = [_search(scan, 1e-4 * spec.t_max) for _ in block]
@@ -367,8 +353,7 @@ def _search_block(engine: MomentEngine, block: range, temperatures: list[float],
         values = {row: [next(flat) for _ in times] for row, times in probes.items()}
     return [
         OptimalTimeResult(temperature=temperatures[i], t_star=outcomes[row][0],
-                          qfi_star=outcomes[row][1], bracket=outcomes[row][2],
-                          fallbacks=fallbacks[row])
+                          qfi_star=outcomes[row][1], bracket=outcomes[row][2])
         for row, i in enumerate(block)
     ]
 
@@ -392,8 +377,7 @@ def optimal_time_curve(
     results = []
     for block in engine.blocks():
         results += _search_block(engine, block, temperatures, spec)
-    metadata = run_metadata(qc, fallbacks=sum(result.fallbacks for result in results))
-    return OptimalTimeCurve(spec=spec, results=tuple(results), metadata=metadata)
+    return OptimalTimeCurve(spec=spec, results=tuple(results), metadata=run_metadata(qc))
 
 
 def optimal_time(

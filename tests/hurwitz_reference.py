@@ -15,9 +15,18 @@ moments of (1 - cos wt) [1, cos wt, sin wt], and gamma and each derivative
 are written out from the squeezing bracket below. d/dT uses
 d zeta(q, alpha) / d alpha = -q zeta(q + 1, alpha).
 
+s = 1 and s = 2 are poles of Gamma(s - 1) and of zeta(1, .); the oracle takes
+their limits. At s = 2, zeta(1 + e, a) - zeta(1 + e, b) -> psi(b) - psi(a). At
+s = 1 the vacuum part tends to log(1 - i k omega_c t), and with
+zeta(e, a) = 1/2 - a + e (log Gamma(a) - log(2 pi) / 2) + O(e**2) the thermal
+part tends to 2 [log Gamma(a) - log Gamma(a - i k T t)] and its d/dT, from
+zeta(1 + e, a) = 1 / e - psi(a) + O(e), to
+2 [psi(a) / omega_c - psi(a - i k T t) (1 / omega_c - i k t)]. The parts left
+out, finite or divergent, are imaginary and linear in k, so they cancel in
+(M0, Mc, Ms).
+
 mpmath at 30 digits, no quadrature, and no package code but the parameter
-records. s = 1 and s = 2 are poles of Gamma(s - 1) and zeta(1, .), which
-this oracle does not resolve.
+records.
 """
 
 import mpmath as mp
@@ -33,28 +42,41 @@ def _moments(integrals):
     return first.real, second.real / 2 - first.real, second.imag / 2 - first.imag
 
 
+def _difference(q, a, b):
+    """zeta(q, a) - zeta(q, b), which tends to psi(b) - psi(a) at the pole q = 1."""
+    return mp.digamma(b) - mp.digamma(a) if q == 1 else mp.zeta(q, a) - mp.zeta(q, b)
+
+
 def exponents(estimand, point, sq, sp):
     """(gamma, d gamma / d estimand) as floats."""
     with mp.workdps(DPS):
         T, t = mp.mpf(point.temperature), mp.mpf(point.time)
         r, theta = mp.mpf(sq.r), mp.mpf(sq.theta)
         s, omega_c = mp.mpf(sp.s), mp.mpf(sp.omega_c)
-        q, scale = s - 1, mp.gamma(s - 1)
+        q = s - 1
         a = 1 + T / omega_c
         integrals, integrals_dT = [], []
         for k in (1, 2):
-            vacuum = scale * (1 - (1 - 1j * k * omega_c * t) ** (1 - s))
             thermal = thermal_dT = 0
-            if T > 0:
-                shifted = a - 1j * k * T * t
-                factor = 2 * omega_c ** (1 - s) * scale
-                difference = mp.zeta(q, a) - mp.zeta(q, shifted)
-                thermal = factor * T**q * difference
-                thermal_dT = factor * q * (
-                    T ** (q - 1) * difference
-                    + T**q * (mp.zeta(q + 1, shifted) * (1 / omega_c - 1j * k * t)
-                              - mp.zeta(q + 1, a) / omega_c)
-                )
+            shifted = a - 1j * k * T * t
+            if q == 0:
+                vacuum = mp.log(1 - 1j * k * omega_c * t)
+                if T > 0:
+                    thermal = 2 * (mp.loggamma(a) - mp.loggamma(shifted))
+                    thermal_dT = 2 * (mp.digamma(a) / omega_c
+                                      - mp.digamma(shifted) * (1 / omega_c - 1j * k * t))
+            else:
+                scale = mp.gamma(q)
+                vacuum = scale * (1 - (1 - 1j * k * omega_c * t) ** (1 - s))
+                if T > 0:
+                    factor = 2 * omega_c ** (1 - s) * scale
+                    difference = _difference(q, a, shifted)
+                    thermal = factor * T**q * difference
+                    thermal_dT = factor * q * (
+                        T ** (q - 1) * difference
+                        + T**q * (mp.zeta(q + 1, shifted) * (1 / omega_c - 1j * k * t)
+                                  - mp.zeta(q + 1, a) / omega_c)
+                    )
             integrals.append(vacuum + thermal)
             integrals_dT.append(thermal_dT)
 

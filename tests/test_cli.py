@@ -248,7 +248,6 @@ def test_json_layout(tmp_path):
     assert payload["spec"]["subcommand"] == "sweep"
     assert payload["metadata"]["columns"] == ["axis", "value", "gamma", "dgamma", "qfi"]
     assert payload["metadata"]["version"] == __version__
-    assert payload["metadata"]["fallbacks"] == 0
     assert len(payload["rows"]) == 4
     assert payload["rows"][0][0] == "t"
     assert payload["rows"][0][4] == 0.0
@@ -256,7 +255,6 @@ def test_json_layout(tmp_path):
     assert run_cli(OPT_TIME_ARGS + ["--format", "json", "--out", str(opt_out)]) == 0
     metadata = json.loads(opt_out.read_text(encoding="utf-8"))["metadata"]
     assert metadata["columns"] == ["T", "t_star", "qfi_star"]
-    assert metadata["fallbacks"] == 0
 
 
 def test_minimal_grid_round_trips_against_point_calls(tmp_path):
@@ -344,22 +342,6 @@ def test_opt_time_curve_matches_the_library_per_temperature(tmp_path):
         assert abs(qfi_star - result.qfi_star) <= 1e-12 * result.qfi_star
 
 
-def test_opt_time_fallbacks_in_metadata_are_the_per_temperature_sum(tmp_path):
-    # at s = 0.02 the base rule's moments are not finite, so the searches refine
-    out = tmp_path / "opt.json"
-    argv = with_flags(OPT_TIME_ARGS, {"--T-points": "2", "--s": "0.02"}) + [
-        "--format", "json", "--out", str(out)]
-    assert run_cli(argv) == 0
-    payload = json.loads(out.read_text(encoding="utf-8"))
-    counts = [
-        optimal_time(temperature, Estimand.TEMPERATURE, SqueezeParams(0.5, 1.0),
-                     SpectralParams(0.02), t_max=4.0).fallbacks
-        for temperature, _, _ in payload["rows"]
-    ]
-    assert min(counts) > 0
-    assert payload["metadata"]["fallbacks"] == sum(counts)
-
-
 def test_stdout_output_matches_file_output(tmp_path, capsys):
     out = tmp_path / "point.csv"
     assert run_cli(POINT_ARGS + ["--out", str(out)]) == 0
@@ -420,8 +402,7 @@ def test_reproduce_figures_writes_every_recipe_table(tmp_path):
 
 
 def test_quadrature_starvation_exits_three(capsys, monkeypatch):
-    # an order-2 rule disagrees with its check rule on the base layout and on
-    # the refined one
+    # an order-2 rule disagrees with its check rule
     monkeypatch.setattr(moments, "ORDER", 2)
     argv = ["point", "--estimand", "T", "--temp", "1", "--time", "3.7",
             "--r", "1", "--theta", "1", "--s", "0.5"]
@@ -451,8 +432,8 @@ def test_cancelling_panels_do_not_raise_a_false_convergence_error(tmp_path):
 
 # (argv, gamma, dgamma) with gamma and dgamma from an independent 20-digit mpmath
 # quadrature of the integral's definition. The first point lost 1.1e-7 relative
-# on gamma to adaptive quadrature; the other two made it exit 3. The last five
-# refine; their values come from the 30-digit log-variable mpmath integral of
+# on gamma to adaptive quadrature; the other two made it exit 3. The next five
+# sit at s <= 0.05; their values come from the 30-digit log-variable mpmath integral of
 # scripts/make_oracle_points.py. Adaptive quadrature was 3.4e-4 off on d gamma
 # at the two s ~ 0.02 points and 4.9e-7 off at s = 0.001, and exited 3 on the two
 # s = 0.05 points. The last six sit at omega_c t = 1e-6 and 1e-4, below the
@@ -549,7 +530,7 @@ def test_module_entry_point_runs_in_a_subprocess():
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
-    # nor does a point on the refined rule (s = 0.02) or one that fails on it (s = 150)
+    # nor does a point at s = 0.02 or one whose rule pair fails (s = 150)
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     code = textwrap.dedent("""

@@ -23,7 +23,7 @@ SQUEEZES = [SqueezeParams(0.0), SqueezeParams(1.2, 2.5), SqueezeParams(3.0, 5.5)
 def engine_point(estimand, point, sq, sp):
     """(gamma, dgamma, pair agreement) of one point through the engine."""
     engine = MomentEngine(estimand, sp, DEFAULT_QUADRATURE, [point.temperature], point.time)
-    values, derivatives, agree = engine.exponents(engine.moments([point.time]), sq)
+    values, derivatives, agree, _ = engine.exponents(engine.moments([point.time]), sq)
     return values[0][0], derivatives[0][0], agree[0][0]
 
 
@@ -42,7 +42,7 @@ def test_engine_matches_the_adaptive_path(estimand, s):
     engine = MomentEngine(estimand, sp, DEFAULT_QUADRATURE, TEMPERATURES, max(TIMES))
     batch = engine.moments(TIMES)
     for sq in SQUEEZES:
-        values, derivatives, agree = engine.exponents(batch, sq)
+        values, derivatives, agree, _ = engine.exponents(batch, sq)
         for i, temperature in enumerate(TEMPERATURES):
             for j, time in enumerate(TIMES):
                 point = BathPoint(temperature, time)
@@ -98,7 +98,7 @@ def test_zero_time_is_exactly_zero(estimand):
     engine = MomentEngine(estimand, SpectralParams(0.5), DEFAULT_QUADRATURE, [0.0, 1.0], 5.0)
     batch = engine.moments([0.0, 5.0])
     assert np.all(batch[..., 0] == 0.0)
-    values, derivatives, agree = engine.exponents(batch, SqueezeParams(0.7, 2.0))
+    values, derivatives, agree, _ = engine.exponents(batch, SqueezeParams(0.7, 2.0))
     for i in range(2):
         assert values[i][0] == 0.0 and derivatives[i][0] == 0.0 and agree[i][0]
 
@@ -129,33 +129,48 @@ def test_vectorized_thermal_factors_match_references():
     )
 
 
-def test_pair_disagreement_refines_the_point():
-    # at s = 0.02 the base rule's map w = a x**(2 / s) underflows to w = 0, so its
-    # moments are not finite and every point goes to the refined rule; the t = 0
-    # points are exactly 0 with no nodes and are not counted
+@pytest.mark.parametrize("s", [0.001, 0.05, 0.5, 1.0, 2.0, 2.5, 10.0])
+@pytest.mark.parametrize("order", [moments.ORDER, moments.CHECK_ORDER])
+def test_boundary_weights_are_exact_for_the_endpoint_power(s, order):
+    # int_0^1 u**(s - 1) u**k du = 1 / (s + k) for every k below the order
+    x, weights = moments._unit_rule(order)
+    boundary = moments._boundary_weights(order, s)
+    for k in range(order):
+        assert abs(boundary @ x**k * (s + k) - 1.0) <= 1e-10, k
+    if s == 1.0:
+        assert np.array_equal(boundary, weights)  # Gauss-Legendre itself
+
+
+def test_sub_ohmic_grid_cells_equal_point_evaluations_and_the_oracle():
+    # at s = 0.02 the w**(s - 1) endpoint carries most of gamma; the t = 0 cells are
+    # exactly 0
     sq, sp = SqueezeParams(0.1, 1.0), SpectralParams(0.02)
     spec = GridSpec(
         estimand=Estimand.TEMPERATURE, t_lo=0.0, t_hi=1.5, T_lo=0.4, T_hi=0.8,
         t_points=3, T_points=2, sq=sq, sp=sp,
     )
-    table = density_grid(spec)
-    assert table.metadata["fallbacks"] == 4
-    for sample in table.samples:
+    for sample in density_grid(spec).samples:
         if sample.point.time == 0.0:
             assert sample.gamma == 0.0 and sample.dgamma == 0.0
             continue
         assert math.isfinite(sample.qfi) and sample.gamma > 0.0
-        assert (sample.gamma, sample.dgamma) == point_exponents(
-            Estimand.TEMPERATURE, sample.point, sq, sp
-        )[:2]
+        # the grid's rule spans all its cells, the point's rule only the point
+        value, derivative, _, _ = point_exponents(Estimand.TEMPERATURE, sample.point, sq, sp)
+        assert abs(sample.gamma - value) <= 1e-12 * value
+        assert abs(sample.dgamma - derivative) <= 1e-12 * max(abs(derivative), value)
+        assert within_tolerance(sample.gamma, sample.dgamma, *hurwitz_reference.exponents(
+            Estimand.TEMPERATURE, sample.point, sq, sp))
 
 
-def test_agreeing_grid_counts_no_fallback():
-    spec = GridSpec(
-        estimand=Estimand.SQUEEZE_AMPLITUDE, t_lo=0.0, t_hi=10.0, T_lo=0.01, T_hi=3.0,
-        t_points=5, T_points=4, sq=SqueezeParams(0.1, 1.0), sp=SpectralParams(0.5),
-    )
-    assert density_grid(spec).metadata["fallbacks"] == 0
+def test_zero_time_is_exactly_zero_where_the_moments_are_not_finite():
+    # at s = 150 J(w) overflows on the rule, so every t > 0 cell disagrees
+    engine = MomentEngine(Estimand.TEMPERATURE, SpectralParams(150.0), DEFAULT_QUADRATURE,
+                          [0.5], 1.0)
+    batch = engine.moments([0.0, 1.0])
+    assert np.all(batch[..., 0] == 0.0) and not np.all(np.isfinite(batch[..., 1]))
+    assert engine.exponents(batch, SqueezeParams(0.5, 1.0))[2] == [[True, False]]
+    assert point_exponents(Estimand.TEMPERATURE, BathPoint(0.5, 0.0), SqueezeParams(0.5, 1.0),
+                           SpectralParams(150.0)) == (0.0, 0.0, 0.0, 0)
 
 
 def test_long_time_grid_is_chunked_and_matches_a_single_block(monkeypatch):
@@ -166,7 +181,6 @@ def test_long_time_grid_is_chunked_and_matches_a_single_block(monkeypatch):
     )
     table = density_grid(spec)
     assert len(table.samples) == 800
-    assert table.metadata["fallbacks"] == 0
     temperatures = [0.5, 1.0]
     times = [float(t) for t in np.linspace(0.0, 1000.0, 400)]
     engine = MomentEngine(spec.estimand, sp, DEFAULT_QUADRATURE, temperatures, 1000.0)
@@ -175,7 +189,7 @@ def test_long_time_grid_is_chunked_and_matches_a_single_block(monkeypatch):
     monkeypatch.setattr(moments, "K_BYTES", 2**62)
     monkeypatch.setattr(moments, "F_BYTES", 2**62)
     picked = list(range(0, 400, 40)) + [399]
-    values, derivatives, _ = engine.exponents(engine.moments([times[j] for j in picked]), sq)
+    values, derivatives, _, _ = engine.exponents(engine.moments([times[j] for j in picked]), sq)
     for i in range(2):
         for k, j in enumerate(picked):
             sample = table.samples[400 * i + j]
@@ -236,11 +250,11 @@ def test_blocks_cover_the_temperatures_within_the_factor_bound(monkeypatch):
 
 
 @pytest.mark.parametrize("estimand", list(Estimand))
-def test_every_product_of_a_refined_engine_adds_the_head(estimand):
-    # at s = 0.02 the head [0, w0] carries over half of gamma
+def test_every_product_of_a_sub_ohmic_engine_agrees(estimand):
+    # at s = 0.02 the boundary panel carries most of gamma
     sq, temperatures, times = SqueezeParams(0.5, 1.0), [0.5, 1.0], [0.5, 1.0]
     engine = MomentEngine(estimand, SpectralParams(0.02), DEFAULT_QUADRATURE,
-                          temperatures, max(times), refined=True)
+                          temperatures, max(times))
     factors = engine.factors(range(2))
     rows = [i for i in range(2) for _ in times]
     expected = engine.exponents(engine.moments(times), sq)
@@ -255,28 +269,6 @@ def test_every_product_of_a_refined_engine_adds_the_head(estimand):
     assert expected[0][0][1] == pytest.approx(
         point_exponents(None, BathPoint(0.5, 1.0), sq, SpectralParams(0.02))[0], rel=1e-12
     )
-
-
-@pytest.mark.parametrize(
-    "temperature,t,r,theta,s,key",
-    [
-        (0.7, 1.3, 0.4, 1.1, 0.5, "gamma_T0.7_t1.3_r0.4_th1.1_s0.5"),
-        (0.7, 1.3, 0.4, 1.1, 3.0, "gamma_T0.7_t1.3_r0.4_th1.1_s3"),
-        (1.0, 5.0, 1.5, math.pi, 0.5, "gamma_T1_t5_r1.5_thpi_s0.5"),
-        (0.0, 1.0, 0.5, 2.0, 0.5, "gamma_T0_t1_r0.5_th2_s0.5"),
-    ],
-)
-def test_refined_rule_matches_high_precision_references(temperature, t, r, theta, s, key):
-    point, sq = BathPoint(temperature, t), SqueezeParams(r, theta)
-    engine = MomentEngine(Estimand.TEMPERATURE, SpectralParams(s), DEFAULT_QUADRATURE,
-                          [temperature], t, refined=True)
-    values, derivatives, agree = engine.exponents(engine.moments([t]), sq)
-    assert agree[0][0]
-    assert values[0][0] == pytest.approx(REFERENCE_VALUES[key], rel=1e-10)
-    # the closed-form head and the extra panels leave the refined derivative on the base one
-    if temperature > 0.0:
-        _, derivative, _, _ = point_exponents(Estimand.TEMPERATURE, point, sq, SpectralParams(s))
-        assert derivatives[0][0] == pytest.approx(derivative, rel=1e-9)
 
 
 @pytest.mark.parametrize("omega_c", [1e-3, 1.0, 1e3])
@@ -313,15 +305,27 @@ def test_long_time_sub_ohmic_gamma_matches_the_hurwitz_zeta_value():
     assert value == pytest.approx(expected, rel=1e-10)
 
 
-@pytest.mark.parametrize("temperature,t,r,theta,s,key",
-                         [case for case in GAMMA_REFERENCES if case[4] not in (1.0, 2.0)])
+@pytest.mark.parametrize("temperature,t,r,theta,s,key", GAMMA_REFERENCES)
 def test_zeta_oracle_reproduces_the_frozen_references(temperature, t, r, theta, s, key):
-    # s = 1 and s = 2 are poles of the oracle's closed form
     expected = REFERENCE_VALUES[key]
     assert hurwitz_reference.exponents(
         Estimand.SQUEEZE_PHASE, BathPoint(temperature, t), SqueezeParams(r, theta),
         SpectralParams(s),
     )[0] == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("estimand", list(Estimand))
+@pytest.mark.parametrize("s", [1.0, 2.0])
+def test_engine_matches_the_zeta_oracle_at_its_poles(estimand, s):
+    # s = 1 and s = 2 are poles of Gamma(s - 1) and zeta(1, .), whose limits the oracle
+    # writes out, and integer s is where the boundary weights' moments m_k, k >= s, vanish
+    sq = SqueezeParams(0.7, 2.0)
+    for T, t, omega_c in itertools.product((0.0, 0.01, 0.7, 30.0), (1e-3, 1.3, 40.0),
+                                           (0.5, 100.0)):
+        point, sp = BathPoint(T, t), SpectralParams(s, omega_c)
+        value, derivative, _, _ = point_exponents(estimand, point, sq, sp)
+        expected = hurwitz_reference.exponents(estimand, point, sq, sp)
+        assert within_tolerance(value, derivative, *expected), (point, sp, value, expected)
 
 
 def test_large_cutoff_long_time_point_needs_few_nodes():
@@ -359,9 +363,9 @@ def _domain_sample():
 
 
 def test_seeded_domain_sample_is_finite():
-    # every point is finite, or too large for the node budget and refused with
-    # ConvergenceError before its rule is allocated
-    refused = refined = 0
+    # every point agrees on the rule pair and is finite, or is too large for the node
+    # budget and refused with ConvergenceError before its rule is allocated
+    refused = 0
     for estimand, point, sq, sp in _domain_sample():
         try:
             sample = qfi_point(estimand, point, sq, sp, ProbeInit())
@@ -370,10 +374,8 @@ def test_seeded_domain_sample_is_finite():
             refused += 1
             continue
         assert all(map(math.isfinite, (sample.gamma, sample.dgamma, sample.qfi))), (point, sq, sp)
-        engine = MomentEngine(estimand, sp, DEFAULT_QUADRATURE, [point.temperature], point.time)
-        refined += not engine.exponents(engine.moments([point.time]), sq)[2][0][0]
+        assert engine_point(estimand, point, sq, sp)[2], (point, sq, sp)
     assert refused > 0  # the corner omega_c = 1e3, t = 1e3, T = 100
-    assert refined > 0  # the sample reaches the refined rule
 
 
 def test_seeded_domain_sample_meets_tolerance_against_the_zeta_oracle():
@@ -388,3 +390,20 @@ def test_seeded_domain_sample_meets_tolerance_against_the_zeta_oracle():
         assert abs(value - expected) <= 1e-8 * expected, (estimand, point, sq, sp)
         assert abs(derivative - expected_derivative) <= 1e-8 * max(
             abs(expected_derivative), expected), (estimand, point, sq, sp)
+
+
+def test_seeded_sample_below_the_domain_meets_tolerance_against_the_zeta_oracle():
+    # s in [0.001, 0.05], where the w**(s - 1) endpoint holds nearly all of gamma
+    rng = np.random.default_rng(20261019)
+    estimands = list(Estimand)
+    for checked in range(40):
+        estimand = estimands[checked % 3]
+        T = 0.0 if checked % 5 == 0 and estimand is not Estimand.TEMPERATURE else float(
+            10.0 ** rng.uniform(-3.0, 1.0))
+        point = BathPoint(T, float(10.0 ** rng.uniform(-3.0, 2.0)))
+        sq = SqueezeParams(float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.0, 2.0 * math.pi)))
+        sp = SpectralParams(float(10.0 ** rng.uniform(-3.0, math.log10(0.05))),
+                            float(10.0 ** rng.uniform(-2.0, 2.0)))
+        value, derivative, _, _ = point_exponents(estimand, point, sq, sp)
+        expected = hurwitz_reference.exponents(estimand, point, sq, sp)
+        assert within_tolerance(value, derivative, *expected), (estimand, point, sq, sp)
