@@ -6,8 +6,8 @@ Usage:
     python scripts/reproduce_figures.py --only fig1a fig10 --format json
 
 Each recipe maps to one CLI invocation; pass --only to restrict the set.
-Each recipe takes a fraction of a second on one core (fig10, the slowest,
-about 0.2 s); all 28 take about 1.5 s.
+Each recipe takes a fraction of a second on one core (the slowest about
+0.1 s); all 28 take about 1 s.
 """
 
 import argparse

@@ -38,11 +38,20 @@ The rule is composite Gauss-Legendre, laid out from the batch's inputs:
   W_i = g_i sum_k (2k + 1) P_k(2 x_i - 1) m_k on [0, 1], with the moments
   m_k = int_0^1 u**(s - 1) P_k(2u - 1) du, m_0 = 1 / s and
   m_k = m_(k-1) (s - k) / (s + k);
-- geometric panels (ratio at most 2) from a to min(omega_c, W);
-- every panel beyond a no wider than min(omega_c, 16 / t_max), so none spans
-  more than 16 radians of the oscillation, up to the upper limit
-  W = omega_max_factor * max(1, s) / (1 / omega_c + 1 / T_max), where
-  exp(-w / omega_c) n(w) has decayed.
+- geometric segments (ratio at most 2) from a to min(omega_c, W), and one on to
+  the upper limit W = omega_max_factor * max(1, s) / (1 / omega_c + 1 / T_max),
+  where exp(-w / omega_c) n(w) has decayed;
+- each segment split into equal panels of one width h, no wider than
+  min(omega_c, 16 / t_max), so none spans more than 16 radians of the
+  oscillation. A node is w = L_p + h x_i: its panel's left end plus h times a
+  unit node.
+
+The time kernel uses that layout (`_panel_factor`, `_kernel`): by angle addition,
+e^(i w t/2) = e^(i L_p t/2) e^(i h x_i t/2), so a time takes one sine and
+cosine per panel and one per segment and unit node, instead of one per node.
+The rounding error of L_p t/2, exact from Dekker's product, enters the panel
+factor, so the kernel holds to roundoff at each node's phase however large
+w t is.
 
 An engine whose temperatures are all 0, or whose times are, integrates nothing
 and has no rule. A rule pair of more than NODE_BUDGET nodes raises
@@ -75,14 +84,14 @@ ORDER = 20
 CHECK_ORDER = 24
 
 # blocks of the temperature factor F (sets x temperatures x nodes) and of the time
-# kernel K (nodes x 3 x times), in bytes: a batch is processed in as many chunks as it
+# kernel K (3 x times x nodes), in bytes: a batch is processed in as many chunks as it
 # takes to keep each block below these sizes, so its temporaries stay off the
 # process's peak RSS. Blocks this small cost no measurable time.
 F_BYTES = 2**22
 K_BYTES = 2**18
 
 # largest rule pair an engine lays out, in nodes of both orders; a temperature-estimand
-# point at the budget peaks near 350 MiB of RSS
+# point at the budget peaks near 280 MiB of RSS
 NODE_BUDGET = 2**22
 
 # omega_c t below which the vacuum moments come from their Taylor series
@@ -135,17 +144,20 @@ class ConvergenceError(RuntimeError):
         self.evaluations = evaluations
 
 
-def _panel_layout(sp: SpectralParams, qc: QuadratureConfig,
-                  temperatures: list[float], t_max: float) -> np.ndarray:
-    """Panel edges from the boundary panel end a to the upper limit W of the thermal
-    part, empty where every temperature is 0 or t_max is.
+def _panel_layout(sp: SpectralParams, qc: QuadratureConfig, temperatures: list[float],
+                  t_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Panels of the rule as (left ends L_p, segment widths h_g, segment of each panel).
+
+    Segment 0 is the boundary panel [0, a]; each later segment splits one geometric
+    span up to the upper limit W of the thermal part into equal panels of one width.
+    Empty where every temperature is 0 or t_max is.
 
     Raises ConvergenceError, naming (T_max, t_max), where the rule pair would
     exceed NODE_BUDGET nodes.
     """
     positive = [T for T in temperatures if T > 0.0]
     if not positive or t_max == 0.0:  # no thermal part, or E(w, 0) = 0
-        return np.empty(0)
+        return np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
     top = qc.omega_max_factor * max(1.0, sp.s) / (1.0 / sp.omega_c + 1.0 / max(positive))
     a = min(sp.omega_c / 100.0, 0.5 * min(positive), 1.0 / t_max)
     width = min(sp.omega_c, MAX_PHASE / t_max)
@@ -163,14 +175,12 @@ def _panel_layout(sp: SpectralParams, qc: QuadratureConfig,
             f"over the node budget of {NODE_BUDGET}",
             value=math.nan, est_error=math.nan, evaluations=0,
         )
-    # each coarse segment [lo, hi] in `panels` equal panels, spaced as linspace spaces them
-    counts = panels.astype(np.int64)
-    ends = np.cumsum(counts)
+    counts = np.concatenate([[1], panels.astype(np.int64)])
+    widths = np.concatenate([[a], spans / panels])
     segment = np.repeat(np.arange(counts.size), counts)
-    step = np.arange(1, ends[-1] + 1) - np.repeat(ends - counts, counts)
-    edges = step * (spans / panels)[segment] + coarse[segment]
-    edges[ends - 1] = coarse[1:]
-    return np.concatenate([coarse[:1], edges])
+    step = np.arange(segment.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    lefts = step * widths[segment] + np.concatenate([[0.0], coarse[:-1]])[segment]
+    return lefts, widths, segment
 
 
 @lru_cache(maxsize=None)
@@ -200,36 +210,51 @@ def _boundary_weights(order: int, s: float) -> np.ndarray:
     return np.cumprod((s - k) / (s + k)) @ _legendre_basis(order) / s
 
 
-def _rule(order: int, edges: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite rule of one order on the boundary panel
-    [0, edges[0]] and the panels of `edges`. The boundary panel's weights integrate
-    w**(s - 1) times a polynomial exactly, and are divided by w**(s - 1) there, so
-    the integrand's own w**(s - 2) factor applies on every panel alike."""
+def _rule(order: int, layout: tuple[np.ndarray, ...], s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes L_p + h_g x_i and weights of the composite rule of one order on the panels
+    of `layout`. The boundary panel's weights integrate w**(s - 1) times a polynomial
+    exactly, and are divided by w**(s - 1) there, so the integrand's own w**(s - 2)
+    factor applies on every panel alike."""
     x, w = _unit_rule(order)
-    ends = np.concatenate([[0.0], edges])
-    width = np.diff(ends)[:, None]
-    nodes, weights = width * x, (width * w).ravel()
-    nodes += ends[:-1, None]
-    weights[:order] = edges[0] * _boundary_weights(order, s) / x ** (s - 1.0)
+    lefts, widths, segment = layout
+    nodes = np.multiply.outer(widths, x)[segment]
+    nodes += lefts[:, None]
+    weights = np.multiply.outer(widths, w)[segment].ravel()
+    weights[:order] = widths[0] * _boundary_weights(order, s) / x ** (s - 1.0)
     return nodes.ravel(), weights
 
 
-def _thermal(omega: np.ndarray, temperature: float) -> np.ndarray:
-    """Thermal part 2 n(w) = 2 / expm1(w / T) of coth(w / 2T) = 1 + 2 n(w), exactly
-    0 at T = 0."""
+def _thermal(omega: np.ndarray, temperature: float, out: np.ndarray,
+             scratch: np.ndarray) -> None:
+    """Thermal part 2 n(w) = 2 / expm1(w / T) of coth(w / 2T) = 1 + 2 n(w) into `out`,
+    exactly 0 at T = 0; `scratch` is not needed."""
     if temperature == 0.0:
-        return np.zeros_like(omega)
+        out.fill(0.0)
+        return
     # an inf from expm1 (its warning silenced by callers) gives 0
-    return 2.0 / np.expm1(omega / temperature)
+    np.divide(omega, temperature, out=out)
+    np.expm1(out, out=out)
+    np.divide(2.0, out, out=out)
 
 
-def _thermal_dT(omega: np.ndarray, temperature: float) -> np.ndarray:
-    """Vectorized `spectral_bath.thermal_factor_dT`, exactly 0 at T = 0."""
+def _thermal_dT(omega: np.ndarray, temperature: float, out: np.ndarray,
+                scratch: np.ndarray) -> None:
+    """Vectorized `spectral_bath.thermal_factor_dT` into `out`, exactly 0 at T = 0:
+    x 4 exp(-2x) / expm1(-2x)**2 / T with x = w / 2T, through one `scratch` row."""
     if temperature == 0.0:
-        return np.zeros_like(omega)
-    x = omega / (2.0 * temperature)
-    em = np.expm1(-2.0 * x)
-    return x * 4.0 * np.exp(-2.0 * x) / (em * em) / temperature
+        out.fill(0.0)
+        return
+
+    np.divide(omega, 2.0 * temperature, out=out)
+    np.multiply(out, -2.0, out=scratch)
+    out *= 4.0
+    out *= np.exp(scratch, out=scratch)
+    # -2x again, for expm1
+    np.divide(omega, 2.0 * temperature, out=scratch)
+    scratch *= -2.0
+    np.expm1(scratch, out=scratch)
+    out /= np.multiply(scratch, scratch, out=scratch)
+    out /= temperature
 
 
 def _gamma_function(s: float) -> float:
@@ -283,20 +308,57 @@ def _vacuum_series(s: float, scale: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kernel(omega: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """K = E(w, t) [1, cos wt, sin wt], shape (nodes, 3, times)."""
-    half = np.multiply.outer(0.5 * omega, times)
-    half_sin = np.sin(half)
-    half_cos = np.cos(half, out=half)
-    kernel = np.empty((omega.size, 3, times.size))
-    envelope = kernel[:, 0]
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split a = hi + lo, hi of at most 26 significant bits, so that the
+    product of two hi parts is exact."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _panel_factor(lefts: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """e^(i L_p t/2) per time and panel left end, shape (times, panels). Dekker's
+    product gives the rounding error of L_p t/2 exactly, and it rotates the factor on,
+    so the factor holds to roundoff however large L_p t is."""
+    half = 0.5 * times[:, None]
+    phase = half * lefts
+    (t_hi, t_lo), (l_hi, l_lo) = _split(half), _split(lefts)
+    error = t_hi * l_hi - phase
+    error += t_lo * l_hi
+    error += t_hi * l_lo
+    error += t_lo * l_lo
+    panel = np.exp(1j * phase)
+    panel *= 1.0 + 1j * error  # e^(i error) to first order, error ~ ulp(phase)
+    return panel
+
+
+def _kernel(layout: tuple[np.ndarray, ...], x: np.ndarray, times: np.ndarray,
+            panel: np.ndarray) -> np.ndarray:
+    """K = E(w, t) [1, cos wt, sin wt] on the nodes w = L_p + h_g x_i of `layout` and
+    the unit nodes `x`, shape (3, times, nodes); `panel` is the `_panel_factor` of
+    `times`.
+
+    By angle addition e^(i w t/2) = e^(i L_p t/2) e^(i h_g x_i t/2): the first factor
+    is taken once per panel, the second once per segment and unit node, so a time
+    costs panels + segments x order sines and cosines instead of one per node, and
+    K holds to roundoff at the node's own phase however large w t is.
+    """
+    _, widths, segment = layout
+    half = 0.5 * times[:, None, None]
+    rotation = np.take(np.exp(1j * (half * np.multiply.outer(widths, x))), segment, axis=1)
+    rotation *= panel[..., None]
+    rotation = rotation.reshape(times.size, -1)
+    half_sin, half_cos = rotation.imag, rotation.real
+    kernel = np.empty((3, *rotation.shape))
+    envelope, cosine, sine = kernel
     np.multiply(half_sin, half_sin, out=envelope)
     envelope *= 2.0
     # cos(wt) = 1 - E and sin(wt) = 2 sin(wt/2) cos(wt/2)
-    np.subtract(1.0, envelope, out=kernel[:, 1])
-    kernel[:, 1] *= envelope
-    np.multiply(half_sin, half_cos, out=kernel[:, 2])
-    kernel[:, 2] *= 2.0 * envelope
+    np.subtract(1.0, envelope, out=cosine)
+    cosine *= envelope
+    np.multiply(half_sin, half_cos, out=sine)
+    sine *= 2.0
+    sine *= envelope
     return kernel
 
 
@@ -320,16 +382,17 @@ class MomentEngine:
         self.estimand, self.sp, self.qc = estimand, sp, qc
         self._temperatures = list(temperatures)
         self._sets = [_thermal, _thermal_dT] if derivative_rule(estimand, 0.0)[0] else [_thermal]
-        edges = _panel_layout(sp, qc, temperatures, t_max)
+        self._layout = _panel_layout(sp, qc, temperatures, t_max)
+        self._orders = (ORDER, CHECK_ORDER)
         # per rule: nodes, and weights times J(w) / w**2, built in the weights' array
         self._rules = []
         with np.errstate(**_NON_FINITE):
             scale = np.float64(sp.omega_c) ** (1.0 - sp.s)
-            for order in (ORDER, CHECK_ORDER):
-                if not edges.size:
-                    self._rules.append((edges, edges))
+            for order in self._orders:
+                if not self._layout[0].size:
+                    self._rules.append((np.empty(0), np.empty(0)))
                     continue
-                omega, weighted = _rule(order, edges, sp.s)
+                omega, weighted = _rule(order, self._layout, sp.s)
                 spectral = np.power(omega, sp.s - 2.0)
                 spectral *= scale
                 weighted *= spectral
@@ -354,14 +417,17 @@ class MomentEngine:
         return [range(i, min(i + size, n_T)) for i in range(0, n_T, size)]
 
     def factors(self, block: range) -> list[np.ndarray]:
-        """F of the temperatures in `block`, one (sets, temperatures, nodes) array per rule."""
+        """F of the temperatures in `block`, one (sets, temperatures, nodes) array per rule,
+        each row built in place."""
         rules = []
         for omega, base in self._rules:
             factors = np.empty((len(self._sets), len(block), omega.size))
+            scratch = np.empty_like(omega)
             with np.errstate(**_NON_FINITE):
                 for thermal, rows in zip(self._sets, factors):
                     for row, i in zip(rows, block):
-                        np.multiply(base, thermal(omega, self._temperatures[i]), out=row)
+                        thermal(omega, self._temperatures[i], row, scratch)
+                        row *= base
             rules.append(factors)
         return rules
 
@@ -386,20 +452,24 @@ class MomentEngine:
         Every moment at t = 0 is exactly 0, as E(w, 0) is, even where F is not finite."""
         sets, n_T = factors[0].shape[:2]
         out = np.zeros((2, sets, n_T if picks is None else 1, 3, times.size))
+        lefts = self._layout[0]
         with np.errstate(**_NON_FINITE):
-            for k, ((omega, _), rows) in enumerate(zip(self._rules, factors)):
-                if not omega.size:  # no thermal part to integrate
-                    continue
-                chunk = max(1, K_BYTES // (24 * omega.size))
-                for t0 in range(0, times.size, chunk):
-                    span = slice(t0, t0 + chunk)
-                    kernel = _kernel(omega, times[span])
+            # both rules share the panels, so each chunk of times takes one panel factor;
+            # without panels there is no thermal part to integrate
+            chunk = max(1, K_BYTES // (24 * max(1, *(omega.size for omega, _ in self._rules))))
+            for t0 in range(0, times.size if lefts.size else 0, chunk):
+                span = slice(t0, t0 + chunk)
+                panel = _panel_factor(lefts, times[span])
+                for k, ((omega, _), rows, order) in enumerate(
+                        zip(self._rules, factors, self._orders)):
+                    kernel = _kernel(self._layout, _unit_rule(order)[0], times[span], panel)
                     if picks is None:
-                        block = rows.reshape(-1, omega.size) @ kernel.reshape(omega.size, -1)
-                        out[k, ..., span] = block.reshape(sets, n_T, 3, -1)
+                        block = kernel @ rows.reshape(-1, omega.size).T
+                        out[k, ..., span] = block.reshape(3, -1, sets, n_T).transpose(2, 3, 0, 1)
                     else:
-                        out[k, :, 0, :, span] = np.einsum("spw,wcp->scp", rows[:, picks[span]],
+                        out[k, :, 0, :, span] = np.einsum("spw,cpw->scp", rows[:, picks[span]],
                                                           kernel)
+                    del kernel  # freed before the next one is built
             out[:, 0] += _vacuum(self.sp, times)  # the 2 n(w) set carries all of coth
         out[..., times == 0.0] = 0.0
         return out

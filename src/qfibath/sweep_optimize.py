@@ -3,10 +3,9 @@
 Every table and search runs on the moment engine (`moments`), as single
 points do. A table is one batch: the temperature factors once per table, the
 time kernel once per distinct time, then each row's exponent and derivative
-by algebra on the moments. Sweeps, grids and curves turn each cell into a
-sample through one step (`_cell`): a cell where the engine's rule pair
-disagrees, or whose sample is not finite, aborts the run with the cell's
-location.
+by algebra on the moments. Sweeps and grids turn each cell into a sample
+through one step (`_cell`): a cell where the engine's rule pair disagrees, or
+whose sample is not finite, aborts the run with the cell's location.
 Rows are assembled sequentially, so identical specs always produce
 bit-identical tables. The optimal-time search brackets the global maximum
 with a coarse scan before golden-section refinement, because the squeezing
@@ -14,7 +13,12 @@ kernel can make the information oscillate in t and unimodal search alone
 would lock onto the wrong peak. A curve searches all its temperatures as one
 batch: their coarse scans are one (T, t) batch like a grid, and the
 refinement runs in lockstep, each round one (T, t) pair per temperature
-whose bracket is still open, against temperature factors built once.
+whose bracket is still open, against temperature factors built once. A
+search needs only each probe's qfi, so a round builds no records: where the
+pair agrees on every probe, none is degenerate and gamma, d gamma and qfi are
+finite, `qfi_engine.qfi_closed_form` gives the values. A round that fails
+that check replays its probes in order through `_cell`, which raises at the
+first failing probe as it would for a grid cell.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from .moments import DEFAULT_QUADRATURE, ConvergenceError, MomentEngine, QuadratureConfig
 from .probe_state import ProbeInit
-from .qfi_engine import Estimand, QfiSample, _check_estimable, qfi_sample
+from .qfi_engine import Estimand, QfiSample, _check_estimable, qfi_closed_form, qfi_sample
 from .spectral_bath import BathPoint, SpectralParams, SqueezeParams
 
 __all__ = [
@@ -320,20 +324,37 @@ def _search_block(engine: MomentEngine, block: range, temperatures: list[float],
     """The searches of one block of the engine's temperatures, round by round."""
     factors = engine.factors(block)
 
-    def information(exponents, i: int, j: int, row: int, time: float) -> float:
-        """qfi from cell (i, j) of `exponents`, at the block's row-th temperature and `time`."""
-        temperature = temperatures[block[row]]
-        return _cell(
-            engine, exponents, (i, j), BathPoint(temperature, time), spec.sq, spec.init,
-            f"optimal-time search aborted at (T, t) = ({temperature!r}, {time!r})",
-        ).qfi
+    def information(exponents, i: int, probes: list[tuple[int, float]]) -> list[float]:
+        """qfi at each cell of row i of `exponents`, whose probes are (block row, time).
+
+        Where the pair agrees on every cell, no cell is degenerate and gamma, d gamma
+        and qfi are finite, the closed form alone gives the values; otherwise the
+        probes replay in order through `_cell`, so the first failing one raises.
+        """
+        values, derivatives, agree = (lists[i] for lists in exponents[:3])
+        if all(agree):
+            try:
+                qfis = [qfi_closed_form(spec.init, value, derivative)
+                        for value, derivative in zip(values, derivatives)]
+                if all(map(isfinite, values + derivatives + qfis)):
+                    return qfis
+            except ValueError:  # a degenerate or nan cell, which the replay names
+                pass
+        qfis = []
+        for j, (row, time) in enumerate(probes):
+            temperature = temperatures[block[row]]
+            qfis.append(_cell(
+                engine, exponents, (i, j), BathPoint(temperature, time), spec.sq, spec.init,
+                f"optimal-time search aborted at (T, t) = ({temperature!r}, {time!r})",
+            ).qfi)
+        return qfis
 
     scan = [float(time) for time in np.linspace(0.0, spec.t_max, spec.coarse_points)]
     searches = [_search(scan, 1e-4 * spec.t_max) for _ in block]
     for search in searches:
         next(search)  # each asks for the coarse scan first
     exponents = engine.exponents(engine.scan(factors, scan), spec.sq)
-    values = {row: [information(exponents, row, j, row, time) for j, time in enumerate(scan)]
+    values = {row: information(exponents, row, [(row, time) for time in scan])
               for row in range(len(block))}
     outcomes = {}
     while True:
@@ -345,11 +366,11 @@ def _search_block(engine: MomentEngine, block: range, temperatures: list[float],
                 outcomes[row] = done.value
         if not probes:
             break
-        rows = [row for row, times in probes.items() for _ in times]
-        times = [time for times in probes.values() for time in times]
-        exponents = engine.exponents(engine.pairs(factors, rows, times), spec.sq)
-        flat = iter([information(exponents, 0, p, row, time)
-                     for p, (row, time) in enumerate(zip(rows, times))])
+        pairs = [(row, time) for row, times in probes.items() for time in times]
+        exponents = engine.exponents(
+            engine.pairs(factors, [row for row, _ in pairs], [time for _, time in pairs]),
+            spec.sq)
+        flat = iter(information(exponents, 0, pairs))
         values = {row: [next(flat) for _ in times] for row, times in probes.items()}
     return [
         OptimalTimeResult(temperature=temperatures[i], t_star=outcomes[row][0],

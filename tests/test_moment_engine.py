@@ -27,6 +27,14 @@ def engine_point(estimand, point, sq, sp):
     return values[0][0], derivatives[0][0], agree[0][0]
 
 
+def thermal_row(thermal, omega, temperature):
+    """A thermal set's row at `omega`, built in place as `MomentEngine.factors` builds it."""
+    omega = np.asarray(omega, dtype=float)
+    out = np.full_like(omega, np.nan)
+    thermal(omega, temperature, out, np.full_like(omega, np.nan))
+    return out
+
+
 def within_tolerance(value, derivative, oracle_value, oracle_derivative):
     return (
         abs(value - oracle_value) <= max(1e-8 * oracle_value, 1e-12)
@@ -106,9 +114,10 @@ def test_zero_time_is_exactly_zero(estimand):
 def test_zero_temperature_thermal_factors_are_exact():
     # the integrated part of coth = 1 + 2 n(w) is 2 n(w), which vanishes at T = 0
     omega = np.geomspace(1e-12, 50.0, 101)
-    assert np.all(moments._thermal(omega, 0.0) == 0.0)
-    assert np.all(1.0 + moments._thermal(omega, 0.0) == [thermal_factor(w, 0.0) for w in omega])
-    assert np.all(moments._thermal_dT(omega, 0.0) == 0.0)
+    assert np.all(thermal_row(moments._thermal, omega, 0.0) == 0.0)
+    assert np.all(1.0 + thermal_row(moments._thermal, omega, 0.0)
+                  == [thermal_factor(w, 0.0) for w in omega])
+    assert np.all(thermal_row(moments._thermal_dT, omega, 0.0) == 0.0)
     _, derivative, _ = engine_point(
         Estimand.TEMPERATURE, BathPoint(0.0, 2.0), SqueezeParams(0.4, 1.0), SpectralParams(0.5)
     )
@@ -117,16 +126,31 @@ def test_zero_temperature_thermal_factors_are_exact():
 
 def test_vectorized_thermal_factors_match_references():
     omega = [2.0, 1e-8, 2.0 * 9.99e-5, 2.0 * 1.001e-4]
-    coth = 1.0 + moments._thermal(np.array(omega), 1.0)
+    coth = 1.0 + thermal_row(moments._thermal, omega, 1.0)
     for w, value, key, rel in zip(
         omega, coth, ("coth_1", "coth_5e-9", "coth_9.99e-5", "coth_1.001e-4"),
         (1e-12, 1e-12, 1e-10, 1e-10),
     ):
         assert value == pytest.approx(REFERENCE_VALUES[key], rel=rel)
         assert value == pytest.approx(thermal_factor(w, 1.0), rel=rel)
-    assert moments._thermal_dT(np.array([1.0]), 0.7)[0] == pytest.approx(
+    assert thermal_row(moments._thermal_dT, [1.0], 0.7)[0] == pytest.approx(
         REFERENCE_VALUES["dcoth_dT_w1_T0.7"], rel=1e-12
     )
+
+
+@pytest.mark.parametrize("temperature", [1e-300, 1e-3, 0.7, 1e4])
+def test_in_place_thermal_rows_equal_their_expressions(temperature):
+    # the rows are built in place with one scratch row, in the expressions' operation order
+    omega = np.concatenate([[5e-324], np.geomspace(1e-300, 1e300, 601)])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = omega / (2.0 * temperature)
+        em = np.expm1(-2.0 * x)
+        expected = (2.0 / np.expm1(omega / temperature),
+                    x * 4.0 * np.exp(-2.0 * x) / (em * em) / temperature)
+        rows = (thermal_row(moments._thermal, omega, temperature),
+                thermal_row(moments._thermal_dT, omega, temperature))
+    for row, value in zip(rows, expected):
+        assert np.array_equal(row, value, equal_nan=True)
 
 
 @pytest.mark.parametrize("s", [0.001, 0.05, 0.5, 1.0, 2.0, 2.5, 10.0])
@@ -139,6 +163,35 @@ def test_boundary_weights_are_exact_for_the_endpoint_power(s, order):
         assert abs(boundary @ x**k * (s + k) - 1.0) <= 1e-10, k
     if s == 1.0:
         assert np.array_equal(boundary, weights)  # Gauss-Legendre itself
+
+
+@pytest.mark.parametrize("t_max", [20.0, 1000.0])
+@pytest.mark.parametrize("omega_c", [1.0, 1000.0])
+@pytest.mark.parametrize("s", [0.05, 0.5, 3.0])
+def test_kernel_matches_direct_sines_and_cosines(t_max, omega_c, s):
+    layout = moments._panel_layout(SpectralParams(s, omega_c), DEFAULT_QUADRATURE, [0.5, 3.0],
+                                   t_max)
+    lefts, widths, segment = layout
+    # one width per segment: each panel ends where the next begins, to roundoff
+    ends = lefts + widths[segment]
+    assert lefts[0] == 0.0 and np.all(np.diff(segment) >= 0)
+    assert np.all(np.abs(ends[:-1] - lefts[1:]) <= 4.0 * np.spacing(lefts[1:]))
+    for order in (moments.ORDER, moments.CHECK_ORDER):
+        x = moments._unit_rule(order)[0]
+        offsets = np.multiply.outer(widths, x)[segment]
+        omega, _ = moments._rule(order, layout, s)
+        assert np.array_equal(omega, (lefts[:, None] + offsets).ravel())
+        # the reference takes sin and cos of each node's phase directly, in extended
+        # precision, whose own rounding stays near 1e-14 at w t / 2 = 2e5
+        nodes = (lefts.astype(np.longdouble)[:, None] + offsets).ravel()
+        for t in (t_max / math.pi, t_max / 2.0, t_max):
+            half = nodes * (np.longdouble(t) / 2)
+            sin, cos = np.sin(half), np.cos(half)
+            envelope = 2 * sin * sin
+            expected = np.array([envelope, envelope * (1 - envelope), 2 * sin * cos * envelope])
+            times = np.array([t])
+            kernel = moments._kernel(layout, x, times, moments._panel_factor(lefts, times))[:, 0]
+            assert np.abs(kernel - expected).max() <= 1e-12, (order, t)
 
 
 def test_sub_ohmic_grid_cells_equal_point_evaluations_and_the_oracle():

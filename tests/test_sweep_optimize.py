@@ -277,6 +277,52 @@ FIG10 = OptimalTimeSpec(
 )
 
 
+# (T, t_star, qfi_star) of `opt-time --recipe fig10`, frozen: a faster kernel or search
+# must keep t_star identical and qfi_star within 1e-13 relative
+FIG10_ROWS = [
+    (0.2, 1.3253529475887371, 1.6254836002855646),
+    (0.24615384615384617, 1.206442303166458, 1.3022437702775227),
+    (0.2923076923076923, 1.1138086309440356, 1.0580149755405674),
+    (0.3384615384615385, 1.0388664158647372, 0.871969177477757),
+    (0.38461538461538464, 0.9764533603058434, 0.7283405471467903),
+    (0.4307692307692308, 0.9238994159061303, 0.6158404492926545),
+    (0.47692307692307695, 0.8781919063744428, 0.526467221617728),
+    (0.5230769230769231, 0.838865347624522, 0.45451858261505995),
+    (0.5692307692307692, 0.8034824333382736, 0.39588496213284746),
+    (0.6153846153846154, 0.772275905558827, 0.3475642358624354),
+    (0.6615384615384616, 0.7440271111271342, 0.3073338524777857),
+    (0.7076923076923076, 0.7182156230135363, 0.2735254754499842),
+    (0.7538461538461538, 0.6951291262045631, 0.24487077918552916),
+    (0.8, 0.673726766640896, 0.22039405069561946),
+    (0.8461538461538463, 0.6538307452228065, 0.19933582528954324),
+    (0.8923076923076922, 0.6359065460365529, 0.18109924981242537),
+    (0.9384615384615385, 0.6192010000093469, 0.1652099239324546),
+    (0.9846153846153847, 0.6037141071411881, 0.15128789521793504),
+    (1.0307692307692309, 0.588980383345818, 0.13902597634694777),
+    (1.0769230769230769, 0.5754653127094953, 0.12817407627850158),
+    (1.123076923076923, 0.5627034111459615, 0.11852674791554926),
+    (1.1692307692307693, 0.5508724777549447, 0.1099143322936445),
+    (1.2153846153846153, 0.5393292293504582, 0.10219557628053186),
+    (1.2615384615384615, 0.5290046341050191, 0.09525249575279564),
+    (1.3076923076923077, 0.51896772384611, 0.0889855190360569),
+    (1.353846153846154, 0.5091086126869294, 0.08331055607833618),
+    (1.4000000000000001, 0.5002903555870677, 0.07815604347363429),
+    (1.4461538461538461, 0.49164989758693456, 0.0734607996030736),
+    (1.4923076923076923, 0.48329712457333146, 0.0691723281851189),
+    (1.5384615384615385, 0.47569752063251713, 0.06524531689949081),
+    (1.5846153846153845, 0.4683306587348321, 0.06164059616366516),
+    (1.6307692307692307, 0.46073105479401777, 0.05832422158304827),
+    (1.676923076923077, 0.45406241902572075, 0.05526631775661487),
+    (1.7230769230769232, 0.4472159841576951, 0.052440937446790806),
+    (1.7692307692307694, 0.4413005174621868, 0.049825257047496484),
+    (1.8153846153846154, 0.4349195666804198, 0.047399189564444034),
+    (1.8615384615384616, 0.4290040999849115, 0.0451448973637758),
+    (1.9076923076923078, 0.42337631827593325, 0.04304667177766172),
+    (1.9538461538461538, 0.41821402065321367, 0.04109053225835081),
+    (2.0, 0.4130517230304941, 0.0392639600016715),
+]
+
+
 def _assert_curve_matches_single_searches(curve, qc=None):
     spec = curve.spec
     assert [r.temperature for r in curve.results] == [
@@ -296,6 +342,14 @@ def test_fig10_curve_matches_per_temperature_searches():
     curve = optimal_time_curve(FIG10)
     _assert_curve_matches_single_searches(curve)
     assert all(result.qfi_star > 0.0 for result in curve.results)
+
+
+def test_fig10_curve_reproduces_its_frozen_rows():
+    curve = optimal_time_curve(FIG10)
+    assert len(curve.results) == len(FIG10_ROWS)
+    for result, (temperature, t_star, qfi_star) in zip(curve.results, FIG10_ROWS):
+        assert (result.temperature, result.t_star) == (temperature, t_star)
+        assert abs(result.qfi_star - qfi_star) <= 1e-13 * qfi_star
 
 
 def test_squeezing_amplitude_curve_from_zero_temperature_matches_per_temperature_searches():
@@ -356,6 +410,69 @@ def test_curve_aborts_with_the_failing_point(monkeypatch):
     spec = replace(FIG10, T_points=2, t_max=63.0)
     with pytest.raises(ConvergenceError, match=r"search aborted at \(T, t\) = \(0\.2, 1\.0\)"):
         optimal_time_curve(spec)
+
+
+def _poison_third_round(monkeypatch, poison):
+    """Let `poison` edit the moments of the middle pair of the third `pairs` call, the
+    third refinement round; returns a list that receives that pair's (T index, t)."""
+    calls, poisoned = [], []
+    pairs = moments.MomentEngine.pairs
+
+    def poisoned_pairs(engine, factors, temperatures, times):
+        out = pairs(engine, factors, temperatures, times)
+        calls.append(len(times))
+        if len(calls) == 3:
+            p = len(times) // 2
+            poison(out, p)
+            poisoned.append((temperatures[p], times[p]))
+        return out
+
+    monkeypatch.setattr(moments.MomentEngine, "pairs", poisoned_pairs)
+    return poisoned
+
+
+def _probe_prefix(spec, poisoned):
+    (i, time), = poisoned
+    temperature = float(np.linspace(spec.T_lo, spec.T_hi, spec.T_points)[i])
+    return f"optimal-time search aborted at (T, t) = ({temperature!r}, {time!r}): "
+
+
+def _nan_order_20_moment(out, p):
+    out[0, 0, 0, 0, p] = math.nan
+
+
+def _disagreeing_order_20_moment(out, p):
+    out[0, 0, 0, 0, p] *= 2.0
+
+
+def _overflowing_derivative(out, p):
+    out[:, 1, ..., p] *= 1e200  # the d coth / dT moments of both rules: qfi overflows
+
+
+@pytest.mark.parametrize("poison, message", [
+    (_nan_order_20_moment, "rule pair disagrees"),
+    (_disagreeing_order_20_moment, "rule pair disagrees"),
+    (_overflowing_derivative, "non-finite sample"),
+])
+def test_curve_aborts_with_the_probe_that_fails_in_a_refinement_round(monkeypatch, poison,
+                                                                      message):
+    poisoned = _poison_third_round(monkeypatch, poison)
+    spec = replace(FIG10, T_points=3)
+    with pytest.raises(ConvergenceError) as raised:
+        optimal_time_curve(spec)
+    assert str(raised.value).startswith(_probe_prefix(spec, poisoned) + message)
+
+
+def test_curve_aborts_with_a_degenerate_probe_in_a_refinement_round(monkeypatch):
+    def vanishing_gamma(out, p):
+        out[:, 0, ..., p] = 0.0  # the moments of gamma, not those of d gamma / dT
+
+    poisoned = _poison_third_round(monkeypatch, vanishing_gamma)
+    spec = replace(FIG10, T_points=3)
+    with pytest.raises(ValueError) as raised:
+        optimal_time_curve(spec)
+    prefix = _probe_prefix(spec, poisoned)
+    assert str(raised.value).startswith(prefix + "gamma = 0.0 is at the t -> 0")
 
 
 @pytest.mark.parametrize("changes, field", [
