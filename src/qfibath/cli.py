@@ -30,6 +30,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from pathlib import Path
 from typing import NoReturn
@@ -149,12 +150,11 @@ def _fail(flag: str, message: str) -> NoReturn:
 
 
 def _fmt(value) -> str:
-    """Shortest decimal that round-trips the binary float (locale-independent)."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+    """Shortest decimal that round-trips the binary float (locale-independent); a
+    string as it is, an int in decimal."""
+    if isinstance(value, float):
+        return float.__repr__(value)
+    return value if isinstance(value, str) else str(value)
 
 
 def _range_arg(text: str) -> tuple[float, float]:
@@ -293,7 +293,27 @@ def _metadata(args: argparse.Namespace, library: dict, columns: list[str]) -> di
     return metadata
 
 
-def _csv_text(spec: dict, metadata: dict, columns: list[str], rows: list[list]) -> str:
+# what `float.__repr__` writes for the floats JSON spells otherwise
+_NON_FINITE_REPRS = {"nan", "inf", "-inf"}
+
+
+def _texts(column: Sequence, spell) -> list[str]:
+    """The text of each cell of `column`: `float.__repr__` of every cell where all are
+    floats, else `spell` of each."""
+    try:
+        return list(map(float.__repr__, column))
+    except TypeError:  # a cell that is not a float: a string or an int
+        return list(map(spell, column))
+
+
+def _json_texts(column: Sequence) -> list[str]:
+    """The JSON text of each cell of `column`, as `json.dumps` spells it: the float repr
+    where it is valid JSON, else JSON's own spelling (strings, NaN, Infinity)."""
+    texts = _texts(column, json.dumps)
+    return texts if _NON_FINITE_REPRS.isdisjoint(texts) else list(map(json.dumps, column))
+
+
+def _csv_text(spec: dict, metadata: dict, columns: list[str], data: Iterable[Sequence]) -> str:
     lines = [f"# tool = {metadata['tool']} {metadata['version']}"]
     for key, value in spec.items():
         if key == "fixed":
@@ -311,21 +331,27 @@ def _csv_text(spec: dict, metadata: dict, columns: list[str], rows: list[list]) 
     # the data section (header onward) is byte-deterministic
     lines.append(f"# timestamp = {metadata['timestamp']}")
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
+    lines.extend(map(",".join, zip(*(_texts(column, _fmt) for column in data))))
     return "\n".join(lines) + "\n"
 
 
-def _json_text(spec: dict, metadata: dict, rows: list[list]) -> str:
-    return json.dumps({"spec": spec, "metadata": metadata, "rows": rows}, indent=2) + "\n"
+def _json_text(spec: dict, metadata: dict, data: Iterable[Sequence]) -> str:
+    r"""`json.dumps({"spec": spec, "metadata": metadata, "rows": rows}, indent=2) + "\n"`
+    for the rows whose columns are `data`: the rows, the bulk of the text, are spelled
+    column by column and spliced in."""
+    head = json.dumps({"spec": spec, "metadata": metadata}, indent=2)
+    rows = ",\n".join("    [\n      %s\n    ]" % ",\n      ".join(cells)
+                      for cells in zip(*map(_json_texts, data)))
+    return f'{head[:-2]},\n  "rows": [\n{rows}\n  ]\n}}\n'
 
 
 def _emit(args: argparse.Namespace, spec: dict, metadata: dict,
-          columns: list[str], rows: list[list]) -> None:
+          columns: list[str], rows: list[Sequence]) -> None:
+    data = zip(*rows)  # the writers spell the cells column by column
     if args.format == "json":
-        text = _json_text(spec, metadata, rows)
+        text = _json_text(spec, metadata, data)
     else:
-        text = _csv_text(spec, metadata, columns, rows)
+        text = _csv_text(spec, metadata, columns, data)
     if args.out == "-":
         sys.stdout.write(text)
         return
@@ -379,7 +405,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
 
     table = sweep(spec_obj, qc)
-    rows = [[axis, value, g, dg, q] for value, g, dg, q in table.rows]
+    rows = [(axis, *row) for row in table.rows]
     fixed = {}
     if axis != "t":
         fixed["time"] = point.time
@@ -418,9 +444,6 @@ def cmd_grid(args: argparse.Namespace) -> int:
     )
 
     table = density_grid(spec_obj, qc)
-    rows = [
-        [s.point.temperature, s.point.time, s.gamma, s.dgamma, s.qfi] for s in table.samples
-    ]
     spec = {
         "subcommand": "grid",
         "estimand": args.estimand,
@@ -433,7 +456,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
             "omega_c": sp.omega_c, "alpha": init.alpha,
         },
     }
-    _emit(args, spec, _metadata(args, table.metadata, GRID_COLUMNS), GRID_COLUMNS, rows)
+    _emit(args, spec, _metadata(args, table.metadata, GRID_COLUMNS), GRID_COLUMNS, table.rows)
     return EXIT_OK
 
 

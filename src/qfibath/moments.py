@@ -66,6 +66,7 @@ max(|d gamma|, gamma), or are not finite, raises ConvergenceError.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -474,17 +475,26 @@ class MomentEngine:
         out[..., times == 0.0] = 0.0
         return out
 
-    def exponents(self, moments: np.ndarray, sq: SqueezeParams) -> tuple[list, ...]:
+    def exponents(self, moments: np.ndarray,
+                  sq: SqueezeParams | Sequence[SqueezeParams]) -> tuple[np.ndarray, ...]:
         """gamma, d gamma / d estimand, the pair's agreement and its gap on gamma per
-        (T, t), as nested lists.
+        (T, t), as (temperatures, times) arrays.
 
-        Takes the output of `moments` or `scan`, or of `pairs` as one row.
+        Takes the output of `moments` or `scan`, or of `pairs` as one row. `sq` is one
+        SqueezeParams, or one per time that broadcasts against the time axis: with a
+        single time, n of them give n columns, each assembled from the same moments.
         """
-        cos_th, sin_th = math.cos(sq.theta), math.sin(sq.theta)
+        # per squeezing the scalars a single one takes, so that every column is the same
+        # arithmetic as its own call: cos and sin of theta, then the weights of gamma and
+        # of the derivative; floats for one squeezing, else one row per scalar
+        scalars = [
+            (math.cos(one.theta), math.sin(one.theta), *derivative_rule(None, one.r)[1],
+             *derivative_rule(self.estimand, one.r)[1])
+            for one in ([sq] if isinstance(sq, SqueezeParams) else sq)
+        ]
+        cos_th, sin_th, *weights = scalars[0] if len(scalars) == 1 else np.array(scalars).T
 
-        def assemble(estimand):
-            dT, (a, b, c) = derivative_rule(estimand, sq.r)
-            m = moments[:, int(dT)]
+        def assemble(m, a, b, c):
             # the moments of 1 + cos(theta - w t), 1 - cos(theta - w t), sin(theta - w t)
             even = cos_th * m[:, :, 1] + sin_th * m[:, :, 2]
             odd = sin_th * m[:, :, 1] - cos_th * m[:, :, 2]
@@ -494,32 +504,34 @@ class MomentEngine:
             return np.abs(pair[0] - pair[1]) <= np.maximum(self.qc.abs_tol, self.qc.rel_tol * scale)
 
         with np.errstate(**_NON_FINITE):
-            value, derivative = assemble(None), assemble(self.estimand)
+            value = assemble(moments[:, 0], *weights[:3])
+            # the derivative takes the last thermal set: d coth / dT where there is one
+            derivative = assemble(moments[:, len(self._sets) - 1], *weights[3:])
             agree = agrees(value, np.abs(value[1])) & agrees(
                 derivative, np.maximum(np.abs(derivative[1]), value[1])
             )
             gap = np.abs(value[0] - value[1])
         # the integrand of gamma is non-negative; roundoff can undershoot 0
-        return (np.maximum(value[1], 0.0).tolist(), derivative[1].tolist(), agree.tolist(),
-                gap.tolist())
+        return np.maximum(value[1], 0.0), derivative[1], agree, gap
 
-    def exponent(self, exponents: tuple[list, ...], i: int, j: int,
+    def exponent(self, exponents: tuple[np.ndarray, ...], i: int, j: int,
                  point: BathPoint) -> tuple[float, float]:
         """(gamma, d gamma) at row i, time j of `exponents`, which sit at `point`.
 
         Raises ConvergenceError, naming the point, where the pair disagrees there.
         """
         values, derivatives, agree, gaps = exponents
-        if not agree[i][j]:
+        value = float(values[i, j])
+        if not agree[i, j]:
             raise ConvergenceError(
                 f"rule pair disagrees at (T, t) = ({point.temperature!r}, {point.time!r}): "
-                f"gamma {values[i][j]!r}, pair gap {gaps[i][j]:.3e} above tolerance "
+                f"gamma {value!r}, pair gap {gaps[i, j]:.3e} above tolerance "
                 f"(rel_tol {self.qc.rel_tol:g}, abs_tol {self.qc.abs_tol:g}) on gamma or d gamma",
-                value=values[i][j],
-                est_error=gaps[i][j],
+                value=value,
+                est_error=float(gaps[i, j]),
                 evaluations=self.nodes,
             )
-        return values[i][j], derivatives[i][j]
+        return value, float(derivatives[i, j])
 
 
 def point_exponents(estimand: Estimand | None, point: BathPoint, sq: SqueezeParams,
@@ -535,4 +547,4 @@ def point_exponents(estimand: Estimand | None, point: BathPoint, sq: SqueezePara
     engine = MomentEngine(estimand, sp, qc, [point.temperature], point.time)
     exponents = engine.exponents(engine.moments([point.time]), sq)
     gamma_value, dgamma = engine.exponent(exponents, 0, 0, point)
-    return gamma_value, dgamma, exponents[3][0][0], engine.nodes
+    return gamma_value, dgamma, float(exponents[3][0, 0]), engine.nodes

@@ -4,10 +4,11 @@ The production route evaluates the closed form
 
     I = sin(alpha)^2 * (d gamma / d eta)^2 / (exp(2 gamma) - 1)
 
-with the analytic parameter derivative of the decay exponent: `qfi_point`
-evaluates both for one point on the moment engine (`moments.point_exponents`),
-`qfi_sample` takes them from any caller that has them, such as a batch on that
-engine.
+with the analytic parameter derivative of the decay exponent. One function
+(`_closed_form`) holds the expression and its floors for one cell:
+`qfi_closed_form` maps it over whole tables of cells, as the moment engine
+gives them, and `qfi_sample` applies it to the one cell of a point record.
+`qfi_point` evaluates one point on that engine (`moments.point_exponents`).
 The oracle route (`qfi_spectral`) differentiates the spectral decomposition
 of the density matrix by gauge-fixed central differences and sums the
 general two-term formula
@@ -25,7 +26,9 @@ term; at alpha = pi/2 the eigenvectors freeze and the second term vanishes.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -89,13 +92,30 @@ class QfiSample:
                 raise ValueError(f"{name} must be >= 0, got {value}")
 
 
-def qfi_closed_form(init: ProbeInit, gamma_value: float, dgamma: float) -> float:
-    """sin(alpha)^2 * dgamma^2 / (exp(2 gamma) - 1), with the t -> 0 limit pinned to 0.
+def qfi_closed_form(init: ProbeInit | Sequence[ProbeInit], gamma_value: float | np.ndarray,
+                    dgamma: float | np.ndarray) -> np.ndarray:
+    """sin(alpha)^2 * dgamma^2 / (exp(2 gamma) - 1) per element of `gamma_value` and
+    `dgamma` (floats, or arrays of one shape), with the t -> 0 limit pinned to 0; an
+    array of their shape. `init` is one ProbeInit, or one per element.
 
-    The denominator goes through expm1 so small exponents keep full precision.
-    Raises DegenerateInputError when gamma ~ 0 while dgamma is not, which no
-    consistent evaluation can produce (both vanish like t^2).
+    Each element is the expression on floats, its denominator through `math.expm1`
+    so small exponents keep full precision. Raises at the first element, in C
+    order, whose gamma is negative or nan (ValueError), or ~ 0 while its dgamma is
+    not (DegenerateInputError), which no consistent evaluation can produce (both
+    vanish like t^2).
     """
+    gamma_value, dgamma = np.asarray(gamma_value, dtype=float), np.asarray(dgamma, dtype=float)
+    if isinstance(init, ProbeInit):
+        sines = repeat(math.sin(init.alpha))
+    else:
+        sines = [math.sin(one.alpha) for one in init]
+    qfi = map(_closed_form, sines, gamma_value.ravel().tolist(), dgamma.ravel().tolist())
+    return np.array(list(qfi)).reshape(gamma_value.shape)
+
+
+def _closed_form(sin_a: float, gamma_value: float, dgamma: float) -> float:
+    """`qfi_closed_form` of one element, given sin(alpha): the one copy of the
+    expression and its floors."""
     if not gamma_value >= 0.0:
         raise ValueError(f"decoherence exponent must be >= 0, got {gamma_value}")
     if gamma_value < GAMMA_FLOOR:
@@ -106,7 +126,6 @@ def qfi_closed_form(init: ProbeInit, gamma_value: float, dgamma: float) -> float
         )
     if gamma_value > 350.0:  # exp(2 gamma) overflows; the coherence is long gone
         return 0.0
-    sin_a = math.sin(init.alpha)
     return sin_a * sin_a * dgamma * dgamma / math.expm1(2.0 * gamma_value)
 
 
@@ -144,7 +163,7 @@ def qfi_sample(
 ) -> QfiSample:
     """Closed-form QFI record from an evaluated exponent and its derivative."""
     _check_estimable(estimand, point)
-    qfi = qfi_closed_form(init, gamma_value, dgamma)
+    qfi = _closed_form(math.sin(init.alpha), gamma_value, dgamma)
     cfi, quantum = _closed_form_split(init.alpha, gamma_value, qfi)
     return QfiSample(
         point=point,

@@ -2,27 +2,27 @@
 
 Every table and search runs on the moment engine (`moments`), as single
 points do. A table is one batch: the temperature factors once per table, the
-time kernel once per distinct time, then each row's exponent and derivative
-by algebra on the moments. Sweeps and grids turn each cell into a sample
-through one step (`_cell`): a cell where the engine's rule pair disagrees, or
-whose sample is not finite, aborts the run with the cell's location.
-Rows are assembled sequentially, so identical specs always produce
-bit-identical tables. The optimal-time search brackets the global maximum
-with a coarse scan before golden-section refinement, because the squeezing
-kernel can make the information oscillate in t and unimodal search alone
-would lock onto the wrong peak. A curve searches all its temperatures as one
-batch: their coarse scans are one (T, t) batch like a grid, and the
-refinement runs in lockstep, each round one (T, t) pair per temperature
-whose bracket is still open, against temperature factors built once. A
-search needs only each probe's qfi, so a round builds no records: where the
-pair agrees on every probe, none is degenerate and gamma, d gamma and qfi are
-finite, `qfi_engine.qfi_closed_form` gives the values. A round that fails
-that check replays its probes in order through `_cell`, which raises at the
-first failing probe as it would for a grid cell.
+time kernel once per distinct time, then the exponent and derivative of every
+cell by array algebra on the moments. Sweeps, grids and each round of a search
+then go through one checked step (`_table`), which builds no record per cell:
+where the engine's rule pair agrees on every cell, none is degenerate and
+gamma, d gamma and qfi are finite, one `qfi_engine.qfi_closed_form` call gives
+every qfi. A table that fails that check replays its cells in row-major order
+through the per-cell step (`_cell`), so the first failing cell aborts the run
+with its location and the message it would raise alone. Identical specs
+always produce bit-identical tables. The optimal-time search brackets the
+global maximum with a coarse scan before golden-section refinement, because
+the squeezing kernel can make the information oscillate in t and unimodal
+search alone would lock onto the wrong peak. A curve searches all its
+temperatures as one batch: their coarse scans are one (T, t) table like a
+grid, and the refinement runs in lockstep, each round one table of (T, t)
+pairs, one per temperature whose bracket is still open, against temperature
+factors built once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
@@ -128,10 +128,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridTable:
-    """Row-major grid of samples, temperature outer, time inner."""
+    """Grid result: (T, t, gamma, dgamma, qfi) rows, row-major, temperature outer,
+    time inner."""
 
     spec: GridSpec
-    samples: tuple[QfiSample, ...]
+    rows: tuple[tuple[float, float, float, float, float], ...]
     metadata: dict = field(compare=False)
 
 
@@ -232,6 +233,32 @@ def _cell(engine: MomentEngine, exponents: tuple, cell: tuple[int, int], point: 
     return sample
 
 
+def _table(engine: MomentEngine, exponents: tuple, init: ProbeInit | list[ProbeInit],
+           replay: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """gamma, d gamma and qfi at every cell of `exponents`, flat in row-major order.
+
+    The table is checked once: where the pair agrees on every cell, no cell is
+    degenerate and gamma, d gamma and qfi are finite, one `qfi_closed_form` call
+    with `init` gives every qfi. A table that fails the check replays its cells in
+    row-major order through `_cell`, which raises at the first failing cell; `replay`
+    holds their remaining `_cell` arguments (point, sq, init, where) in that order.
+    """
+    values, derivatives, agree = (part.ravel() for part in exponents[:3])
+    if agree.all():
+        try:
+            qfis = qfi_closed_form(init, values, derivatives)
+        except ValueError:  # a degenerate or nan cell, which the replay names
+            pass
+        else:
+            if all(np.isfinite(part).all() for part in (values, derivatives, qfis)):
+                return values, derivatives, qfis
+    columns = exponents[0].shape[1]
+    samples = [_cell(engine, exponents, divmod(k, columns), *cell)
+               for k, cell in enumerate(replay)]
+    return tuple(np.array([getattr(sample, name) for sample in samples])
+                 for name in ("gamma", "dgamma", "qfi"))
+
+
 def _with_axis_value(
     axis: str, value: float, point: BathPoint, sq: SqueezeParams, init: ProbeInit
 ) -> tuple[BathPoint, SqueezeParams, ProbeInit]:
@@ -251,39 +278,46 @@ def sweep(spec: SweepSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> SweepTa
 
     One moment evaluation serves the whole sweep: a T or t axis spans its
     values in the batch, any other axis reuses the moments of its single
-    (T, t). A failure at any point aborts the whole sweep with the axis value
-    attached; tables never contain silent gaps.
+    (T, t), and one `exponents` call assembles every value's column. A failure
+    at any point aborts the whole sweep with the axis value attached; tables
+    never contain silent gaps.
     """
     values = [float(value) for value in np.linspace(spec.lo, spec.hi, spec.points)]
     temperatures = values if spec.axis == "T" else [spec.point.temperature]
     times = values if spec.axis == "t" else [spec.point.time]
     engine = MomentEngine(spec.estimand, spec.sp, qc, temperatures, max(times))
-    moments = engine.moments(times)
-    exponents = engine.exponents(moments, spec.sq)
-    rows = []
-    for k, value in enumerate(values):
-        point, sq, init = _with_axis_value(spec.axis, value, spec.point, spec.sq, spec.init)
-        if spec.axis in ("r", "theta"):
-            exponents = engine.exponents(moments, sq)
-        cell = (k if spec.axis == "T" else 0, k if spec.axis == "t" else 0)
-        sample = _cell(engine, exponents, cell, point, sq, init,
-                       f"sweep aborted at {spec.axis} = {value!r}")
-        rows.append((value, sample.gamma, sample.dgamma, sample.qfi))
+
+    def varied():  # each value's records, built only where they are needed
+        return (_with_axis_value(spec.axis, value, spec.point, spec.sq, spec.init)
+                for value in values)
+
+    # an axis other than T or t takes one column per value, from the one (T, t)
+    squeezes = spec.sq if spec.axis in ("T", "t") else [sq for _, sq, _ in varied()]
+    inits = [init for *_, init in varied()] if spec.axis == "alpha" else spec.init
+    exponents = engine.exponents(engine.moments(times), squeezes)
+    gammas, dgammas, qfis = _table(engine, exponents, inits, (
+        (point, sq, init, f"sweep aborted at {spec.axis} = {value!r}")
+        for value, (point, sq, init) in zip(values, varied())
+    ))
+    rows = zip(values, gammas.tolist(), dgammas.tolist(), qfis.tolist())
     return SweepTable(spec=spec, rows=tuple(rows), metadata=run_metadata(qc))
 
 
 def density_grid(spec: GridSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> GridTable:
-    """Full t x T grid of information samples, temperature outer, time inner."""
+    """Full t x T grid of (T, t, gamma, dgamma, qfi) rows, temperature outer, time inner,
+    checked and computed as one table."""
     temperatures = [float(T) for T in np.linspace(spec.T_lo, spec.T_hi, spec.T_points)]
     times = [float(t) for t in np.linspace(spec.t_lo, spec.t_hi, spec.t_points)]
     engine = MomentEngine(spec.estimand, spec.sp, qc, temperatures, times[-1])
     exponents = engine.exponents(engine.moments(times), spec.sq)
-    samples = [
-        _cell(engine, exponents, (i, j), BathPoint(temperature, time), spec.sq, spec.init,
-              f"grid aborted at (T, t) = ({temperature!r}, {time!r})")
-        for i, temperature in enumerate(temperatures) for j, time in enumerate(times)
-    ]
-    return GridTable(spec=spec, samples=tuple(samples), metadata=run_metadata(qc))
+    gammas, dgammas, qfis = _table(engine, exponents, spec.init, (
+        (BathPoint(temperature, time), spec.sq, spec.init,
+         f"grid aborted at (T, t) = ({temperature!r}, {time!r})")
+        for temperature in temperatures for time in times
+    ))
+    rows = zip(np.repeat(temperatures, len(times)).tolist(), times * len(temperatures),
+               gammas.tolist(), dgammas.tolist(), qfis.tolist())
+    return GridTable(spec=spec, rows=tuple(rows), metadata=run_metadata(qc))
 
 
 def _search(times: list[float], tolerance: float):
@@ -324,38 +358,23 @@ def _search_block(engine: MomentEngine, block: range, temperatures: list[float],
     """The searches of one block of the engine's temperatures, round by round."""
     factors = engine.factors(block)
 
-    def information(exponents, i: int, probes: list[tuple[int, float]]) -> list[float]:
-        """qfi at each cell of row i of `exponents`, whose probes are (block row, time).
-
-        Where the pair agrees on every cell, no cell is degenerate and gamma, d gamma
-        and qfi are finite, the closed form alone gives the values; otherwise the
-        probes replay in order through `_cell`, so the first failing one raises.
-        """
-        values, derivatives, agree = (lists[i] for lists in exponents[:3])
-        if all(agree):
-            try:
-                qfis = [qfi_closed_form(spec.init, value, derivative)
-                        for value, derivative in zip(values, derivatives)]
-                if all(map(isfinite, values + derivatives + qfis)):
-                    return qfis
-            except ValueError:  # a degenerate or nan cell, which the replay names
-                pass
-        qfis = []
-        for j, (row, time) in enumerate(probes):
-            temperature = temperatures[block[row]]
-            qfis.append(_cell(
-                engine, exponents, (i, j), BathPoint(temperature, time), spec.sq, spec.init,
-                f"optimal-time search aborted at (T, t) = ({temperature!r}, {time!r})",
-            ).qfi)
-        return qfis
+    def information(exponents, probes: list[tuple[int, float]]) -> list[float]:
+        """qfi at every cell of `exponents`, one table whose cells are the probes
+        (block row, time) in row-major order."""
+        return _table(engine, exponents, spec.init, (
+            (BathPoint(temperatures[block[row]], time), spec.sq, spec.init,
+             f"optimal-time search aborted at (T, t) = ({temperatures[block[row]]!r}, {time!r})")
+            for row, time in probes
+        ))[2].tolist()
 
     scan = [float(time) for time in np.linspace(0.0, spec.t_max, spec.coarse_points)]
     searches = [_search(scan, 1e-4 * spec.t_max) for _ in block]
     for search in searches:
         next(search)  # each asks for the coarse scan first
-    exponents = engine.exponents(engine.scan(factors, scan), spec.sq)
-    values = {row: information(exponents, row, [(row, time) for time in scan])
-              for row in range(len(block))}
+    rows = range(len(block))
+    flat = iter(information(engine.exponents(engine.scan(factors, scan), spec.sq),
+                            [(row, time) for row in rows for time in scan]))
+    values = {row: [next(flat) for _ in scan] for row in rows}
     outcomes = {}
     while True:
         probes = {}
@@ -370,7 +389,7 @@ def _search_block(engine: MomentEngine, block: range, temperatures: list[float],
         exponents = engine.exponents(
             engine.pairs(factors, [row for row, _ in pairs], [time for _, time in pairs]),
             spec.sq)
-        flat = iter(information(exponents, 0, pairs))
+        flat = iter(information(exponents, pairs))
         values = {row: [next(flat) for _ in times] for row, times in probes.items()}
     return [
         OptimalTimeResult(temperature=temperatures[i], t_star=outcomes[row][0],

@@ -9,10 +9,11 @@ import textwrap
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import adaptive_reference
-from qfibath import __version__, moments
+from qfibath import __version__, cli, moments
 from qfibath.cli import RECIPES, main
 from qfibath.probe_state import ProbeInit
 from qfibath.qfi_engine import Estimand, qfi_point
@@ -257,6 +258,54 @@ def test_json_layout(tmp_path):
     assert metadata["columns"] == ["T", "t_star", "qfi_star"]
 
 
+# a column of each kind a writer may meet: strings, ints, and floats at the edges of their
+# spelling; the non-finite ones no table emits, as every table checks its cells
+WRITER_COLUMNS = [
+    ["T", "theta", 'a "quoted", \\ non-ASCII \u03b8 string'],
+    [0, -7, 2**70],
+    [-0.0, 5e-324, 1e300],
+    [0.1, -2.5e-310, 1.7976931348623157e308],
+    [math.nan, math.inf, -math.inf],
+    [1.5, math.nan, 2.0],
+    [True, False, True],
+    [np.float64(0.1), np.float64(-2.5e-8), np.float64(3.0)],
+]
+WRITER_SPEC = {"subcommand": "sweep", "estimand": "T", "range": [0.0, 2.5], "points": 3,
+               "fixed": {"temp": 0.5, "alpha": math.pi / 2}}
+WRITER_METADATA = {"tool": "qfibath", "version": __version__,
+                   "quadrature": {"rel_tol": 1e-8, "abs_tol": 1e-12}, "omega_0": 5.0,
+                   "timestamp": "2026-01-01T00:00:00+00:00", "columns": list("abcdefgh")}
+
+
+@pytest.mark.parametrize("columns", [WRITER_COLUMNS, WRITER_COLUMNS[2:4], [[0.25]]])
+def test_json_writer_equals_the_indented_dump_of_its_rows(columns):
+    rows = [list(row) for row in zip(*columns)]
+    expected = json.dumps({"spec": WRITER_SPEC, "metadata": WRITER_METADATA, "rows": rows},
+                          indent=2) + "\n"
+    assert cli._json_text(WRITER_SPEC, WRITER_METADATA, columns) == expected
+
+
+def _cell_text(value):
+    """How the CSV writer spelled each cell, one at a time, before it wrote by column."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    return repr(float(value))
+
+
+@pytest.mark.parametrize("columns", [WRITER_COLUMNS, WRITER_COLUMNS[2:4], [[0.25]]])
+def test_csv_writer_equals_the_cell_by_cell_spelling(columns):
+    names = [f"c{k}" for k in range(len(columns))]
+    text = cli._csv_text(WRITER_SPEC, WRITER_METADATA, names, columns)
+    rows = [",".join(map(_cell_text, row)) for row in zip(*columns)]
+    lines = text.splitlines()
+    assert lines[-len(rows) - 1:] == [",".join(names), *rows]
+    cells = [value for column in columns for value in column]  # the header spells by _fmt
+    assert list(map(cli._fmt, cells)) == list(map(_cell_text, cells))
+    assert text.endswith("\n") and len(lines) == text.count("\n")
+
+
 def test_minimal_grid_round_trips_against_point_calls(tmp_path):
     grid_out = tmp_path / "grid.json"
     argv = ["grid", "--estimand", "T", "--t-range", "0.5:1.5", "--T-range", "0.4:0.8",
@@ -269,9 +318,7 @@ def test_minimal_grid_round_trips_against_point_calls(tmp_path):
         t_points=2, T_points=2, sq=SqueezeParams(0.1, 1.0), sp=SpectralParams(0.5),
     ))
     # the CLI serializes the library's grid exactly
-    assert payload["rows"] == [
-        [s.point.temperature, s.point.time, s.gamma, s.dgamma, s.qfi] for s in table.samples
-    ]
+    assert payload["rows"] == [list(row) for row in table.rows]
     # the batched grid agrees with point calls, each on its own 1 x 1 engine
     for row in payload["rows"]:
         temperature, time, gamma_value, dgamma, qfi = row

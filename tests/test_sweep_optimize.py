@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qfibath import moments, sweep_optimize
+from qfibath import cli, moments, sweep_optimize
+from qfibath.cli import RECIPES
 from qfibath.decoherence import ConvergenceError, QuadratureConfig
 from qfibath.probe_state import ProbeInit
 from qfibath.qfi_engine import qfi_point
@@ -177,17 +178,17 @@ def test_grid_ordering_is_temperature_outer():
         sp=SUB_OHMIC,
     )
     table = density_grid(spec)
-    assert len(table.samples) == 12
-    temperatures = [s.point.temperature for s in table.samples]
-    times = [s.point.time for s in table.samples]
+    assert len(table.rows) == 12
+    temperatures = [row[0] for row in table.rows]
+    times = [row[1] for row in table.rows]
     assert temperatures == sorted(temperatures)
     assert times[:4] == sorted(times[:4])
     assert times[:4] == times[4:8] == times[8:]
     # the t = 0 column carries no information, and nothing is negative
-    for sample in table.samples:
-        assert sample.qfi >= 0.0
-        if sample.point.time == 0.0:
-            assert sample.qfi == 0.0
+    for _, time, _, _, qfi in table.rows:
+        assert qfi >= 0.0
+        if time == 0.0:
+            assert qfi == 0.0
 
 
 def test_grid_spec_validation():
@@ -215,10 +216,10 @@ def test_dense_grid_peak_is_interior():
         sq=FIX_SQUEEZE, sp=SUB_OHMIC,
     )
     table = density_grid(spec)
-    best = max(table.samples, key=lambda s: s.qfi)
-    assert best.qfi > 0.0
-    assert best.point.time < 10.0
-    assert best.point.temperature < 3.0
+    temperature, time, _, _, qfi = max(table.rows, key=lambda row: row[4])
+    assert qfi > 0.0
+    assert time < 10.0
+    assert temperature < 3.0
 
 
 def test_optimal_time_matches_brute_force_grid():
@@ -495,3 +496,130 @@ def test_table_metadata_records_the_quadrature():
     assert table.metadata["tool"] == "qfibath"
     assert table.metadata["quadrature"]["rel_tol"] == 1e-8
     assert "timestamp" in table.metadata
+
+
+def _bits(rows):
+    return [tuple(map(float.hex, row)) for row in rows]
+
+
+def _recipe_spec(monkeypatch, tmp_path, name):
+    """The spec the CLI builds for recipe `name`, captured on its way to the library."""
+    captured = []
+
+    def capturing(library):
+        return lambda spec, qc: captured.append(spec) or library(spec, qc)
+
+    for function in ("sweep", "density_grid"):
+        monkeypatch.setattr(cli, function, capturing(getattr(sweep_optimize, function)))
+    argv = [RECIPES[name]["subcommand"], "--recipe", name, "--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == 0
+    monkeypatch.undo()
+    (spec,) = captured
+    return spec
+
+
+def _rows_cell_by_cell(spec):
+    """A spec's rows through `_cell`, cell by cell, on exponents assembled one squeezing at
+    a time: the path of every table before tables were checked as a whole."""
+    qc = moments.DEFAULT_QUADRATURE
+    if isinstance(spec, GridSpec):
+        temperatures = [float(T) for T in np.linspace(spec.T_lo, spec.T_hi, spec.T_points)]
+        times = [float(t) for t in np.linspace(spec.t_lo, spec.t_hi, spec.t_points)]
+        engine = moments.MomentEngine(spec.estimand, spec.sp, qc, temperatures, times[-1])
+        exponents = engine.exponents(engine.moments(times), spec.sq)
+        samples = (
+            sweep_optimize._cell(engine, exponents, (i, j), BathPoint(T, t), spec.sq,
+                                 spec.init, "")
+            for i, T in enumerate(temperatures) for j, t in enumerate(times)
+        )
+        return [(s.point.temperature, s.point.time, s.gamma, s.dgamma, s.qfi) for s in samples]
+    values = [float(value) for value in np.linspace(spec.lo, spec.hi, spec.points)]
+    temperatures = values if spec.axis == "T" else [spec.point.temperature]
+    times = values if spec.axis == "t" else [spec.point.time]
+    engine = moments.MomentEngine(spec.estimand, spec.sp, qc, temperatures, max(times))
+    batch = engine.moments(times)
+    rows = []
+    for k, value in enumerate(values):
+        point, sq, init = sweep_optimize._with_axis_value(spec.axis, value, spec.point,
+                                                          spec.sq, spec.init)
+        cell = (k if spec.axis == "T" else 0, k if spec.axis == "t" else 0)
+        sample = sweep_optimize._cell(engine, engine.exponents(batch, sq), cell, point, sq,
+                                      init, "")
+        rows.append((value, sample.gamma, sample.dgamma, sample.qfi))
+    return rows
+
+
+_TABLE_RECIPES = sorted(name for name, recipe in RECIPES.items()
+                        if recipe["subcommand"] in ("sweep", "grid"))
+
+
+@pytest.mark.parametrize("name", _TABLE_RECIPES + ["alpha"])
+def test_table_rows_equal_the_cell_by_cell_rows_bit_for_bit(name, monkeypatch, tmp_path):
+    if name == "alpha":  # one init per row
+        spec = SweepSpec(estimand=Estimand.TEMPERATURE, axis="alpha", lo=0.0, hi=math.pi,
+                         points=7, point=BathPoint(0.5, 1.0), sq=FIX_SQUEEZE, sp=SUB_OHMIC)
+    else:
+        spec = _recipe_spec(monkeypatch, tmp_path, name)
+    table = density_grid(spec) if isinstance(spec, GridSpec) else sweep(spec)
+    assert _bits(table.rows) == _bits(_rows_cell_by_cell(spec))
+
+
+def test_sweeps_over_r_or_theta_assemble_their_exponents_once(monkeypatch, tmp_path):
+    specs = [_recipe_spec(monkeypatch, tmp_path, name) for name in ("fig2a", "fig4c")]
+    calls = []
+    exponents = moments.MomentEngine.exponents
+
+    def counted(engine, batch, sq):
+        calls.append(sq)
+        return exponents(engine, batch, sq)
+
+    monkeypatch.setattr(moments.MomentEngine, "exponents", counted)
+    for spec in specs:
+        calls.clear()
+        assert len(sweep(spec).rows) == 200
+        assert len(calls) == 1
+
+
+def _poison_two_grid_cells(monkeypatch, poison, cells):
+    """Let `poison` edit the moments of grid cells (i, j) of every `moments` call."""
+    batch = moments.MomentEngine.moments
+
+    def poisoned(engine, times):
+        out = batch(engine, times)
+        for i, j in cells:
+            poison(out, i, j)
+        return out
+
+    monkeypatch.setattr(moments.MomentEngine, "moments", poisoned)
+
+
+def _nan_order_20_cell(out, i, j):
+    out[0, 0, i, 0, j] = math.nan
+
+
+def _overflowing_derivative_cell(out, i, j):
+    out[:, 1, i, :, j] *= 1e200
+
+
+def _vanishing_gamma_cell(out, i, j):
+    out[:, 0, i, :, j] = 0.0
+
+
+@pytest.mark.parametrize("poison, error, message", [
+    (_nan_order_20_cell, ConvergenceError, "rule pair disagrees"),
+    (_overflowing_derivative_cell, ConvergenceError, "non-finite sample"),
+    (_vanishing_gamma_cell, ValueError, "gamma = 0.0 is at the t -> 0"),
+])
+def test_grid_aborts_at_the_first_poisoned_cell_in_row_major_order(monkeypatch, poison, error,
+                                                                   message):
+    spec = GridSpec(
+        estimand=Estimand.TEMPERATURE, t_lo=0.0, t_hi=3.0, T_lo=0.2, T_hi=1.0,
+        t_points=4, T_points=3, sq=FIX_SQUEEZE, sp=SUB_OHMIC,
+    )
+    # (2, 1) comes first by column, (1, 3) by row
+    _poison_two_grid_cells(monkeypatch, poison, [(2, 1), (1, 3)])
+    with pytest.raises(error) as raised:
+        density_grid(spec)
+    temperature = float(np.linspace(spec.T_lo, spec.T_hi, spec.T_points)[1])
+    assert str(raised.value).startswith(
+        f"grid aborted at (T, t) = ({temperature!r}, 3.0): {message}")
