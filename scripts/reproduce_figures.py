@@ -6,9 +6,9 @@ Usage:
     python scripts/reproduce_figures.py --only fig1a fig10 --format json
 
 Each recipe maps to one CLI invocation; pass --only to restrict the set.
-On a 2-vCPU x86-64 VM with one BLAS thread, the slowest recipes (fig10 and
-fig9) take about 20 ms each and all 28 about 0.16 s in one process; the whole
-script, interpreter start included, takes about 0.3 s.
+On a 2-vCPU x86-64 VM with one BLAS thread, the slowest recipes (the grids
+fig7-fig9 and fig10) take about 30 ms each and all 28 about 0.22 s in one
+process; the whole script, interpreter start included, takes about 0.5 s.
 """
 
 import argparse

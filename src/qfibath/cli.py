@@ -51,7 +51,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-# environment override for the default relative quadrature tolerance;
+# environment override for the default relative tolerance;
 # an explicit --rel-tol flag wins over it
 ENV_REL_TOL = "QFIBATH_REL_TOL"
 
@@ -69,7 +69,7 @@ AXIS_FLAG = {"T": "temp", "t": "time", "r": "r", "theta": "theta", "alpha": "alp
 FIELD_FLAGS = {
     "temperature": "--temp", "time": "--time", "r": "--r", "theta": "--theta",
     "s": "--s", "omega_c": "--omega-c", "alpha": "--alpha",
-    "rel_tol": "--rel-tol", "abs_tol": "--abs-tol", "omega_max_factor": "--omega-max-factor",
+    "rel_tol": "--rel-tol", "abs_tol": "--abs-tol",
     "lo": "--range", "hi": "--range", "points": "--points",
     "t_lo": "--t-range", "T_lo": "--T-range", "t_points": "--t-points",
     "T_points": "--T-points", "t_max": "--t-max",
@@ -187,12 +187,9 @@ def _add_shared_arguments(parser: argparse.ArgumentParser, with_recipe: bool) ->
                         help="qubit transition frequency; recorded in metadata only, "
                              "pure dephasing leaves it out of every result")
     parser.add_argument("--rel-tol", type=float, default=None,
-                        help=f"relative quadrature tolerance (default 1e-8; env {ENV_REL_TOL})")
+                        help=f"relative tolerance (default 1e-8; env {ENV_REL_TOL})")
     parser.add_argument("--abs-tol", type=float, default=None,
-                        help="absolute quadrature tolerance (default 1e-12)")
-    parser.add_argument("--omega-max-factor", type=float, default=None,
-                        help="upper limit of the thermal integral in units of "
-                             "max(1, s) / (1/omega_c + 1/T_max), >= 10")
+                        help="absolute tolerance (default 1e-12)")
     parser.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     if with_recipe:
@@ -272,9 +269,7 @@ def _quadrature_config(args: argparse.Namespace) -> QuadratureConfig:
             rel_tol = QuadratureConfig(rel_tol=float(env_value)).rel_tol
         except ValueError as exc:
             _fail(ENV_REL_TOL, str(exc))
-    return QuadratureConfig(**_given(
-        rel_tol=rel_tol, abs_tol=args.abs_tol, omega_max_factor=args.omega_max_factor,
-    ))
+    return QuadratureConfig(**_given(rel_tol=rel_tol, abs_tol=args.abs_tol))
 
 
 def _records(args: argparse.Namespace) -> tuple[SqueezeParams, SpectralParams, ProbeInit]:

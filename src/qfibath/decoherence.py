@@ -2,9 +2,10 @@
 
 `gamma` and `gamma_partial` are single-point evaluations on the moment engine
 (`moments.point_exponents`), the same evaluation `qfi_engine.qfi_point` makes:
-a 1 x 1 batch on the engine's rule pair. Each derivative integrates the
-integrand of `spectral_bath.derivative_rule`; central finite differences are shipped as a
-cross-validation oracle (`gamma_partial_fd`), not as a production path.
+a one-pair batch, summed in closed form by the engine's two truncations. Each
+derivative is the integral of the integrand of `spectral_bath.derivative_rule`;
+central finite differences are shipped as a cross-validation oracle
+(`gamma_partial_fd`), not as a production path.
 
 Pure functions over immutable inputs; concurrently callable. No caches.
 """
@@ -36,8 +37,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GammaResult:
-    """One evaluated decoherence exponent with its quadrature diagnostics: the
-    rule pair's gap as the error estimate, and its node count as evaluations."""
+    """One evaluated decoherence exponent with its diagnostics: the gap between the
+    engine's two truncations as the error estimate, and their thermal terms as
+    evaluations."""
 
     value: float
     est_error: float
@@ -58,9 +60,9 @@ def gamma(
 ) -> GammaResult:
     """Decoherence exponent gamma(T, t) at one point.
 
-    t = 0 is exactly 0 with no integrand calls, and T = 0 needs none either:
-    its gamma is all vacuum part, in closed form. Raises ConvergenceError when
-    the rule pair disagrees above tolerance or would exceed the node budget.
+    t = 0 is exactly 0 with no thermal terms, and T = 0 needs none either: its
+    gamma is all vacuum part. Raises ConvergenceError when the two truncations
+    disagree above tolerance or are not finite.
     """
     value, _, est_error, evaluations = point_exponents(None, point, sq, sp, qc)
     return GammaResult(value=value, est_error=est_error, evaluations=evaluations)

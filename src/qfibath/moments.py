@@ -9,58 +9,52 @@ factor f(T, w) = J(w) coth(w / 2T) / w**2 and E(w, t) = 2 sin(w t / 2)**2,
 
 grouped as in `spectral_bath.squeeze_kernel`; each derivative is the same
 assembly with the thermal row and weights of `spectral_bath.derivative_rule`.
+With I_k = int f (1 - e^(i k w t)) dw for k = 1, 2, M0 = Re I_1,
+Mc = Re I_2 / 2 - Re I_1 and Ms = Im I_2 / 2 - Im I_1, so any part of I_k that
+is imaginary and linear in k cancels from all three; such parts are left out.
 
-coth(w / 2T) = 1 + 2 n(w) splits each moment into a vacuum part and a thermal
-part. The vacuum part has a closed form: with x = omega_c t,
-L_k = log(1 - i k x) and I_k = Gamma(s) expm1((1 - s) L_k) / (1 - s) (L_k at
-s = 1), M0 = Re I_1, Mc = -Re I_1 + Re I_2 / 2 and Ms = -Im I_1 + Im I_2 / 2.
-Below x = VACUUM_SERIES_CUTOFF, where that difference cancels the linear term
-of Ms, their Taylor series in x take over. d coth / dT has no vacuum part.
+coth(w / 2T) = 1 + 2 n(w) splits I_k into a vacuum and a thermal part, both in
+closed form.
 
-Only the thermal part, 2 n(w) = 2 / expm1(w / T) (exactly 0 at T = 0), and
-d coth / dT are integrated. That factor depends only on (T, w) and the kernel
-E [1, cos, sin] only on (w, t), so on one fixed quadrature rule the moments of
-a whole (T, t) batch, or of a single point (`point_exponents`), are one matrix
-product F @ K. F has a thermal-set axis (2 n, and d coth / dT for the
-temperature estimand), a temperature axis and a node axis, and is built in
-blocks of temperatures (`blocks`). A search that needs one time per
-temperature takes each temperature's row of F against its own kernel column
-instead (`pairs`), with F built once. Both products run through one method,
-which also adds the vacuum moments and sets every moment at t = 0 to exactly 0.
+Vacuum part: with x = omega_c t, L_k = log(1 - i k x) and
+I_k = Gamma(s) expm1((1 - s) L_k) / (1 - s) (L_k at s = 1). Below
+x = VACUUM_SERIES_CUTOFF, where that difference cancels the linear term of Ms,
+Taylor series in x take over. d coth / dT has no vacuum part.
 
-The rule is composite Gauss-Legendre, laid out from the batch's inputs:
+Thermal part: 2 n(w) = 2 sum_(n >= 1) e^(-n w / T) sums to Hurwitz zeta
+functions. With q = s - 1, tau = T / omega_c, a = 1 + tau, eps = k T t and
+S(p) = -Gamma(p) [zeta(p, a) - zeta(p, a - i eps)],
 
-- a boundary panel [0, a], a = min(omega_c / 100, T_min / 2, 1 / t_max). a stays
-  below the smallest positive temperature and below 1 / t_max, so n(w) and E
-  are smooth there, and the integrand is w**(s - 1) times a smooth function.
-  The panel keeps its Gauss-Legendre nodes, with product-integration weights
-  exact for w**(s - 1) times any polynomial of degree below the rule's order:
-  W_i = g_i sum_k (2k + 1) P_k(2 x_i - 1) m_k on [0, 1], with the moments
-  m_k = int_0^1 u**(s - 1) P_k(2u - 1) du, m_0 = 1 / s and
-  m_k = m_(k-1) (s - k) / (s + k);
-- geometric segments (ratio at most 2) from a to min(omega_c, W), and one on to
-  the upper limit W = omega_max_factor * max(1, s) / (1 / omega_c + 1 / T_max),
-  where exp(-w / omega_c) n(w) has decayed;
-- each segment split into equal panels of one width h, no wider than
-  min(omega_c, 16 / t_max), so none spans more than 16 radians of the
-  oscillation. A node is w = L_p + h x_i: its panel's left end plus h times a
-  unit node.
+    I_k = -2 tau**q S(q),
+    d I_k / dT = (2 / omega_c) tau**(q-1) [-q S(q) + (tau - i eps) S(q + 1)],
 
-The time kernel uses that layout (`_panel_factor`, `_kernel`): by angle addition,
-e^(i w t/2) = e^(i L_p t/2) e^(i h x_i t/2), so a time takes one sine and
-cosine per panel and one per segment and unit node, instead of one per node.
-The rounding error of L_p t/2, exact from Dekker's product, enters the panel
-factor, so the kernel holds to roundoff at each node's phase however large
-w t is.
+and both are exactly 0 at T = 0. Euler-Maclaurin with N direct and J Bernoulli
+terms gives, with w_n = a + n, x_n = -i eps / w_n and E_p(x) = [(1 + x)**p - 1] / p,
 
-An engine whose temperatures are all 0, or whose times are, integrates nothing
-and has no rule. A rule pair of more than NODE_BUDGET nodes raises
-ConvergenceError before any of it is allocated.
+    S(p) = -Gamma(p + 1) [sum_(n < N) w_n**-p E_-p(x_n) + w_N**-p E_-p(x_N) / 2]
+           - Gamma(p) w_N**(1-p) E_(1-p)(x_N)
+           + w_N**(1-p) sum_(j <= J) Gamma(p + 2j - 1) B_2j / (2j)!
+                        [(1 + x_N)**(1-p) (w_N - i eps)**-2j - w_N**-2j].
 
-Every panel carries an order-20 rule and an order-24 rule. The order-24
-values are reported. A point where the two disagree by more than the
-QuadratureConfig tolerance, on gamma or on d gamma relative to
-max(|d gamma|, gamma), or are not finite, raises ConvergenceError.
+Gamma(q) has a pole at s = 1, so S(q) takes its direct and tail terms less their
+linear parts, E_p(x) - x = (p - 1) P_p(x) with
+P_p(x) = [(1 + x)**p - 1 - p x] / (p (p - 1)); S(q + 1) keeps them, as times
+-i eps they are real. E and P are taken from expm1(p L), L = log1p(x), written
+with real log1p, arctan, expm1, sin and cos, so s = 1 and s = 2, where Gamma(q)
+and zeta(1, .) have poles, are ordinary points. Below 2 T t = SERIES_CUTOFF * a
+the Taylor series S(p) = sum_(m >= 2) (i eps)**m Gamma(p + m) / m! zeta(p + m, a)
+takes over, summed per moment with the weights (1, 2**(m-1) - 1) of (I_1, I_2),
+so the cancellations between I_1 and I_2 are exact; d/dT differentiates it term
+by term. Its real zeta(p + m, a) come from the same Euler-Maclaurin truncation,
+once per temperature.
+
+Each point takes the two truncations of TRUNCATIONS: (N, J) Euler-Maclaurin
+terms, or N + 2 + J Taylor terms. The second is reported. A point where the two
+disagree by more than the QuadratureConfig tolerance, on gamma or on d gamma
+relative to max(|d gamma|, gamma), or are not finite, raises ConvergenceError.
+What depends on the temperature alone is computed once per temperature, and a
+batch is evaluated in chunks of at most CHUNK pairs, so its temporaries stay
+small; every pair's moments are the same in any batch.
 """
 
 from __future__ import annotations
@@ -71,71 +65,66 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legvander
 
 from .spectral_bath import BathPoint, Estimand, SpectralParams, SqueezeParams, derivative_rule
 
 __all__ = [
-    "ORDER", "CHECK_ORDER", "F_BYTES", "K_BYTES", "NODE_BUDGET", "VACUUM_SERIES_CUTOFF",
+    "TRUNCATIONS", "TERMS", "CHUNK", "SERIES_CUTOFF", "VACUUM_SERIES_CUTOFF",
     "QuadratureConfig", "DEFAULT_QUADRATURE",
-    "ConvergenceError", "MomentEngine", "point_exponents",
+    "ConvergenceError", "MomentEngine", "grid_pairs", "point_exponents",
 ]
 
-ORDER = 20
-CHECK_ORDER = 24
+# (direct terms N, Bernoulli terms J) of the two Euler-Maclaurin truncations; the
+# Taylor series takes N + 2 + J terms. The second truncation is reported.
+TRUNCATIONS = ((3, 10), (4, 12))
 
-# blocks of the temperature factor F (sets x temperatures x nodes) and of the time
-# kernel K (3 x times x nodes), in bytes: a batch is processed in as many chunks as it
-# takes to keep each block below these sizes, so its temporaries stay off the
-# process's peak RSS. Blocks this small cost no measurable time.
-F_BYTES = 2**22
-K_BYTES = 2**18
+# thermal terms both truncations sum at a point with T > 0 and t > 0
+TERMS = sum(n + 2 + j for n, j in TRUNCATIONS)
 
-# largest rule pair an engine lays out, in nodes of both orders; a temperature-estimand
-# point at the budget peaks near 280 MiB of RSS
-NODE_BUDGET = 2**22
+# pairs per chunk of a batch: a fig10 scan or fig7 grid takes 3 chunks, whose
+# temporaries stay below a few MiB of RSS
+CHUNK = 1024
+
+# 2 T t / a below which the thermal moments come from their Taylor series
+SERIES_CUTOFF = 0.05
 
 # omega_c t below which the vacuum moments come from their Taylor series
 VACUUM_SERIES_CUTOFF = 1e-3
 
-# widest panel, in radians of the oscillation w t_max
-MAX_PHASE = 16.0
+# B_2j / (2j)! for j = 1..12
+_BERNOULLI = np.array([
+    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+    43867 / 798, -174611 / 330, 854513 / 138, -236364091 / 2730,
+]) / np.array([math.factorial(2 * j) for j in range(1, 13)], dtype=float)
 
-# a rule whose weights under- or overflow computes non-finite moments without
-# warnings; they fail the pair check, which raises ConvergenceError
+# overflowing terms compute non-finite moments without warnings; they fail the
+# truncation check, which raises ConvergenceError
 _NON_FINITE = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerance the rule pair must meet, and the upper limit of the thermal integral
-    in units of max(1, s) / (1 / omega_c + 1 / T_max)."""
+    """Tolerance the two truncations must agree within."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
-    omega_max_factor: float = 50.0
 
     def __post_init__(self) -> None:
-        # an infinite tolerance accepts any quadrature; an infinite limit breaks the rule layout
+        # an infinite tolerance accepts any truncation
         if not 0.0 < self.rel_tol < math.inf:
             raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
         if not 0.0 < self.abs_tol < math.inf:
             raise ValueError(f"abs_tol must be finite and > 0, got {self.abs_tol}")
-        if not 10.0 <= self.omega_max_factor < math.inf:
-            raise ValueError(
-                f"omega_max_factor must be finite and >= 10, got {self.omega_max_factor}"
-            )
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 class ConvergenceError(RuntimeError):
-    """The rule pair disagreed above tolerance, or would exceed NODE_BUDGET nodes.
+    """The two truncations disagreed above tolerance, or were not finite.
 
-    Carries the reported value, the pair's gap on it and the rule's node count,
-    so callers can see how far off it ended up; a refused rule carries nan, nan
-    and 0.
+    Carries the reported value, the truncations' gap on it and their term count,
+    so callers can see how far off it ended up.
     """
 
     def __init__(self, message: str, value: float, est_error: float, evaluations: int):
@@ -145,125 +134,37 @@ class ConvergenceError(RuntimeError):
         self.evaluations = evaluations
 
 
-def _panel_layout(sp: SpectralParams, qc: QuadratureConfig, temperatures: list[float],
-                  t_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Panels of the rule as (left ends L_p, segment widths h_g, segment of each panel).
-
-    Segment 0 is the boundary panel [0, a]; each later segment splits one geometric
-    span up to the upper limit W of the thermal part into equal panels of one width.
-    Empty where every temperature is 0 or t_max is.
-
-    Raises ConvergenceError, naming (T_max, t_max), where the rule pair would
-    exceed NODE_BUDGET nodes.
-    """
-    positive = [T for T in temperatures if T > 0.0]
-    if not positive or t_max == 0.0:  # no thermal part, or E(w, 0) = 0
-        return np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
-    top = qc.omega_max_factor * max(1.0, sp.s) / (1.0 / sp.omega_c + 1.0 / max(positive))
-    a = min(sp.omega_c / 100.0, 0.5 * min(positive), 1.0 / t_max)
-    width = min(sp.omega_c, MAX_PHASE / t_max)
-    # geometric edges from a to min(omega_c, top), ratio at most 2
-    hi = min(sp.omega_c, top)
-    coarse = np.geomspace(a, hi, math.ceil(math.log2(hi / a)) + 1)
-    if top > coarse[-1]:
-        coarse = np.append(coarse, top)
-    spans = np.diff(coarse)
-    panels = np.ceil(spans / width)
-    nodes = (1.0 + panels.sum()) * (ORDER + CHECK_ORDER)
-    if not nodes <= NODE_BUDGET:
-        raise ConvergenceError(
-            f"rule pair of {nodes:.4g} nodes at (T, t) = ({max(positive)!r}, {t_max!r}) is "
-            f"over the node budget of {NODE_BUDGET}",
-            value=math.nan, est_error=math.nan, evaluations=0,
-        )
-    counts = np.concatenate([[1], panels.astype(np.int64)])
-    widths = np.concatenate([[a], spans / panels])
-    segment = np.repeat(np.arange(counts.size), counts)
-    step = np.arange(segment.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    lefts = step * widths[segment] + np.concatenate([[0.0], coarse[:-1]])[segment]
-    return lefts, widths, segment
-
-
-@lru_cache(maxsize=None)
-def _unit_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule on [0, 1], cached: it costs more than a one-point batch."""
-    x, w = leggauss(order)
-    x, w = 0.5 * (x + 1.0), 0.5 * w
-    x.flags.writeable = w.flags.writeable = False  # shared by every engine
-    return x, w
-
-
-@lru_cache(maxsize=None)
-def _legendre_basis(order: int) -> np.ndarray:
-    """(2k + 1) P_k(2 x_i - 1) g_i on the nodes x_i and weights g_i of `_unit_rule`,
-    as [k, i], cached like it."""
-    x, w = _unit_rule(order)
-    basis = legvander(2.0 * x - 1.0, order - 1).T * (2.0 * np.arange(order) + 1.0)[:, None] * w
-    basis.flags.writeable = False
-    return basis
-
-
-def _boundary_weights(order: int, s: float) -> np.ndarray:
-    """Weights on the nodes of `_unit_rule` that integrate u**(s - 1) p(u) over [0, 1]
-    exactly for every polynomial p of degree below `order`: sum_k m_k (2k + 1) P_k g_i,
-    with m_k = int_0^1 u**(s - 1) P_k(2u - 1) du = prod_{j <= k} ((s - j) / (s + j)) / s."""
-    k = np.arange(float(order))
-    return np.cumprod((s - k) / (s + k)) @ _legendre_basis(order) / s
-
-
-def _rule(order: int, layout: tuple[np.ndarray, ...], s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes L_p + h_g x_i and weights of the composite rule of one order on the panels
-    of `layout`. The boundary panel's weights integrate w**(s - 1) times a polynomial
-    exactly, and are divided by w**(s - 1) there, so the integrand's own w**(s - 2)
-    factor applies on every panel alike."""
-    x, w = _unit_rule(order)
-    lefts, widths, segment = layout
-    nodes = np.multiply.outer(widths, x)[segment]
-    nodes += lefts[:, None]
-    weights = np.multiply.outer(widths, w)[segment].ravel()
-    weights[:order] = widths[0] * _boundary_weights(order, s) / x ** (s - 1.0)
-    return nodes.ravel(), weights
-
-
-def _thermal(omega: np.ndarray, temperature: float, out: np.ndarray,
-             scratch: np.ndarray) -> None:
-    """Thermal part 2 n(w) = 2 / expm1(w / T) of coth(w / 2T) = 1 + 2 n(w) into `out`,
-    exactly 0 at T = 0; `scratch` is not needed."""
-    if temperature == 0.0:
-        out.fill(0.0)
-        return
-    # an inf from expm1 (its warning silenced by callers) gives 0
-    np.divide(omega, temperature, out=out)
-    np.expm1(out, out=out)
-    np.divide(2.0, out, out=out)
-
-
-def _thermal_dT(omega: np.ndarray, temperature: float, out: np.ndarray,
-                scratch: np.ndarray) -> None:
-    """Vectorized `spectral_bath.thermal_factor_dT` into `out`, exactly 0 at T = 0:
-    x 4 exp(-2x) / expm1(-2x)**2 / T with x = w / 2T, through one `scratch` row."""
-    if temperature == 0.0:
-        out.fill(0.0)
-        return
-
-    np.divide(omega, 2.0 * temperature, out=out)
-    np.multiply(out, -2.0, out=scratch)
-    out *= 4.0
-    out *= np.exp(scratch, out=scratch)
-    # -2x again, for expm1
-    np.divide(omega, 2.0 * temperature, out=scratch)
-    scratch *= -2.0
-    np.expm1(scratch, out=scratch)
-    out /= np.multiply(scratch, scratch, out=scratch)
-    out /= temperature
-
-
 def _gamma_function(s: float) -> float:
-    """Gamma(s), inf where it overflows, so the point fails the pair check instead."""
+    """Gamma(s), inf where it overflows, so the point fails the truncation check instead."""
     try:
         return math.gamma(s)
     except OverflowError:
         return math.inf
+
+
+def _complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """real + i imag, built in place: NumPy casts a real operand of complex arithmetic
+    slowly."""
+    out = np.empty(real.shape, dtype=complex)
+    out.real, out.imag = real, imag
+    return out
+
+
+def _expm1(p: float, log: np.ndarray) -> np.ndarray:
+    """expm1(p L) for complex L, from real expm1, sin and cos: NumPy's complex expm1
+    and log1p lose the real part near 0."""
+    grown = np.expm1(p * log.real)
+    half = 0.5 * p * log.imag
+    sin = np.sin(half)
+    scale = 2.0 * (grown + 1.0) * sin
+    return _complex(grown - scale * sin, scale * np.cos(half))
+
+
+def _by_moment(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """(M0, Mc, Ms) = (Re I_1, Re I_2 / 2 - Re I_1, Im I_2 / 2 - Im I_1) from I_1 and I_2,
+    stacked on the second-to-last axis."""
+    return np.stack([first.real, 0.5 * second.real - first.real,
+                     0.5 * second.imag - first.imag], axis=-2)
 
 
 def _vacuum(sp: SpectralParams, times: np.ndarray) -> np.ndarray:
@@ -275,15 +176,9 @@ def _vacuum(sp: SpectralParams, times: np.ndarray) -> np.ndarray:
     # I_k = Gamma(s) E(L_k), E(L) = expm1((1 - s) L) / (1 - s), L_k = log(1 - i k x)
     parts = []
     for k in (1.0, 2.0):
-        real, imag = 0.5 * np.log1p((k * x) ** 2), -np.arctan(k * x)
-        if s != 1.0:
-            u, v = (1.0 - s) * real, (1.0 - s) * imag
-            half = np.sin(0.5 * v)
-            real = (np.expm1(u) * np.cos(v) - 2.0 * half * half) / (1.0 - s)
-            imag = np.exp(u) * np.sin(v) / (1.0 - s)
-        parts.append((real, imag))
-    (re1, im1), (re2, im2) = parts
-    out = scale * np.array([re1, 0.5 * re2 - re1, 0.5 * im2 - im1])
+        log = _complex(0.5 * np.log1p((k * x) ** 2), -np.arctan(k * x))
+        parts.append(log if s == 1.0 else _expm1(1.0 - s, log) * (1.0 / (1.0 - s)))
+    out = scale * _by_moment(*parts)
     small = x < VACUUM_SERIES_CUTOFF
     if small.any():
         out[:, small] = _vacuum_series(s, scale, x[small])
@@ -309,182 +204,211 @@ def _vacuum_series(s: float, scale: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split a = hi + lo, hi of at most 26 significant bits, so that the
-    product of two hi parts is exact."""
-    c = a * 134217729.0  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
+@lru_cache(maxsize=64)
+def _coefficients(s: float, truncations: tuple) -> dict:
+    """Everything of the thermal terms that depends on s and the truncations alone."""
+    q = s - 1.0
+    j = np.arange(1, _BERNOULLI.size + 1)
+    m = np.arange(2, 2 + max(n + 2 + k for n, k in truncations) + 1)  # one more for d/dT
+    gamma = np.vectorize(_gamma_function, otypes=[float])
+    factorial = np.array([math.factorial(int(k)) for k in m], dtype=float)
+    # each truncation's Bernoulli terms: B_2j / (2j)! for j up to its J, else 0
+    cut = np.array([np.where(j <= k, _BERNOULLI, 0.0) for _, k in truncations])
+    tables = {
+        # Gamma(s + 1) and Gamma(s) of the direct and tail terms, and
+        # Gamma(p + 2j - 1) B_2j / (2j)! per truncation for p = q, q + 1
+        "direct": _gamma_function(s + 1.0),
+        "tail": _gamma_function(s),
+        "bernoulli": np.array([gamma(q + 2 * j - 1), gamma(q + 2 * j)])[:, None, :] * cut,
+        # Gamma(q + m) / m! and Gamma(q + m + 1) / m! of the Taylor series
+        "series": np.array([gamma(q + m) / factorial, gamma(q + m + 1) / factorial]),
+    }
+    # above s = 148.6, Gamma(s + 23) overflows: no thermal term is then representable
+    finite = all(np.isfinite(table).all() for table in tables.values())
+    return {**tables, "orders": m, "finite": finite}
 
 
-def _panel_factor(lefts: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """e^(i L_p t/2) per time and panel left end, shape (times, panels). Dekker's
-    product gives the rounding error of L_p t/2 exactly, and it rotates the factor on,
-    so the factor holds to roundoff however large L_p t is."""
-    half = 0.5 * times[:, None]
-    phase = half * lefts
-    (t_hi, t_lo), (l_hi, l_lo) = _split(half), _split(lefts)
-    error = t_hi * l_hi - phase
-    error += t_lo * l_hi
-    error += t_hi * l_lo
-    error += t_lo * l_lo
-    panel = np.exp(1j * phase)
-    panel *= 1.0 + 1j * error  # e^(i error) to first order, error ~ ulp(phase)
-    return panel
-
-
-def _kernel(layout: tuple[np.ndarray, ...], x: np.ndarray, times: np.ndarray,
-            panel: np.ndarray) -> np.ndarray:
-    """K = E(w, t) [1, cos wt, sin wt] on the nodes w = L_p + h_g x_i of `layout` and
-    the unit nodes `x`, shape (3, times, nodes); `panel` is the `_panel_factor` of
-    `times`.
-
-    By angle addition e^(i w t/2) = e^(i L_p t/2) e^(i h_g x_i t/2): the first factor
-    is taken once per panel, the second once per segment and unit node, so a time
-    costs panels + segments x order sines and cosines instead of one per node, and
-    K holds to roundoff at the node's own phase however large w t is.
-    """
-    _, widths, segment = layout
-    half = 0.5 * times[:, None, None]
-    rotation = np.take(np.exp(1j * (half * np.multiply.outer(widths, x))), segment, axis=1)
-    rotation *= panel[..., None]
-    rotation = rotation.reshape(times.size, -1)
-    half_sin, half_cos = rotation.imag, rotation.real
-    kernel = np.empty((3, *rotation.shape))
-    envelope, cosine, sine = kernel
-    np.multiply(half_sin, half_sin, out=envelope)
-    envelope *= 2.0
-    # cos(wt) = 1 - E and sin(wt) = 2 sin(wt/2) cos(wt/2)
-    np.subtract(1.0, envelope, out=cosine)
-    cosine *= envelope
-    np.multiply(half_sin, half_cos, out=sine)
-    sine *= 2.0
-    sine *= envelope
-    return kernel
+def _zeta(sigma: np.ndarray, a: np.ndarray, direct: int, bernoulli: int) -> np.ndarray:
+    """Hurwitz zeta(sigma, a) for sigma > 1 and a >= 1 by Euler-Maclaurin, shape
+    (a, sigma): `direct` terms, the tail and `bernoulli` Bernoulli terms at a + direct."""
+    logs = np.log(a[:, None] + np.arange(direct + 1.0))
+    powers = np.exp(-sigma[None, :, None] * logs[:, None, :])  # (a + n)**-sigma
+    end = a + direct
+    j = np.arange(1, bernoulli + 1)
+    # rising factorials (sigma)_(2j-1)
+    rising = np.cumprod(sigma[:, None] + np.arange(2 * bernoulli - 1.0), axis=1)[:, ::2]
+    series = (rising * _BERNOULLI[:bernoulli]
+              * end[:, None, None] ** (1.0 - 2.0 * j)).sum(-1)
+    last = powers[..., direct]
+    return (powers[..., :direct].sum(-1)
+            + last * (end[:, None] / (sigma - 1.0) + 0.5 + series))
 
 
 class MomentEngine:
-    """Moments of one spectral density at a fixed set of temperatures.
+    """Moments of one spectral density at any (T, t) pairs.
 
-    The constructor lays out the rule pair for `temperatures` and times up to
-    `t_max`. `blocks` splits the temperatures into runs whose F stays within
-    F_BYTES per rule, and `factors` builds the F of one run. `scan` evaluates
-    those factors at a list of times and `pairs` at one time per temperature,
-    so a search builds F once and reuses it every round; `moments` runs `scan`
-    over every block. F has one thermal set per row of `derivative_rule`:
-    2 n(w), then, for the temperature estimand, d coth / dT. `scan` and `pairs`
-    add the vacuum moments to the first set. `nodes` is the pair's node count.
-    An engine does not change after construction, so the functions of
-    `qfi_engine` and `sweep_optimize` stay safe to call concurrently.
+    `moments` evaluates a list of pairs in one call: a grid is the flattened
+    cross product of its temperatures and times (`grid_pairs`), a search round
+    its list of probes. Each pair has one thermal set per row of
+    `derivative_rule`: the moments with coth, then, for the temperature
+    estimand, those with d coth / dT. An engine holds only its parameters, so
+    the functions of `qfi_engine` and `sweep_optimize` stay safe to call
+    concurrently.
     """
 
-    def __init__(self, estimand: Estimand | None, sp: SpectralParams, qc: QuadratureConfig,
-                 temperatures: list[float], t_max: float):
+    def __init__(self, estimand: Estimand | None, sp: SpectralParams, qc: QuadratureConfig):
         self.estimand, self.sp, self.qc = estimand, sp, qc
-        self._temperatures = list(temperatures)
-        self._sets = [_thermal, _thermal_dT] if derivative_rule(estimand, 0.0)[0] else [_thermal]
-        self._layout = _panel_layout(sp, qc, temperatures, t_max)
-        self._orders = (ORDER, CHECK_ORDER)
-        # per rule: nodes, and weights times J(w) / w**2, built in the weights' array
-        self._rules = []
-        with np.errstate(**_NON_FINITE):
-            scale = np.float64(sp.omega_c) ** (1.0 - sp.s)
-            for order in self._orders:
-                if not self._layout[0].size:
-                    self._rules.append((np.empty(0), np.empty(0)))
-                    continue
-                omega, weighted = _rule(order, self._layout, sp.s)
-                spectral = np.power(omega, sp.s - 2.0)
-                spectral *= scale
-                weighted *= spectral
-                np.exp(np.divide(omega, -sp.omega_c, out=spectral), out=spectral)
-                weighted *= spectral
-                self._rules.append((omega, weighted))
-        self.nodes = sum(omega.size for omega, _ in self._rules)
+        self.sets = 2 if derivative_rule(estimand, 0.0)[0] else 1
 
-    def moments(self, times: list[float]) -> np.ndarray:
-        """(M0, Mc, Ms) per rule, thermal set, temperature and time:
-        shape (2, sets, temperatures, 3, n_t), `scan` block by block."""
-        out = np.empty((2, len(self._sets), len(self._temperatures), 3, len(times)))
-        for block in self.blocks():
-            out[:, :, block.start:block.stop] = self.scan(self.factors(block), times)
+    def moments(self, temperatures: Sequence[float], times: Sequence[float]) -> np.ndarray:
+        """(M0, Mc, Ms) per truncation and thermal set at each pair
+        (temperatures[p], times[p]): shape (2, sets, 3, pairs). Every moment at t = 0
+        is exactly 0, and at T = 0 the thermal set d coth / dT is."""
+        temperatures = np.asarray(temperatures, dtype=float)
+        times = np.asarray(times, dtype=float)
+        out = np.zeros((2, self.sets, 3, times.size))
+        with np.errstate(**_NON_FINITE):
+            for start in range(0, times.size, CHUNK):
+                span = slice(start, start + CHUNK)
+                out[..., span] = self._chunk(temperatures[span], times[span])
+        out[..., times == 0.0] = 0.0
         return out
 
-    def blocks(self) -> list[range]:
-        """The engine's temperatures in runs whose F stays within F_BYTES per rule."""
-        nodes = max(1, *(omega.size for omega, _ in self._rules))
-        size = max(1, F_BYTES // (8 * len(self._sets) * nodes))
-        n_T = len(self._temperatures)
-        return [range(i, min(i + size, n_T)) for i in range(0, n_T, size)]
+    def _chunk(self, temperatures: np.ndarray, times: np.ndarray) -> np.ndarray:
+        out = np.zeros((2, self.sets, 3, times.size))
+        out[:, 0] = _vacuum(self.sp, times)
+        hot = (temperatures > 0.0) & (times > 0.0)
+        if hot.any():
+            unique, row = np.unique(temperatures[hot], return_inverse=True)
+            out[..., hot] += self._thermal_moments(unique, row, temperatures[hot] * times[hot])
+        return out
 
-    def factors(self, block: range) -> list[np.ndarray]:
-        """F of the temperatures in `block`, one (sets, temperatures, nodes) array per rule,
-        each row built in place."""
-        rules = []
-        for omega, base in self._rules:
-            factors = np.empty((len(self._sets), len(block), omega.size))
-            scratch = np.empty_like(omega)
-            with np.errstate(**_NON_FINITE):
-                for thermal, rows in zip(self._sets, factors):
-                    for row, i in zip(rows, block):
-                        thermal(omega, self._temperatures[i], row, scratch)
-                        row *= base
-            rules.append(factors)
-        return rules
+    def _thermal_moments(self, temperatures: np.ndarray, row: np.ndarray,
+                         products: np.ndarray) -> np.ndarray:
+        """Thermal (M0, Mc, Ms) per truncation and set of pairs whose temperature is
+        temperatures[row[p]] > 0 and whose T t is products[p] > 0: shape (2, sets, 3, pairs)."""
+        sp, sets = self.sp, self.sets
+        coefficients = _coefficients(sp.s, TRUNCATIONS)
+        if not coefficients["finite"]:  # every thermal point fails the truncation check
+            return np.full((2, sets, 3, products.size), np.nan)
+        tau = temperatures / sp.omega_c
+        a = 1.0 + tau
+        out = np.empty((2, sets, 3, products.size))
+        series = 2.0 * products < SERIES_CUTOFF * a[row]
+        for branch, pick in ((self._taylor, series), (self._euler_maclaurin, ~series)):
+            if pick.any():
+                out[..., pick] = branch(coefficients, tau, a, row[pick], products[pick])
+        # -2 tau**q and (2 / omega_c) tau**(q - 1) of the two sets, per pair
+        scale = tau[row] ** (sp.s - 1.0)
+        out[:, 0] *= -2.0 * scale
+        if sets == 2:
+            out[:, 1] *= 2.0 / sp.omega_c * (scale / tau[row])
+        return out
 
-    def scan(self, factors: list[np.ndarray], times: list[float]) -> np.ndarray:
-        """(M0, Mc, Ms) per rule, thermal set, temperature of `factors` and time:
-        shape (2, sets, temperatures, 3, n_t)."""
-        return self._product(factors, np.asarray(times, dtype=float), None)
+    def _taylor(self, coefficients: dict, tau: np.ndarray, a: np.ndarray,
+                row: np.ndarray, products: np.ndarray) -> np.ndarray:
+        """S(q) and the bracket of d I / dT as Taylor series in T t, summed per moment:
+        shape (2, sets, 3, pairs), before the factors -2 tau**q and (2 / omega_c) tau**(q - 1)."""
+        orders = coefficients["orders"]
+        plain, raised = coefficients["series"]
+        out = np.empty((2, self.sets, 3, products.size))
+        for k, (n, j) in enumerate(TRUNCATIONS):
+            zeta = _zeta(self.sp.s - 1.0 + orders, a, n, j).T  # zeta(q + m, a), (m, T)
+            m = orders[:n + 2 + j]
+            # per moment, the weight of (i T t)**m: I_1, or I_2 / 2 - I_1, with its parity
+            even, sign = 1 - m % 2, (-1.0) ** (m // 2)
+            weights = (sign * np.array([even, (2.0 ** (m - 1) - 1.0) * even,
+                                        (2.0 ** (m - 1) - 1.0) * (1 - even)]))[..., None]
+            powers = products ** m[:, None]  # (m, pairs)
+            terms = [plain[:m.size, None] * zeta[:m.size]]
+            if self.sets == 2:
+                # -Gamma(q + m + 1) / m! [zeta(q + m, a) - tau zeta(q + m + 1, a)]
+                terms.append(-raised[:m.size, None] * (zeta[:m.size] - tau * zeta[1:m.size + 1]))
+            for set_, term in enumerate(terms):
+                out[k, set_] = (weights * (powers * term[:, row])).sum(1)
+        return out
 
-    def pairs(self, factors: list[np.ndarray], temperatures: list[int],
-              times: list[float]) -> np.ndarray:
-        """(M0, Mc, Ms) per rule and thermal set of each (temperature, time) pair, not
-        of their cross product: shape (2, sets, 1, 3, pairs).
+    def _euler_maclaurin(self, coefficients: dict, tau: np.ndarray, a: np.ndarray,
+                         row: np.ndarray, products: np.ndarray) -> np.ndarray:
+        """S(q) and the bracket of d I / dT by Euler-Maclaurin, per moment: shape
+        (2, sets, 3, pairs), before the factors -2 tau**q and (2 / omega_c) tau**(q - 1).
 
-        `temperatures[p]`, an index into the block of `factors`, pairs with `times[p]`.
+        One expm1 of the whole (n, k, pairs) table, at exponent 1 - s or -s, gives
+        E_(1-s), E_(-s), P_(1-s) and (1 + x)**(1 - s); P_(2-s) at the ends takes its
+        own from s = 3/2, where no other form of it is free of cancellation.
         """
-        return self._product(factors, np.asarray(times, dtype=float), temperatures)
-
-    def _product(self, factors: list[np.ndarray], times: np.ndarray,
-                 picks: list[int] | None) -> np.ndarray:
-        """F @ K, K in blocks of times below K_BYTES, plus the vacuum moments: every
-        temperature at every time, or with `picks` temperature picks[p] at times[p].
-        Every moment at t = 0 is exactly 0, as E(w, 0) is, even where F is not finite."""
-        sets, n_T = factors[0].shape[:2]
-        out = np.zeros((2, sets, n_T if picks is None else 1, 3, times.size))
-        lefts = self._layout[0]
-        with np.errstate(**_NON_FINITE):
-            # both rules share the panels, so each chunk of times takes one panel factor;
-            # without panels there is no thermal part to integrate
-            chunk = max(1, K_BYTES // (24 * max(1, *(omega.size for omega, _ in self._rules))))
-            for t0 in range(0, times.size if lefts.size else 0, chunk):
-                span = slice(t0, t0 + chunk)
-                panel = _panel_factor(lefts, times[span])
-                for k, ((omega, _), rows, order) in enumerate(
-                        zip(self._rules, factors, self._orders)):
-                    kernel = _kernel(self._layout, _unit_rule(order)[0], times[span], panel)
-                    if picks is None:
-                        block = kernel @ rows.reshape(-1, omega.size).T
-                        out[k, ..., span] = block.reshape(3, -1, sets, n_T).transpose(2, 3, 0, 1)
-                    else:
-                        out[k, :, 0, :, span] = np.einsum("spw,cpw->scp", rows[:, picks[span]],
-                                                          kernel)
-                    del kernel  # freed before the next one is built
-            out[:, 0] += _vacuum(self.sp, times)  # the 2 n(w) set carries all of coth
-        out[..., times == 0.0] = 0.0
+        s, sets = self.sp.s, self.sets
+        ends = [n for n, _ in TRUNCATIONS]
+        w = (a[:, None] + np.arange(ends[-1] + 1.0)).T  # w_n per temperature, (n, T)
+        eps = np.multiply.outer([1.0, 2.0], products)  # (k, pairs)
+        y = eps / w[:, None, row]  # (n, k, pairs)
+        x = -1j * y
+        log = _complex(0.5 * np.log1p(y * y), -np.arctan(y))  # log1p(x)
+        # E_(1-s), E_(-s) and (1 + x)**(1 - s); divisions by real numbers as products,
+        # which NumPy takes faster
+        if s >= 0.5:
+            grown = _expm1(1.0 - s, log)
+            ratio = log if s == 1.0 else grown * (1.0 / (1.0 - s))
+            lower = (grown - x) / (1.0 + x) * (-1.0 / s) if sets == 2 else None
+            power = 1.0 + grown
+            first = (ratio - x) * (-1.0 / s)  # P_(1-s)
+        else:
+            grown = _expm1(-s, log)
+            lower = grown * (-1.0 / s)
+            ratio = (x + grown * (1.0 + x)) * (1.0 / (1.0 - s))
+            power = (1.0 + x) * (1.0 + grown)
+            first = ((1.0 + x) * lower - x) * (1.0 / (1.0 - s))
+        # at the ends: P_(2-s), (1 + x)**(1 - p) for p = q, q + 1, and (w_N - i eps)**-2
+        x_end = x[ends]
+        if s >= 1.5:
+            tail = (log[ends] if s == 2.0 else _expm1(2.0 - s, log[ends]) / (2.0 - s)) - x_end
+            tail *= 1.0 / (1.0 - s)
+        else:
+            tail = ((1.0 + x_end) * ratio[ends] - x_end) * (1.0 / (2.0 - s))
+        w_end = w[ends]  # (ends, T)
+        shifted = 1.0 / (w_end[:, None, row] * (1.0 + x_end)) ** 2
+        # the Bernoulli polynomials of both p at (w_N - i eps)**-2, by Horner's rule
+        bernoulli = coefficients["bernoulli"][:sets].transpose(2, 0, 1)  # (j, p, ends)
+        polynomial = np.zeros((sets, *shifted.shape), dtype=complex)
+        for coefficient in bernoulli[::-1, ..., None, None]:
+            polynomial += coefficient
+            polynomial *= shifted
+        # per temperature: w_N**(1 - p) alone and times the Bernoulli polynomial at
+        # w_N**-2, and the direct terms' w_n**-p
+        sigma = s - 1.0 + np.arange(sets)[:, None, None]
+        rise = w_end ** (1.0 - sigma)  # (p, ends, T)
+        j = np.arange(1.0, bernoulli.shape[0] + 1)[:, None, None, None]
+        plain = (bernoulli[..., None] * w_end ** (-2.0 * j)).sum(0) * rise
+        rise, plain = rise[..., None, row], plain[..., None, row]
+        scale = (w ** -sigma)[..., None, row]
+        gamma_direct, gamma_tail = coefficients["direct"], coefficients["tail"]
+        powers = [(1.0 + x_end) * power[ends], power[ends]]
+        # S(q) from P, and S(q + 1) from E, both with Gamma(s + 1) and Gamma(s)
+        terms = [(gamma_direct * first, gamma_tail * tail)]
+        if sets == 2:
+            terms.append((-gamma_direct * lower, -gamma_tail * ratio[ends]))
+        sums = []
+        for p, (direct, end) in enumerate(terms):
+            direct *= scale[p]
+            direct = np.stack([direct[:n].sum(0) + 0.5 * direct[n] for n in ends])
+            sums.append(direct + rise[p] * (end + powers[p] * polynomial[p]) - plain[p])
+        out = np.empty((2, sets, 3, products.size))
+        out[:, 0] = _by_moment(*sums[0].transpose(1, 0, 2))
+        if sets == 2:  # -q S(q) + (tau - i eps) S(q + 1)
+            bracket = (1.0 - s) * sums[0] + (tau[row] - 1j * eps) * sums[1]
+            out[:, 1] = _by_moment(*bracket.transpose(1, 0, 2))
         return out
 
     def exponents(self, moments: np.ndarray,
                   sq: SqueezeParams | Sequence[SqueezeParams]) -> tuple[np.ndarray, ...]:
-        """gamma, d gamma / d estimand, the pair's agreement and its gap on gamma per
-        (T, t), as (temperatures, times) arrays.
+        """gamma, d gamma / d estimand, the truncations' agreement and their gap on gamma
+        per pair, as 1-D arrays.
 
-        Takes the output of `moments` or `scan`, or of `pairs` as one row. `sq` is one
-        SqueezeParams, or one per time that broadcasts against the time axis: with a
-        single time, n of them give n columns, each assembled from the same moments.
+        Takes the output of `moments`. `sq` is one SqueezeParams, or one per pair that
+        broadcasts against the pair axis: with a single pair, n of them give n values,
+        each assembled from the same moments.
         """
-        # per squeezing the scalars a single one takes, so that every column is the same
+        # per squeezing the scalars a single one takes, so that every value is the same
         # arithmetic as its own call: cos and sin of theta, then the weights of gamma and
         # of the derivative; floats for one squeezing, else one row per scalar
         scalars = [
@@ -496,9 +420,9 @@ class MomentEngine:
 
         def assemble(m, a, b, c):
             # the moments of 1 + cos(theta - w t), 1 - cos(theta - w t), sin(theta - w t)
-            even = cos_th * m[:, :, 1] + sin_th * m[:, :, 2]
-            odd = sin_th * m[:, :, 1] - cos_th * m[:, :, 2]
-            return a * (m[:, :, 0] + even) + b * (m[:, :, 0] - even) + c * odd
+            even = cos_th * m[:, 1] + sin_th * m[:, 2]
+            odd = sin_th * m[:, 1] - cos_th * m[:, 2]
+            return a * (m[:, 0] + even) + b * (m[:, 0] - even) + c * odd
 
         def agrees(pair, scale):
             return np.abs(pair[0] - pair[1]) <= np.maximum(self.qc.abs_tol, self.qc.rel_tol * scale)
@@ -506,7 +430,7 @@ class MomentEngine:
         with np.errstate(**_NON_FINITE):
             value = assemble(moments[:, 0], *weights[:3])
             # the derivative takes the last thermal set: d coth / dT where there is one
-            derivative = assemble(moments[:, len(self._sets) - 1], *weights[3:])
+            derivative = assemble(moments[:, self.sets - 1], *weights[3:])
             agree = agrees(value, np.abs(value[1])) & agrees(
                 derivative, np.maximum(np.abs(derivative[1]), value[1])
             )
@@ -514,37 +438,48 @@ class MomentEngine:
         # the integrand of gamma is non-negative; roundoff can undershoot 0
         return np.maximum(value[1], 0.0), derivative[1], agree, gap
 
-    def exponent(self, exponents: tuple[np.ndarray, ...], i: int, j: int,
+    def exponent(self, exponents: tuple[np.ndarray, ...], p: int,
                  point: BathPoint) -> tuple[float, float]:
-        """(gamma, d gamma) at row i, time j of `exponents`, which sit at `point`.
+        """(gamma, d gamma) at pair p of `exponents`, which sits at `point`.
 
-        Raises ConvergenceError, naming the point, where the pair disagrees there.
+        Raises ConvergenceError, naming the point, where the truncations disagree there.
         """
         values, derivatives, agree, gaps = exponents
-        value = float(values[i, j])
-        if not agree[i, j]:
+        value = float(values[p])
+        if not agree[p]:
             raise ConvergenceError(
-                f"rule pair disagrees at (T, t) = ({point.temperature!r}, {point.time!r}): "
-                f"gamma {value!r}, pair gap {gaps[i, j]:.3e} above tolerance "
+                f"truncations disagree at (T, t) = ({point.temperature!r}, {point.time!r}): "
+                f"gamma {value!r}, gap {gaps[p]:.3e} above tolerance "
                 f"(rel_tol {self.qc.rel_tol:g}, abs_tol {self.qc.abs_tol:g}) on gamma or d gamma",
                 value=value,
-                est_error=float(gaps[i, j]),
-                evaluations=self.nodes,
+                est_error=float(gaps[p]),
+                evaluations=_terms(point),
             )
-        return value, float(derivatives[i, j])
+        return value, float(derivatives[p])
+
+
+def grid_pairs(temperatures: Sequence[float],
+               times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, t) pairs of a grid, temperature outer, time inner."""
+    return np.repeat(temperatures, len(times)), np.tile(times, len(temperatures))
+
+
+def _terms(point: BathPoint) -> int:
+    """Thermal terms summed at `point`: none without a thermal part or at t = 0."""
+    return TERMS if point.temperature > 0.0 and point.time > 0.0 else 0
 
 
 def point_exponents(estimand: Estimand | None, point: BathPoint, sq: SqueezeParams,
                     sp: SpectralParams, qc: QuadratureConfig = DEFAULT_QUADRATURE,
                     ) -> tuple[float, float, float, int]:
-    """gamma, d gamma / d estimand, the pair's gap on gamma and its node count at one point.
+    """gamma, d gamma / d estimand, the truncations' gap on gamma and their term count at
+    one point.
 
-    A 1 x 1 batch; estimand None takes gamma itself as the derivative. t = 0 is
-    exactly 0 with no nodes, and T = 0 takes no nodes either. Raises
-    ConvergenceError where the pair disagrees, or where the rule would exceed
-    NODE_BUDGET.
+    A one-pair batch; estimand None takes gamma itself as the derivative. t = 0 is
+    exactly 0, and neither it nor T = 0 sums any thermal term. Raises
+    ConvergenceError where the truncations disagree.
     """
-    engine = MomentEngine(estimand, sp, qc, [point.temperature], point.time)
-    exponents = engine.exponents(engine.moments([point.time]), sq)
-    gamma_value, dgamma = engine.exponent(exponents, 0, 0, point)
-    return gamma_value, dgamma, float(exponents[3][0, 0]), engine.nodes
+    engine = MomentEngine(estimand, sp, qc)
+    exponents = engine.exponents(engine.moments([point.temperature], [point.time]), sq)
+    gamma_value, dgamma = engine.exponent(exponents, 0, point)
+    return gamma_value, dgamma, float(exponents[3][0]), _terms(point)

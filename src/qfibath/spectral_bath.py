@@ -12,7 +12,7 @@ where J is the ohmic-family spectral density and (r, theta) parametrize the
 mode-uniform squeezing of the reservoir. This module owns every pointwise
 factor of that integrand, and `derivative_rule`, the one statement of how
 gamma and its derivatives with respect to the estimable parameters (T, r,
-theta) are integrated. Quadrature lives in `moments`.
+theta) are integrated. The integrals, in closed form, live in `moments`.
 
 All functions are pure and all parameter records are immutable value types,
 so everything here is safe to call concurrently without synchronization.

@@ -1,13 +1,13 @@
 """Parameter sweeps, (t, T) density grids and optimal-time curves.
 
 Every table and search runs on the moment engine (`moments`), as single
-points do. A table is one batch: the temperature factors once per table, the
-time kernel once per distinct time, then the exponent and derivative of every
-cell by array algebra on the moments. Sweeps, grids and each round of a search
-then go through one checked step (`_table`), which builds no record per cell:
-where the engine's rule pair agrees on every cell, none is degenerate and
-gamma, d gamma and qfi are finite, one `qfi_engine.qfi_closed_form` call gives
-every qfi. A table that fails that check replays its cells in row-major order
+points do. A table is one batch of (T, t) pairs (a grid's is the flattened
+cross product of its axes), then the exponent and derivative of every cell by
+array algebra on the moments. Sweeps, grids and each round of a search then go
+through one checked step (`_table`), which builds no record per cell: where the
+engine's two truncations agree on every cell, none is degenerate and gamma,
+d gamma and qfi are finite, one `qfi_engine.qfi_closed_form` call gives every
+qfi. A table that fails that check replays its cells in row-major order
 through the per-cell step (`_cell`), so the first failing cell aborts the run
 with its location and the message it would raise alone. Identical specs
 always produce bit-identical tables. The optimal-time search brackets the
@@ -16,8 +16,7 @@ the squeezing kernel can make the information oscillate in t and unimodal
 search alone would lock onto the wrong peak. A curve searches all its
 temperatures as one batch: their coarse scans are one (T, t) table like a
 grid, and the refinement runs in lockstep, each round one table of (T, t)
-pairs, one per temperature whose bracket is still open, against temperature
-factors built once.
+pairs, one per temperature whose bracket is still open.
 """
 
 from __future__ import annotations
@@ -30,7 +29,8 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .moments import DEFAULT_QUADRATURE, ConvergenceError, MomentEngine, QuadratureConfig
+from .moments import (DEFAULT_QUADRATURE, ConvergenceError, MomentEngine, QuadratureConfig,
+                      grid_pairs)
 from .probe_state import ProbeInit
 from .qfi_engine import Estimand, QfiSample, _check_estimable, qfi_closed_form, qfi_sample
 from .spectral_bath import BathPoint, SpectralParams, SqueezeParams
@@ -215,12 +215,12 @@ def _aborted_at(where: str):
         raise ValueError(f"{where}: {exc}") from exc
 
 
-def _cell(engine: MomentEngine, exponents: tuple, cell: tuple[int, int], point: BathPoint,
+def _cell(engine: MomentEngine, exponents: tuple, cell: int, point: BathPoint,
           sq: SqueezeParams, init: ProbeInit, where: str) -> QfiSample:
-    """The sample at `cell` (i, j) of `exponents`, which sits at `point`. A pair that
-    disagrees there, or a sample that is not finite, raises with `where` attached."""
+    """The sample at `cell` of `exponents`, which sits at `point`. Truncations that
+    disagree there, or a sample that is not finite, raise with `where` attached."""
     with _aborted_at(where):
-        gamma_value, dgamma = engine.exponent(exponents, *cell, point)
+        gamma_value, dgamma = engine.exponent(exponents, cell, point)
         sample = qfi_sample(engine.estimand, point, sq, engine.sp, init, gamma_value, dgamma)
         if not all(map(isfinite, (sample.gamma, sample.dgamma, sample.qfi))):
             raise ConvergenceError(
@@ -235,15 +235,15 @@ def _cell(engine: MomentEngine, exponents: tuple, cell: tuple[int, int], point: 
 
 def _table(engine: MomentEngine, exponents: tuple, init: ProbeInit | list[ProbeInit],
            replay: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """gamma, d gamma and qfi at every cell of `exponents`, flat in row-major order.
+    """gamma, d gamma and qfi at every cell of `exponents`.
 
-    The table is checked once: where the pair agrees on every cell, no cell is
+    The table is checked once: where the truncations agree on every cell, no cell is
     degenerate and gamma, d gamma and qfi are finite, one `qfi_closed_form` call
     with `init` gives every qfi. A table that fails the check replays its cells in
-    row-major order through `_cell`, which raises at the first failing cell; `replay`
-    holds their remaining `_cell` arguments (point, sq, init, where) in that order.
+    order through `_cell`, which raises at the first failing cell; `replay` holds
+    their remaining `_cell` arguments (point, sq, init, where) in that order.
     """
-    values, derivatives, agree = (part.ravel() for part in exponents[:3])
+    values, derivatives, agree = exponents[:3]
     if agree.all():
         try:
             qfis = qfi_closed_form(init, values, derivatives)
@@ -252,9 +252,7 @@ def _table(engine: MomentEngine, exponents: tuple, init: ProbeInit | list[ProbeI
         else:
             if all(np.isfinite(part).all() for part in (values, derivatives, qfis)):
                 return values, derivatives, qfis
-    columns = exponents[0].shape[1]
-    samples = [_cell(engine, exponents, divmod(k, columns), *cell)
-               for k, cell in enumerate(replay)]
+    samples = [_cell(engine, exponents, k, *cell) for k, cell in enumerate(replay)]
     return tuple(np.array([getattr(sample, name) for sample in samples])
                  for name in ("gamma", "dgamma", "qfi"))
 
@@ -278,23 +276,24 @@ def sweep(spec: SweepSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> SweepTa
 
     One moment evaluation serves the whole sweep: a T or t axis spans its
     values in the batch, any other axis reuses the moments of its single
-    (T, t), and one `exponents` call assembles every value's column. A failure
+    (T, t), and one `exponents` call assembles every value. A failure
     at any point aborts the whole sweep with the axis value attached; tables
     never contain silent gaps.
     """
     values = [float(value) for value in np.linspace(spec.lo, spec.hi, spec.points)]
-    temperatures = values if spec.axis == "T" else [spec.point.temperature]
-    times = values if spec.axis == "t" else [spec.point.time]
-    engine = MomentEngine(spec.estimand, spec.sp, qc, temperatures, max(times))
+    pairs = len(values) if spec.axis in ("T", "t") else 1
+    temperatures = values if spec.axis == "T" else [spec.point.temperature] * pairs
+    times = values if spec.axis == "t" else [spec.point.time] * pairs
+    engine = MomentEngine(spec.estimand, spec.sp, qc)
 
     def varied():  # each value's records, built only where they are needed
         return (_with_axis_value(spec.axis, value, spec.point, spec.sq, spec.init)
                 for value in values)
 
-    # an axis other than T or t takes one column per value, from the one (T, t)
+    # an axis other than T or t takes one value per squeezing, from the one (T, t)
     squeezes = spec.sq if spec.axis in ("T", "t") else [sq for _, sq, _ in varied()]
     inits = [init for *_, init in varied()] if spec.axis == "alpha" else spec.init
-    exponents = engine.exponents(engine.moments(times), squeezes)
+    exponents = engine.exponents(engine.moments(temperatures, times), squeezes)
     gammas, dgammas, qfis = _table(engine, exponents, inits, (
         (point, sq, init, f"sweep aborted at {spec.axis} = {value!r}")
         for value, (point, sq, init) in zip(values, varied())
@@ -308,8 +307,8 @@ def density_grid(spec: GridSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> G
     checked and computed as one table."""
     temperatures = [float(T) for T in np.linspace(spec.T_lo, spec.T_hi, spec.T_points)]
     times = [float(t) for t in np.linspace(spec.t_lo, spec.t_hi, spec.t_points)]
-    engine = MomentEngine(spec.estimand, spec.sp, qc, temperatures, times[-1])
-    exponents = engine.exponents(engine.moments(times), spec.sq)
+    engine = MomentEngine(spec.estimand, spec.sp, qc)
+    exponents = engine.exponents(engine.moments(*grid_pairs(temperatures, times)), spec.sq)
     gammas, dgammas, qfis = _table(engine, exponents, spec.init, (
         (BathPoint(temperature, time), spec.sq, spec.init,
          f"grid aborted at (T, t) = ({temperature!r}, {time!r})")
@@ -353,51 +352,6 @@ def _search(times: list[float], tolerance: float):
     return -best[1], best[0], hi - lo
 
 
-def _search_block(engine: MomentEngine, block: range, temperatures: list[float],
-                  spec: OptimalTimeSpec) -> list[OptimalTimeResult]:
-    """The searches of one block of the engine's temperatures, round by round."""
-    factors = engine.factors(block)
-
-    def information(exponents, probes: list[tuple[int, float]]) -> list[float]:
-        """qfi at every cell of `exponents`, one table whose cells are the probes
-        (block row, time) in row-major order."""
-        return _table(engine, exponents, spec.init, (
-            (BathPoint(temperatures[block[row]], time), spec.sq, spec.init,
-             f"optimal-time search aborted at (T, t) = ({temperatures[block[row]]!r}, {time!r})")
-            for row, time in probes
-        ))[2].tolist()
-
-    scan = [float(time) for time in np.linspace(0.0, spec.t_max, spec.coarse_points)]
-    searches = [_search(scan, 1e-4 * spec.t_max) for _ in block]
-    for search in searches:
-        next(search)  # each asks for the coarse scan first
-    rows = range(len(block))
-    flat = iter(information(engine.exponents(engine.scan(factors, scan), spec.sq),
-                            [(row, time) for row in rows for time in scan]))
-    values = {row: [next(flat) for _ in scan] for row in rows}
-    outcomes = {}
-    while True:
-        probes = {}
-        for row, sent in values.items():
-            try:
-                probes[row] = searches[row].send(sent)
-            except StopIteration as done:
-                outcomes[row] = done.value
-        if not probes:
-            break
-        pairs = [(row, time) for row, times in probes.items() for time in times]
-        exponents = engine.exponents(
-            engine.pairs(factors, [row for row, _ in pairs], [time for _, time in pairs]),
-            spec.sq)
-        flat = iter(information(exponents, pairs))
-        values = {row: [next(flat) for _ in times] for row, times in probes.items()}
-    return [
-        OptimalTimeResult(temperature=temperatures[i], t_star=outcomes[row][0],
-                          qfi_star=outcomes[row][1], bracket=outcomes[row][2])
-        for row, i in enumerate(block)
-    ]
-
-
 def optimal_time_curve(
     spec: OptimalTimeSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> OptimalTimeCurve:
@@ -408,15 +362,47 @@ def optimal_time_curve(
     1e-4 * t_max. qfi_star is the largest value the search evaluated, at
     t_star. Ties break toward the smallest t. A coarse scan flatter than
     1e-14 is degenerate and returns t_star = 0 with qfi_star = 0. One engine
-    serves the curve: the scans of all temperatures are one moment batch, and
-    each refinement round evaluates one (T, t) pair per temperature still
-    searching, on temperature factors built once per block of temperatures.
+    serves the curve: the scans of all temperatures are one batch of pairs,
+    and each refinement round evaluates one (T, t) pair per temperature still
+    searching.
     """
     temperatures = [float(T) for T in np.linspace(spec.T_lo, spec.T_hi, spec.T_points)]
-    engine = MomentEngine(spec.estimand, spec.sp, qc, temperatures, spec.t_max)
-    results = []
-    for block in engine.blocks():
-        results += _search_block(engine, block, temperatures, spec)
+    engine = MomentEngine(spec.estimand, spec.sp, qc)
+
+    def information(probes: list[tuple[int, float]]) -> list[float]:
+        """qfi at every probe (temperature index, time), one table in probe order."""
+        exponents = engine.exponents(engine.moments(
+            [temperatures[i] for i, _ in probes], [time for _, time in probes]), spec.sq)
+        return _table(engine, exponents, spec.init, (
+            (BathPoint(temperatures[i], time), spec.sq, spec.init,
+             f"optimal-time search aborted at (T, t) = ({temperatures[i]!r}, {time!r})")
+            for i, time in probes
+        ))[2].tolist()
+
+    scan = [float(time) for time in np.linspace(0.0, spec.t_max, spec.coarse_points)]
+    searches = [_search(scan, 1e-4 * spec.t_max) for _ in temperatures]
+    for search in searches:
+        next(search)  # each asks for the coarse scan first
+    rows = range(len(temperatures))
+    flat = iter(information([(i, time) for i in rows for time in scan]))
+    values = {i: [next(flat) for _ in scan] for i in rows}
+    outcomes = {}
+    while True:
+        probes = {}
+        for i, sent in values.items():
+            try:
+                probes[i] = searches[i].send(sent)
+            except StopIteration as done:
+                outcomes[i] = done.value
+        if not probes:
+            break
+        flat = iter(information([(i, time) for i, times in probes.items() for time in times]))
+        values = {i: [next(flat) for _ in times] for i, times in probes.items()}
+    results = (
+        OptimalTimeResult(temperature=temperature, t_star=outcomes[i][0],
+                          qfi_star=outcomes[i][1], bracket=outcomes[i][2])
+        for i, temperature in enumerate(temperatures)
+    )
     return OptimalTimeCurve(spec=spec, results=tuple(results), metadata=run_metadata(qc))
 
 

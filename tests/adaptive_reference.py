@@ -1,7 +1,7 @@
 """Adaptive QUADPACK quadrature of gamma and its partials: the engine's independent reference.
 
 The integrand from `spectral_bath` is integrated over [0, W] with
-W = omega_max_factor * omega_c * max(1, s); the exp(-w / omega_c) roll-off of
+W = OMEGA_MAX_FACTOR * omega_c * max(1, s); the exp(-w / omega_c) roll-off of
 the spectral density puts the truncation error of that cutoff far below the
 default tolerances for s <= 3. The interval is split at omega_c / 100 so the
 boundary panel, where sub-ohmic integrands at T > 0 ramp like w**(s - 1),
@@ -10,9 +10,9 @@ Each panel goes through the QUADPACK adaptive Gauss-Kronrod integrator
 (scipy.integrate.quad) with at most MAX_SUBDIVISIONS subdivisions.
 
 This path shares only the pointwise integrand with the package's moment
-engine, so tests compare the two. It is wrong by up to 3e-4 relative, or
-raises ConvergenceError, at some sub-ohmic points with s below about 0.08;
-use it at s >= 0.3.
+engine, which sums the integral in closed form, so tests compare the two. It
+is wrong by up to 3e-4 relative, or raises ConvergenceError, at some
+sub-ohmic points with s below about 0.08; use it at s >= 0.3.
 """
 
 from __future__ import annotations
@@ -34,9 +34,12 @@ from qfibath.spectral_bath import (
 # QUADPACK's subdivision budget per panel
 MAX_SUBDIVISIONS = 200
 
+# upper limit of the integral in units of omega_c max(1, s)
+OMEGA_MAX_FACTOR = 50.0
 
-def _upper_limit(sp: SpectralParams, qc: QuadratureConfig) -> float:
-    return qc.omega_max_factor * sp.omega_c * max(1.0, sp.s)
+
+def _upper_limit(sp: SpectralParams) -> float:
+    return OMEGA_MAX_FACTOR * sp.omega_c * max(1.0, sp.s)
 
 
 def _integrate(f, sp: SpectralParams, qc: QuadratureConfig) -> tuple[float, float, int]:
@@ -53,7 +56,7 @@ def _integrate(f, sp: SpectralParams, qc: QuadratureConfig) -> tuple[float, floa
     est_error = 0.0
     evaluations = 0
     notes: list[str] = []
-    for lo, hi in ((0.0, split), (split, _upper_limit(sp, qc))):
+    for lo, hi in ((0.0, split), (split, _upper_limit(sp))):
         out = quad(
             f,
             lo,

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import adaptive_reference
+import hurwitz_reference
 from qfibath import __version__, cli, moments
 from qfibath.cli import RECIPES, main
 from qfibath.probe_state import ProbeInit
@@ -160,14 +161,12 @@ REJECTIONS = [
     (POINT_ARGS, {"--temp": "-1"}, "--temp"),
     (POINT_ARGS, {"--temp": "inf"}, "--temp"),
     (POINT_ARGS, {"--temp": "0"}, "--temp"),  # estimand T
-    # rejected before any quadrature, so one no rule pair can meet cannot exit 3 first
+    # rejected before any moment, so a tolerance no truncation pair can meet cannot exit 3 first
     (POINT_ARGS, {"--temp": "0", "--rel-tol": "1e-300", "--abs-tol": "1e-300"}, "--temp"),
     (POINT_ARGS, {"--time": "-1"}, "--time"),
     (POINT_ARGS, {"--rel-tol": "0"}, "--rel-tol"),
     (POINT_ARGS, {"--abs-tol": "-1"}, "--abs-tol"),
     (POINT_ARGS, {"--abs-tol": "inf"}, "--abs-tol"),
-    (POINT_ARGS, {"--omega-max-factor": "5"}, "--omega-max-factor"),
-    (SWEEP_ARGS, {"--omega-max-factor": "inf"}, "--omega-max-factor"),
     (POINT_ARGS, {"--omega-0": "nan"}, "--omega-0"),
     (SWEEP_ARGS, {"--points": "1"}, "--points"),
     (SWEEP_ARGS, {"--estimand": "r", "--axis": "T", "--range": "-1:1"}, "--range"),
@@ -449,8 +448,8 @@ def test_reproduce_figures_writes_every_recipe_table(tmp_path):
 
 
 def test_quadrature_starvation_exits_three(capsys, monkeypatch):
-    # an order-2 rule disagrees with its check rule
-    monkeypatch.setattr(moments, "ORDER", 2)
+    # a first truncation of no direct and no Bernoulli term disagrees with the second
+    monkeypatch.setattr(moments, "TRUNCATIONS", ((0, 0), moments.TRUNCATIONS[1]))
     argv = ["point", "--estimand", "T", "--temp", "1", "--time", "3.7",
             "--r", "1", "--theta", "1", "--s", "0.5"]
     assert run_cli(argv) == 3
@@ -577,7 +576,7 @@ def test_module_entry_point_runs_in_a_subprocess():
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
-    # nor does a point at s = 0.02 or one whose rule pair fails (s = 150)
+    # nor does a point at s = 0.02 or one whose thermal terms overflow (s = 150)
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     code = textwrap.dedent("""
@@ -599,13 +598,13 @@ def test_importing_the_cli_leaves_scipy_unloaded():
 
 @pytest.mark.parametrize("base, where", [
     (POINT_ARGS, r"at \(T, t\) = \(0\.5, 1\.0\)"),
-    (SWEEP_ARGS, r"sweep aborted at t = 1\.0"),  # t = 0 is exactly 0 on any rule
+    (SWEEP_ARGS, r"sweep aborted at t = 1\.0"),  # t = 0 is exactly 0 at any s
     (GRID_ARGS, r"grid aborted at \(T, t\) = \(0\.4, 2\.0\)"),
     (OPT_TIME_ARGS, r"search aborted at \(T, t\) = \(0\.4, 0\.0634"),
 ], ids=["point", "sweep", "grid", "opt-time"])
 def test_overflowing_spectral_density_exits_three_naming_the_point(base, where, tmp_path, capsys):
-    # at s = 150, J(w) overflows on both rules, and at s = 200 so does Gamma(s) in
-    # the vacuum moments, so no row may be written
+    # at s = 150, Gamma(s + 23) of the thermal terms overflows, and at s = 200 so does
+    # Gamma(s) of the vacuum moments, so no row may be written
     out = tmp_path / "table.csv"
     for s in ("150", "200"):
         assert run_cli(with_flags(base, {"--s": s}) + ["--out", str(out)]) == 3
@@ -615,9 +614,9 @@ def test_overflowing_spectral_density_exits_three_naming_the_point(base, where, 
         assert not out.exists()
 
 
-# inputs whose rule pair is over the node budget: 7e8 nodes at s = 1e6, and 1.25e8
-# at omega_c = 1000, T = 100, t = 1000, s = 10
-OVER_BUDGET = {
+# the domain's corner, omega_c = 1000, T = 100, t = 1000, s = 10; at s = 1e6 Gamma(s)
+# overflows
+DOMAIN_CORNER = {
     "point": (POINT_ARGS, {"--omega-c": "1000", "--temp": "100", "--time": "1000"}),
     "sweep": (SWEEP_ARGS, {"--omega-c": "1000", "--temp": "100", "--range": "0:1000"}),
     "grid": (GRID_ARGS, {"--omega-c": "1000", "--T-range": "0.4:100", "--t-range": "0:1000"}),
@@ -626,18 +625,33 @@ OVER_BUDGET = {
 }
 
 
-@pytest.mark.parametrize("subcommand", list(OVER_BUDGET))
-def test_rule_over_the_node_budget_exits_three_before_allocating(subcommand, tmp_path, capsys):
-    base, large = OVER_BUDGET[subcommand]
+@pytest.mark.parametrize("subcommand", list(DOMAIN_CORNER))
+def test_domain_corner_matches_the_oracle_and_overflowing_s_exits_three(subcommand, tmp_path,
+                                                                         capsys):
+    base, corner = DOMAIN_CORNER[subcommand]
     out = tmp_path / "table.csv"
-    for changes in ({"--s": "1e6"}, {**large, "--s": "10"}):
-        started = time.perf_counter()
-        assert run_cli(with_flags(base, changes) + ["--out", str(out)]) == 3
-        assert time.perf_counter() - started < 10.0
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: rule pair of "), (changes, err)
-        assert "nodes at (T, t) = (" in err and "over the node budget" in err, err
-        assert not out.exists()
+    assert run_cli(with_flags(base, {"--s": "1e6"}) + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "at (T, t) = (" in err, err
+    assert not out.exists()
+    assert run_cli(with_flags(base, {**corner, "--s": "10"}) + ["--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    sq = SqueezeParams(0.5 if subcommand == "opt-time" else 0.1, 1.0)
+    sp = SpectralParams(10.0, 1000.0)
+    for row in rows:
+        cells = dict(zip(header, row))
+        temperature = float(cells.get("T", 100.0))  # a sweep over t keeps T = 100
+        time_ = float(cells.get("t", cells.get("value", cells.get("t_star"))))
+        expected = hurwitz_reference.exponents(
+            Estimand.TEMPERATURE, BathPoint(temperature, time_), sq, sp)
+        if subcommand == "opt-time":  # only the information is written
+            gamma_value, dgamma = expected
+            information = dgamma**2 / math.expm1(2.0 * gamma_value) if time_ > 0.0 else 0.0
+            assert abs(float(cells["qfi_star"]) - information) <= 1e-7 * information, row
+            continue
+        gamma_value, dgamma = float(cells["gamma"]), float(cells["dgamma"])
+        assert abs(gamma_value - expected[0]) <= 1e-8 * expected[0], (row, expected)
+        assert abs(dgamma - expected[1]) <= 1e-8 * max(abs(expected[1]), expected[0]), row
 
 
 def test_consecutive_calls_match_the_same_calls_run_alone(capsys):

@@ -232,8 +232,8 @@ def test_fd_oracle_rejects_steps_leaving_the_domain():
 
 
 def test_convergence_error_reports_partial_result(monkeypatch):
-    # an order-2 rule cannot match the order-24 one
-    monkeypatch.setattr(moments, "ORDER", 2)
+    # a first truncation of no direct and no Bernoulli term cannot match the second
+    monkeypatch.setattr(moments, "TRUNCATIONS", ((0, 0), moments.TRUNCATIONS[1]))
     with pytest.raises(ConvergenceError) as excinfo:
         gamma(BathPoint(1.0, 3.7), SqueezeParams(1.0, 1.0), SpectralParams(0.5))
     error = excinfo.value
@@ -260,7 +260,7 @@ def test_gamma_is_insensitive_to_tolerance_tightening():
         {"rel_tol": 0.0},
         {"abs_tol": -1e-12},
         {"rel_tol": math.inf},
-        {"omega_max_factor": 5.0},
+        {"rel_tol": math.nan},
     ],
 )
 def test_quadrature_config_invariants(kwargs):

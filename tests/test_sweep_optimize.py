@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -120,8 +121,9 @@ def test_sweep_spec_validation():
 
 
 def test_sweep_aborts_with_the_failing_axis_value(monkeypatch):
-    # an order-2 rule cannot match the order-24 one at any t > 0
-    monkeypatch.setattr(moments, "ORDER", 2)
+    # a first truncation of no direct and no Bernoulli term cannot match the second at
+    # any t > 0
+    monkeypatch.setattr(moments, "TRUNCATIONS", ((0, 0), moments.TRUNCATIONS[1]))
     with pytest.raises(ConvergenceError, match="sweep aborted at t = 0.5"):
         sweep(_time_sweep_spec(points=3, hi=1.0))
 
@@ -387,12 +389,8 @@ def test_curve_keeps_flat_scan_temperatures_at_zero():
 
 def test_curve_blocks_do_not_change_the_search(monkeypatch):
     whole = optimal_time_curve(FIG10)
-    monkeypatch.setattr(moments, "F_BYTES", 1)  # one temperature per block
-    for one, result in zip(whole.results, optimal_time_curve(FIG10).results):
-        assert (one.temperature, one.t_star, one.bracket) == (
-            result.temperature, result.t_star, result.bracket
-        )
-        assert abs(one.qfi_star - result.qfi_star) <= 1e-12 * one.qfi_star
+    monkeypatch.setattr(moments, "CHUNK", 1)  # the engine takes one pair at a time
+    assert optimal_time_curve(FIG10).results == whole.results
 
 
 def test_sub_ohmic_curve_matches_per_temperature_searches():
@@ -406,53 +404,54 @@ def test_sub_ohmic_curve_matches_per_temperature_searches():
 
 
 def test_curve_aborts_with_the_failing_point(monkeypatch):
-    # an order-2 rule cannot match the order-24 one at any t > 0
-    monkeypatch.setattr(moments, "ORDER", 2)
+    # a first truncation of no direct and no Bernoulli term cannot match the second at
+    # any t > 0
+    monkeypatch.setattr(moments, "TRUNCATIONS", ((0, 0), moments.TRUNCATIONS[1]))
     spec = replace(FIG10, T_points=2, t_max=63.0)
     with pytest.raises(ConvergenceError, match=r"search aborted at \(T, t\) = \(0\.2, 1\.0\)"):
         optimal_time_curve(spec)
 
 
 def _poison_third_round(monkeypatch, poison):
-    """Let `poison` edit the moments of the middle pair of the third `pairs` call, the
-    third refinement round; returns a list that receives that pair's (T index, t)."""
+    """Let `poison` edit the moments of the middle pair of the third refinement round,
+    the fourth `moments` call after the coarse scan; returns a list that receives that
+    pair's (T, t)."""
     calls, poisoned = [], []
-    pairs = moments.MomentEngine.pairs
+    batch = moments.MomentEngine.moments
 
-    def poisoned_pairs(engine, factors, temperatures, times):
-        out = pairs(engine, factors, temperatures, times)
+    def poisoned_moments(engine, temperatures, times):
+        out = batch(engine, temperatures, times)
         calls.append(len(times))
-        if len(calls) == 3:
+        if len(calls) == 4:
             p = len(times) // 2
             poison(out, p)
             poisoned.append((temperatures[p], times[p]))
         return out
 
-    monkeypatch.setattr(moments.MomentEngine, "pairs", poisoned_pairs)
+    monkeypatch.setattr(moments.MomentEngine, "moments", poisoned_moments)
     return poisoned
 
 
-def _probe_prefix(spec, poisoned):
-    (i, time), = poisoned
-    temperature = float(np.linspace(spec.T_lo, spec.T_hi, spec.T_points)[i])
+def _probe_prefix(poisoned):
+    (temperature, time), = poisoned
     return f"optimal-time search aborted at (T, t) = ({temperature!r}, {time!r}): "
 
 
-def _nan_order_20_moment(out, p):
-    out[0, 0, 0, 0, p] = math.nan
+def _nan_first_truncation_moment(out, p):
+    out[0, 0, 0, p] = math.nan
 
 
-def _disagreeing_order_20_moment(out, p):
-    out[0, 0, 0, 0, p] *= 2.0
+def _disagreeing_first_truncation_moment(out, p):
+    out[0, 0, 0, p] *= 2.0
 
 
 def _overflowing_derivative(out, p):
-    out[:, 1, ..., p] *= 1e200  # the d coth / dT moments of both rules: qfi overflows
+    out[:, 1, :, p] *= 1e200  # the d coth / dT moments of both truncations: qfi overflows
 
 
 @pytest.mark.parametrize("poison, message", [
-    (_nan_order_20_moment, "rule pair disagrees"),
-    (_disagreeing_order_20_moment, "rule pair disagrees"),
+    (_nan_first_truncation_moment, "truncations disagree"),
+    (_disagreeing_first_truncation_moment, "truncations disagree"),
     (_overflowing_derivative, "non-finite sample"),
 ])
 def test_curve_aborts_with_the_probe_that_fails_in_a_refinement_round(monkeypatch, poison,
@@ -461,18 +460,18 @@ def test_curve_aborts_with_the_probe_that_fails_in_a_refinement_round(monkeypatc
     spec = replace(FIG10, T_points=3)
     with pytest.raises(ConvergenceError) as raised:
         optimal_time_curve(spec)
-    assert str(raised.value).startswith(_probe_prefix(spec, poisoned) + message)
+    assert str(raised.value).startswith(_probe_prefix(poisoned) + message)
 
 
 def test_curve_aborts_with_a_degenerate_probe_in_a_refinement_round(monkeypatch):
     def vanishing_gamma(out, p):
-        out[:, 0, ..., p] = 0.0  # the moments of gamma, not those of d gamma / dT
+        out[:, 0, :, p] = 0.0  # the moments of gamma, not those of d gamma / dT
 
     poisoned = _poison_third_round(monkeypatch, vanishing_gamma)
     spec = replace(FIG10, T_points=3)
     with pytest.raises(ValueError) as raised:
         optimal_time_curve(spec)
-    prefix = _probe_prefix(spec, poisoned)
+    prefix = _probe_prefix(poisoned)
     assert str(raised.value).startswith(prefix + "gamma = 0.0 is at the t -> 0")
 
 
@@ -522,29 +521,28 @@ def _rows_cell_by_cell(spec):
     """A spec's rows through `_cell`, cell by cell, on exponents assembled one squeezing at
     a time: the path of every table before tables were checked as a whole."""
     qc = moments.DEFAULT_QUADRATURE
+    engine = moments.MomentEngine(spec.estimand, spec.sp, qc)
     if isinstance(spec, GridSpec):
         temperatures = [float(T) for T in np.linspace(spec.T_lo, spec.T_hi, spec.T_points)]
         times = [float(t) for t in np.linspace(spec.t_lo, spec.t_hi, spec.t_points)]
-        engine = moments.MomentEngine(spec.estimand, spec.sp, qc, temperatures, times[-1])
-        exponents = engine.exponents(engine.moments(times), spec.sq)
+        exponents = engine.exponents(engine.moments(*moments.grid_pairs(temperatures, times)),
+                                     spec.sq)
         samples = (
-            sweep_optimize._cell(engine, exponents, (i, j), BathPoint(T, t), spec.sq,
-                                 spec.init, "")
-            for i, T in enumerate(temperatures) for j, t in enumerate(times)
+            sweep_optimize._cell(engine, exponents, k, BathPoint(T, t), spec.sq, spec.init, "")
+            for k, (T, t) in enumerate(itertools.product(temperatures, times))
         )
         return [(s.point.temperature, s.point.time, s.gamma, s.dgamma, s.qfi) for s in samples]
     values = [float(value) for value in np.linspace(spec.lo, spec.hi, spec.points)]
-    temperatures = values if spec.axis == "T" else [spec.point.temperature]
-    times = values if spec.axis == "t" else [spec.point.time]
-    engine = moments.MomentEngine(spec.estimand, spec.sp, qc, temperatures, max(times))
-    batch = engine.moments(times)
+    pairs = len(values) if spec.axis in ("T", "t") else 1
+    temperatures = values if spec.axis == "T" else [spec.point.temperature] * pairs
+    times = values if spec.axis == "t" else [spec.point.time] * pairs
+    batch = engine.moments(temperatures, times)
     rows = []
     for k, value in enumerate(values):
         point, sq, init = sweep_optimize._with_axis_value(spec.axis, value, spec.point,
                                                           spec.sq, spec.init)
-        cell = (k if spec.axis == "T" else 0, k if spec.axis == "t" else 0)
-        sample = sweep_optimize._cell(engine, engine.exponents(batch, sq), cell, point, sq,
-                                      init, "")
+        sample = sweep_optimize._cell(engine, engine.exponents(batch, sq), k if pairs > 1 else 0,
+                                      point, sq, init, "")
         rows.append((value, sample.gamma, sample.dgamma, sample.qfi))
     return rows
 
@@ -580,33 +578,34 @@ def test_sweeps_over_r_or_theta_assemble_their_exponents_once(monkeypatch, tmp_p
         assert len(calls) == 1
 
 
-def _poison_two_grid_cells(monkeypatch, poison, cells):
-    """Let `poison` edit the moments of grid cells (i, j) of every `moments` call."""
+def _poison_two_grid_cells(monkeypatch, poison, cells, times):
+    """Let `poison` edit the moments of grid cells (i, j) of every `moments` call, on a
+    grid of `times` times."""
     batch = moments.MomentEngine.moments
 
-    def poisoned(engine, times):
-        out = batch(engine, times)
+    def poisoned(engine, temperatures, times_):
+        out = batch(engine, temperatures, times_)
         for i, j in cells:
-            poison(out, i, j)
+            poison(out, i * times + j)
         return out
 
     monkeypatch.setattr(moments.MomentEngine, "moments", poisoned)
 
 
-def _nan_order_20_cell(out, i, j):
-    out[0, 0, i, 0, j] = math.nan
+def _nan_first_truncation_cell(out, k):
+    out[0, 0, 0, k] = math.nan
 
 
-def _overflowing_derivative_cell(out, i, j):
-    out[:, 1, i, :, j] *= 1e200
+def _overflowing_derivative_cell(out, k):
+    out[:, 1, :, k] *= 1e200
 
 
-def _vanishing_gamma_cell(out, i, j):
-    out[:, 0, i, :, j] = 0.0
+def _vanishing_gamma_cell(out, k):
+    out[:, 0, :, k] = 0.0
 
 
 @pytest.mark.parametrize("poison, error, message", [
-    (_nan_order_20_cell, ConvergenceError, "rule pair disagrees"),
+    (_nan_first_truncation_cell, ConvergenceError, "truncations disagree"),
     (_overflowing_derivative_cell, ConvergenceError, "non-finite sample"),
     (_vanishing_gamma_cell, ValueError, "gamma = 0.0 is at the t -> 0"),
 ])
@@ -617,7 +616,7 @@ def test_grid_aborts_at_the_first_poisoned_cell_in_row_major_order(monkeypatch, 
         t_points=4, T_points=3, sq=FIX_SQUEEZE, sp=SUB_OHMIC,
     )
     # (2, 1) comes first by column, (1, 3) by row
-    _poison_two_grid_cells(monkeypatch, poison, [(2, 1), (1, 3)])
+    _poison_two_grid_cells(monkeypatch, poison, [(2, 1), (1, 3)], spec.t_points)
     with pytest.raises(error) as raised:
         density_grid(spec)
     temperature = float(np.linspace(spec.T_lo, spec.T_hi, spec.T_points)[1])
