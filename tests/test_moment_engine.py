@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import hurwitz_reference
+import panel_reference
 from adaptive_reference import gamma, gamma_partial
 from qfibath import moments
 from qfibath.moments import DEFAULT_QUADRATURE, MomentEngine, grid_pairs, point_exponents
 from qfibath.probe_state import ProbeInit
 from qfibath.qfi_engine import qfi_point
-from qfibath.spectral_bath import BathPoint, Estimand, SpectralParams, SqueezeParams
+from qfibath.spectral_bath import (BathPoint, Estimand, SpectralParams, SqueezeParams,
+                                   thermal_factor)
 from qfibath.sweep_optimize import GridSpec, density_grid
 from reference_values import REFERENCE_VALUES
 
@@ -116,6 +118,112 @@ def test_zero_temperature_thermal_factors_are_exact():
         Estimand.TEMPERATURE, BathPoint(0.0, 2.0), SqueezeParams(0.4, 1.0), sp
     )
     assert derivative == 0.0
+
+
+# the panel-rule oracle of `panel_reference`: its thermal rows, boundary weights and
+# time kernel, then its moments against the engine's
+
+
+def thermal_row(thermal, omega, temperature):
+    """A thermal set's row at `omega`, built in place as the panel oracle builds it."""
+    omega = np.asarray(omega, dtype=float)
+    out = np.full_like(omega, np.nan)
+    thermal(omega, temperature, out, np.full_like(omega, np.nan))
+    return out
+
+
+def test_vectorized_thermal_factors_match_references():
+    omega = [2.0, 1e-8, 2.0 * 9.99e-5, 2.0 * 1.001e-4]
+    coth = 1.0 + thermal_row(panel_reference.thermal, omega, 1.0)
+    for w, value, key, rel in zip(
+        omega, coth, ("coth_1", "coth_5e-9", "coth_9.99e-5", "coth_1.001e-4"),
+        (1e-12, 1e-12, 1e-10, 1e-10),
+    ):
+        assert value == pytest.approx(REFERENCE_VALUES[key], rel=rel)
+        assert value == pytest.approx(thermal_factor(w, 1.0), rel=rel)
+    assert thermal_row(panel_reference.thermal_dT, [1.0], 0.7)[0] == pytest.approx(
+        REFERENCE_VALUES["dcoth_dT_w1_T0.7"], rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("temperature", [1e-300, 1e-3, 0.7, 1e4])
+def test_in_place_thermal_rows_equal_their_expressions(temperature):
+    # the rows are built in place with one scratch row, in the expressions' operation order
+    omega = np.concatenate([[5e-324], np.geomspace(1e-300, 1e300, 601)])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = omega / (2.0 * temperature)
+        em = np.expm1(-2.0 * x)
+        expected = (2.0 / np.expm1(omega / temperature),
+                    x * 4.0 * np.exp(-2.0 * x) / (em * em) / temperature)
+        rows = (thermal_row(panel_reference.thermal, omega, temperature),
+                thermal_row(panel_reference.thermal_dT, omega, temperature))
+    for row, value in zip(rows, expected):
+        assert np.array_equal(row, value, equal_nan=True)
+
+
+@pytest.mark.parametrize("s", [0.001, 0.05, 0.5, 1.0, 2.0, 2.5, 10.0])
+@pytest.mark.parametrize("order", [panel_reference.ORDER, panel_reference.CHECK_ORDER])
+def test_boundary_weights_are_exact_for_the_endpoint_power(s, order):
+    # int_0^1 u**(s - 1) u**k du = 1 / (s + k) for every k below the order
+    x, weights = panel_reference.unit_rule(order)
+    boundary = panel_reference.boundary_weights(order, s)
+    for k in range(order):
+        assert abs(boundary @ x**k * (s + k) - 1.0) <= 1e-10, k
+    if s == 1.0:
+        assert np.array_equal(boundary, weights)  # Gauss-Legendre itself
+
+
+@pytest.mark.parametrize("t_max", [20.0, 1000.0])
+@pytest.mark.parametrize("omega_c", [1.0, 1000.0])
+@pytest.mark.parametrize("s", [0.05, 0.5, 3.0])
+def test_kernel_matches_direct_sines_and_cosines(t_max, omega_c, s):
+    layout = panel_reference.panel_layout(SpectralParams(s, omega_c), [0.5, 3.0], t_max)
+    lefts, widths, segment = layout
+    # one width per segment: each panel ends where the next begins, to roundoff
+    ends = lefts + widths[segment]
+    assert lefts[0] == 0.0 and np.all(np.diff(segment) >= 0)
+    assert np.all(np.abs(ends[:-1] - lefts[1:]) <= 4.0 * np.spacing(lefts[1:]))
+    for order in (panel_reference.ORDER, panel_reference.CHECK_ORDER):
+        x = panel_reference.unit_rule(order)[0]
+        offsets = np.multiply.outer(widths, x)[segment]
+        omega, _ = panel_reference.rule(order, layout, s)
+        assert np.array_equal(omega, (lefts[:, None] + offsets).ravel())
+        # the reference takes sin and cos of each node's phase directly, in extended
+        # precision, whose own rounding stays near 1e-14 at w t / 2 = 2e5
+        nodes = (lefts.astype(np.longdouble)[:, None] + offsets).ravel()
+        for t in (t_max / math.pi, t_max / 2.0, t_max):
+            half = nodes * (np.longdouble(t) / 2)
+            sin, cos = np.sin(half), np.cos(half)
+            envelope = 2 * sin * sin
+            expected = np.array([envelope, envelope * (1 - envelope), 2 * sin * cos * envelope])
+            times = np.array([t])
+            kernel = panel_reference.kernel(layout, x, times,
+                                            panel_reference.panel_factor(lefts, times))[:, 0]
+            assert np.abs(kernel - expected).max() <= 1e-12, (order, t)
+
+
+def test_seeded_sample_matches_the_panel_rule_oracle():
+    # the thermal moments on the Gauss-Legendre panel rule, plus the engine's vacuum
+    # moments, assembled as the engine assembles its own; the rule pair agrees on each
+    rng = np.random.default_rng(20261018)
+    estimands = list(Estimand)
+    for checked in range(30):
+        estimand = estimands[checked % 3]
+        point = BathPoint(float(10.0 ** rng.uniform(-2.0, 1.0)),
+                          float(10.0 ** rng.uniform(-2.0, 1.5)))
+        sq = SqueezeParams(float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.0, 2.0 * math.pi)))
+        sp = SpectralParams(float(10.0 ** rng.uniform(math.log10(0.05), 1.0)),
+                            float(10.0 ** rng.uniform(-1.0, 3.0)))
+        thermal, _ = panel_reference.thermal_moments(estimand, sp, point.temperature, point.time)
+        oracle = np.zeros((*thermal.shape, 1))
+        oracle[..., 0] = thermal
+        oracle[:, 0] += moments._vacuum(sp, np.array([point.time]))
+        expected, expected_derivative, agree, _ = MomentEngine(
+            estimand, sp, DEFAULT_QUADRATURE).exponents(oracle, sq)
+        assert agree[0], (estimand, point, sq, sp)
+        value, derivative, _, _ = point_exponents(estimand, point, sq, sp)
+        assert within_tolerance(value, derivative, expected[0], expected_derivative[0]), (
+            estimand, point, sq, sp, value, expected[0])
 
 
 def test_sub_ohmic_grid_cells_equal_point_evaluations_and_the_oracle():

@@ -437,11 +437,14 @@ def _probe_prefix(poisoned):
     return f"optimal-time search aborted at (T, t) = ({temperature!r}, {time!r}): "
 
 
-def _nan_first_truncation_moment(out, p):
+# "order 3": the first truncation, of 3 direct terms, whose moments sit at out[0]
+
+
+def _nan_order_3_moment(out, p):
     out[0, 0, 0, p] = math.nan
 
 
-def _disagreeing_first_truncation_moment(out, p):
+def _disagreeing_order_3_moment(out, p):
     out[0, 0, 0, p] *= 2.0
 
 
@@ -450,8 +453,8 @@ def _overflowing_derivative(out, p):
 
 
 @pytest.mark.parametrize("poison, message", [
-    (_nan_first_truncation_moment, "truncations disagree"),
-    (_disagreeing_first_truncation_moment, "truncations disagree"),
+    (_nan_order_3_moment, "truncations disagree"),
+    (_disagreeing_order_3_moment, "truncations disagree"),
     (_overflowing_derivative, "non-finite sample"),
 ])
 def test_curve_aborts_with_the_probe_that_fails_in_a_refinement_round(monkeypatch, poison,
@@ -592,7 +595,7 @@ def _poison_two_grid_cells(monkeypatch, poison, cells, times):
     monkeypatch.setattr(moments.MomentEngine, "moments", poisoned)
 
 
-def _nan_first_truncation_cell(out, k):
+def _nan_order_3_cell(out, k):
     out[0, 0, 0, k] = math.nan
 
 
@@ -605,7 +608,7 @@ def _vanishing_gamma_cell(out, k):
 
 
 @pytest.mark.parametrize("poison, error, message", [
-    (_nan_first_truncation_cell, ConvergenceError, "truncations disagree"),
+    (_nan_order_3_cell, ConvergenceError, "truncations disagree"),
     (_overflowing_derivative_cell, ConvergenceError, "non-finite sample"),
     (_vanishing_gamma_cell, ValueError, "gamma = 0.0 is at the t -> 0"),
 ])
