@@ -32,7 +32,6 @@ import os
 import sys
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from pathlib import Path
 from typing import NoReturn
 
 from . import __version__
@@ -73,6 +72,18 @@ FIELD_FLAGS = {
     "lo": "--range", "hi": "--range", "points": "--points",
     "t_lo": "--t-range", "T_lo": "--T-range", "t_points": "--t-points",
     "T_points": "--T-points", "t_max": "--t-max",
+}
+
+# subcommand -> (the flags its spec echoes, the values of its `fixed` block in output
+# order). Every flag named is required but --omega-c and --alpha, which take the record
+# defaults; a sweep leaves its axis out of `fixed`.
+SPEC_FLAGS = {
+    "point": ((), ("temp", "time", "r", "theta", "s", "omega_c", "alpha")),
+    "sweep": (("axis", "range", "points"),
+              ("time", "temp", "r", "theta", "s", "omega_c", "alpha")),
+    "grid": (("t_range", "T_range", "t_points", "T_points"),
+             ("r", "theta", "s", "omega_c", "alpha")),
+    "opt-time": (("T_range", "T_points", "t_max"), ("r", "theta", "s", "omega_c", "alpha")),
 }
 
 POINT_COLUMNS = [
@@ -158,16 +169,12 @@ def _fmt(value) -> str:
 
 
 def _range_arg(text: str) -> tuple[float, float]:
+    """`lo:hi` as two floats; the spec records check their values."""
     try:
         lo_text, hi_text = text.split(":")
-        lo, hi = float(lo_text), float(hi_text)
+        return float(lo_text), float(hi_text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise argparse.ArgumentTypeError("range endpoints must be finite")
-    if not lo < hi:
-        raise argparse.ArgumentTypeError(f"lower bound must be strictly below upper, got {text!r}")
-    return lo, hi
 
 
 def _add_shared_arguments(parser: argparse.ArgumentParser, with_recipe: bool) -> None:
@@ -230,29 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--T-range", type=_range_arg, default=None, metavar="lo:hi")
     opt.add_argument("--T-points", type=int, default=None)
     opt.add_argument("--t-max", type=float, default=None, help="upper end of the time search")
-    opt.set_defaults(handler=cmd_opt_time)
+    opt.set_defaults(handler=cmd_opt_time, estimand="T")
 
     return parser
-
-
-def _apply_recipe(args: argparse.Namespace) -> None:
-    name = getattr(args, "recipe", None)
-    if name is None:
-        return
-    recipe = RECIPES.get(name)
-    if recipe is None:
-        _fail("--recipe", f"unknown recipe {name!r}; known: {', '.join(sorted(RECIPES))}")
-    if recipe["subcommand"] != args.subcommand:
-        _fail("--recipe", f"{name} belongs to the {recipe['subcommand']!r} subcommand")
-    for dest, value in recipe["flags"].items():
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, value)
-
-
-def _require(args: argparse.Namespace, dests: list[str]) -> None:
-    for dest in dests:
-        if getattr(args, dest) is None:
-            _fail("--" + dest.replace("_", "-"), "is required")
 
 
 def _given(**fields) -> dict:
@@ -260,7 +247,31 @@ def _given(**fields) -> dict:
     return {name: value for name, value in fields.items() if value is not None}
 
 
-def _quadrature_config(args: argparse.Namespace) -> QuadratureConfig:
+def _run(args: argparse.Namespace) -> int:
+    """The one path of every subcommand: expand the recipe, require the flags, build the
+    records and the spec block, then write the columns, metadata and rows its handler
+    returns."""
+    name = getattr(args, "recipe", None)
+    if name is not None:
+        recipe = RECIPES.get(name)
+        if recipe is None:
+            _fail("--recipe", f"unknown recipe {name!r}; known: {', '.join(sorted(RECIPES))}")
+        if recipe["subcommand"] != args.subcommand:
+            _fail("--recipe", f"{name} belongs to the {recipe['subcommand']!r} subcommand")
+        for dest, value in recipe["flags"].items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, value)
+    echoed, fixed = SPEC_FLAGS[args.subcommand]
+    swept = AXIS_FLAG.get(getattr(args, "axis", None))
+    fixed = [dest for dest in fixed if dest != swept]
+    for dest in ["estimand", *echoed, *fixed]:
+        if getattr(args, dest) is None and dest not in ("omega_c", "alpha"):
+            _fail("--" + dest.replace("_", "-"), "is required")
+    if swept is not None:
+        # the swept variable takes its placeholder from the range start; each row
+        # overrides it anyway
+        setattr(args, swept, args.range[0])
+
     rel_tol = args.rel_tol
     env_value = os.environ.get(ENV_REL_TOL)
     if rel_tol is None and env_value is not None:
@@ -269,23 +280,26 @@ def _quadrature_config(args: argparse.Namespace) -> QuadratureConfig:
             rel_tol = QuadratureConfig(rel_tol=float(env_value)).rel_tol
         except ValueError as exc:
             _fail(ENV_REL_TOL, str(exc))
-    return QuadratureConfig(**_given(rel_tol=rel_tol, abs_tol=args.abs_tol))
-
-
-def _records(args: argparse.Namespace) -> tuple[SqueezeParams, SpectralParams, ProbeInit]:
-    return (
-        SqueezeParams(r=args.r, theta=args.theta),
-        SpectralParams(**_given(s=args.s, omega_c=args.omega_c)),
-        ProbeInit(**_given(alpha=args.alpha)),
-    )
-
-
-def _metadata(args: argparse.Namespace, library: dict, columns: list[str]) -> dict:
-    """The library's metadata plus the output columns and the inert omega_0."""
-    metadata = {**library, "columns": columns}
+    qc = QuadratureConfig(**_given(rel_tol=rel_tol, abs_tol=args.abs_tol))
+    sq = SqueezeParams(r=args.r, theta=args.theta)
+    sp = SpectralParams(**_given(s=args.s, omega_c=args.omega_c))
+    init = ProbeInit(**_given(alpha=args.alpha))
+    values = {"temp": args.temp, "time": args.time, "r": sq.r, "theta": sq.theta,
+              "s": sp.s, "omega_c": sp.omega_c, "alpha": init.alpha}
+    spec = {
+        "subcommand": args.subcommand,
+        "estimand": args.estimand,
+        **{dest: getattr(args, dest) for dest in echoed},
+        "fixed": {dest: values[dest] for dest in fixed},
+    }
+    columns, metadata, rows = args.handler(
+        args, spec, qc, estimand=ESTIMANDS[args.estimand], sq=sq, sp=sp, init=init)
+    # the library's metadata plus the output columns and the inert omega_0
+    metadata = {**metadata, "columns": columns}
     if args.omega_0 is not None:
         metadata["omega_0"] = args.omega_0
-    return metadata
+    _emit(args, spec, metadata, columns, rows)
+    return EXIT_OK
 
 
 # what `float.__repr__` writes for the floats JSON spells otherwise
@@ -350,138 +364,51 @@ def _emit(args: argparse.Namespace, spec: dict, metadata: dict,
     if args.out == "-":
         sys.stdout.write(text)
         return
-    path = Path(args.out)
+    stream = None
     try:
-        path.write_text(text, encoding="utf-8")
-    except BaseException:
-        path.unlink(missing_ok=True)  # never leave partial files behind
-        raise
+        with open(args.out, "w", encoding="utf-8") as stream:
+            stream.write(text)
+    except BaseException as exc:
+        # never leave a partial file behind, nor touch what the call did not open
+        if stream is not None and os.path.isfile(args.out):
+            os.unlink(args.out)
+        if not isinstance(exc, OSError):
+            raise
+        _fail("--out", f"{exc.strerror}: {args.out!r}")
 
 
-def cmd_point(args: argparse.Namespace) -> int:
-    _require(args, ["estimand", "temp", "time", "r", "theta", "s"])
-    qc = _quadrature_config(args)
-    sq, sp, init = _records(args)
-    point = BathPoint(temperature=args.temp, time=args.time)
+# Each handler builds its library call from the records and the flags and returns
+# (columns, library metadata, rows).
 
-    sample = qfi_point(ESTIMANDS[args.estimand], point, sq, sp, init, qc)
-    row = [
-        args.estimand, point.temperature, point.time, sq.r, sq.theta, sp.s,
-        sp.omega_c, init.alpha, sample.gamma, sample.dgamma, sample.qfi,
+def cmd_point(args: argparse.Namespace, spec: dict, qc: QuadratureConfig, **records):
+    sample = qfi_point(point=BathPoint(args.temp, args.time), qc=qc, **records)
+    # the fixed block of a point is its row's leading columns
+    return POINT_COLUMNS, run_metadata(qc), [[
+        args.estimand, *spec["fixed"].values(), sample.gamma, sample.dgamma, sample.qfi,
         sample.cfi_term, sample.quantum_term,
-    ]
-    spec = {
-        "subcommand": "point",
-        "estimand": args.estimand,
-        "fixed": {
-            "temp": point.temperature, "time": point.time, "r": sq.r,
-            "theta": sq.theta, "s": sp.s, "omega_c": sp.omega_c, "alpha": init.alpha,
-        },
-    }
-    _emit(args, spec, _metadata(args, run_metadata(qc), POINT_COLUMNS), POINT_COLUMNS, [row])
-    return EXIT_OK
+    ]]
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    _apply_recipe(args)
-    _require(args, ["estimand", "axis", "range", "points"])
-    axis = args.axis
-    _require(args, [flag for ax, flag in AXIS_FLAG.items() if ax not in (axis, "alpha")] + ["s"])
+def cmd_sweep(args: argparse.Namespace, spec: dict, qc: QuadratureConfig, **records):
     lo, hi = args.range
-    # the swept variable takes its placeholder from the range start; each row
-    # overrides it anyway
-    setattr(args, AXIS_FLAG[axis], lo)
-    qc = _quadrature_config(args)
-    sq, sp, init = _records(args)
-    point = BathPoint(temperature=args.temp, time=args.time)
-    spec_obj = SweepSpec(
-        estimand=ESTIMANDS[args.estimand], axis=axis, lo=lo, hi=hi, points=args.points,
-        point=point, sq=sq, sp=sp, init=init,
-    )
-
-    table = sweep(spec_obj, qc)
-    rows = [(axis, *row) for row in table.rows]
-    fixed = {}
-    if axis != "t":
-        fixed["time"] = point.time
-    if axis != "T":
-        fixed["temp"] = point.temperature
-    if axis != "r":
-        fixed["r"] = sq.r
-    if axis != "theta":
-        fixed["theta"] = sq.theta
-    fixed.update({"s": sp.s, "omega_c": sp.omega_c})
-    if axis != "alpha":
-        fixed["alpha"] = init.alpha
-    spec = {
-        "subcommand": "sweep",
-        "estimand": args.estimand,
-        "axis": axis,
-        "range": [lo, hi],
-        "points": args.points,
-        "fixed": fixed,
-    }
-    _emit(args, spec, _metadata(args, table.metadata, SWEEP_COLUMNS), SWEEP_COLUMNS, rows)
-    return EXIT_OK
+    table = sweep(SweepSpec(axis=args.axis, lo=lo, hi=hi, points=args.points,
+                            point=BathPoint(args.temp, args.time), **records), qc)
+    return SWEEP_COLUMNS, table.metadata, [(args.axis, *row) for row in table.rows]
 
 
-def cmd_grid(args: argparse.Namespace) -> int:
-    _apply_recipe(args)
-    _require(args, ["estimand", "t_range", "T_range", "t_points", "T_points", "r", "theta", "s"])
-    qc = _quadrature_config(args)
-    sq, sp, init = _records(args)
-    spec_obj = GridSpec(
-        estimand=ESTIMANDS[args.estimand],
-        t_lo=args.t_range[0], t_hi=args.t_range[1],
-        T_lo=args.T_range[0], T_hi=args.T_range[1],
-        t_points=args.t_points, T_points=args.T_points,
-        sq=sq, sp=sp, init=init,
-    )
-
-    table = density_grid(spec_obj, qc)
-    spec = {
-        "subcommand": "grid",
-        "estimand": args.estimand,
-        "t_range": list(args.t_range),
-        "T_range": list(args.T_range),
-        "t_points": args.t_points,
-        "T_points": args.T_points,
-        "fixed": {
-            "r": sq.r, "theta": sq.theta, "s": sp.s,
-            "omega_c": sp.omega_c, "alpha": init.alpha,
-        },
-    }
-    _emit(args, spec, _metadata(args, table.metadata, GRID_COLUMNS), GRID_COLUMNS, table.rows)
-    return EXIT_OK
+def cmd_grid(args: argparse.Namespace, spec: dict, qc: QuadratureConfig, **records):
+    (t_lo, t_hi), (T_lo, T_hi) = args.t_range, args.T_range
+    table = density_grid(GridSpec(t_lo=t_lo, t_hi=t_hi, T_lo=T_lo, T_hi=T_hi,
+                                  t_points=args.t_points, T_points=args.T_points, **records), qc)
+    return GRID_COLUMNS, table.metadata, table.rows
 
 
-def cmd_opt_time(args: argparse.Namespace) -> int:
-    _apply_recipe(args)
-    if args.estimand is None:
-        args.estimand = "T"
-    _require(args, ["T_range", "T_points", "t_max", "r", "theta", "s"])
-    qc = _quadrature_config(args)
-    sq, sp, init = _records(args)
-    spec_obj = OptimalTimeSpec(
-        estimand=ESTIMANDS[args.estimand], T_lo=args.T_range[0], T_hi=args.T_range[1],
-        T_points=args.T_points, sq=sq, sp=sp, init=init, t_max=args.t_max,
-    )
-
-    curve = optimal_time_curve(spec_obj, qc)
+def cmd_opt_time(args: argparse.Namespace, spec: dict, qc: QuadratureConfig, **records):
+    T_lo, T_hi = args.T_range
+    curve = optimal_time_curve(OptimalTimeSpec(T_lo=T_lo, T_hi=T_hi, T_points=args.T_points,
+                                               t_max=args.t_max, **records), qc)
     rows = [[result.temperature, result.t_star, result.qfi_star] for result in curve.results]
-    spec = {
-        "subcommand": "opt-time",
-        "estimand": args.estimand,
-        "T_range": list(args.T_range),
-        "T_points": args.T_points,
-        "t_max": args.t_max,
-        "fixed": {
-            "r": sq.r, "theta": sq.theta, "s": sp.s,
-            "omega_c": sp.omega_c, "alpha": init.alpha,
-        },
-    }
-    _emit(args, spec, _metadata(args, curve.metadata, OPT_TIME_COLUMNS), OPT_TIME_COLUMNS, rows)
-    return EXIT_OK
+    return OPT_TIME_COLUMNS, curve.metadata, rows
 
 
 @lru_cache(maxsize=None)
@@ -495,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.omega_0 is not None and not math.isfinite(args.omega_0):
         _fail("--omega-0", f"must be finite, got {args.omega_0}")
     try:
-        return args.handler(args)
+        return _run(args)
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

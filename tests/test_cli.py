@@ -173,14 +173,20 @@ REJECTIONS = [
     (SWEEP_ARGS, {"--axis": "T", "--range": "0:1"}, "--range"),  # estimand T
     (SWEEP_ARGS, {"--axis": "alpha", "--range": "0:4"}, "--range"),
     (SWEEP_ARGS, {"--axis": "r", "--range": "0:1", "--temp": "0"}, "--temp"),
+    # the order and finiteness of a range are the spec records' to check, not argparse's
+    (SWEEP_ARGS, {"--range": "2:1"}, "--range"),
+    (SWEEP_ARGS, {"--range": "0:inf"}, "--range"),
     (GRID_ARGS, {"--t-points": "1"}, "--t-points"),
     (GRID_ARGS, {"--T-points": "1"}, "--T-points"),
     (GRID_ARGS, {"--T-range": "0:1"}, "--T-range"),  # estimand T
     (GRID_ARGS, {"--t-range": "-1:1"}, "--t-range"),
+    (GRID_ARGS, {"--t-range": "3:1"}, "--t-range"),
     (OPT_TIME_ARGS, {"--T-points": "0"}, "--T-points"),
     (OPT_TIME_ARGS, {"--t-max": "0"}, "--t-max"),
     (OPT_TIME_ARGS, {"--t-max": "inf"}, "--t-max"),
     (OPT_TIME_ARGS, {"--estimand": "r", "--T-range": "-1:1"}, "--T-range"),
+    (OPT_TIME_ARGS, {"--T-range": "2:1"}, "--T-range"),
+    (OPT_TIME_ARGS, {"--T-range": "nan:1"}, "--T-range"),
 ]
 
 
@@ -371,6 +377,16 @@ def test_opt_time_single_temperature_matches_the_library(tmp_path):
     assert float(rows[0][2]) == result.qfi_star
 
 
+def test_opt_time_one_temperature_range_is_the_library_search(capsys):
+    # OptimalTimeSpec accepts T_lo == T_hi, so the CLI does too
+    argv = with_flags(OPT_TIME_ARGS, {"--T-range": "0.5:0.5", "--format": "json"})
+    assert run_cli(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    result = optimal_time(0.5, Estimand.TEMPERATURE, SqueezeParams(0.5, 1.0),
+                          SpectralParams(0.5), t_max=4.0)
+    assert rows == [[0.5, result.t_star, result.qfi_star]]
+
+
 def test_opt_time_curve_matches_the_library_per_temperature(tmp_path):
     out = tmp_path / "opt.json"
     argv = ["opt-time", "--estimand", "r", "--T-range", "0:2", "--T-points", "3",
@@ -386,6 +402,130 @@ def test_opt_time_curve_matches_the_library_per_temperature(tmp_path):
         )
         assert t_star == result.t_star
         assert abs(qfi_star - result.qfi_star) <= 1e-12 * result.qfi_star
+
+
+def test_out_in_a_missing_directory_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "point.csv"
+    assert run_cli(POINT_ARGS + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: ") and "Traceback" not in err
+    assert not out.parent.exists()
+
+
+def test_out_naming_a_directory_exits_two_and_leaves_it_alone(tmp_path, capsys):
+    (tmp_path / "kept.txt").write_text("kept", encoding="utf-8")
+    assert run_cli(POINT_ARGS + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: --out: ")
+    assert tmp_path.is_dir()
+    assert [path.name for path in tmp_path.iterdir()] == ["kept.txt"]
+    assert (tmp_path / "kept.txt").read_text(encoding="utf-8") == "kept"
+
+
+# one call of each subcommand: its CSV metadata lines and header row (the tool line and the
+# timestamp left out) and its JSON spec object, keys in order. A sweep writes time before
+# temp and leaves its axis out of `fixed`; a point writes temp first.
+SPEC_BLOCKS = {
+    "point": (POINT_ARGS + ["--omega-0", "5"], """\
+# subcommand = point
+# estimand = T
+# temp = 0.5
+# time = 1.0
+# r = 0.1
+# theta = 1.0
+# s = 0.5
+# omega_c = 1.0
+# alpha = 1.5707963267948966
+# rel_tol = 1e-08
+# abs_tol = 1e-12
+# omega_0 = 5.0
+estimand,T,t,r,theta,s,omega_c,alpha,gamma,dgamma,qfi,cfi_term,quantum_term
+""", '{"subcommand": "point", "estimand": "T", "fixed": {"temp": 0.5, "time": 1.0, "r": 0.1, '
+        '"theta": 1.0, "s": 0.5, "omega_c": 1.0, "alpha": 1.5707963267948966}}'),
+    "sweep-t": (SWEEP_ARGS, """\
+# subcommand = sweep
+# estimand = T
+# axis = t
+# range = 0.0:2.0
+# points = 3
+# temp = 0.5
+# r = 0.1
+# theta = 1.0
+# s = 0.5
+# omega_c = 1.0
+# alpha = 1.5707963267948966
+# rel_tol = 1e-08
+# abs_tol = 1e-12
+axis,value,gamma,dgamma,qfi
+""", '{"subcommand": "sweep", "estimand": "T", "axis": "t", "range": [0.0, 2.0], "points": 3, '
+        '"fixed": {"temp": 0.5, "r": 0.1, "theta": 1.0, "s": 0.5, "omega_c": 1.0, '
+        '"alpha": 1.5707963267948966}}'),
+    "sweep-alpha": (with_flags(SWEEP_ARGS, {"--axis": "alpha", "--range": "0:3"}), """\
+# subcommand = sweep
+# estimand = T
+# axis = alpha
+# range = 0.0:3.0
+# points = 3
+# time = 1.0
+# temp = 0.5
+# r = 0.1
+# theta = 1.0
+# s = 0.5
+# omega_c = 1.0
+# rel_tol = 1e-08
+# abs_tol = 1e-12
+axis,value,gamma,dgamma,qfi
+""", '{"subcommand": "sweep", "estimand": "T", "axis": "alpha", "range": [0.0, 3.0], '
+        '"points": 3, "fixed": {"time": 1.0, "temp": 0.5, "r": 0.1, "theta": 1.0, "s": 0.5, '
+        '"omega_c": 1.0}}'),
+    "grid": (with_flags(GRID_ARGS, {"--alpha": "1"}), """\
+# subcommand = grid
+# estimand = T
+# t_range = 0.0:2.0
+# T_range = 0.4:0.8
+# t_points = 2
+# T_points = 2
+# r = 0.1
+# theta = 1.0
+# s = 0.5
+# omega_c = 1.0
+# alpha = 1.0
+# rel_tol = 1e-08
+# abs_tol = 1e-12
+T,t,gamma,dgamma,qfi
+""", '{"subcommand": "grid", "estimand": "T", "t_range": [0.0, 2.0], "T_range": [0.4, 0.8], '
+        '"t_points": 2, "T_points": 2, "fixed": {"r": 0.1, "theta": 1.0, "s": 0.5, '
+        '"omega_c": 1.0, "alpha": 1.0}}'),
+    # theta is written as the record stores it, reduced to [0, 2 pi)
+    "opt-time": (with_flags(OPT_TIME_ARGS, {"--theta": "7"}), """\
+# subcommand = opt-time
+# estimand = T
+# T_range = 0.4:0.8
+# T_points = 1
+# t_max = 4.0
+# r = 0.5
+# theta = 0.7168146928204138
+# s = 0.5
+# omega_c = 1.0
+# alpha = 1.5707963267948966
+# rel_tol = 1e-08
+# abs_tol = 1e-12
+T,t_star,qfi_star
+""", '{"subcommand": "opt-time", "estimand": "T", "T_range": [0.4, 0.8], "T_points": 1, '
+        '"t_max": 4.0, "fixed": {"r": 0.5, "theta": 0.7168146928204138, "s": 0.5, '
+        '"omega_c": 1.0, "alpha": 1.5707963267948966}}'),
+}
+
+
+@pytest.mark.parametrize("name", list(SPEC_BLOCKS))
+def test_spec_block_of_each_subcommand(name, capsys):
+    argv, csv_head, json_spec = SPEC_BLOCKS[name]
+    assert run_cli(argv + ["--format", "csv"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if not line.startswith("# timestamp")]
+    assert lines[0] == f"# tool = qfibath {__version__}"
+    assert "\n".join(lines[1:csv_head.count("\n") + 1]) + "\n" == csv_head
+    assert run_cli(argv + ["--format", "json"]) == 0
+    assert json.dumps(json.loads(capsys.readouterr().out)["spec"]) == json_spec
 
 
 def test_stdout_output_matches_file_output(tmp_path, capsys):
