@@ -54,7 +54,8 @@ disagree by more than the QuadratureConfig tolerance, on gamma or on d gamma
 relative to max(|d gamma|, gamma), or are not finite, raises ConvergenceError.
 What depends on the temperature alone is computed once per temperature, and a
 batch is evaluated in chunks of at most CHUNK pairs, so its temporaries stay
-small; every pair's moments are the same in any batch.
+small. Every sum over a pair's terms runs in one fixed order, so its moments
+are the same bits in a batch of one pair as in any other batch.
 """
 
 from __future__ import annotations
@@ -325,7 +326,9 @@ class MomentEngine:
                 # -Gamma(q + m + 1) / m! [zeta(q + m, a) - tau zeta(q + m + 1, a)]
                 terms.append(-raised[:m.size, None] * (zeta[:m.size] - tau * zeta[1:m.size + 1]))
             for set_, term in enumerate(terms):
-                out[k, set_] = (weights * (powers * term[:, row])).sum(1)
+                # a running sum adds the terms in order at any number of pairs; NumPy's
+                # sum pairs them up when the batch has one
+                out[k, set_] = np.cumsum(weights * (powers * term[:, row]), axis=1)[:, -1]
         return out
 
     def _euler_maclaurin(self, coefficients: dict, tau: np.ndarray, a: np.ndarray,
@@ -438,25 +441,6 @@ class MomentEngine:
         # the integrand of gamma is non-negative; roundoff can undershoot 0
         return np.maximum(value[1], 0.0), derivative[1], agree, gap
 
-    def exponent(self, exponents: tuple[np.ndarray, ...], p: int,
-                 point: BathPoint) -> tuple[float, float]:
-        """(gamma, d gamma) at pair p of `exponents`, which sits at `point`.
-
-        Raises ConvergenceError, naming the point, where the truncations disagree there.
-        """
-        values, derivatives, agree, gaps = exponents
-        value = float(values[p])
-        if not agree[p]:
-            raise ConvergenceError(
-                f"truncations disagree at (T, t) = ({point.temperature!r}, {point.time!r}): "
-                f"gamma {value!r}, gap {gaps[p]:.3e} above tolerance "
-                f"(rel_tol {self.qc.rel_tol:g}, abs_tol {self.qc.abs_tol:g}) on gamma or d gamma",
-                value=value,
-                est_error=float(gaps[p]),
-                evaluations=_terms(point),
-            )
-        return value, float(derivatives[p])
-
 
 def grid_pairs(temperatures: Sequence[float],
                times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -464,9 +448,24 @@ def grid_pairs(temperatures: Sequence[float],
     return np.repeat(temperatures, len(times)), np.tile(times, len(temperatures))
 
 
-def _terms(point: BathPoint) -> int:
-    """Thermal terms summed at `point`: none without a thermal part or at t = 0."""
-    return TERMS if point.temperature > 0.0 and point.time > 0.0 else 0
+def _disagreement(qc: QuadratureConfig, temperature: float, time: float, value: float,
+                  gap: float) -> ConvergenceError:
+    """The error of a pair (T, t) whose truncations disagree: its reported `value` of
+    gamma and their `gap` on it."""
+    temperature, time = float(temperature), float(time)
+    return ConvergenceError(
+        f"truncations disagree at (T, t) = ({temperature!r}, {time!r}): "
+        f"gamma {value!r}, gap {gap:.3e} above tolerance "
+        f"(rel_tol {qc.rel_tol:g}, abs_tol {qc.abs_tol:g}) on gamma or d gamma",
+        value=value,
+        est_error=float(gap),
+        evaluations=_terms(temperature, time),
+    )
+
+
+def _terms(temperature: float, time: float) -> int:
+    """Thermal terms summed at (T, t): none without a thermal part or at t = 0."""
+    return TERMS if temperature > 0.0 and time > 0.0 else 0
 
 
 def point_exponents(estimand: Estimand | None, point: BathPoint, sq: SqueezeParams,
@@ -481,5 +480,7 @@ def point_exponents(estimand: Estimand | None, point: BathPoint, sq: SqueezePara
     """
     engine = MomentEngine(estimand, sp, qc)
     exponents = engine.exponents(engine.moments([point.temperature], [point.time]), sq)
-    gamma_value, dgamma = engine.exponent(exponents, 0, point)
-    return gamma_value, dgamma, float(exponents[3][0]), _terms(point)
+    (value,), (derivative,), (agree,), (gap,) = (part.tolist() for part in exponents)
+    if not agree:
+        raise _disagreement(qc, point.temperature, point.time, value, gap)
+    return value, derivative, gap, _terms(point.temperature, point.time)

@@ -5,10 +5,12 @@ The production route evaluates the closed form
     I = sin(alpha)^2 * (d gamma / d eta)^2 / (exp(2 gamma) - 1)
 
 with the analytic parameter derivative of the decay exponent. One function
-(`_closed_form`) holds the expression and its floors for one cell:
-`qfi_closed_form` maps it over whole tables of cells, as the moment engine
-gives them, and `qfi_sample` applies it to the one cell of a point record.
-`qfi_point` evaluates one point on that engine (`moments.point_exponents`).
+(`_closed_form`) holds the expression and its floors for one cell, and one
+pass (`qfi_table`) takes any list of (T, t) pairs from the moment engine to
+their gamma, d gamma and qfi, checking every cell in order: points
+(`qfi_point`, a one-pair table), sweeps, grids and search rounds all go
+through it. `qfi_closed_form` maps the expression over arrays of given
+exponents.
 The oracle route (`qfi_spectral`) differentiates the spectral decomposition
 of the density matrix by gauge-fixed central differences and sums the
 general two-term formula
@@ -26,14 +28,15 @@ term; at alpha = pi/2 the eigenvectors freeze and the second term vanishes.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
 from .decoherence import gamma
-from .moments import DEFAULT_QUADRATURE, QuadratureConfig, point_exponents
+from .moments import (DEFAULT_QUADRATURE, ConvergenceError, MomentEngine, QuadratureConfig,
+                      _disagreement)
 from .probe_state import ProbeInit, eigensystem, reduced_dm
 from .spectral_bath import (
     BathPoint,
@@ -49,7 +52,7 @@ __all__ = [
     "QfiSample",
     "DegenerateInputError",
     "qfi_closed_form",
-    "qfi_sample",
+    "qfi_table",
     "qfi_spectral",
     "qfi_point",
 ]
@@ -92,6 +95,13 @@ class QfiSample:
                 raise ValueError(f"{name} must be >= 0, got {value}")
 
 
+def _sines(init: ProbeInit | Sequence[ProbeInit]) -> Iterable[float]:
+    """sin(alpha) of one ProbeInit, repeated, or of each of several."""
+    if isinstance(init, ProbeInit):
+        return repeat(math.sin(init.alpha))
+    return [math.sin(one.alpha) for one in init]
+
+
 def qfi_closed_form(init: ProbeInit | Sequence[ProbeInit], gamma_value: float | np.ndarray,
                     dgamma: float | np.ndarray) -> np.ndarray:
     """sin(alpha)^2 * dgamma^2 / (exp(2 gamma) - 1) per element of `gamma_value` and
@@ -105,11 +115,7 @@ def qfi_closed_form(init: ProbeInit | Sequence[ProbeInit], gamma_value: float | 
     vanish like t^2).
     """
     gamma_value, dgamma = np.asarray(gamma_value, dtype=float), np.asarray(dgamma, dtype=float)
-    if isinstance(init, ProbeInit):
-        sines = repeat(math.sin(init.alpha))
-    else:
-        sines = [math.sin(one.alpha) for one in init]
-    qfi = map(_closed_form, sines, gamma_value.ravel().tolist(), dgamma.ravel().tolist())
+    qfi = map(_closed_form, _sines(init), gamma_value.ravel().tolist(), dgamma.ravel().tolist())
     return np.array(list(qfi)).reshape(gamma_value.shape)
 
 
@@ -152,31 +158,41 @@ def _check_estimable(estimand: Estimand, point: BathPoint) -> None:
         raise ValueError(f"temperature must be > 0 when estimating T, got {point.temperature}")
 
 
-def qfi_sample(
-    estimand: Estimand,
-    point: BathPoint,
-    sq: SqueezeParams,
-    sp: SpectralParams,
-    init: ProbeInit,
-    gamma_value: float,
-    dgamma: float,
-) -> QfiSample:
-    """Closed-form QFI record from an evaluated exponent and its derivative."""
-    _check_estimable(estimand, point)
-    qfi = _closed_form(math.sin(init.alpha), gamma_value, dgamma)
-    cfi, quantum = _closed_form_split(init.alpha, gamma_value, qfi)
-    return QfiSample(
-        point=point,
-        sq=sq,
-        sp=sp,
-        init=init,
-        estimand=estimand,
-        gamma=gamma_value,
-        dgamma=dgamma,
-        qfi=qfi,
-        cfi_term=cfi,
-        quantum_term=quantum,
-    )
+def qfi_table(engine: MomentEngine, temperatures: Sequence[float], times: Sequence[float],
+              sq: SqueezeParams | Sequence[SqueezeParams], init: ProbeInit | Sequence[ProbeInit],
+              where: Callable[[int], str] | None = None) -> tuple[list, list, list]:
+    """gamma, d gamma and qfi at every cell of the pairs (temperatures[p], times[p]).
+
+    One `engine.moments` batch, one `engine.exponents` call with `sq` (one
+    SqueezeParams, or one per cell of a single pair), then one pass over the cells in
+    order. `init` is one ProbeInit, or one per cell. The first cell whose truncations
+    disagree (ConvergenceError), whose closed form is degenerate (DegenerateInputError),
+    or whose gamma, d gamma or qfi is not finite (ConvergenceError) raises, its message
+    prefixed with `where(cell)` when `where` is given.
+    """
+    values, derivatives, agree, gaps = engine.exponents(engine.moments(temperatures, times), sq)
+    gammas, dgammas, qfis = values.tolist(), derivatives.tolist(), []
+    cells = zip(agree.tolist(), gammas, dgammas, _sines(init))
+    for k, (agrees, gamma_value, dgamma, sin_a) in enumerate(cells):
+        try:
+            if not agrees:
+                p = k if len(times) > 1 else 0  # several squeezings share one pair
+                raise _disagreement(engine.qc, temperatures[p], times[p], gamma_value, gaps[k])
+            qfi = _closed_form(sin_a, gamma_value, dgamma)
+            if not (math.isfinite(gamma_value) and math.isfinite(dgamma) and math.isfinite(qfi)):
+                raise ConvergenceError(
+                    f"non-finite sample: gamma {gamma_value!r}, dgamma {dgamma!r}, qfi {qfi!r}",
+                    value=gamma_value, est_error=math.nan, evaluations=0)
+        except (ConvergenceError, ValueError) as exc:
+            if where is None:
+                raise
+            located = f"{where(k)}: {exc}"
+            if isinstance(exc, ConvergenceError):
+                raise ConvergenceError(located, value=exc.value, est_error=exc.est_error,
+                                       evaluations=exc.evaluations) from exc
+            raise type(exc)(located) from exc
+        qfis.append(qfi)
+    return gammas, dgammas, qfis
 
 
 def qfi_point(
@@ -187,10 +203,14 @@ def qfi_point(
     init: ProbeInit = ProbeInit(),
     qc: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> QfiSample:
-    """Production path for one point: `moments.point_exponents`, then the closed form."""
+    """Production path for one point: the one-pair `qfi_table`, then the closed form's
+    split into its classical and eigenvector terms."""
     _check_estimable(estimand, point)
-    gamma_value, dgamma, _, _ = point_exponents(estimand, point, sq, sp, qc)
-    return qfi_sample(estimand, point, sq, sp, init, gamma_value, dgamma)
+    (gamma_value,), (dgamma,), (qfi,) = qfi_table(
+        MomentEngine(estimand, sp, qc), [point.temperature], [point.time], sq, init)
+    cfi, quantum = _closed_form_split(init.alpha, gamma_value, qfi)
+    return QfiSample(point=point, sq=sq, sp=sp, init=init, estimand=estimand, gamma=gamma_value,
+                     dgamma=dgamma, qfi=qfi, cfi_term=cfi, quantum_term=quantum)
 
 
 def qfi_spectral(

@@ -2,37 +2,31 @@
 
 Every table and search runs on the moment engine (`moments`), as single
 points do. A table is one batch of (T, t) pairs (a grid's is the flattened
-cross product of its axes), then the exponent and derivative of every cell by
-array algebra on the moments. Sweeps, grids and each round of a search then go
-through one checked step (`_table`), which builds no record per cell: where the
-engine's two truncations agree on every cell, none is degenerate and gamma,
-d gamma and qfi are finite, one `qfi_engine.qfi_closed_form` call gives every
-qfi. A table that fails that check replays its cells in row-major order
-through the per-cell step (`_cell`), so the first failing cell aborts the run
-with its location and the message it would raise alone. Identical specs
-always produce bit-identical tables. The optimal-time search brackets the
-global maximum with a coarse scan before golden-section refinement, because
-the squeezing kernel can make the information oscillate in t and unimodal
-search alone would lock onto the wrong peak. A curve searches all its
-temperatures as one batch: their coarse scans are one (T, t) table like a
-grid, and the refinement runs in lockstep, each round one table of (T, t)
-pairs, one per temperature whose bracket is still open.
+cross product of its axes), and sweeps, grids and each round of a search take
+it through `qfi_engine.qfi_table`: one exponents call by array algebra on the
+moments, then one pass that checks each cell in row-major order and builds no
+record per cell. The first failing cell aborts the run with its location and
+the message it would raise alone. Identical specs always produce bit-identical
+tables. The optimal-time search brackets the global maximum with a coarse scan
+before golden-section refinement, because the squeezing kernel can make the
+information oscillate in t and unimodal search alone would lock onto the wrong
+peak. A curve searches all its temperatures as one batch: their coarse scans
+are one (T, t) table like a grid, and the refinement runs in lockstep, each
+round one table of (T, t) pairs, one per temperature whose bracket is still
+open.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from math import isfinite, sqrt
 
 import numpy as np
 
-from .moments import (DEFAULT_QUADRATURE, ConvergenceError, MomentEngine, QuadratureConfig,
-                      grid_pairs)
+from .moments import DEFAULT_QUADRATURE, MomentEngine, QuadratureConfig, grid_pairs
 from .probe_state import ProbeInit
-from .qfi_engine import Estimand, QfiSample, _check_estimable, qfi_closed_form, qfi_sample
+from .qfi_engine import Estimand, _check_estimable, qfi_table
 from .spectral_bath import BathPoint, SpectralParams, SqueezeParams
 
 __all__ = [
@@ -162,6 +156,8 @@ class OptimalTimeSpec:
             raise ValueError(f"T_lo must be > 0 when estimating T, got {self.T_lo}")
         if self.T_points < 1:
             raise ValueError(f"T_points must be >= 1, got {self.T_points}")
+        if self.T_lo == self.T_hi and self.T_points > 1:
+            raise ValueError(f"T_points must be 1 when T_lo equals T_hi, got {self.T_points}")
         if not (isfinite(self.t_max) and self.t_max > 0.0):
             raise ValueError(f"t_max must be finite and > 0, got {self.t_max}")
         if self.coarse_points < 3:
@@ -199,64 +195,6 @@ def run_metadata(qc: QuadratureConfig) -> dict:
     }
 
 
-@contextmanager
-def _aborted_at(where: str):
-    """Re-raise a point's failure with the location that aborted the table."""
-    try:
-        yield
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"{where}: {exc}",
-            value=exc.value,
-            est_error=exc.est_error,
-            evaluations=exc.evaluations,
-        ) from exc
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-
-
-def _cell(engine: MomentEngine, exponents: tuple, cell: int, point: BathPoint,
-          sq: SqueezeParams, init: ProbeInit, where: str) -> QfiSample:
-    """The sample at `cell` of `exponents`, which sits at `point`. Truncations that
-    disagree there, or a sample that is not finite, raise with `where` attached."""
-    with _aborted_at(where):
-        gamma_value, dgamma = engine.exponent(exponents, cell, point)
-        sample = qfi_sample(engine.estimand, point, sq, engine.sp, init, gamma_value, dgamma)
-        if not all(map(isfinite, (sample.gamma, sample.dgamma, sample.qfi))):
-            raise ConvergenceError(
-                f"non-finite sample: gamma {sample.gamma!r}, dgamma {sample.dgamma!r}, "
-                f"qfi {sample.qfi!r}",
-                value=sample.gamma,
-                est_error=float("nan"),
-                evaluations=0,
-            )
-    return sample
-
-
-def _table(engine: MomentEngine, exponents: tuple, init: ProbeInit | list[ProbeInit],
-           replay: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """gamma, d gamma and qfi at every cell of `exponents`.
-
-    The table is checked once: where the truncations agree on every cell, no cell is
-    degenerate and gamma, d gamma and qfi are finite, one `qfi_closed_form` call
-    with `init` gives every qfi. A table that fails the check replays its cells in
-    order through `_cell`, which raises at the first failing cell; `replay` holds
-    their remaining `_cell` arguments (point, sq, init, where) in that order.
-    """
-    values, derivatives, agree = exponents[:3]
-    if agree.all():
-        try:
-            qfis = qfi_closed_form(init, values, derivatives)
-        except ValueError:  # a degenerate or nan cell, which the replay names
-            pass
-        else:
-            if all(np.isfinite(part).all() for part in (values, derivatives, qfis)):
-                return values, derivatives, qfis
-    samples = [_cell(engine, exponents, k, *cell) for k, cell in enumerate(replay)]
-    return tuple(np.array([getattr(sample, name) for sample in samples])
-                 for name in ("gamma", "dgamma", "qfi"))
-
-
 def _with_axis_value(
     axis: str, value: float, point: BathPoint, sq: SqueezeParams, init: ProbeInit
 ) -> tuple[BathPoint, SqueezeParams, ProbeInit]:
@@ -285,20 +223,14 @@ def sweep(spec: SweepSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> SweepTa
     temperatures = values if spec.axis == "T" else [spec.point.temperature] * pairs
     times = values if spec.axis == "t" else [spec.point.time] * pairs
     engine = MomentEngine(spec.estimand, spec.sp, qc)
-
-    def varied():  # each value's records, built only where they are needed
-        return (_with_axis_value(spec.axis, value, spec.point, spec.sq, spec.init)
-                for value in values)
-
     # an axis other than T or t takes one value per squeezing, from the one (T, t)
-    squeezes = spec.sq if spec.axis in ("T", "t") else [sq for _, sq, _ in varied()]
-    inits = [init for *_, init in varied()] if spec.axis == "alpha" else spec.init
-    exponents = engine.exponents(engine.moments(temperatures, times), squeezes)
-    gammas, dgammas, qfis = _table(engine, exponents, inits, (
-        (point, sq, init, f"sweep aborted at {spec.axis} = {value!r}")
-        for value, (point, sq, init) in zip(values, varied())
-    ))
-    rows = zip(values, gammas.tolist(), dgammas.tolist(), qfis.tolist())
+    varied = [] if spec.axis in ("T", "t") else [
+        _with_axis_value(spec.axis, value, spec.point, spec.sq, spec.init) for value in values]
+    squeezes = [sq for _, sq, _ in varied] or spec.sq
+    inits = [init for *_, init in varied] if spec.axis == "alpha" else spec.init
+    gammas, dgammas, qfis = qfi_table(engine, temperatures, times, squeezes, inits,
+                                      lambda k: f"sweep aborted at {spec.axis} = {values[k]!r}")
+    rows = zip(values, gammas, dgammas, qfis)
     return SweepTable(spec=spec, rows=tuple(rows), metadata=run_metadata(qc))
 
 
@@ -308,14 +240,12 @@ def density_grid(spec: GridSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> G
     temperatures = [float(T) for T in np.linspace(spec.T_lo, spec.T_hi, spec.T_points)]
     times = [float(t) for t in np.linspace(spec.t_lo, spec.t_hi, spec.t_points)]
     engine = MomentEngine(spec.estimand, spec.sp, qc)
-    exponents = engine.exponents(engine.moments(*grid_pairs(temperatures, times)), spec.sq)
-    gammas, dgammas, qfis = _table(engine, exponents, spec.init, (
-        (BathPoint(temperature, time), spec.sq, spec.init,
-         f"grid aborted at (T, t) = ({temperature!r}, {time!r})")
-        for temperature in temperatures for time in times
-    ))
+    gammas, dgammas, qfis = qfi_table(
+        engine, *grid_pairs(temperatures, times), spec.sq, spec.init,
+        lambda k: f"grid aborted at (T, t) = "
+                  f"({temperatures[k // len(times)]!r}, {times[k % len(times)]!r})")
     rows = zip(np.repeat(temperatures, len(times)).tolist(), times * len(temperatures),
-               gammas.tolist(), dgammas.tolist(), qfis.tolist())
+               gammas, dgammas, qfis)
     return GridTable(spec=spec, rows=tuple(rows), metadata=run_metadata(qc))
 
 
@@ -371,13 +301,11 @@ def optimal_time_curve(
 
     def information(probes: list[tuple[int, float]]) -> list[float]:
         """qfi at every probe (temperature index, time), one table in probe order."""
-        exponents = engine.exponents(engine.moments(
-            [temperatures[i] for i, _ in probes], [time for _, time in probes]), spec.sq)
-        return _table(engine, exponents, spec.init, (
-            (BathPoint(temperatures[i], time), spec.sq, spec.init,
-             f"optimal-time search aborted at (T, t) = ({temperatures[i]!r}, {time!r})")
-            for i, time in probes
-        ))[2].tolist()
+        return qfi_table(
+            engine, [temperatures[i] for i, _ in probes], [time for _, time in probes],
+            spec.sq, spec.init,
+            lambda k: f"optimal-time search aborted at (T, t) = "
+                      f"({temperatures[probes[k][0]]!r}, {probes[k][1]!r})")[2]
 
     scan = [float(time) for time in np.linspace(0.0, spec.t_max, spec.coarse_points)]
     searches = [_search(scan, 1e-4 * spec.t_max) for _ in temperatures]

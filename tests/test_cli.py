@@ -182,6 +182,7 @@ REJECTIONS = [
     (GRID_ARGS, {"--t-range": "-1:1"}, "--t-range"),
     (GRID_ARGS, {"--t-range": "3:1"}, "--t-range"),
     (OPT_TIME_ARGS, {"--T-points": "0"}, "--T-points"),
+    (OPT_TIME_ARGS, {"--T-range": "0.5:0.5", "--T-points": "40"}, "--T-points"),
     (OPT_TIME_ARGS, {"--t-max": "0"}, "--t-max"),
     (OPT_TIME_ARGS, {"--t-max": "inf"}, "--t-max"),
     (OPT_TIME_ARGS, {"--estimand": "r", "--T-range": "-1:1"}, "--T-range"),
@@ -594,6 +595,22 @@ def test_quadrature_starvation_exits_three(capsys, monkeypatch):
             "--r", "1", "--theta", "1", "--s", "0.5"]
     assert run_cli(argv) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_point_with_an_overflowing_derivative_exits_three(capsys, monkeypatch):
+    # the d coth / dT moments of both truncations grow alike, so they agree, but the qfi
+    # overflows: the point must fail as every table cell does, not print qfi = inf
+    batch = moments.MomentEngine.moments
+
+    def poisoned(engine, temperatures, times):
+        out = batch(engine, temperatures, times)
+        out[:, 1] *= 1e200
+        return out
+
+    monkeypatch.setattr(moments.MomentEngine, "moments", poisoned)
+    assert run_cli(POINT_ARGS) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: non-finite sample: "), err
 
 
 def test_cancelling_panels_do_not_raise_a_false_convergence_error(tmp_path):

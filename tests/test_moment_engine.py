@@ -289,6 +289,17 @@ def test_row_and_time_chunks_do_not_change_the_moments(monkeypatch):
     assert np.array_equal(engine.moments(*pairs), whole)
 
 
+def test_one_pair_batches_equal_the_grid_batch_bit_for_bit():
+    # fig7's cells; its Taylor-branch pairs must sum their terms alone as in the batch
+    temperatures = [float(T) for T in np.linspace(0.01, 3.0, 50)]
+    times = [float(t) for t in np.linspace(0.0, 10.0, 50)]
+    engine = MomentEngine(Estimand.TEMPERATURE, SpectralParams(0.5), DEFAULT_QUADRATURE)
+    batch = engine.moments(*grid_pairs(temperatures, times))
+    for k, (temperature, time) in enumerate(itertools.product(temperatures, times)):
+        alone = engine.moments([temperature], [time])[..., 0]
+        assert np.array_equal(alone, batch[..., k]), (temperature, time)
+
+
 @pytest.mark.parametrize("estimand", list(Estimand))
 def test_pairs_are_the_diagonal_of_the_cross_product(estimand):
     # a search round's pairs, in any order, take the moments of the same grid cells

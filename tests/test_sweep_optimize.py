@@ -487,6 +487,7 @@ def test_curve_aborts_with_a_degenerate_probe_in_a_refinement_round(monkeypatch)
     ({"t_max": 0.0}, "t_max"),
     ({"t_max": math.inf}, "t_max"),
     ({"coarse_points": 2}, "coarse_points"),
+    ({"T_lo": 0.5, "T_hi": 0.5}, "T_points"),  # 40 searches of one temperature
 ])
 def test_optimal_time_spec_names_the_rejected_field(changes, field):
     with pytest.raises(ValueError, match=f"^{field} "):
@@ -521,31 +522,19 @@ def _recipe_spec(monkeypatch, tmp_path, name):
 
 
 def _rows_cell_by_cell(spec):
-    """A spec's rows through `_cell`, cell by cell, on exponents assembled one squeezing at
-    a time: the path of every table before tables were checked as a whole."""
-    qc = moments.DEFAULT_QUADRATURE
-    engine = moments.MomentEngine(spec.estimand, spec.sp, qc)
+    """A spec's rows through `qfi_point`, cell by cell: each cell a one-pair batch with
+    its own squeezing and init."""
     if isinstance(spec, GridSpec):
         temperatures = [float(T) for T in np.linspace(spec.T_lo, spec.T_hi, spec.T_points)]
         times = [float(t) for t in np.linspace(spec.t_lo, spec.t_hi, spec.t_points)]
-        exponents = engine.exponents(engine.moments(*moments.grid_pairs(temperatures, times)),
-                                     spec.sq)
-        samples = (
-            sweep_optimize._cell(engine, exponents, k, BathPoint(T, t), spec.sq, spec.init, "")
-            for k, (T, t) in enumerate(itertools.product(temperatures, times))
-        )
+        samples = (qfi_point(spec.estimand, BathPoint(T, t), spec.sq, spec.sp, spec.init)
+                   for T, t in itertools.product(temperatures, times))
         return [(s.point.temperature, s.point.time, s.gamma, s.dgamma, s.qfi) for s in samples]
-    values = [float(value) for value in np.linspace(spec.lo, spec.hi, spec.points)]
-    pairs = len(values) if spec.axis in ("T", "t") else 1
-    temperatures = values if spec.axis == "T" else [spec.point.temperature] * pairs
-    times = values if spec.axis == "t" else [spec.point.time] * pairs
-    batch = engine.moments(temperatures, times)
     rows = []
-    for k, value in enumerate(values):
+    for value in (float(value) for value in np.linspace(spec.lo, spec.hi, spec.points)):
         point, sq, init = sweep_optimize._with_axis_value(spec.axis, value, spec.point,
                                                           spec.sq, spec.init)
-        sample = sweep_optimize._cell(engine, engine.exponents(batch, sq), k if pairs > 1 else 0,
-                                      point, sq, init, "")
+        sample = qfi_point(spec.estimand, point, sq, spec.sp, init)
         rows.append((value, sample.gamma, sample.dgamma, sample.qfi))
     return rows
 
