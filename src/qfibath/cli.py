@@ -292,8 +292,21 @@ def _run(args: argparse.Namespace) -> int:
         **{dest: getattr(args, dest) for dest in echoed},
         "fixed": {dest: values[dest] for dest in fixed},
     }
-    columns, metadata, rows = args.handler(
-        args, spec, qc, estimand=ESTIMANDS[args.estimand], sq=sq, sp=sp, init=init)
+    # fail fast on an unwritable --out: opening for append truncates nothing, and a
+    # file this check created is removed again if the call fails
+    created = args.out != "-" and not os.path.lexists(args.out)
+    if args.out != "-":
+        try:
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            _fail("--out", f"{exc.strerror}: {args.out!r}")
+    try:
+        columns, metadata, rows = args.handler(
+            args, spec, qc, estimand=ESTIMANDS[args.estimand], sq=sq, sp=sp, init=init)
+    except BaseException:
+        if created:
+            os.unlink(args.out)
+        raise
     # the library's metadata plus the output columns and the inert omega_0
     metadata = {**metadata, "columns": columns}
     if args.omega_0 is not None:

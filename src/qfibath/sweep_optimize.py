@@ -12,8 +12,11 @@ before golden-section refinement, because the squeezing kernel can make the
 information oscillate in t and unimodal search alone would lock onto the wrong
 peak. A curve searches all its temperatures as one batch: their coarse scans
 are one (T, t) table like a grid, and the refinement runs in lockstep, each
-round one table of (T, t) pairs, one per temperature whose bracket is still
-open.
+round one table of the probes of the next two golden-section steps of every
+temperature whose bracket is still open (3 per temperature: the next step's,
+and one for each outcome of the step after). The values then choose the path
+as a sequential search would; the probes off it do not enter the result but
+are checked like every cell.
 """
 
 from __future__ import annotations
@@ -48,6 +51,11 @@ __all__ = [
 SWEEP_AXES = ("T", "t", "r", "theta", "alpha")
 
 _INV_PHI = 0.5 * (sqrt(5.0) - 1.0)
+
+# golden-section steps per refinement round of an optimal-time search: a round
+# evaluates the probe of the next step and those of every outcome of the steps after
+# it, 2**DEPTH - 1 probes, in one table
+DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -249,37 +257,49 @@ def density_grid(spec: GridSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> G
     return GridTable(spec=spec, rows=tuple(rows), metadata=run_metadata(qc))
 
 
-def _search(times: list[float], tolerance: float):
-    """One temperature's optimal-time search, as a coroutine.
+def _step(lo: float, hi: float, left: float, right: float,
+          keep_left: bool) -> tuple[tuple[float, float, float, float], float]:
+    """One golden-section step of the bracket [lo, hi] with probes left < right: keep
+    [lo, right] when `keep_left`, else [left, hi]. Returns the next
+    (lo, hi, left, right) and the one new time it probes."""
+    if keep_left:
+        left, right, hi = right - _INV_PHI * (right - lo), left, right
+        return (lo, hi, left, right), left
+    lo, left, right = left, right, left + _INV_PHI * (hi - left)
+    return (lo, hi, left, right), right
 
-    It yields the times it needs evaluated and is sent their values: first
-    the coarse scan `times`, then golden-section probes until the bracket is
-    at most `tolerance`. It returns (t_star, qfi_star, bracket).
-    """
-    values = yield times
-    if max(values) - min(values) < 1e-14:
-        return 0.0, 0.0, times[-1]
-    peak = int(np.argmax(values))  # first occurrence, i.e. the smallest t
-    best = (values[peak], -times[peak])  # the larger value, on ties the smaller t
-    lo = times[peak - 1] if peak > 0 else times[0]
-    hi = times[peak + 1] if peak < len(times) - 1 else times[-1]
 
-    left = hi - _INV_PHI * (hi - lo)
-    right = lo + _INV_PHI * (hi - lo)
-    f_left, f_right = yield [left, right]
-    best = max(best, (f_left, -left), (f_right, -right))
-    while hi - lo > tolerance:
-        if f_left >= f_right:  # keep the left interval on ties
-            hi, right, f_right = right, left, f_left
-            left = hi - _INV_PHI * (hi - lo)
-            (f_left,) = yield [left]
+def _tree(bracket: tuple, sides: tuple, depth: int, tolerance: float, times: list) -> dict:
+    """The probes of the next `depth` steps of an open `bracket`, appended to `times`
+    depth first: for each side in `sides`, {keep_left: (bracket after the step, index
+    of its probe in `times`, the tree of both sides of the following step)}. The tree
+    is None where the depth is spent or the bracket is at most `tolerance`."""
+    tree = {}
+    for keep_left in sides:
+        after, time = _step(*bracket, keep_left)
+        times.append(time)
+        k = len(times) - 1
+        branches = depth > 1 and after[1] - after[0] > tolerance
+        tree[keep_left] = (after, k, _tree(after, (True, False), depth - 1, tolerance, times)
+                           if branches else None)
+    return tree
+
+
+def _walk(state: tuple, tree: dict | None, values: list[float]) -> tuple:
+    """The search state (lo, hi, left, right, f_left, f_right, best) after the steps of
+    `tree` that its `values` choose, as one step at a time would reach it. `best` is
+    (qfi, -t): the larger value, on ties the smaller t; only the walked probes enter it."""
+    lo, hi, left, right, f_left, f_right, best = state
+    while tree is not None:
+        keep_left = f_left >= f_right  # keep the left interval on ties
+        (lo, hi, left, right), k, tree = tree[keep_left]
+        if keep_left:
+            f_left, f_right = values[k], f_left
             best = max(best, (f_left, -left))
         else:
-            lo, left, f_left = left, right, f_right
-            right = lo + _INV_PHI * (hi - lo)
-            (f_right,) = yield [right]
+            f_left, f_right = f_right, values[k]
             best = max(best, (f_right, -right))
-    return -best[1], best[0], hi - lo
+    return lo, hi, left, right, f_left, f_right, best
 
 
 def optimal_time_curve(
@@ -289,49 +309,66 @@ def optimal_time_curve(
 
     Per temperature, a coarse scan over [0, t_max] brackets the global
     maximum, then golden-section refinement shrinks the bracket to
-    1e-4 * t_max. qfi_star is the largest value the search evaluated, at
-    t_star. Ties break toward the smallest t. A coarse scan flatter than
+    1e-4 * t_max. qfi_star is the largest value the search's steps evaluated,
+    at t_star. Ties break toward the smallest t. A coarse scan flatter than
     1e-14 is degenerate and returns t_star = 0 with qfi_star = 0. One engine
     serves the curve: the scans of all temperatures are one batch of pairs,
-    and each refinement round evaluates one (T, t) pair per temperature still
-    searching.
+    the first interior pair of every bracket a second, and each later round
+    one batch of the next `DEPTH` steps of every search still open: the probe
+    of its next step and the probes of both outcomes of the step after (3 per
+    temperature). The values then choose the path; the probes off it do not
+    enter the result, but every evaluated probe is checked like a grid cell,
+    and the first that fails aborts the curve with its (T, t).
     """
     temperatures = [float(T) for T in np.linspace(spec.T_lo, spec.T_hi, spec.T_points)]
     engine = MomentEngine(spec.estimand, spec.sp, qc)
 
-    def information(probes: list[tuple[int, float]]) -> list[float]:
-        """qfi at every probe (temperature index, time), one table in probe order."""
+    def information(rows: list[int], times: list[float]) -> list[float]:
+        """qfi at every probe (temperatures[rows[k]], times[k]), one table in probe order."""
         return qfi_table(
-            engine, [temperatures[i] for i, _ in probes], [time for _, time in probes],
-            spec.sq, spec.init,
+            engine, [temperatures[i] for i in rows], times, spec.sq, spec.init,
             lambda k: f"optimal-time search aborted at (T, t) = "
-                      f"({temperatures[probes[k][0]]!r}, {probes[k][1]!r})")[2]
+                      f"({temperatures[rows[k]]!r}, {times[k]!r})")[2]
 
     scan = [float(time) for time in np.linspace(0.0, spec.t_max, spec.coarse_points)]
-    searches = [_search(scan, 1e-4 * spec.t_max) for _ in temperatures]
-    for search in searches:
-        next(search)  # each asks for the coarse scan first
-    rows = range(len(temperatures))
-    flat = iter(information([(i, time) for i in rows for time in scan]))
-    values = {i: [next(flat) for _ in scan] for i in rows}
-    outcomes = {}
-    while True:
-        probes = {}
-        for i, sent in values.items():
-            try:
-                probes[i] = searches[i].send(sent)
-            except StopIteration as done:
-                outcomes[i] = done.value
-        if not probes:
-            break
-        flat = iter(information([(i, time) for i, times in probes.items() for time in times]))
-        values = {i: [next(flat) for _ in times] for i, times in probes.items()}
-    results = (
-        OptimalTimeResult(temperature=temperature, t_star=outcomes[i][0],
-                          qfi_star=outcomes[i][1], bracket=outcomes[i][2])
-        for i, temperature in enumerate(temperatures)
-    )
-    return OptimalTimeCurve(spec=spec, results=tuple(results), metadata=run_metadata(qc))
+    tolerance, m = 1e-4 * spec.t_max, len(scan)
+    table = information([i for i in range(len(temperatures)) for _ in scan],
+                        scan * len(temperatures))
+    outcomes, brackets = {}, {}  # outcome: (t_star, qfi_star, bracket)
+    for i in range(len(temperatures)):
+        values = table[i * m:(i + 1) * m]
+        top = max(values)
+        if top - min(values) < 1e-14:
+            outcomes[i] = (0.0, 0.0, scan[-1])
+            continue
+        peak = values.index(top)  # first occurrence, i.e. the smallest t
+        lo, hi = scan[max(peak - 1, 0)], scan[min(peak + 1, m - 1)]
+        brackets[i] = (lo, hi, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo),
+                       (top, -scan[peak]))
+    # the interior pair of every bracket, then rounds of DEPTH steps while any is open
+    pairs = information([i for i in brackets for _ in range(2)],
+                        [time for _, _, left, right, _ in brackets.values()
+                         for time in (left, right)]) if brackets else []
+    searches = {
+        i: (lo, hi, left, right, f_left, f_right, max(best, (f_left, -left), (f_right, -right)))
+        for (i, (lo, hi, left, right, best)), f_left, f_right
+        in zip(brackets.items(), pairs[::2], pairs[1::2])
+    }
+    while searches:
+        rows, times, trees = [], [], {}
+        for i, (lo, hi, left, right, f_left, f_right, best) in searches.items():
+            if hi - lo > tolerance:
+                start = len(times)
+                trees[i] = _tree((lo, hi, left, right), (f_left >= f_right,), DEPTH,
+                                 tolerance, times)
+                rows += [i] * (len(times) - start)
+            else:
+                outcomes[i] = (-best[1], best[0], hi - lo)
+        values = information(rows, times) if trees else []
+        searches = {i: _walk(searches[i], tree, values) for i, tree in trees.items()}
+    results = tuple(OptimalTimeResult(temperature, *outcomes[i])
+                    for i, temperature in enumerate(temperatures))
+    return OptimalTimeCurve(spec=spec, results=results, metadata=run_metadata(qc))
 
 
 def optimal_time(

@@ -422,6 +422,34 @@ def test_out_naming_a_directory_exits_two_and_leaves_it_alone(tmp_path, capsys):
     assert (tmp_path / "kept.txt").read_text(encoding="utf-8") == "kept"
 
 
+def test_out_in_a_missing_directory_fails_before_any_moment(tmp_path, capsys, monkeypatch):
+    batches = []
+    monkeypatch.setattr(moments.MomentEngine, "moments", lambda *args: batches.append(args))
+    out = tmp_path / "missing" / "x.csv"
+    assert run_cli(["grid", "--recipe", "fig7", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --out: No such file or directory: ")
+    assert batches == []
+    assert not out.parent.exists()
+
+
+# every thermal point exits 3 at s = 150, after the --out check
+FAILING_POINT = with_flags(POINT_ARGS, {"--s": "150"})
+
+
+def test_a_failing_call_leaves_a_missing_out_missing(tmp_path, capsys):
+    out = tmp_path / "point.csv"
+    assert run_cli(FAILING_POINT + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failing_call_keeps_the_bytes_of_an_existing_out(tmp_path):
+    out = tmp_path / "point.csv"
+    out.write_bytes(b"kept,bytes\n1,2\n")
+    assert run_cli(FAILING_POINT + ["--out", str(out)]) == 3
+    assert out.read_bytes() == b"kept,bytes\n1,2\n"
+
+
 # one call of each subcommand: its CSV metadata lines and header row (the tool line and the
 # timestamp left out) and its JSON spec object, keys in order. A sweep writes time before
 # temp and leaves its axis out of `fixed`; a point writes temp first.

@@ -386,6 +386,17 @@ def test_engine_matches_the_zeta_oracle_at_its_poles(estimand, s):
         assert within_tolerance(value, derivative, *expected), (point, sp, value, expected)
 
 
+def test_zeta_oracle_holds_beyond_the_edge_of_the_domain():
+    # at s = 20 and a = 1 + T / omega_c = 101, zeta(19, 101) at 30 digits is 1.8e-9 off
+    # its value, and an oracle at 30 digits was 1.7e-9 off the engine on gamma
+    point, sq, sp = BathPoint(100.0, 1.0), SqueezeParams(0.5, 1.0), SpectralParams(20.0)
+    value, derivative, _, _ = point_exponents(Estimand.TEMPERATURE, point, sq, sp)
+    expected, expected_derivative = hurwitz_reference.exponents(
+        Estimand.TEMPERATURE, point, sq, sp)
+    assert abs(value - expected) <= 1e-13 * expected
+    assert abs(derivative - expected_derivative) <= 1e-12 * abs(expected_derivative)
+
+
 def test_large_cutoff_long_time_point_needs_few_terms():
     # omega_c t = 1e5 costs the same terms as any other point
     estimand, point = Estimand.SQUEEZE_AMPLITUDE, BathPoint(0.5, 100.0)

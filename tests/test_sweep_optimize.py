@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import golden_section_reference
 from qfibath import cli, moments, sweep_optimize
 from qfibath.cli import RECIPES
 from qfibath.decoherence import ConvergenceError, QuadratureConfig
@@ -476,6 +477,126 @@ def test_curve_aborts_with_a_degenerate_probe_in_a_refinement_round(monkeypatch)
         optimal_time_curve(spec)
     prefix = _probe_prefix(poisoned)
     assert str(raised.value).startswith(prefix + "gamma = 0.0 is at the t -> 0")
+
+
+def _tables(monkeypatch):
+    """The times of every `qfi_table` call of the search, in call order."""
+    tables = []
+    table = sweep_optimize.qfi_table
+
+    def recording(engine, temperatures, times, *args):
+        tables.append(list(times))
+        return table(engine, temperatures, times, *args)
+
+    monkeypatch.setattr(sweep_optimize, "qfi_table", recording)
+    return tables
+
+
+def test_fig10_curve_takes_eight_tables(monkeypatch):
+    tables = _tables(monkeypatch)
+    optimal_time_curve(FIG10)
+    # the scan, the interior pairs, then six rounds of two steps at 3 probes each
+    assert [len(times) for times in tables] == [40 * 64, 40 * 2] + [40 * 3] * 6
+
+
+def _assert_curve_equals_the_sequential_search(spec):
+    for result in optimal_time_curve(spec).results:
+        t_star, qfi_star, bracket, _ = golden_section_reference.optimal_time(
+            spec, result.temperature, QuadratureConfig())
+        assert (result.t_star, result.bracket) == (t_star, bracket)
+        assert result.qfi_star.hex() == qfi_star.hex()
+
+
+@pytest.mark.parametrize("estimand", list(Estimand))
+@pytest.mark.parametrize("s", [0.3, 0.5, 1.0, 3.0])
+def test_curve_equals_the_sequential_search(s, estimand):
+    rng = np.random.default_rng([int(10 * s), list(Estimand).index(estimand)])
+    T_lo = float(rng.uniform(0.05, 0.5))
+    _assert_curve_equals_the_sequential_search(OptimalTimeSpec(
+        estimand=estimand, T_lo=T_lo, T_hi=T_lo + float(rng.uniform(0.5, 2.0)), T_points=3,
+        sq=SqueezeParams(r=float(rng.uniform(0.1, 1.0)), theta=float(rng.uniform(0.0, 6.0))),
+        sp=SpectralParams(s=s), t_max=float(rng.choice([2.0, 7.5, 20.0])),
+        coarse_points=int(rng.choice([16, 64, 129])),
+    ))
+
+
+def test_curve_walks_ties_like_the_sequential_search(monkeypatch):
+    # a staircase in t: the scan, the probes and their comparisons tie again and again
+    def staircase(temperature, times):
+        return [float(np.floor(4.0 * np.sin(time / temperature))) for time in times]
+
+    def table(engine, temperatures, times, *args):
+        return None, None, [staircase(T, [t])[0] for T, t in zip(temperatures, times)]
+
+    monkeypatch.setattr(sweep_optimize, "qfi_table", table)
+    spec = replace(FIG10, T_points=7, t_max=40.0, coarse_points=33)
+    repeats = 0
+    for result in optimal_time_curve(spec).results:
+        t_star, qfi_star, bracket, probes = golden_section_reference.search(
+            lambda times: staircase(result.temperature, times),
+            [float(t) for t in np.linspace(0.0, spec.t_max, spec.coarse_points)],
+            1e-4 * spec.t_max)
+        assert (result.t_star, result.qfi_star, result.bracket) == (t_star, qfi_star, bracket)
+        repeats += len(probes) - len(set(staircase(result.temperature, probes)))
+    assert repeats > 0
+
+
+def test_a_round_can_end_halfway_through_its_tree(monkeypatch):
+    # from a 128-point scan the bracket closes after 11 steps: five rounds of two, then
+    # a round whose first step closes it, so the steps after it are not probed
+    spec = replace(FIG10, T_points=1, coarse_points=128)
+    tables = _tables(monkeypatch)
+    _assert_curve_equals_the_sequential_search(spec)
+    assert [len(times) for times in tables[1:]] == [2, 3, 3, 3, 3, 3, 1]
+
+
+def _untaken_probe(spec, monkeypatch):
+    """(the sequential search of the one temperature of `spec`, a probe of the curve's
+    first round of two steps that its walk does not take)."""
+    search = golden_section_reference.optimal_time(spec, spec.T_lo, QuadratureConfig())
+    path = search[3]
+    tables = _tables(monkeypatch)
+    optimal_time_curve(spec)
+    # that round's next probe, then one for each outcome of the comparison after it
+    step, *outcomes = tables[2]
+    assert step == path[2] and path[3] in outcomes
+    (untaken,) = [time for time in outcomes if time != path[3]]
+    assert untaken not in path
+    return search, untaken
+
+
+def test_curve_aborts_at_a_poisoned_probe_off_the_walked_path(monkeypatch):
+    spec = replace(FIG10, T_points=1)
+    _, untaken = _untaken_probe(spec, monkeypatch)
+    batch = moments.MomentEngine.moments
+
+    def poisoned(engine, temperatures, times):
+        out = batch(engine, temperatures, times)
+        if untaken in times:
+            _nan_order_3_moment(out, list(times).index(untaken))
+        return out
+
+    monkeypatch.setattr(moments.MomentEngine, "moments", poisoned)
+    with pytest.raises(ConvergenceError) as raised:
+        optimal_time_curve(spec)
+    assert str(raised.value).startswith(
+        f"optimal-time search aborted at (T, t) = ({spec.T_lo!r}, {untaken!r}): "
+        "truncations disagree")
+
+
+def test_a_probe_off_the_walked_path_does_not_enter_the_result(monkeypatch):
+    spec = replace(FIG10, T_points=1)
+    (t_star, qfi_star, bracket, _), untaken = _untaken_probe(spec, monkeypatch)
+    table = sweep_optimize.qfi_table
+
+    def inflated(engine, temperatures, times, *args):
+        gammas, dgammas, qfis = table(engine, temperatures, times, *args)
+        return gammas, dgammas, [qfi * (1e3 if time == untaken else 1.0)
+                                 for qfi, time in zip(qfis, times)]
+
+    monkeypatch.setattr(sweep_optimize, "qfi_table", inflated)
+    (result,) = optimal_time_curve(spec).results
+    assert (result.t_star, result.qfi_star, result.bracket) == (t_star, qfi_star, bracket)
 
 
 @pytest.mark.parametrize("changes, field", [
