@@ -7,8 +7,8 @@ Usage:
 
 Each recipe maps to one CLI invocation; pass --only to restrict the set.
 On a 2-vCPU x86-64 VM with one BLAS thread, the slowest recipes (the grids
-fig7-fig9 and fig10) take about 30 ms each and all 28 about 0.22 s in one
-process; the whole script, interpreter start included, takes about 0.5 s.
+fig7-fig9 and fig10) take about 15-20 ms each and all 28 about 0.1 s in one
+process; the whole script, interpreter start included, takes about 0.4 s.
 """
 
 import argparse

@@ -26,11 +26,9 @@ The parameter records validate every value; a rejected one prints
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from typing import NoReturn
 
@@ -43,6 +41,7 @@ from .sweep_optimize import (
     SWEEP_AXES, GridSpec, OptimalTimeSpec, SweepSpec, density_grid, optimal_time_curve,
     run_metadata, sweep,
 )
+from .writers import Tiled, csv_text, json_text, write
 
 __all__ = ["main", "build_parser", "RECIPES", "EXIT_OK", "EXIT_USAGE", "EXIT_NUMERICAL"]
 
@@ -160,14 +159,6 @@ def _fail(flag: str, message: str) -> NoReturn:
     raise SystemExit(EXIT_USAGE)
 
 
-def _fmt(value) -> str:
-    """Shortest decimal that round-trips the binary float (locale-independent); a
-    string as it is, an int in decimal."""
-    if isinstance(value, float):
-        return float.__repr__(value)
-    return value if isinstance(value, str) else str(value)
-
-
 def _range_arg(text: str) -> tuple[float, float]:
     """`lo:hi` as two floats; the spec records check their values."""
     try:
@@ -249,8 +240,8 @@ def _given(**fields) -> dict:
 
 def _run(args: argparse.Namespace) -> int:
     """The one path of every subcommand: expand the recipe, require the flags, build the
-    records and the spec block, then write the columns, metadata and rows its handler
-    returns."""
+    records and the spec block, then write the column names, metadata and columns its
+    handler returns."""
     name = getattr(args, "recipe", None)
     if name is not None:
         recipe = RECIPES.get(name)
@@ -301,127 +292,65 @@ def _run(args: argparse.Namespace) -> int:
         except OSError as exc:
             _fail("--out", f"{exc.strerror}: {args.out!r}")
     try:
-        columns, metadata, rows = args.handler(
+        names, metadata, columns = args.handler(
             args, spec, qc, estimand=ESTIMANDS[args.estimand], sq=sq, sp=sp, init=init)
     except BaseException:
         if created:
             os.unlink(args.out)
         raise
     # the library's metadata plus the output columns and the inert omega_0
-    metadata = {**metadata, "columns": columns}
+    metadata = {**metadata, "columns": names}
     if args.omega_0 is not None:
         metadata["omega_0"] = args.omega_0
-    _emit(args, spec, metadata, columns, rows)
+    if args.format == "json":
+        text = json_text(spec, metadata, columns)
+    else:
+        text = csv_text(spec, metadata, names, columns)
+    try:
+        write(text, args.out)
+    except OSError as exc:
+        _fail("--out", f"{exc.strerror}: {args.out!r}")
     return EXIT_OK
 
 
-# what `float.__repr__` writes for the floats JSON spells otherwise
-_NON_FINITE_REPRS = {"nan", "inf", "-inf"}
-
-
-def _texts(column: Sequence, spell) -> list[str]:
-    """The text of each cell of `column`: `float.__repr__` of every cell where all are
-    floats, else `spell` of each."""
-    try:
-        return list(map(float.__repr__, column))
-    except TypeError:  # a cell that is not a float: a string or an int
-        return list(map(spell, column))
-
-
-def _json_texts(column: Sequence) -> list[str]:
-    """The JSON text of each cell of `column`, as `json.dumps` spells it: the float repr
-    where it is valid JSON, else JSON's own spelling (strings, NaN, Infinity)."""
-    texts = _texts(column, json.dumps)
-    return texts if _NON_FINITE_REPRS.isdisjoint(texts) else list(map(json.dumps, column))
-
-
-def _csv_text(spec: dict, metadata: dict, columns: list[str], data: Iterable[Sequence]) -> str:
-    lines = [f"# tool = {metadata['tool']} {metadata['version']}"]
-    for key, value in spec.items():
-        if key == "fixed":
-            for fixed_key, fixed_value in value.items():
-                lines.append(f"# {fixed_key} = {_fmt(fixed_value)}")
-        elif isinstance(value, (tuple, list)):
-            lines.append(f"# {key} = {_fmt(value[0])}:{_fmt(value[1])}")
-        else:
-            lines.append(f"# {key} = {_fmt(value)}")
-    for key, value in metadata["quadrature"].items():
-        lines.append(f"# {key} = {_fmt(value)}")
-    if "omega_0" in metadata:
-        lines.append(f"# omega_0 = {_fmt(metadata['omega_0'])}")
-    # the timestamp is the only line that varies between identical invocations;
-    # the data section (header onward) is byte-deterministic
-    lines.append(f"# timestamp = {metadata['timestamp']}")
-    lines.append(",".join(columns))
-    lines.extend(map(",".join, zip(*(_texts(column, _fmt) for column in data))))
-    return "\n".join(lines) + "\n"
-
-
-def _json_text(spec: dict, metadata: dict, data: Iterable[Sequence]) -> str:
-    r"""`json.dumps({"spec": spec, "metadata": metadata, "rows": rows}, indent=2) + "\n"`
-    for the rows whose columns are `data`: the rows, the bulk of the text, are spelled
-    column by column and spliced in."""
-    head = json.dumps({"spec": spec, "metadata": metadata}, indent=2)
-    rows = ",\n".join("    [\n      %s\n    ]" % ",\n      ".join(cells)
-                      for cells in zip(*map(_json_texts, data)))
-    return f'{head[:-2]},\n  "rows": [\n{rows}\n  ]\n}}\n'
-
-
-def _emit(args: argparse.Namespace, spec: dict, metadata: dict,
-          columns: list[str], rows: list[Sequence]) -> None:
-    data = zip(*rows)  # the writers spell the cells column by column
-    if args.format == "json":
-        text = _json_text(spec, metadata, data)
-    else:
-        text = _csv_text(spec, metadata, columns, data)
-    if args.out == "-":
-        sys.stdout.write(text)
-        return
-    stream = None
-    try:
-        with open(args.out, "w", encoding="utf-8") as stream:
-            stream.write(text)
-    except BaseException as exc:
-        # never leave a partial file behind, nor touch what the call did not open
-        if stream is not None and os.path.isfile(args.out):
-            os.unlink(args.out)
-        if not isinstance(exc, OSError):
-            raise
-        _fail("--out", f"{exc.strerror}: {args.out!r}")
-
-
 # Each handler builds its library call from the records and the flags and returns
-# (columns, library metadata, rows).
+# (column names, library metadata, columns).
 
 def cmd_point(args: argparse.Namespace, spec: dict, qc: QuadratureConfig, **records):
     sample = qfi_point(point=BathPoint(args.temp, args.time), qc=qc, **records)
-    # the fixed block of a point is its row's leading columns
-    return POINT_COLUMNS, run_metadata(qc), [[
-        args.estimand, *spec["fixed"].values(), sample.gamma, sample.dgamma, sample.qfi,
-        sample.cfi_term, sample.quantum_term,
-    ]]
+    # the fixed block of a point is its row's leading cells
+    row = [args.estimand, *spec["fixed"].values(), sample.gamma, sample.dgamma, sample.qfi,
+           sample.cfi_term, sample.quantum_term]
+    return POINT_COLUMNS, run_metadata(qc), [[cell] for cell in row]
 
 
 def cmd_sweep(args: argparse.Namespace, spec: dict, qc: QuadratureConfig, **records):
     lo, hi = args.range
     table = sweep(SweepSpec(axis=args.axis, lo=lo, hi=hi, points=args.points,
                             point=BathPoint(args.temp, args.time), **records), qc)
-    return SWEEP_COLUMNS, table.metadata, [(args.axis, *row) for row in table.rows]
+    return SWEEP_COLUMNS, table.metadata, [
+        Tiled([args.axis], each=len(table.values)), table.values, table.gamma, table.dgamma,
+        table.qfi]
 
 
 def cmd_grid(args: argparse.Namespace, spec: dict, qc: QuadratureConfig, **records):
     (t_lo, t_hi), (T_lo, T_hi) = args.t_range, args.T_range
     table = density_grid(GridSpec(t_lo=t_lo, t_hi=t_hi, T_lo=T_lo, T_hi=T_hi,
                                   t_points=args.t_points, T_points=args.T_points, **records), qc)
-    return GRID_COLUMNS, table.metadata, table.rows
+    # each axis value is spelled once: a temperature for its row of times, the times
+    # for every temperature
+    return GRID_COLUMNS, table.metadata, [
+        Tiled(table.temperatures, each=len(table.times)),
+        Tiled(table.times, copies=len(table.temperatures)), table.gamma, table.dgamma, table.qfi]
 
 
 def cmd_opt_time(args: argparse.Namespace, spec: dict, qc: QuadratureConfig, **records):
     T_lo, T_hi = args.T_range
     curve = optimal_time_curve(OptimalTimeSpec(T_lo=T_lo, T_hi=T_hi, T_points=args.T_points,
                                                t_max=args.t_max, **records), qc)
-    rows = [[result.temperature, result.t_star, result.qfi_star] for result in curve.results]
-    return OPT_TIME_COLUMNS, curve.metadata, rows
+    return OPT_TIME_COLUMNS, curve.metadata, [
+        [getattr(result, name) for result in curve.results]
+        for name in ("temperature", "t_star", "qfi_star")]
 
 
 @lru_cache(maxsize=None)

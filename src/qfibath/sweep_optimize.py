@@ -93,11 +93,20 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepTable:
-    """Sweep result: (axis value, gamma, dgamma, qfi) rows in ascending axis order."""
+    """Sweep result by column, in ascending axis order: the axis `values`, and gamma,
+    dgamma and qfi at each."""
 
     spec: SweepSpec
-    rows: tuple[tuple[float, float, float, float], ...]
+    values: tuple[float, ...]
+    gamma: tuple[float, ...]
+    dgamma: tuple[float, ...]
+    qfi: tuple[float, ...]
     metadata: dict = field(compare=False)
+
+    @property
+    def rows(self) -> tuple[tuple[float, float, float, float], ...]:
+        """(axis value, gamma, dgamma, qfi) rows."""
+        return tuple(zip(self.values, self.gamma, self.dgamma, self.qfi))
 
 
 @dataclass(frozen=True)
@@ -130,12 +139,22 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridTable:
-    """Grid result: (T, t, gamma, dgamma, qfi) rows, row-major, temperature outer,
-    time inner."""
+    """Grid result by column: the axes `temperatures` and `times`, and gamma, dgamma and
+    qfi at each cell, row-major, temperature outer, time inner."""
 
     spec: GridSpec
-    rows: tuple[tuple[float, float, float, float, float], ...]
+    temperatures: tuple[float, ...]
+    times: tuple[float, ...]
+    gamma: tuple[float, ...]
+    dgamma: tuple[float, ...]
+    qfi: tuple[float, ...]
     metadata: dict = field(compare=False)
+
+    @property
+    def rows(self) -> tuple[tuple[float, float, float, float, float], ...]:
+        """(T, t, gamma, dgamma, qfi) rows in cell order."""
+        return tuple(zip([T for T in self.temperatures for _ in self.times],
+                         self.times * len(self.temperatures), self.gamma, self.dgamma, self.qfi))
 
 
 @dataclass(frozen=True)
@@ -226,7 +245,7 @@ def sweep(spec: SweepSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> SweepTa
     at any point aborts the whole sweep with the axis value attached; tables
     never contain silent gaps.
     """
-    values = [float(value) for value in np.linspace(spec.lo, spec.hi, spec.points)]
+    values = tuple(np.linspace(spec.lo, spec.hi, spec.points).tolist())
     pairs = len(values) if spec.axis in ("T", "t") else 1
     temperatures = values if spec.axis == "T" else [spec.point.temperature] * pairs
     times = values if spec.axis == "t" else [spec.point.time] * pairs
@@ -238,23 +257,21 @@ def sweep(spec: SweepSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> SweepTa
     inits = [init for *_, init in varied] if spec.axis == "alpha" else spec.init
     gammas, dgammas, qfis = qfi_table(engine, temperatures, times, squeezes, inits,
                                       lambda k: f"sweep aborted at {spec.axis} = {values[k]!r}")
-    rows = zip(values, gammas, dgammas, qfis)
-    return SweepTable(spec=spec, rows=tuple(rows), metadata=run_metadata(qc))
+    return SweepTable(spec, values, tuple(gammas), tuple(dgammas), tuple(qfis), run_metadata(qc))
 
 
 def density_grid(spec: GridSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> GridTable:
-    """Full t x T grid of (T, t, gamma, dgamma, qfi) rows, temperature outer, time inner,
-    checked and computed as one table."""
-    temperatures = [float(T) for T in np.linspace(spec.T_lo, spec.T_hi, spec.T_points)]
-    times = [float(t) for t in np.linspace(spec.t_lo, spec.t_hi, spec.t_points)]
+    """Full t x T grid of gamma, dgamma and qfi, temperature outer, time inner, checked
+    and computed as one table."""
+    temperatures = tuple(np.linspace(spec.T_lo, spec.T_hi, spec.T_points).tolist())
+    times = tuple(np.linspace(spec.t_lo, spec.t_hi, spec.t_points).tolist())
     engine = MomentEngine(spec.estimand, spec.sp, qc)
     gammas, dgammas, qfis = qfi_table(
         engine, *grid_pairs(temperatures, times), spec.sq, spec.init,
         lambda k: f"grid aborted at (T, t) = "
                   f"({temperatures[k // len(times)]!r}, {times[k % len(times)]!r})")
-    rows = zip(np.repeat(temperatures, len(times)).tolist(), times * len(temperatures),
-               gammas, dgammas, qfis)
-    return GridTable(spec=spec, rows=tuple(rows), metadata=run_metadata(qc))
+    return GridTable(spec, temperatures, times, tuple(gammas), tuple(dgammas), tuple(qfis),
+                     run_metadata(qc))
 
 
 def _step(lo: float, hi: float, left: float, right: float,

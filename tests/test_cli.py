@@ -14,7 +14,7 @@ import pytest
 
 import adaptive_reference
 import hurwitz_reference
-from qfibath import __version__, cli, moments
+from qfibath import __version__, cli, moments, writers
 from qfibath.cli import RECIPES, main
 from qfibath.probe_state import ProbeInit
 from qfibath.qfi_engine import Estimand, qfi_point
@@ -288,7 +288,7 @@ def test_json_writer_equals_the_indented_dump_of_its_rows(columns):
     rows = [list(row) for row in zip(*columns)]
     expected = json.dumps({"spec": WRITER_SPEC, "metadata": WRITER_METADATA, "rows": rows},
                           indent=2) + "\n"
-    assert cli._json_text(WRITER_SPEC, WRITER_METADATA, columns) == expected
+    assert writers.json_text(WRITER_SPEC, WRITER_METADATA, columns) == expected
 
 
 def _cell_text(value):
@@ -303,12 +303,12 @@ def _cell_text(value):
 @pytest.mark.parametrize("columns", [WRITER_COLUMNS, WRITER_COLUMNS[2:4], [[0.25]]])
 def test_csv_writer_equals_the_cell_by_cell_spelling(columns):
     names = [f"c{k}" for k in range(len(columns))]
-    text = cli._csv_text(WRITER_SPEC, WRITER_METADATA, names, columns)
+    text = writers.csv_text(WRITER_SPEC, WRITER_METADATA, names, columns)
     rows = [",".join(map(_cell_text, row)) for row in zip(*columns)]
     lines = text.splitlines()
     assert lines[-len(rows) - 1:] == [",".join(names), *rows]
-    cells = [value for column in columns for value in column]  # the header spells by _fmt
-    assert list(map(cli._fmt, cells)) == list(map(_cell_text, cells))
+    cells = [value for column in columns for value in column]  # the header spells by `spell`
+    assert list(map(writers.spell, cells)) == list(map(_cell_text, cells))
     assert text.endswith("\n") and len(lines) == text.count("\n")
 
 
