@@ -3,10 +3,10 @@
 
 Usage:
     python scripts/profile_grid.py
-    python scripts/profile_grid.py --calls 60 --out BENCH_grid.json
+    python scripts/profile_grid.py --out BENCH_grid.json
 
 Each part is timed on the inputs of one fig7 call, in this process, and reported as
-the median and quartiles (ms) over --calls repetitions (at least 30):
+the median and quartiles (ms) over CALLS repetitions:
 
   moments             MomentEngine.moments of the grid's 2,500 (T, t) pairs
   exponents_qfi_pass  qfi_engine.qfi_table on those moments: the exponents,
@@ -40,6 +40,7 @@ from qfibath.moments import MomentEngine, grid_pairs  # noqa: E402
 from qfibath.qfi_engine import qfi_table  # noqa: E402
 
 ARGV = ["grid", "--recipe", "fig7", "--format", "json"]
+CALLS = 60
 
 
 def _captured() -> dict:
@@ -66,11 +67,8 @@ def _captured() -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--calls", type=int, default=40)
     parser.add_argument("--out", default=str(ROOT / "BENCH_grid.json"))
     args = parser.parse_args(argv)
-    if args.calls < 30:
-        parser.error("--calls must be at least 30")
 
     seen = _captured()
     spec, qc = seen["spec"], seen["qc"]
@@ -96,7 +94,7 @@ def main(argv=None) -> int:
     samples = {name: [] for name in parts}
     for function in parts.values():  # warm-up
         function()
-    for _ in range(args.calls):  # the parts in turn, so a slower spell of the machine hits all
+    for _ in range(CALLS):  # the parts in turn, so a slower spell of the machine hits all
         for name, function in parts.items():
             start = perf_counter()
             function()
@@ -104,7 +102,7 @@ def main(argv=None) -> int:
 
     result = {
         "command": "qfibath " + " ".join(ARGV),
-        "calls": args.calls,
+        "calls": CALLS,
         "machine": {"python": platform.python_version(), "arch": platform.machine(),
                     "cpus": os.cpu_count()},
         "unit": "ms",

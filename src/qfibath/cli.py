@@ -38,10 +38,10 @@ from .probe_state import ProbeInit
 from .qfi_engine import Estimand, qfi_point
 from .spectral_bath import BathPoint, SpectralParams, SqueezeParams
 from .sweep_optimize import (
-    SWEEP_AXES, GridSpec, OptimalTimeSpec, SweepSpec, density_grid, optimal_time_curve,
-    run_metadata, sweep,
+    SWEEP_AXES, GridSpec, OptimalTimeSpec, SweepSpec, Tiled, density_grid,
+    optimal_time_curve, run_metadata, sweep,
 )
-from .writers import Tiled, csv_text, json_text, write
+from .writers import csv_text, json_text, write
 
 __all__ = ["main", "build_parser", "RECIPES", "EXIT_OK", "EXIT_USAGE", "EXIT_NUMERICAL"]
 
@@ -337,11 +337,8 @@ def cmd_grid(args: argparse.Namespace, spec: dict, qc: QuadratureConfig, **recor
     (t_lo, t_hi), (T_lo, T_hi) = args.t_range, args.T_range
     table = density_grid(GridSpec(t_lo=t_lo, t_hi=t_hi, T_lo=T_lo, T_hi=T_hi,
                                   t_points=args.t_points, T_points=args.T_points, **records), qc)
-    # each axis value is spelled once: a temperature for its row of times, the times
-    # for every temperature
-    return GRID_COLUMNS, table.metadata, [
-        Tiled(table.temperatures, each=len(table.times)),
-        Tiled(table.times, copies=len(table.temperatures)), table.gamma, table.dgamma, table.qfi]
+    # the axes as tiled columns, so each axis value is spelled once
+    return GRID_COLUMNS, table.metadata, [*table.axes, table.gamma, table.dgamma, table.qfi]
 
 
 def cmd_opt_time(args: argparse.Namespace, spec: dict, qc: QuadratureConfig, **records):

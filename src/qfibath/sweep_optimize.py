@@ -21,8 +21,10 @@ are checked like every cell.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
+from functools import cached_property
 from math import isfinite, sqrt
 
 import numpy as np
@@ -36,6 +38,7 @@ __all__ = [
     "SWEEP_AXES",
     "SweepSpec",
     "SweepTable",
+    "Tiled",
     "GridSpec",
     "GridTable",
     "OptimalTimeSpec",
@@ -103,10 +106,24 @@ class SweepTable:
     qfi: tuple[float, ...]
     metadata: dict = field(compare=False)
 
-    @property
+    @cached_property
     def rows(self) -> tuple[tuple[float, float, float, float], ...]:
-        """(axis value, gamma, dgamma, qfi) rows."""
+        """(axis value, gamma, dgamma, qfi) rows, built on first use."""
         return tuple(zip(self.values, self.gamma, self.dgamma, self.qfi))
+
+
+class Tiled:
+    """The column of `values`, each repeated `each` times in place and the whole
+    `copies` times over: cell k is values[(k // each) % len(values)]."""
+
+    __slots__ = ("values", "each", "copies")
+
+    def __init__(self, values: Sequence, each: int = 1, copies: int = 1) -> None:
+        self.values, self.each, self.copies = values, each, copies
+
+    def tile(self, items: Sequence) -> list:
+        """`items`, one per value, laid out as the cells of this column."""
+        return [item for item in items for _ in range(self.each)] * self.copies
 
 
 @dataclass(frozen=True)
@@ -151,10 +168,17 @@ class GridTable:
     metadata: dict = field(compare=False)
 
     @property
+    def axes(self) -> tuple[Tiled, Tiled]:
+        """The T and t columns of the cells: each temperature for its row of times, the
+        times for every temperature."""
+        return (Tiled(self.temperatures, each=len(self.times)),
+                Tiled(self.times, copies=len(self.temperatures)))
+
+    @cached_property
     def rows(self) -> tuple[tuple[float, float, float, float, float], ...]:
-        """(T, t, gamma, dgamma, qfi) rows in cell order."""
-        return tuple(zip([T for T in self.temperatures for _ in self.times],
-                         self.times * len(self.temperatures), self.gamma, self.dgamma, self.qfi))
+        """(T, t, gamma, dgamma, qfi) rows in cell order, built on first use."""
+        return tuple(zip(*(axis.tile(axis.values) for axis in self.axes),
+                         self.gamma, self.dgamma, self.qfi))
 
 
 @dataclass(frozen=True)

@@ -15,22 +15,12 @@ import os
 import sys
 from collections.abc import Callable, Sequence
 
-__all__ = ["Tiled", "spell", "csv_text", "json_text", "write"]
+from .sweep_optimize import Tiled
+
+__all__ = ["spell", "csv_text", "json_text", "write"]
 
 # what `float.__repr__` writes for the floats JSON spells otherwise
 _NON_FINITE_REPRS = {"nan", "inf", "-inf"}
-
-
-class Tiled:
-    """The column of `values`, each repeated `each` times in place and the whole
-    `copies` times over: cell k is values[(k // each) % len(values)]. The outer axis
-    of a grid is Tiled(values, each=inner length), the inner Tiled(values, copies=outer
-    length)."""
-
-    __slots__ = ("values", "each", "copies")
-
-    def __init__(self, values: Sequence, each: int = 1, copies: int = 1) -> None:
-        self.values, self.each, self.copies = values, each, copies
 
 
 def spell(value) -> str:
@@ -62,8 +52,7 @@ def _cells(column: Sequence | Tiled, texts_of: Callable[[Sequence], list[str]]) 
     repeated in place."""
     if not isinstance(column, Tiled):
         return texts_of(column)
-    texts = texts_of(column.values)
-    return [text for text in texts for _ in range(column.each)] * column.copies
+    return column.tile(texts_of(column.values))
 
 
 def csv_text(spec: dict, metadata: dict, names: list[str],

@@ -671,6 +671,7 @@ def test_table_rows_equal_the_cell_by_cell_rows_bit_for_bit(name, monkeypatch, t
         spec = _recipe_spec(monkeypatch, tmp_path, name)
     table = density_grid(spec) if isinstance(spec, GridSpec) else sweep(spec)
     assert _bits(table.rows) == _bits(_rows_cell_by_cell(spec))
+    assert table.rows is table.rows  # built once
 
 
 def test_sweeps_over_r_or_theta_assemble_their_exponents_once(monkeypatch, tmp_path):

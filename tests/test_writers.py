@@ -7,7 +7,7 @@ import pytest
 import writer_reference
 from qfibath import cli, writers
 from qfibath.cli import RECIPES
-from qfibath.sweep_optimize import GridTable, SweepTable
+from qfibath.sweep_optimize import GridTable, SweepTable, Tiled
 
 NAMES = {"sweep": cli.SWEEP_COLUMNS, "grid": cli.GRID_COLUMNS, "opt-time": cli.OPT_TIME_COLUMNS}
 
@@ -64,8 +64,8 @@ def test_data_section_equals_the_cell_by_cell_writer(name, fmt, monkeypatch, cap
 def test_tiled_columns_spell_zero_and_negative_zero_apart():
     # a value-keyed memo would merge 0.0 and -0.0; the tiling follows positions only
     values = [0.0, -0.0, 2.5e-05]
-    columns = [writers.Tiled(values, each=2), writers.Tiled(values, copies=2),
-               writers.Tiled(["T"], each=6), [math.nan] * 6]
+    columns = [Tiled(values, each=2), Tiled(values, copies=2), Tiled(["T"], each=6),
+               [math.nan] * 6]
     cells = [[value for value in values for _ in range(2)], values * 2, ["T"] * 6,
              [math.nan] * 6]
     rows = list(zip(*cells))
