@@ -1,11 +1,11 @@
 """The decoherence exponent and its parameter derivatives at one point.
 
-`gamma` and `gamma_partial` are single-point evaluations on the moment engine
-(`moments.point_exponents`), the same evaluation `qfi_engine.qfi_point` makes:
-a one-pair batch, summed in closed form by the engine's two truncations. Each
-derivative is the integral of the integrand of `spectral_bath.derivative_rule`;
-central finite differences are shipped as a cross-validation oracle
-(`gamma_partial_fd`), not as a production path.
+`gamma` and `gamma_partial` are one-pair `qfi_engine.qfi_table` calls, the same
+checked evaluation `qfi_engine.qfi_point` makes: one pair on the moment engine,
+summed in closed form by its two truncations, whose gap is `gamma`'s error
+estimate. Each derivative is the integral of the integrand of
+`spectral_bath.derivative_rule`; central finite differences are shipped as a
+cross-validation oracle (`gamma_partial_fd`), not as a production path.
 
 Pure functions over immutable inputs; concurrently callable. No caches.
 """
@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .moments import DEFAULT_QUADRATURE, ConvergenceError, QuadratureConfig, point_exponents
+from .moments import DEFAULT_QUADRATURE, ConvergenceError, MomentEngine, QuadratureConfig
+from .probe_state import ProbeInit
+from .qfi_engine import qfi_table
 from .spectral_bath import (
     BathPoint,
     Estimand,
@@ -37,13 +39,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GammaResult:
-    """One evaluated decoherence exponent with its diagnostics: the gap between the
-    engine's two truncations as the error estimate, and their thermal terms as
-    evaluations."""
+    """One evaluated decoherence exponent with the gap between the engine's two
+    truncations as its error estimate."""
 
     value: float
     est_error: float
-    evaluations: int
 
     def __post_init__(self) -> None:
         if not self.value >= 0.0:
@@ -60,12 +60,12 @@ def gamma(
 ) -> GammaResult:
     """Decoherence exponent gamma(T, t) at one point.
 
-    t = 0 is exactly 0 with no thermal terms, and T = 0 needs none either: its
-    gamma is all vacuum part. Raises ConvergenceError when the two truncations
-    disagree above tolerance or are not finite.
+    t = 0 is exactly 0 with a zero error estimate. Raises ConvergenceError when the
+    two truncations disagree above tolerance or are not finite.
     """
-    value, _, est_error, evaluations = point_exponents(None, point, sq, sp, qc)
-    return GammaResult(value=value, est_error=est_error, evaluations=evaluations)
+    (value,), _, _, (gap,) = qfi_table(
+        MomentEngine(None, sp, qc), [point.temperature], [point.time], sq, ProbeInit())
+    return GammaResult(value=value, est_error=gap)
 
 
 def gamma_partial(
@@ -80,7 +80,9 @@ def gamma_partial(
     t = 0 returns 0 exactly (the integrand vanishes identically), as does the
     T-derivative at T = 0, whose thermal row is exactly 0 there.
     """
-    return point_exponents(estimand, point, sq, sp, qc)[1]
+    _, (derivative,), _, _ = qfi_table(
+        MomentEngine(estimand, sp, qc), [point.temperature], [point.time], sq, ProbeInit())
+    return derivative
 
 
 def gamma_partial_fd(

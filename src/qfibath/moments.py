@@ -49,9 +49,10 @@ by term. Its real zeta(p + m, a) come from the same Euler-Maclaurin truncation,
 once per temperature.
 
 Each point takes the two truncations of TRUNCATIONS: (N, J) Euler-Maclaurin
-terms, or N + 2 + J Taylor terms. The second is reported. A point where the two
-disagree by more than the QuadratureConfig tolerance, on gamma or on d gamma
-relative to max(|d gamma|, gamma), or are not finite, raises ConvergenceError.
+terms, or N + 2 + J Taylor terms. The second is reported. `exponents` flags a
+point where the two disagree by more than the QuadratureConfig tolerance, on
+gamma or on d gamma relative to max(|d gamma|, gamma), or are not finite;
+`qfi_engine.qfi_table` raises ConvergenceError there.
 What depends on the temperature alone is computed once per temperature, and a
 batch is evaluated in chunks of at most CHUNK pairs, so its temporaries stay
 small. Every sum over a pair's terms runs in one fixed order, so its moments
@@ -67,20 +68,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral_bath import BathPoint, Estimand, SpectralParams, SqueezeParams, derivative_rule
+from .spectral_bath import Estimand, SpectralParams, SqueezeParams, derivative_rule
 
 __all__ = [
-    "TRUNCATIONS", "TERMS", "CHUNK", "SERIES_CUTOFF", "VACUUM_SERIES_CUTOFF",
-    "QuadratureConfig", "DEFAULT_QUADRATURE",
-    "ConvergenceError", "MomentEngine", "grid_pairs", "point_exponents",
+    "TRUNCATIONS", "CHUNK", "SERIES_CUTOFF", "VACUUM_SERIES_CUTOFF",
+    "QuadratureConfig", "DEFAULT_QUADRATURE", "ConvergenceError", "MomentEngine", "grid_pairs",
 ]
 
 # (direct terms N, Bernoulli terms J) of the two Euler-Maclaurin truncations; the
 # Taylor series takes N + 2 + J terms. The second truncation is reported.
 TRUNCATIONS = ((3, 10), (4, 12))
-
-# thermal terms both truncations sum at a point with T > 0 and t > 0
-TERMS = sum(n + 2 + j for n, j in TRUNCATIONS)
 
 # pairs per chunk of a batch: a fig10 scan or fig7 grid takes 3 chunks, whose
 # temporaries stay below a few MiB of RSS
@@ -124,15 +121,14 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 class ConvergenceError(RuntimeError):
     """The two truncations disagreed above tolerance, or were not finite.
 
-    Carries the reported value, the truncations' gap on it and their term count,
-    so callers can see how far off it ended up.
+    Carries the reported value of gamma and the truncations' gap on it, so callers
+    can see how far off it ended up.
     """
 
-    def __init__(self, message: str, value: float, est_error: float, evaluations: int):
+    def __init__(self, message: str, value: float, est_error: float):
         super().__init__(message)
         self.value = value
         self.est_error = est_error
-        self.evaluations = evaluations
 
 
 def _gamma_function(s: float) -> float:
@@ -446,41 +442,3 @@ def grid_pairs(temperatures: Sequence[float],
                times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """The (T, t) pairs of a grid, temperature outer, time inner."""
     return np.repeat(temperatures, len(times)), np.tile(times, len(temperatures))
-
-
-def _disagreement(qc: QuadratureConfig, temperature: float, time: float, value: float,
-                  gap: float) -> ConvergenceError:
-    """The error of a pair (T, t) whose truncations disagree: its reported `value` of
-    gamma and their `gap` on it."""
-    temperature, time = float(temperature), float(time)
-    return ConvergenceError(
-        f"truncations disagree at (T, t) = ({temperature!r}, {time!r}): "
-        f"gamma {value!r}, gap {gap:.3e} above tolerance "
-        f"(rel_tol {qc.rel_tol:g}, abs_tol {qc.abs_tol:g}) on gamma or d gamma",
-        value=value,
-        est_error=float(gap),
-        evaluations=_terms(temperature, time),
-    )
-
-
-def _terms(temperature: float, time: float) -> int:
-    """Thermal terms summed at (T, t): none without a thermal part or at t = 0."""
-    return TERMS if temperature > 0.0 and time > 0.0 else 0
-
-
-def point_exponents(estimand: Estimand | None, point: BathPoint, sq: SqueezeParams,
-                    sp: SpectralParams, qc: QuadratureConfig = DEFAULT_QUADRATURE,
-                    ) -> tuple[float, float, float, int]:
-    """gamma, d gamma / d estimand, the truncations' gap on gamma and their term count at
-    one point.
-
-    A one-pair batch; estimand None takes gamma itself as the derivative. t = 0 is
-    exactly 0, and neither it nor T = 0 sums any thermal term. Raises
-    ConvergenceError where the truncations disagree.
-    """
-    engine = MomentEngine(estimand, sp, qc)
-    exponents = engine.exponents(engine.moments([point.temperature], [point.time]), sq)
-    (value,), (derivative,), (agree,), (gap,) = (part.tolist() for part in exponents)
-    if not agree:
-        raise _disagreement(qc, point.temperature, point.time, value, gap)
-    return value, derivative, gap, _terms(point.temperature, point.time)

@@ -5,15 +5,15 @@ The production route evaluates the closed form
     I = sin(alpha)^2 * (d gamma / d eta)^2 / (exp(2 gamma) - 1)
 
 with the analytic parameter derivative of the decay exponent. One function
-(`_closed_form`) holds the expression and its floors for one cell, and one
-pass (`qfi_table`) takes any list of (T, t) pairs from the moment engine to
-their gamma, d gamma and qfi, checking every cell in order: points
-(`qfi_point`, a one-pair table), sweeps, grids and search rounds all go
-through it. `qfi_closed_form` maps the expression over arrays of given
-exponents.
+(`_closed_form`) holds the expression for one cell, and one pass (`qfi_table`)
+takes any list of (T, t) pairs from the moment engine to their gamma, d gamma,
+qfi and truncation gap, checking every cell in order: points (`qfi_point`, and
+`decoherence.gamma` and `gamma_partial`, one-pair tables), sweeps, grids,
+search rounds and the oracle's exponents all go through it. `qfi_closed_form`
+is the expression on given exponents.
 The oracle route (`qfi_spectral`) differentiates the spectral decomposition
-of the density matrix by gauge-fixed central differences and sums the
-general two-term formula
+of the density matrix, built from three exponents of one `qfi_table` call, by
+gauge-fixed central differences and sums the general two-term formula
 
     I = sum_i (d lambda_i)^2 / lambda_i
         + 2 sum_{i != j} (lambda_i - lambda_j)^2 / (lambda_i + lambda_j)
@@ -34,9 +34,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .decoherence import gamma
-from .moments import (DEFAULT_QUADRATURE, ConvergenceError, MomentEngine, QuadratureConfig,
-                      _disagreement)
+from .moments import DEFAULT_QUADRATURE, ConvergenceError, MomentEngine, QuadratureConfig
 from .probe_state import ProbeInit, eigensystem, reduced_dm
 from .spectral_bath import (
     BathPoint,
@@ -57,18 +55,13 @@ __all__ = [
     "qfi_point",
 ]
 
-# below GAMMA_FLOOR the exponent is treated as the t -> 0 limit; a derivative
-# above DGAMMA_FLOOR there cannot come from a consistent caller
-GAMMA_FLOOR = 1e-12
-DGAMMA_FLOOR = 1e-9
-
 # eigenvalue pairs (and single eigenvalues in the classical term) below this
 # weight are dropped from the spectral formula
 EIGENVALUE_FLOOR = 1e-12
 
 
 class DegenerateInputError(ValueError):
-    """gamma ~ 0 together with a non-vanishing derivative: inconsistent inputs."""
+    """gamma = 0 together with a non-vanishing derivative: inconsistent inputs."""
 
 
 @dataclass(frozen=True)
@@ -102,34 +95,27 @@ def _sines(init: ProbeInit | Sequence[ProbeInit]) -> Iterable[float]:
     return [math.sin(one.alpha) for one in init]
 
 
-def qfi_closed_form(init: ProbeInit | Sequence[ProbeInit], gamma_value: float | np.ndarray,
-                    dgamma: float | np.ndarray) -> np.ndarray:
-    """sin(alpha)^2 * dgamma^2 / (exp(2 gamma) - 1) per element of `gamma_value` and
-    `dgamma` (floats, or arrays of one shape), with the t -> 0 limit pinned to 0; an
-    array of their shape. `init` is one ProbeInit, or one per element.
-
-    Each element is the expression on floats, its denominator through `math.expm1`
-    so small exponents keep full precision. Raises at the first element, in C
-    order, whose gamma is negative or nan (ValueError), or ~ 0 while its dgamma is
-    not (DegenerateInputError), which no consistent evaluation can produce (both
-    vanish like t^2).
-    """
-    gamma_value, dgamma = np.asarray(gamma_value, dtype=float), np.asarray(dgamma, dtype=float)
-    qfi = map(_closed_form, _sines(init), gamma_value.ravel().tolist(), dgamma.ravel().tolist())
-    return np.array(list(qfi)).reshape(gamma_value.shape)
+def qfi_closed_form(init: ProbeInit, gamma_value: float, dgamma: float) -> float:
+    """sin(alpha)^2 * dgamma^2 / (exp(2 gamma) - 1) at given exponents."""
+    return _closed_form(math.sin(init.alpha), gamma_value, dgamma)
 
 
 def _closed_form(sin_a: float, gamma_value: float, dgamma: float) -> float:
-    """`qfi_closed_form` of one element, given sin(alpha): the one copy of the
-    expression and its floors."""
+    """`qfi_closed_form` given sin(alpha): the one copy of the expression.
+
+    The denominator goes through `math.expm1`, so small exponents keep full
+    precision; at small t, dgamma / gamma grows like sinh(2 r), and so does the
+    qfi. Raises where gamma is negative or nan (ValueError), or 0 while dgamma is
+    not (DegenerateInputError), which no consistent evaluation produces: at t = 0
+    both are exactly 0.
+    """
     if not gamma_value >= 0.0:
         raise ValueError(f"decoherence exponent must be >= 0, got {gamma_value}")
-    if gamma_value < GAMMA_FLOOR:
-        if abs(dgamma) < DGAMMA_FLOOR:
+    if gamma_value == 0.0:
+        if dgamma == 0.0:
             return 0.0
         raise DegenerateInputError(
-            f"gamma = {gamma_value!r} is at the t -> 0 limit but dgamma = {dgamma!r} is not"
-        )
+            f"gamma = {gamma_value!r} is at the t -> 0 limit but dgamma = {dgamma!r} is not")
     if gamma_value > 350.0:  # exp(2 gamma) overflows; the coherence is long gone
         return 0.0
     return sin_a * sin_a * dgamma * dgamma / math.expm1(2.0 * gamma_value)
@@ -160,39 +146,45 @@ def _check_estimable(estimand: Estimand, point: BathPoint) -> None:
 
 def qfi_table(engine: MomentEngine, temperatures: Sequence[float], times: Sequence[float],
               sq: SqueezeParams | Sequence[SqueezeParams], init: ProbeInit | Sequence[ProbeInit],
-              where: Callable[[int], str] | None = None) -> tuple[list, list, list]:
-    """gamma, d gamma and qfi at every cell of the pairs (temperatures[p], times[p]).
+              where: Callable[[int], str] | None = None) -> tuple[list, list, list, list]:
+    """gamma, d gamma, qfi and the truncations' gap on gamma at every cell of the pairs
+    (temperatures[p], times[p]).
 
     One `engine.moments` batch, one `engine.exponents` call with `sq` (one
-    SqueezeParams, or one per cell of a single pair), then one pass over the cells in
-    order. `init` is one ProbeInit, or one per cell. The first cell whose truncations
-    disagree (ConvergenceError), whose closed form is degenerate (DegenerateInputError),
-    or whose gamma, d gamma or qfi is not finite (ConvergenceError) raises, its message
-    prefixed with `where(cell)` when `where` is given.
+    SqueezeParams, one per pair, or several for a single pair), then one pass over the
+    cells in order. `init` is one ProbeInit, or one per cell. The first cell whose
+    truncations disagree (ConvergenceError), whose closed form is degenerate
+    (DegenerateInputError), or whose gamma, d gamma or qfi is not finite
+    (ConvergenceError) raises, its message prefixed with `where(cell)` when `where` is
+    given.
     """
     values, derivatives, agree, gaps = engine.exponents(engine.moments(temperatures, times), sq)
-    gammas, dgammas, qfis = values.tolist(), derivatives.tolist(), []
-    cells = zip(agree.tolist(), gammas, dgammas, _sines(init))
-    for k, (agrees, gamma_value, dgamma, sin_a) in enumerate(cells):
+    gammas, dgammas, gaps, qfis = values.tolist(), derivatives.tolist(), gaps.tolist(), []
+    cells = zip(agree.tolist(), gammas, dgammas, gaps, _sines(init))
+    for k, (agrees, gamma_value, dgamma, gap, sin_a) in enumerate(cells):
         try:
             if not agrees:
                 p = k if len(times) > 1 else 0  # several squeezings share one pair
-                raise _disagreement(engine.qc, temperatures[p], times[p], gamma_value, gaps[k])
+                qc = engine.qc
+                raise ConvergenceError(
+                    f"truncations disagree at (T, t) = ({float(temperatures[p])!r}, "
+                    f"{float(times[p])!r}): gamma {gamma_value!r}, gap {gap:.3e} above "
+                    f"tolerance (rel_tol {qc.rel_tol:g}, abs_tol {qc.abs_tol:g}) on gamma "
+                    "or d gamma", value=gamma_value, est_error=gap)
             qfi = _closed_form(sin_a, gamma_value, dgamma)
             if not (math.isfinite(gamma_value) and math.isfinite(dgamma) and math.isfinite(qfi)):
                 raise ConvergenceError(
                     f"non-finite sample: gamma {gamma_value!r}, dgamma {dgamma!r}, qfi {qfi!r}",
-                    value=gamma_value, est_error=math.nan, evaluations=0)
+                    value=gamma_value, est_error=math.nan)
         except (ConvergenceError, ValueError) as exc:
             if where is None:
                 raise
             located = f"{where(k)}: {exc}"
             if isinstance(exc, ConvergenceError):
-                raise ConvergenceError(located, value=exc.value, est_error=exc.est_error,
-                                       evaluations=exc.evaluations) from exc
+                raise ConvergenceError(located, value=exc.value, est_error=exc.est_error) from exc
             raise type(exc)(located) from exc
         qfis.append(qfi)
-    return gammas, dgammas, qfis
+    return gammas, dgammas, qfis, gaps
 
 
 def qfi_point(
@@ -206,7 +198,7 @@ def qfi_point(
     """Production path for one point: the one-pair `qfi_table`, then the closed form's
     split into its classical and eigenvector terms."""
     _check_estimable(estimand, point)
-    (gamma_value,), (dgamma,), (qfi,) = qfi_table(
+    (gamma_value,), (dgamma,), (qfi,), _ = qfi_table(
         MomentEngine(estimand, sp, qc), [point.temperature], [point.time], sq, init)
     cfi, quantum = _closed_form_split(init.alpha, gamma_value, qfi)
     return QfiSample(point=point, sq=sq, sp=sp, init=init, estimand=estimand, gamma=gamma_value,
@@ -234,14 +226,13 @@ def qfi_spectral(
     if not h > 0.0:
         raise ValueError(f"finite-difference step must be > 0, got {h}")
 
-    exponents: list[float] = []
-    systems = []
-    for delta in (-h, 0.0, h):
-        shifted_point, shifted_sq = shift_parameter(estimand, delta, point, sq)
-        gamma_value = gamma(shifted_point, shifted_sq, sp, qc).value
-        exponents.append(gamma_value)
-        systems.append(eigensystem(reduced_dm(init, gamma_value), init, gamma_value))
-    below, center, above = systems
+    # the state at eta - h, eta and eta + h: three pairs, each with its own squeezing
+    points, squeezes = zip(*(shift_parameter(estimand, delta, point, sq)
+                             for delta in (-h, 0.0, h)))
+    exponents = qfi_table(MomentEngine(None, sp, qc), [one.temperature for one in points],
+                          [one.time for one in points], squeezes, init)[0]
+    below, center, above = (eigensystem(reduced_dm(init, value), init, value)
+                            for value in exponents)
 
     lambdas = (center.lambda_plus, center.lambda_minus)
     vectors = (center.vec_plus, center.vec_minus)

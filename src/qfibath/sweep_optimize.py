@@ -279,8 +279,8 @@ def sweep(spec: SweepSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> SweepTa
         _with_axis_value(spec.axis, value, spec.point, spec.sq, spec.init) for value in values]
     squeezes = [sq for _, sq, _ in varied] or spec.sq
     inits = [init for *_, init in varied] if spec.axis == "alpha" else spec.init
-    gammas, dgammas, qfis = qfi_table(engine, temperatures, times, squeezes, inits,
-                                      lambda k: f"sweep aborted at {spec.axis} = {values[k]!r}")
+    gammas, dgammas, qfis, _ = qfi_table(engine, temperatures, times, squeezes, inits,
+                                         lambda k: f"sweep aborted at {spec.axis} = {values[k]!r}")
     return SweepTable(spec, values, tuple(gammas), tuple(dgammas), tuple(qfis), run_metadata(qc))
 
 
@@ -290,7 +290,7 @@ def density_grid(spec: GridSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> G
     temperatures = tuple(np.linspace(spec.T_lo, spec.T_hi, spec.T_points).tolist())
     times = tuple(np.linspace(spec.t_lo, spec.t_hi, spec.t_points).tolist())
     engine = MomentEngine(spec.estimand, spec.sp, qc)
-    gammas, dgammas, qfis = qfi_table(
+    gammas, dgammas, qfis, _ = qfi_table(
         engine, *grid_pairs(temperatures, times), spec.sq, spec.init,
         lambda k: f"grid aborted at (T, t) = "
                   f"({temperatures[k // len(times)]!r}, {times[k % len(times)]!r})")

@@ -42,7 +42,7 @@ def _upper_limit(sp: SpectralParams) -> float:
     return OMEGA_MAX_FACTOR * sp.omega_c * max(1.0, sp.s)
 
 
-def _integrate(f, sp: SpectralParams, qc: QuadratureConfig) -> tuple[float, float, int]:
+def _integrate(f, sp: SpectralParams, qc: QuadratureConfig) -> tuple[float, float]:
     """Integrate f over [0, W], splitting off the boundary panel [0, omega_c/100].
 
     A QUADPACK warning fails the integral only when its panel misses the
@@ -54,7 +54,6 @@ def _integrate(f, sp: SpectralParams, qc: QuadratureConfig) -> tuple[float, floa
     split = sp.omega_c / 100.0
     total = 0.0
     est_error = 0.0
-    evaluations = 0
     notes: list[str] = []
     for lo, hi in ((0.0, split), (split, _upper_limit(sp))):
         out = quad(
@@ -68,7 +67,6 @@ def _integrate(f, sp: SpectralParams, qc: QuadratureConfig) -> tuple[float, floa
         )
         total += out[0]
         est_error += out[1]
-        evaluations += out[2]["neval"]
         if len(out) > 3 and out[1] > max(0.5 * qc.abs_tol, qc.rel_tol * abs(out[0])):
             notes.append(f"[{lo:g}, {hi:g}]: " + str(out[3]).replace("\n", " "))
     tolerance = max(qc.abs_tol, qc.rel_tol * abs(total))
@@ -80,9 +78,8 @@ def _integrate(f, sp: SpectralParams, qc: QuadratureConfig) -> tuple[float, floa
             f"({'; '.join(notes) or 'non-finite result'})",
             value=total,
             est_error=est_error,
-            evaluations=evaluations,
         )
-    return total, est_error, evaluations
+    return total, est_error
 
 
 def gamma(
@@ -97,14 +94,14 @@ def gamma(
     ConvergenceError when the subdivision budget runs out above tolerance.
     """
     if point.time == 0.0:
-        return GammaResult(value=0.0, est_error=0.0, evaluations=0)
+        return GammaResult(value=0.0, est_error=0.0)
 
     def integrand(omega: float) -> float:
         return gamma_integrand(omega, point, sq, sp)
 
-    value, est_error, evaluations = _integrate(integrand, sp, qc)
+    value, est_error = _integrate(integrand, sp, qc)
     # the integrand is non-negative; extrapolation can undershoot 0 by roundoff
-    return GammaResult(value=max(0.0, value), est_error=est_error, evaluations=evaluations)
+    return GammaResult(value=max(0.0, value), est_error=est_error)
 
 
 def gamma_partial(
@@ -127,5 +124,5 @@ def gamma_partial(
     def integrand(omega: float) -> float:
         return gamma_integrand(omega, point, sq, sp, estimand)
 
-    value, _, _ = _integrate(integrand, sp, qc)
+    value, _ = _integrate(integrand, sp, qc)
     return value

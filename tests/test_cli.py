@@ -641,6 +641,25 @@ def test_point_with_an_overflowing_derivative_exits_three(capsys, monkeypatch):
     assert err.startswith("numerical failure: non-finite sample: "), err
 
 
+@pytest.mark.parametrize("r, theta, qfi", [
+    ("4", "0.0006709252307053706", 8.212e-7),
+    ("5", "9.079985986933496e-05", 3.964e-6),
+])
+def test_point_below_gamma_1e_12_takes_the_closed_form(r, theta, qfi, tmp_path):
+    # gamma < 1e-12 while dgamma / gamma is near sinh(2 r): no floor may pin the qfi to
+    # 0 or refuse the point
+    out = tmp_path / "point.csv"
+    argv = ["point", "--estimand", "theta", "--temp", "0.5", "--time", "3.3e-05", "--s", "0.5",
+            "--r", r, "--theta", theta, "--out", str(out)]
+    assert run_cli(argv) == 0
+    _, header, rows = read_csv(out)
+    gamma_value, dgamma, got = (float(rows[0][header.index(name)])
+                                for name in ("gamma", "dgamma", "qfi"))
+    assert 0.0 < gamma_value < 1e-12
+    assert got == pytest.approx(dgamma**2 / math.expm1(2.0 * gamma_value), rel=1e-8)
+    assert got == pytest.approx(qfi, rel=1e-3)
+
+
 def test_cancelling_panels_do_not_raise_a_false_convergence_error(tmp_path):
     # the adaptive reference's boundary panel of the r-derivative warns (QUADPACK
     # ier=5) while meeting its own tolerance; the total is smaller than the panels

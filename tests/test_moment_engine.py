@@ -7,10 +7,10 @@ import pytest
 import hurwitz_reference
 import panel_reference
 from adaptive_reference import gamma, gamma_partial
-from qfibath import moments
-from qfibath.moments import DEFAULT_QUADRATURE, MomentEngine, grid_pairs, point_exponents
+from qfibath import decoherence, moments
+from qfibath.moments import DEFAULT_QUADRATURE, MomentEngine, grid_pairs
 from qfibath.probe_state import ProbeInit
-from qfibath.qfi_engine import qfi_point
+from qfibath.qfi_engine import qfi_point, qfi_table
 from qfibath.spectral_bath import (BathPoint, Estimand, SpectralParams, SqueezeParams,
                                    thermal_factor)
 from qfibath.sweep_optimize import GridSpec, density_grid
@@ -22,11 +22,20 @@ SQUEEZES = [SqueezeParams(0.0), SqueezeParams(1.2, 2.5), SqueezeParams(3.0, 5.5)
 
 
 def engine_point(estimand, point, sq, sp):
-    """(gamma, dgamma, truncation agreement) of one point through the engine."""
+    """(gamma, dgamma, truncation agreement, gap) of one point through the engine."""
     engine = MomentEngine(estimand, sp, DEFAULT_QUADRATURE)
-    values, derivatives, agree, _ = engine.exponents(
+    values, derivatives, agree, gaps = engine.exponents(
         engine.moments([point.temperature], [point.time]), sq)
-    return values[0], derivatives[0], agree[0]
+    return values[0], derivatives[0], agree[0], gaps[0]
+
+
+def one_pair(estimand, point, sq, sp):
+    """(gamma, dgamma, truncation gap) of one point: the checked one-pair `qfi_table`
+    that `decoherence.gamma`, `gamma_partial` and `qfi_point` make."""
+    (value,), (derivative,), _, (gap,) = qfi_table(
+        MomentEngine(estimand, sp, DEFAULT_QUADRATURE), [point.temperature], [point.time], sq,
+        ProbeInit())
+    return value, derivative, gap
 
 
 def within_tolerance(value, derivative, oracle_value, oracle_derivative):
@@ -69,7 +78,7 @@ GAMMA_REFERENCES = [
 
 @pytest.mark.parametrize("temperature,t,r,theta,s,key", GAMMA_REFERENCES)
 def test_gamma_matches_high_precision_references(temperature, t, r, theta, s, key):
-    value, _, agree = engine_point(
+    value, _, agree, _ = engine_point(
         Estimand.SQUEEZE_PHASE, BathPoint(temperature, t), SqueezeParams(r, theta),
         SpectralParams(s),
     )
@@ -87,7 +96,7 @@ def test_gamma_matches_high_precision_references(temperature, t, r, theta, s, ke
     ],
 )
 def test_partials_match_high_precision_references(estimand, r, key):
-    _, derivative, agree = engine_point(
+    _, derivative, agree, _ = engine_point(
         estimand, BathPoint(0.5, 1.0), SqueezeParams(r, 1.0), SpectralParams(0.5)
     )
     assert agree
@@ -114,7 +123,7 @@ def test_zero_temperature_thermal_factors_are_exact():
     batch = engine.moments(np.zeros(times.size), times)
     assert np.array_equal(batch[:, 0], np.broadcast_to(moments._vacuum(sp, times), (2, 3, 4)))
     assert np.all(batch[:, 1] == 0.0)
-    _, derivative, _ = engine_point(
+    _, derivative, _, _ = engine_point(
         Estimand.TEMPERATURE, BathPoint(0.0, 2.0), SqueezeParams(0.4, 1.0), sp
     )
     assert derivative == 0.0
@@ -221,7 +230,7 @@ def test_seeded_sample_matches_the_panel_rule_oracle():
         expected, expected_derivative, agree, _ = MomentEngine(
             estimand, sp, DEFAULT_QUADRATURE).exponents(oracle, sq)
         assert agree[0], (estimand, point, sq, sp)
-        value, derivative, _, _ = point_exponents(estimand, point, sq, sp)
+        value, derivative, _ = one_pair(estimand, point, sq, sp)
         assert within_tolerance(value, derivative, expected[0], expected_derivative[0]), (
             estimand, point, sq, sp, value, expected[0])
 
@@ -241,7 +250,7 @@ def test_sub_ohmic_grid_cells_equal_point_evaluations_and_the_oracle():
         assert math.isfinite(qfi) and gamma_value > 0.0
         # the grid evaluates all its cells in one batch, the point alone
         point = BathPoint(temperature, time)
-        value, derivative, _, _ = point_exponents(Estimand.TEMPERATURE, point, sq, sp)
+        value, derivative, _ = one_pair(Estimand.TEMPERATURE, point, sq, sp)
         assert abs(gamma_value - value) <= 1e-12 * value
         assert abs(dgamma - derivative) <= 1e-12 * max(abs(derivative), value)
         assert within_tolerance(gamma_value, dgamma, *hurwitz_reference.exponents(
@@ -254,8 +263,8 @@ def test_zero_time_is_exactly_zero_where_the_moments_are_not_finite():
     batch = engine.moments([0.5, 0.5], [0.0, 1.0])
     assert np.all(batch[..., 0] == 0.0) and not np.all(np.isfinite(batch[..., 1]))
     assert engine.exponents(batch, SqueezeParams(0.5, 1.0))[2].tolist() == [True, False]
-    assert point_exponents(Estimand.TEMPERATURE, BathPoint(0.5, 0.0), SqueezeParams(0.5, 1.0),
-                           SpectralParams(150.0)) == (0.0, 0.0, 0.0, 0)
+    assert one_pair(Estimand.TEMPERATURE, BathPoint(0.5, 0.0), SqueezeParams(0.5, 1.0),
+                    SpectralParams(150.0)) == (0.0, 0.0, 0.0)
 
 
 def test_long_time_grid_is_chunked_and_matches_a_single_block(monkeypatch):
@@ -325,7 +334,7 @@ def test_every_product_of_a_sub_ohmic_engine_agrees(estimand):
     for k, (temperature, time) in enumerate(itertools.product(temperatures, times)):
         one = engine.exponents(engine.moments([temperature], [time]), sq)
         assert [part[0] for part in one[:2]] == [part[k] for part in expected[:2]]
-        point = point_exponents(estimand, BathPoint(temperature, time), sq, sp)
+        point = one_pair(estimand, BathPoint(temperature, time), sq, sp)
         assert point[:2] == (expected[0][k], expected[1][k])
 
 
@@ -334,9 +343,7 @@ def test_ohmic_vacuum_is_half_log1p(omega_c):
     # T = 0, r = 0, s = 1: gamma = int e^(-w / omega_c) (1 - cos wt) / w dw
     for x in np.geomspace(1e-3, 1e6, 37):
         point = BathPoint(0.0, float(x) / omega_c)
-        value, _, _, terms = point_exponents(None, point, SqueezeParams(0.0),
-                                             SpectralParams(1.0, omega_c))
-        assert terms == 0
+        value = decoherence.gamma(point, SqueezeParams(0.0), SpectralParams(1.0, omega_c)).value
         assert value == pytest.approx(0.5 * math.log1p((omega_c * point.time) ** 2), rel=1e-13)
 
 
@@ -348,7 +355,7 @@ def test_zero_temperature_gamma_matches_the_mpmath_closed_form(s):
     for omega_c, t in itertools.product((1e-3, 1.0, 1e3), (1e-6, 1e-2, 1.0, 30.0, 1e3)):
         point, sp = BathPoint(0.0, t), SpectralParams(s, omega_c)
         expected, _ = hurwitz_reference.exponents(Estimand.SQUEEZE_AMPLITUDE, point, sq, sp)
-        assert point_exponents(None, point, sq, sp)[0] == pytest.approx(expected, rel=1e-12), (
+        assert decoherence.gamma(point, sq, sp).value == pytest.approx(expected, rel=1e-12), (
             omega_c, t)
 
 
@@ -359,7 +366,7 @@ def test_long_time_sub_ohmic_gamma_matches_the_hurwitz_zeta_value():
     expected = 234268.67760999647
     assert hurwitz_reference.exponents(Estimand.TEMPERATURE, point, sq, sp)[0] == pytest.approx(
         expected, rel=1e-13)
-    value = point_exponents(Estimand.TEMPERATURE, point, sq, sp)[0]
+    value = decoherence.gamma(point, sq, sp).value
     assert value == pytest.approx(expected, rel=1e-10)
 
 
@@ -381,7 +388,7 @@ def test_engine_matches_the_zeta_oracle_at_its_poles(estimand, s):
     for T, t, omega_c in itertools.product((0.0, 0.01, 0.7, 30.0), (1e-3, 1.3, 40.0),
                                            (0.5, 100.0)):
         point, sp = BathPoint(T, t), SpectralParams(s, omega_c)
-        value, derivative, _, _ = point_exponents(estimand, point, sq, sp)
+        value, derivative, _ = one_pair(estimand, point, sq, sp)
         expected = hurwitz_reference.exponents(estimand, point, sq, sp)
         assert within_tolerance(value, derivative, *expected), (point, sp, value, expected)
 
@@ -390,7 +397,7 @@ def test_zeta_oracle_holds_beyond_the_edge_of_the_domain():
     # at s = 20 and a = 1 + T / omega_c = 101, zeta(19, 101) at 30 digits is 1.8e-9 off
     # its value, and an oracle at 30 digits was 1.7e-9 off the engine on gamma
     point, sq, sp = BathPoint(100.0, 1.0), SqueezeParams(0.5, 1.0), SpectralParams(20.0)
-    value, derivative, _, _ = point_exponents(Estimand.TEMPERATURE, point, sq, sp)
+    value, derivative, _ = one_pair(Estimand.TEMPERATURE, point, sq, sp)
     expected, expected_derivative = hurwitz_reference.exponents(
         Estimand.TEMPERATURE, point, sq, sp)
     assert abs(value - expected) <= 1e-13 * expected
@@ -398,11 +405,10 @@ def test_zeta_oracle_holds_beyond_the_edge_of_the_domain():
 
 
 def test_large_cutoff_long_time_point_needs_few_terms():
-    # omega_c t = 1e5 costs the same terms as any other point
+    # omega_c t = 1e5 takes the same terms as any other point
     estimand, point = Estimand.SQUEEZE_AMPLITUDE, BathPoint(0.5, 100.0)
     sq, sp = SqueezeParams(0.5, 1.0), SpectralParams(0.5, 1000.0)
-    value, derivative, _, terms = point_exponents(estimand, point, sq, sp)
-    assert terms == moments.TERMS
+    value, derivative, _ = one_pair(estimand, point, sq, sp)
     expected, expected_derivative = hurwitz_reference.exponents(estimand, point, sq, sp)
     assert abs(value - expected) <= 1e-8 * expected
     assert abs(derivative - expected_derivative) <= 1e-8 * max(abs(expected_derivative), expected)
@@ -432,18 +438,25 @@ def _domain_sample():
 
 def test_seeded_domain_sample_is_finite():
     # every point, the corner omega_c = 1e3, t = 1e3, T = 100 included, agrees on the
-    # two truncations and is finite: none is refused
+    # two truncations and is finite: none is refused. The single-point functions return
+    # the engine's values, and gamma its truncation gap, unchanged
     for estimand, point, sq, sp in _domain_sample():
         sample = qfi_point(estimand, point, sq, sp, ProbeInit())
         assert all(map(math.isfinite, (sample.gamma, sample.dgamma, sample.qfi))), (point, sq, sp)
-        assert engine_point(estimand, point, sq, sp)[2], (point, sq, sp)
+        value, derivative, agree, _ = engine_point(estimand, point, sq, sp)
+        assert agree, (point, sq, sp)
+        assert (sample.gamma, sample.dgamma) == (value, derivative), (point, sq, sp)
+        assert decoherence.gamma_partial(estimand, point, sq, sp) == derivative
+        value, _, _, gap = engine_point(None, point, sq, sp)
+        result = decoherence.gamma(point, sq, sp)
+        assert (result.value, result.est_error) == (value, gap), (point, sq, sp)
 
 
 def test_seeded_domain_sample_meets_tolerance_against_the_zeta_oracle():
     # inside the supported domain every result the engine returns meets 1e-8 on gamma,
     # and on d gamma relative to max(|d gamma|, gamma)
     for estimand, point, sq, sp in _domain_sample():
-        value, derivative, _, _ = point_exponents(estimand, point, sq, sp)
+        value, derivative, _ = one_pair(estimand, point, sq, sp)
         expected, expected_derivative = hurwitz_reference.exponents(estimand, point, sq, sp)
         assert abs(value - expected) <= 1e-8 * expected, (estimand, point, sq, sp)
         assert abs(derivative - expected_derivative) <= 1e-8 * max(
@@ -462,7 +475,7 @@ def test_seeded_sample_below_the_domain_meets_tolerance_against_the_zeta_oracle(
         sq = SqueezeParams(float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.0, 2.0 * math.pi)))
         sp = SpectralParams(float(10.0 ** rng.uniform(-3.0, math.log10(0.05))),
                             float(10.0 ** rng.uniform(-2.0, 2.0)))
-        value, derivative, _, _ = point_exponents(estimand, point, sq, sp)
+        value, derivative, _ = one_pair(estimand, point, sq, sp)
         expected = hurwitz_reference.exponents(estimand, point, sq, sp)
         assert within_tolerance(value, derivative, *expected), (estimand, point, sq, sp)
 
@@ -478,7 +491,7 @@ def test_points_at_and_near_the_poles_match_the_zeta_oracle(s):
     points = [(0.01, 1.3, 0.5), (0.7, 1e-3, 100.0), (0.7, 40.0, 0.5), (30.0, 1.3, 100.0)]
     for estimand, (T, t, omega_c) in itertools.product(Estimand, points):
         point, sp = BathPoint(T, t), SpectralParams(s, omega_c)
-        value, derivative, _, _ = point_exponents(estimand, point, sq, sp)
+        value, derivative, _ = one_pair(estimand, point, sq, sp)
         expected = hurwitz_reference.exponents(estimand, point, sq, sp)
         assert within_tolerance(value, derivative, *expected), (point, sp, value, expected)
 
@@ -499,8 +512,7 @@ def test_series_and_euler_maclaurin_agree_on_both_sides_of_the_switch(s):
     sq = SqueezeParams(1.5, 0.0)
     for temperature, product in zip(temperatures[row], products):
         point = BathPoint(float(temperature), float(product / temperature))
-        value, derivative, _, _ = point_exponents(Estimand.TEMPERATURE, point, sq,
-                                                  SpectralParams(s))
+        value, derivative, _ = one_pair(Estimand.TEMPERATURE, point, sq, SpectralParams(s))
         expected = hurwitz_reference.exponents(Estimand.TEMPERATURE, point, sq, SpectralParams(s))
         assert within_tolerance(value, derivative, *expected), (point, value, expected)
 
@@ -511,7 +523,7 @@ def test_tiny_products_keep_the_cancellations_of_the_moments(estimand):
     # summed per moment, so the squeezed combination keeps full precision
     for s, T, theta in itertools.product((0.3, 1.0, 3.0), (0.016, 1.6, 160.0), (0.0, 1.0)):
         point, sq, sp = BathPoint(T, 1.6e-6 / T), SqueezeParams(1.5, theta), SpectralParams(s)
-        value, derivative, _, _ = point_exponents(estimand, point, sq, sp)
+        value, derivative, _ = one_pair(estimand, point, sq, sp)
         expected = hurwitz_reference.exponents(estimand, point, sq, sp)
         assert within_tolerance(value, derivative, *expected), (point, sq, sp, value, expected)
 
@@ -529,6 +541,6 @@ def test_seeded_sample_matches_the_adaptive_quadrature_oracle():
         sq = SqueezeParams(float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.0, 2.0 * math.pi)))
         sp = SpectralParams(float(10.0 ** rng.uniform(math.log10(0.3), 1.0)),
                             float(10.0 ** rng.uniform(-0.5, 0.5)))
-        value, derivative, _, _ = point_exponents(estimand, point, sq, sp)
+        value, derivative, _ = one_pair(estimand, point, sq, sp)
         assert within_tolerance(value, derivative, gamma(point, sq, sp).value,
                                 gamma_partial(estimand, point, sq, sp)), (estimand, point, sq, sp)

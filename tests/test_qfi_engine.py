@@ -5,7 +5,6 @@ import pytest
 
 from qfibath.probe_state import ProbeInit
 from qfibath.qfi_engine import (
-    GAMMA_FLOOR,
     DegenerateInputError,
     QfiSample,
     qfi_closed_form,
@@ -30,7 +29,8 @@ def test_closed_form_vanishes_for_pointer_states():
 
 def test_closed_form_zero_time_limit():
     assert qfi_closed_form(EQUATOR, 0.0, 0.0) == 0.0
-    assert qfi_closed_form(EQUATOR, 1e-13, 1e-10) == 0.0
+    # below gamma = 1e-12 the expression still holds: dgamma**2 / (2 gamma)
+    assert qfi_closed_form(EQUATOR, 1e-13, 1e-10) == pytest.approx(5e-8, rel=1e-12)
 
 
 def test_closed_form_half_log_two_exponent_gives_unity():
@@ -49,51 +49,43 @@ def test_closed_form_huge_exponent_flushes_to_zero():
 
 
 def test_closed_form_rejects_degenerate_inputs():
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(DegenerateInputError, match=r"^gamma = 0\.0 is at the t -> 0 limit but "
+                                                   r"dgamma = 1\.0 is not$"):
         qfi_closed_form(EQUATOR, 0.0, 1.0)
+    with pytest.raises(DegenerateInputError):
+        qfi_closed_form(EQUATOR, 0.0, 5e-324)
     with pytest.raises(ValueError):
         qfi_closed_form(EQUATOR, -0.1, 1.0)
+    with pytest.raises(ValueError, match=r"^decoherence exponent must be >= 0, got nan$"):
+        qfi_closed_form(EQUATOR, math.nan, 1.0)
 
 
 def _closed_form_on_floats(alpha, gamma_value, dgamma):
-    """The closed form on one element, as floats: the reference for arrays."""
-    if gamma_value < GAMMA_FLOOR or gamma_value > 350.0:
+    """The closed form as floats: the reference for `qfi_closed_form`."""
+    if gamma_value == 0.0 or gamma_value > 350.0:
         return 0.0
     sin_a = math.sin(alpha)
     return sin_a * sin_a * dgamma * dgamma / math.expm1(2.0 * gamma_value)
 
 
-def test_closed_form_on_arrays_equals_the_float_expression_bit_for_bit():
-    rng = np.random.default_rng(11)
-    edges = [0.0, 1e-13, GAMMA_FLOOR, 1e-9, 0.5 * math.log(2.0), 350.0, 350.0000001, 1e308,
-             math.inf]
-    gammas = np.concatenate([edges, 10.0 ** rng.uniform(-11.0, 2.6, 300)])
-    dgammas = rng.normal(size=gammas.size) * 10.0 ** rng.uniform(-12.0, 3.0, gammas.size)
-    dgammas[gammas < GAMMA_FLOOR] = 1e-10  # below DGAMMA_FLOOR, as a consistent caller
-    dgammas[5] = 1e200  # live: dgamma^2 overflows to inf, as it does on floats
-    alphas = rng.uniform(0.0, math.pi, gammas.size)
-    alphas[:3] = (0.0, math.pi, 0.5 * math.pi)
-
-    def bits(values):
-        return list(map(float.hex, values))
-
-    def expected(alphas):
-        cells = zip(alphas, gammas.tolist(), dgammas.tolist())
-        return bits(_closed_form_on_floats(*cell) for cell in cells)
-
-    inits = [ProbeInit(alpha) for alpha in alphas.tolist()]
-    assert bits(qfi_closed_form(inits, gammas, dgammas).tolist()) == expected(alphas.tolist())
-    on_grid = qfi_closed_form(EQUATOR, gammas.reshape(3, -1), dgammas.reshape(3, -1))
-    assert on_grid.shape == (3, gammas.size // 3)
-    assert bits(on_grid.ravel().tolist()) == expected([EQUATOR.alpha] * gammas.size)
-
-
-def test_closed_form_on_arrays_raises_at_the_first_faulty_element():
-    with pytest.raises(DegenerateInputError, match=r"^gamma = 0\.0 is at the t -> 0 limit but "
-                                                   r"dgamma = 1\.0 is not$"):
-        qfi_closed_form(EQUATOR, [[0.5, 0.0], [-1.0, 0.5]], [[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(ValueError, match=r"^decoherence exponent must be >= 0, got nan$"):
-        qfi_closed_form(EQUATOR, [0.5, math.nan, 0.0], [1.0, 1.0, 1.0])
+@pytest.mark.parametrize("alpha, gamma_value, dgamma", [
+    (EQUATOR.alpha, 0.0, 0.0),
+    (EQUATOR.alpha, 1e-13, 1e-10),
+    (EQUATOR.alpha, 1e-9, 1e-5),
+    (EQUATOR.alpha, 0.5 * math.log(2.0), 1.0),
+    (EQUATOR.alpha, 350.0, 3.0),
+    (EQUATOR.alpha, 350.0000001, 3.0),
+    (EQUATOR.alpha, 1e308, 3.0),
+    (EQUATOR.alpha, math.inf, 3.0),
+    (EQUATOR.alpha, 1.0, 1e200),  # dgamma**2 overflows to inf, as it does on floats
+    (0.0, 0.5, 1.0),
+    (math.pi, 0.5, 1.0),
+    (0.5 * math.pi, 0.5, -2.0),
+])
+def test_closed_form_equals_the_float_expression_bit_for_bit(alpha, gamma_value, dgamma):
+    got = qfi_closed_form(ProbeInit(alpha), gamma_value, dgamma)
+    assert type(got) is float
+    assert got.hex() == _closed_form_on_floats(alpha, gamma_value, dgamma).hex()
 
 
 def test_point_zero_time_gives_zero_sample():

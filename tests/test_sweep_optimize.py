@@ -588,9 +588,9 @@ def test_a_probe_off_the_walked_path_does_not_enter_the_result(monkeypatch):
     table = sweep_optimize.qfi_table
 
     def inflated(engine, temperatures, times, *args):
-        gammas, dgammas, qfis = table(engine, temperatures, times, *args)
+        gammas, dgammas, qfis, gaps = table(engine, temperatures, times, *args)
         return gammas, dgammas, [qfi * (1e3 if time == untaken else 1.0)
-                                 for qfi, time in zip(qfis, times)]
+                                 for qfi, time in zip(qfis, times)], gaps
 
     monkeypatch.setattr(sweep_optimize, "qfi_table", inflated)
     (result,) = optimal_time_curve(spec).results
