@@ -80,7 +80,7 @@ def _closed_form_on_floats(alpha, gamma_value, dgamma):
     (EQUATOR.alpha, 1.0, 1e200),  # dgamma**2 overflows to inf, as it does on floats
     (0.0, 0.5, 1.0),
     (math.pi, 0.5, 1.0),
-    (0.5 * math.pi, 0.5, -2.0),
+    (EQUATOR.alpha, 0.5, -2.0),
 ])
 def test_closed_form_equals_the_float_expression_bit_for_bit(alpha, gamma_value, dgamma):
     got = qfi_closed_form(ProbeInit(alpha), gamma_value, dgamma)
