@@ -10,6 +10,7 @@ from qfibath.qfi_engine import (
     qfi_closed_form,
     qfi_point,
     qfi_spectral,
+    qfi_table,
 )
 from qfibath.spectral_bath import BathPoint, Estimand, SpectralParams, SqueezeParams
 from reference_values import REFERENCE_VALUES
@@ -86,6 +87,41 @@ def test_closed_form_equals_the_float_expression_bit_for_bit(alpha, gamma_value,
     got = qfi_closed_form(ProbeInit(alpha), gamma_value, dgamma)
     assert type(got) is float
     assert got.hex() == _closed_form_on_floats(alpha, gamma_value, dgamma).hex()
+
+
+class _FixedExponents:
+    """An engine stand-in whose `exponents` hands back given gamma and d gamma."""
+
+    def __init__(self, gammas, dgammas):
+        self.gammas = np.asarray(gammas, dtype=float)
+        self.dgammas = np.asarray(dgammas, dtype=float)
+
+    def moments(self, temperatures, times):
+        return None
+
+    def exponents(self, moments, sq):
+        size = self.gammas.size
+        return self.gammas, self.dgammas, np.ones(size, dtype=bool), np.zeros(size)
+
+
+def _closed_form_over_cells(gammas, dgammas, where=None):
+    """`qfi_table` over fixed exponents: the closed form applied cell by cell."""
+    pairs = [0.5] * len(gammas)
+    return qfi_table(_FixedExponents(gammas, dgammas), pairs, pairs, FIX_SQUEEZE, EQUATOR,
+                     where)[2]
+
+
+def test_closed_form_on_arrays_raises_at_the_first_faulty_element():
+    with pytest.raises(DegenerateInputError, match=r"^gamma = 0\.0 is at the t -> 0 limit but "
+                                                   r"dgamma = 1\.0 is not$"):
+        _closed_form_over_cells([0.5, 0.0, -1.0, 0.5], [1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match=r"^decoherence exponent must be >= 0, got nan$"):
+        _closed_form_over_cells([0.5, math.nan, 0.0], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match=r"^cell 2: decoherence exponent must be >= 0, got -1\.0$"):
+        _closed_form_over_cells([0.5, 0.25, -1.0, 0.0], [1.0, 1.0, 1.0, 1.0],
+                                where=lambda k: f"cell {k}")
+    assert _closed_form_over_cells([0.5, 0.0], [1.0, 0.0]) == [
+        qfi_closed_form(EQUATOR, 0.5, 1.0), 0.0]
 
 
 def test_point_zero_time_gives_zero_sample():
