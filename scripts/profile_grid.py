@@ -86,7 +86,8 @@ def main(argv=None) -> int:
 
     parts = {
         "moments": lambda: engine.moments(temperatures, times),
-        "exponents_qfi_pass": lambda: qfi_table(computed, temperatures, times, spec.sq, spec.init),
+        "exponents_qfi_pass": lambda: qfi_table(computed, temperatures, times,
+                                                  [(spec.sq, spec.init)]),
         "writer_json": lambda: cli.json_text(block, metadata, columns),
         "writer_csv": lambda: cli.csv_text(block, metadata, cli.GRID_COLUMNS, columns),
         "call": call,

@@ -16,15 +16,8 @@ from dataclasses import dataclass
 
 from .moments import DEFAULT_QUADRATURE, ConvergenceError, MomentEngine, QuadratureConfig
 from .probe_state import ProbeInit
-from .qfi_engine import qfi_table
-from .spectral_bath import (
-    BathPoint,
-    Estimand,
-    SpectralParams,
-    SqueezeParams,
-    parameter_value,
-    shift_parameter,
-)
+from .qfi_engine import _shifted_gammas, qfi_table
+from .spectral_bath import BathPoint, Estimand, SpectralParams, SqueezeParams
 
 __all__ = [
     "QuadratureConfig",
@@ -64,7 +57,7 @@ def gamma(
     two truncations disagree above tolerance or are not finite.
     """
     (value,), _, _, (gap,) = qfi_table(
-        MomentEngine(None, sp, qc), [point.temperature], [point.time], sq, ProbeInit())
+        MomentEngine(None, sp, qc), [point.temperature], [point.time], [(sq, ProbeInit())])
     return GammaResult(value=value, est_error=gap)
 
 
@@ -81,7 +74,7 @@ def gamma_partial(
     T-derivative at T = 0, whose thermal row is exactly 0 there.
     """
     _, (derivative,), _, _ = qfi_table(
-        MomentEngine(estimand, sp, qc), [point.temperature], [point.time], sq, ProbeInit())
+        MomentEngine(estimand, sp, qc), [point.temperature], [point.time], [(sq, ProbeInit())])
     return derivative
 
 
@@ -95,16 +88,8 @@ def gamma_partial_fd(
 ) -> float:
     """Central-difference oracle [gamma(eta + h) - gamma(eta - h)] / (2 h).
 
-    Defaults to h = 1e-5 * max(1, |eta|). Raises ValueError when eta - h
-    leaves the parameter domain (T - h < 0, r - h < 0).
+    Defaults to h = 1e-5 * max(1, |eta|). Both gammas are one table, eta + h first.
+    Raises ValueError when eta - h leaves the parameter domain (T - h < 0, r - h < 0).
     """
-    eta = parameter_value(estimand, point, sq)
-    if h is None:
-        h = 1e-5 * max(1.0, abs(eta))
-    if not h > 0.0:
-        raise ValueError(f"finite-difference step must be > 0, got {h}")
-    point_minus, sq_minus = shift_parameter(estimand, -h, point, sq)
-    point_plus, sq_plus = shift_parameter(estimand, +h, point, sq)
-    upper = gamma(point_plus, sq_plus, sp, qc).value
-    lower = gamma(point_minus, sq_minus, sp, qc).value
+    h, (upper, lower) = _shifted_gammas(estimand, point, sq, sp, qc, (1, -1), h)
     return (upper - lower) / (2.0 * h)

@@ -399,29 +399,25 @@ class MomentEngine:
         return out
 
     def exponents(self, moments: np.ndarray,
-                  sq: SqueezeParams | Sequence[SqueezeParams]) -> tuple[np.ndarray, ...]:
+                  squeezes: Sequence[SqueezeParams]) -> tuple[np.ndarray, ...]:
         """gamma, d gamma / d estimand, the truncations' agreement and their gap on gamma
-        per pair, as 1-D arrays.
-
-        Takes the output of `moments`. `sq` is one SqueezeParams, or one per pair that
-        broadcasts against the pair axis: with a single pair, n of them give n values,
-        each assembled from the same moments.
+        per cell, as 1-D arrays of k * n cells: the k `squeezes` over the n pairs of
+        `moments` (the output of `moments`), squeezing outer and pair inner.
         """
-        # per squeezing the scalars a single one takes, so that every value is the same
-        # arithmetic as its own call: cos and sin of theta, then the weights of gamma and
-        # of the derivative; floats for one squeezing, else one row per scalar
-        scalars = [
+        # per squeezing, as a (k, 1) column against the pairs, the scalars of its own
+        # call: cos and sin of theta, then the weights of gamma and of the derivative
+        cos_th, sin_th, *weights = np.array([
             (math.cos(one.theta), math.sin(one.theta), *derivative_rule(None, one.r)[1],
              *derivative_rule(self.estimand, one.r)[1])
-            for one in ([sq] if isinstance(sq, SqueezeParams) else sq)
-        ]
-        cos_th, sin_th, *weights = scalars[0] if len(scalars) == 1 else np.array(scalars).T
+            for one in squeezes
+        ]).T[..., None]
 
         def assemble(m, a, b, c):
             # the moments of 1 + cos(theta - w t), 1 - cos(theta - w t), sin(theta - w t)
+            m = m[:, :, None]
             even = cos_th * m[:, 1] + sin_th * m[:, 2]
             odd = sin_th * m[:, 1] - cos_th * m[:, 2]
-            return a * (m[:, 0] + even) + b * (m[:, 0] - even) + c * odd
+            return (a * (m[:, 0] + even) + b * (m[:, 0] - even) + c * odd).reshape(2, -1)
 
         def agrees(pair, scale):
             return np.abs(pair[0] - pair[1]) <= np.maximum(self.qc.abs_tol, self.qc.rel_tol * scale)

@@ -6,14 +6,16 @@ The production route evaluates the closed form
 
 with the analytic parameter derivative of the decay exponent. One function
 (`_closed_form`) holds the expression for one cell, and one pass (`qfi_table`)
-takes any list of (T, t) pairs from the moment engine to their gamma, d gamma,
-qfi and truncation gap, checking every cell in order: points (`qfi_point`, and
+takes k (squeezing, probe) settings over n (T, t) pairs from the moment engine
+to the gamma, d gamma, qfi and truncation gap of their k x n cells, setting
+outer and pair inner, checking every cell in order: points (`qfi_point`, and
 `decoherence.gamma` and `gamma_partial`, one-pair tables), sweeps, grids,
-search rounds and the oracle's exponents all go through it. `qfi_closed_form`
-is the expression on given exponents.
+search rounds and the oracles' shifted exponents all go through it.
+`qfi_closed_form` is the expression on given exponents.
 The oracle route (`qfi_spectral`) differentiates the spectral decomposition
-of the density matrix, built from three exponents of one `qfi_table` call, by
-gauge-fixed central differences and sums the general two-term formula
+of the density matrix at eta - h, eta and eta + h, whose exponents are one
+`qfi_table` call (`_shifted_gammas`, which `decoherence.gamma_partial_fd`
+shares), by gauge-fixed central differences and sums the general two-term formula
 
     I = sum_i (d lambda_i)^2 / lambda_i
         + 2 sum_{i != j} (lambda_i - lambda_j)^2 / (lambda_i + lambda_j)
@@ -28,9 +30,9 @@ term; at alpha = pi/2 the eigenvectors freeze and the second term vanishes.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Sequence
+import sys
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -88,13 +90,6 @@ class QfiSample:
                 raise ValueError(f"{name} must be >= 0, got {value}")
 
 
-def _sines(init: ProbeInit | Sequence[ProbeInit]) -> Iterable[float]:
-    """sin(alpha) of one ProbeInit, repeated, or of each of several."""
-    if isinstance(init, ProbeInit):
-        return repeat(math.sin(init.alpha))
-    return [math.sin(one.alpha) for one in init]
-
-
 def qfi_closed_form(init: ProbeInit, gamma_value: float, dgamma: float) -> float:
     """sin(alpha)^2 * dgamma^2 / (exp(2 gamma) - 1) at given exponents."""
     return _closed_form(math.sin(init.alpha), gamma_value, dgamma)
@@ -106,13 +101,15 @@ def _closed_form(sin_a: float, gamma_value: float, dgamma: float) -> float:
     The denominator goes through `math.expm1`, so small exponents keep full
     precision; at small t, dgamma / gamma grows like sinh(2 r), and so does the
     qfi. Raises where gamma is negative or nan (ValueError), or 0 while dgamma is
-    not (DegenerateInputError), which no consistent evaluation produces: at t = 0
-    both are exactly 0.
+    a normal number (DegenerateInputError), which no consistent evaluation produces:
+    at t = 0 both are exactly 0. A subnormal dgamma at gamma = 0 is the underflow of
+    a qfi below 1e-300 (|dgamma| / gamma is at most max(2, sinh 2r, 1/T)), which
+    gives 0, as the flush above gamma = 350 does.
     """
     if not gamma_value >= 0.0:
         raise ValueError(f"decoherence exponent must be >= 0, got {gamma_value}")
     if gamma_value == 0.0:
-        if dgamma == 0.0:
+        if abs(dgamma) < sys.float_info.min:
             return 0.0
         raise DegenerateInputError(
             f"gamma = {gamma_value!r} is at the t -> 0 limit but dgamma = {dgamma!r} is not")
@@ -145,27 +142,30 @@ def _check_estimable(estimand: Estimand, point: BathPoint) -> None:
 
 
 def qfi_table(engine: MomentEngine, temperatures: Sequence[float], times: Sequence[float],
-              sq: SqueezeParams | Sequence[SqueezeParams], init: ProbeInit | Sequence[ProbeInit],
+              settings: Sequence[tuple[SqueezeParams, ProbeInit]],
               where: Callable[[int], str] | None = None) -> tuple[list, list, list, list]:
-    """gamma, d gamma, qfi and the truncations' gap on gamma at every cell of the pairs
-    (temperatures[p], times[p]).
+    """gamma, d gamma, qfi and the truncations' gap on gamma at every cell: the k
+    `settings` (SqueezeParams, ProbeInit) over the n pairs (temperatures[p], times[p]),
+    setting outer and pair inner, so cell c is setting c // n at pair c % n.
 
-    One `engine.moments` batch, one `engine.exponents` call with `sq` (one
-    SqueezeParams, one per pair, or several for a single pair), then one pass over the
-    cells in order. `init` is one ProbeInit, or one per cell. The first cell whose
+    One `engine.moments` batch of the pairs, one `engine.exponents` call with the k
+    squeezings, then one pass over the cells in order. The first cell whose
     truncations disagree (ConvergenceError), whose closed form is degenerate
     (DegenerateInputError), or whose gamma, d gamma or qfi is not finite
     (ConvergenceError) raises, its message prefixed with `where(cell)` when `where` is
     given.
     """
-    values, derivatives, agree, gaps = engine.exponents(engine.moments(temperatures, times), sq)
+    squeezes, inits = zip(*settings)
+    values, derivatives, agree, gaps = engine.exponents(
+        engine.moments(temperatures, times), squeezes)
     gammas, dgammas, gaps, qfis = values.tolist(), derivatives.tolist(), gaps.tolist(), []
-    cells = zip(agree.tolist(), gammas, dgammas, gaps, _sines(init))
-    for k, (agrees, gamma_value, dgamma, gap, sin_a) in enumerate(cells):
+    n = len(times)
+    sines = [sin_a for init in inits for sin_a in [math.sin(init.alpha)] * n]
+    for k, (agrees, gamma_value, dgamma, gap, sin_a) in enumerate(
+            zip(agree.tolist(), gammas, dgammas, gaps, sines)):
         try:
             if not agrees:
-                p = k if len(times) > 1 else 0  # several squeezings share one pair
-                qc = engine.qc
+                p, qc = k % n, engine.qc
                 raise ConvergenceError(
                     f"truncations disagree at (T, t) = ({float(temperatures[p])!r}, "
                     f"{float(times[p])!r}): gamma {gamma_value!r}, gap {gap:.3e} above "
@@ -199,10 +199,31 @@ def qfi_point(
     split into its classical and eigenvector terms."""
     _check_estimable(estimand, point)
     (gamma_value,), (dgamma,), (qfi,), _ = qfi_table(
-        MomentEngine(estimand, sp, qc), [point.temperature], [point.time], sq, init)
+        MomentEngine(estimand, sp, qc), [point.temperature], [point.time], [(sq, init)])
     cfi, quantum = _closed_form_split(init.alpha, gamma_value, qfi)
     return QfiSample(point=point, sq=sq, sp=sp, init=init, estimand=estimand, gamma=gamma_value,
                      dgamma=dgamma, qfi=qfi, cfi_term=cfi, quantum_term=quantum)
+
+
+def _shifted_gammas(estimand: Estimand, point: BathPoint, sq: SqueezeParams,
+                    sp: SpectralParams, qc: QuadratureConfig, steps: Sequence[int],
+                    step: float | None = None) -> tuple[float, list[float]]:
+    """The finite-difference step h and gamma at eta + k h for each k of `steps`.
+
+    h defaults to 1e-5 * max(1, |eta|) and must be > 0. The shifted (T, t) pairs and
+    squeezings are each evaluated once, as one `qfi_table`: a T estimand takes its
+    pairs under one squeezing, r or theta one pair under its squeezings.
+    """
+    eta = parameter_value(estimand, point, sq)
+    h = 1e-5 * max(1.0, abs(eta)) if step is None else float(step)
+    if not h > 0.0:
+        raise ValueError(f"finite-difference step must be > 0, got {h}")
+    shifted = [shift_parameter(estimand, k * h, point, sq) for k in steps]
+    points = list(dict.fromkeys(one for one, _ in shifted))
+    squeezes = list(dict.fromkeys(one for _, one in shifted))
+    gammas = qfi_table(MomentEngine(None, sp, qc), [one.temperature for one in points],
+                       [one.time for one in points], [(one, ProbeInit()) for one in squeezes])[0]
+    return h, [gammas[squeezes.index(b) * len(points) + points.index(a)] for a, b in shifted]
 
 
 def qfi_spectral(
@@ -221,16 +242,7 @@ def qfi_spectral(
     and sums both terms of the spectral formula. The shared phase convention
     of `eigensystem` keeps spurious gauge derivatives out of the second term.
     """
-    eta = parameter_value(estimand, point, sq)
-    h = 1e-5 * max(1.0, abs(eta)) if fd_step is None else float(fd_step)
-    if not h > 0.0:
-        raise ValueError(f"finite-difference step must be > 0, got {h}")
-
-    # the state at eta - h, eta and eta + h: three pairs, each with its own squeezing
-    points, squeezes = zip(*(shift_parameter(estimand, delta, point, sq)
-                             for delta in (-h, 0.0, h)))
-    exponents = qfi_table(MomentEngine(None, sp, qc), [one.temperature for one in points],
-                          [one.time for one in points], squeezes, init)[0]
+    h, exponents = _shifted_gammas(estimand, point, sq, sp, qc, (-1, 0, 1), fd_step)
     below, center, above = (eigensystem(reduced_dm(init, value), init, value)
                             for value in exponents)
 

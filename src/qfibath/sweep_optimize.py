@@ -1,22 +1,24 @@
 """Parameter sweeps, (t, T) density grids and optimal-time curves.
 
 Every table and search runs on the moment engine (`moments`), as single
-points do. A table is one batch of (T, t) pairs (a grid's is the flattened
-cross product of its axes), and sweeps, grids and each round of a search take
-it through `qfi_engine.qfi_table`: one exponents call by array algebra on the
-moments, then one pass that checks each cell in row-major order and builds no
-record per cell. The first failing cell aborts the run with its location and
-the message it would raise alone. Identical specs always produce bit-identical
-tables. The optimal-time search brackets the global maximum with a coarse scan
-before golden-section refinement, because the squeezing kernel can make the
-information oscillate in t and unimodal search alone would lock onto the wrong
-peak. A curve searches all its temperatures as one batch: their coarse scans
-are one (T, t) table like a grid, and the refinement runs in lockstep, each
-round one table of the probes of the next two golden-section steps of every
-temperature whose bracket is still open (3 per temperature: the next step's,
-and one for each outcome of the step after). The values then choose the path
-as a sequential search would; the probes off it do not enter the result but
-are checked like every cell.
+points do. A table is k (squeezing, probe) settings over one batch of n
+(T, t) pairs, and sweeps, grids and each round of a search take it through
+`qfi_engine.qfi_table`: one exponents call by array algebra on the moments,
+then one pass that checks each cell in order and builds no record per cell.
+A grid, a T or t sweep and a search round are one setting over their pairs (a
+grid's are the flattened cross product of its axes); an r, theta or alpha
+sweep is one setting per value over its single pair. The first failing cell
+aborts the run with its location and the message it would raise alone.
+Identical specs always produce bit-identical tables. The optimal-time search
+brackets the global maximum with a coarse scan before golden-section
+refinement, because the squeezing kernel can make the information oscillate in
+t and unimodal search alone would lock onto the wrong peak. A curve searches
+all its temperatures as one batch: their coarse scans are one (T, t) table
+like a grid, and the refinement runs in lockstep, each round one table of the
+probes of the next two golden-section steps of every temperature whose bracket
+is still open (3 per temperature: the next step's, and one for each outcome of
+the step after). The values then choose the path as a sequential search would;
+the probes off it do not enter the result but are checked like every cell.
 """
 
 from __future__ import annotations
@@ -263,24 +265,24 @@ def _with_axis_value(
 def sweep(spec: SweepSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> SweepTable:
     """The information at `points` equally spaced axis values.
 
-    One moment evaluation serves the whole sweep: a T or t axis spans its
-    values in the batch, any other axis reuses the moments of its single
-    (T, t), and one `exponents` call assembles every value. A failure
-    at any point aborts the whole sweep with the axis value attached; tables
-    never contain silent gaps.
+    One table serves the whole sweep: a T or t axis gives its values as the
+    (T, t) pairs under the one setting, any other axis one setting per value at
+    its single (T, t). A failure at any point aborts the whole sweep with the
+    axis value attached; tables never contain silent gaps.
     """
     values = tuple(np.linspace(spec.lo, spec.hi, spec.points).tolist())
-    pairs = len(values) if spec.axis in ("T", "t") else 1
-    temperatures = values if spec.axis == "T" else [spec.point.temperature] * pairs
-    times = values if spec.axis == "t" else [spec.point.time] * pairs
-    engine = MomentEngine(spec.estimand, spec.sp, qc)
-    # an axis other than T or t takes one value per squeezing, from the one (T, t)
-    varied = [] if spec.axis in ("T", "t") else [
-        _with_axis_value(spec.axis, value, spec.point, spec.sq, spec.init) for value in values]
-    squeezes = [sq for _, sq, _ in varied] or spec.sq
-    inits = [init for *_, init in varied] if spec.axis == "alpha" else spec.init
-    gammas, dgammas, qfis, _ = qfi_table(engine, temperatures, times, squeezes, inits,
-                                         lambda k: f"sweep aborted at {spec.axis} = {values[k]!r}")
+    temperatures, times = [spec.point.temperature], [spec.point.time]
+    settings = [(spec.sq, spec.init)]
+    if spec.axis == "T":
+        temperatures, times = values, times * len(values)
+    elif spec.axis == "t":
+        temperatures, times = temperatures * len(values), values
+    else:
+        settings = [_with_axis_value(spec.axis, value, spec.point, spec.sq, spec.init)[1:]
+                    for value in values]
+    gammas, dgammas, qfis, _ = qfi_table(
+        MomentEngine(spec.estimand, spec.sp, qc), temperatures, times, settings,
+        lambda k: f"sweep aborted at {spec.axis} = {values[k]!r}")
     return SweepTable(spec, values, tuple(gammas), tuple(dgammas), tuple(qfis), run_metadata(qc))
 
 
@@ -291,7 +293,7 @@ def density_grid(spec: GridSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> G
     times = tuple(np.linspace(spec.t_lo, spec.t_hi, spec.t_points).tolist())
     engine = MomentEngine(spec.estimand, spec.sp, qc)
     gammas, dgammas, qfis, _ = qfi_table(
-        engine, *grid_pairs(temperatures, times), spec.sq, spec.init,
+        engine, *grid_pairs(temperatures, times), [(spec.sq, spec.init)],
         lambda k: f"grid aborted at (T, t) = "
                   f"({temperatures[k // len(times)]!r}, {times[k % len(times)]!r})")
     return GridTable(spec, temperatures, times, tuple(gammas), tuple(dgammas), tuple(qfis),
@@ -367,7 +369,7 @@ def optimal_time_curve(
     def information(rows: list[int], times: list[float]) -> list[float]:
         """qfi at every probe (temperatures[rows[k]], times[k]), one table in probe order."""
         return qfi_table(
-            engine, [temperatures[i] for i in rows], times, spec.sq, spec.init,
+            engine, [temperatures[i] for i in rows], times, [(spec.sq, spec.init)],
             lambda k: f"optimal-time search aborted at (T, t) = "
                       f"({temperatures[rows[k]]!r}, {times[k]!r})")[2]
 

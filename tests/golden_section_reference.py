@@ -55,7 +55,7 @@ def optimal_time(spec, temperature, qc):
     engine = MomentEngine(spec.estimand, spec.sp, qc)
 
     def information(times):
-        return qfi_table(engine, [temperature] * len(times), times, spec.sq, spec.init)[2]
+        return qfi_table(engine, [temperature] * len(times), times, [(spec.sq, spec.init)])[2]
 
     scan = [float(time) for time in np.linspace(0.0, spec.t_max, spec.coarse_points)]
     return search(information, scan, 1e-4 * spec.t_max)

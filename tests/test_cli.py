@@ -641,6 +641,18 @@ def test_point_with_an_overflowing_derivative_exits_three(capsys, monkeypatch):
     assert err.startswith("numerical failure: non-finite sample: "), err
 
 
+def test_point_at_the_underflow_limit_gives_zero_information(tmp_path):
+    # gamma underflows to 0 while dgamma is the subnormal -5e-324: the qfi is below
+    # 1e-300, not a degenerate input
+    out = tmp_path / "point.csv"
+    argv = ["point", "--estimand", "r", "--temp", "0.5", "--time", "1e-161", "--r", "2",
+            "--theta", "0", "--s", "0.5", "--out", str(out)]
+    assert run_cli(argv) == 0
+    _, header, rows = read_csv(out)
+    assert float(rows[0][header.index("gamma")]) == 0.0
+    assert rows[0][header.index("qfi")] == "0.0"
+
+
 @pytest.mark.parametrize("r, theta, qfi", [
     ("4", "0.0006709252307053706", 8.212e-7),
     ("5", "9.079985986933496e-05", 3.964e-6),

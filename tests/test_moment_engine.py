@@ -25,7 +25,7 @@ def engine_point(estimand, point, sq, sp):
     """(gamma, dgamma, truncation agreement, gap) of one point through the engine."""
     engine = MomentEngine(estimand, sp, DEFAULT_QUADRATURE)
     values, derivatives, agree, gaps = engine.exponents(
-        engine.moments([point.temperature], [point.time]), sq)
+        engine.moments([point.temperature], [point.time]), [sq])
     return values[0], derivatives[0], agree[0], gaps[0]
 
 
@@ -33,8 +33,8 @@ def one_pair(estimand, point, sq, sp):
     """(gamma, dgamma, truncation gap) of one point: the checked one-pair `qfi_table`
     that `decoherence.gamma`, `gamma_partial` and `qfi_point` make."""
     (value,), (derivative,), _, (gap,) = qfi_table(
-        MomentEngine(estimand, sp, DEFAULT_QUADRATURE), [point.temperature], [point.time], sq,
-        ProbeInit())
+        MomentEngine(estimand, sp, DEFAULT_QUADRATURE), [point.temperature], [point.time],
+        [(sq, ProbeInit())])
     return value, derivative, gap
 
 
@@ -53,7 +53,7 @@ def test_engine_matches_the_adaptive_path(estimand, s):
     engine = MomentEngine(estimand, sp, DEFAULT_QUADRATURE)
     batch = engine.moments(*grid_pairs(TEMPERATURES, TIMES))
     for sq in SQUEEZES:
-        values, derivatives, agree, _ = engine.exponents(batch, sq)
+        values, derivatives, agree, _ = engine.exponents(batch, [sq])
         for k, (temperature, time) in enumerate(itertools.product(TEMPERATURES, TIMES)):
             point = BathPoint(temperature, time)
             assert agree[k], (point, sq)
@@ -109,7 +109,7 @@ def test_zero_time_is_exactly_zero(estimand):
     temperatures, times = grid_pairs([0.0, 1.0], [0.0, 5.0])
     batch = engine.moments(temperatures, times)
     assert np.all(batch[..., times == 0.0] == 0.0)
-    values, derivatives, agree, _ = engine.exponents(batch, SqueezeParams(0.7, 2.0))
+    values, derivatives, agree, _ = engine.exponents(batch, [SqueezeParams(0.7, 2.0)])
     for k in (0, 2):  # t = 0 at both temperatures
         assert values[k] == 0.0 and derivatives[k] == 0.0 and agree[k]
 
@@ -228,7 +228,7 @@ def test_seeded_sample_matches_the_panel_rule_oracle():
         oracle[..., 0] = thermal
         oracle[:, 0] += moments._vacuum(sp, np.array([point.time]))
         expected, expected_derivative, agree, _ = MomentEngine(
-            estimand, sp, DEFAULT_QUADRATURE).exponents(oracle, sq)
+            estimand, sp, DEFAULT_QUADRATURE).exponents(oracle, [sq])
         assert agree[0], (estimand, point, sq, sp)
         value, derivative, _ = one_pair(estimand, point, sq, sp)
         assert within_tolerance(value, derivative, expected[0], expected_derivative[0]), (
@@ -262,7 +262,7 @@ def test_zero_time_is_exactly_zero_where_the_moments_are_not_finite():
     engine = MomentEngine(Estimand.TEMPERATURE, SpectralParams(150.0), DEFAULT_QUADRATURE)
     batch = engine.moments([0.5, 0.5], [0.0, 1.0])
     assert np.all(batch[..., 0] == 0.0) and not np.all(np.isfinite(batch[..., 1]))
-    assert engine.exponents(batch, SqueezeParams(0.5, 1.0))[2].tolist() == [True, False]
+    assert engine.exponents(batch, [SqueezeParams(0.5, 1.0)])[2].tolist() == [True, False]
     assert one_pair(Estimand.TEMPERATURE, BathPoint(0.5, 0.0), SqueezeParams(0.5, 1.0),
                     SpectralParams(150.0)) == (0.0, 0.0, 0.0)
 
@@ -282,7 +282,7 @@ def test_long_time_grid_is_chunked_and_matches_a_single_block(monkeypatch):
     # the sampled cells as one batch
     picked = [(i, j) for i in range(2) for j in list(range(0, 400, 40)) + [399]]
     values, derivatives, _, _ = engine.exponents(
-        engine.moments([(0.5, 1.0)[i] for i, _ in picked], [times[j] for _, j in picked]), sq)
+        engine.moments([(0.5, 1.0)[i] for i, _ in picked], [times[j] for _, j in picked]), [sq])
     for k, (i, j) in enumerate(picked):
         _, _, gamma_value, dgamma, _ = table.rows[400 * i + j]
         assert (gamma_value, dgamma) == (values[k], derivatives[k])
@@ -330,9 +330,9 @@ def test_every_product_of_a_sub_ohmic_engine_agrees(estimand):
     sq, sp = SqueezeParams(0.5, 1.0), SpectralParams(0.02)
     temperatures, times = [0.5, 1.0], [0.5, 1.0]
     engine = MomentEngine(estimand, sp, DEFAULT_QUADRATURE)
-    expected = engine.exponents(engine.moments(*grid_pairs(temperatures, times)), sq)
+    expected = engine.exponents(engine.moments(*grid_pairs(temperatures, times)), [sq])
     for k, (temperature, time) in enumerate(itertools.product(temperatures, times)):
-        one = engine.exponents(engine.moments([temperature], [time]), sq)
+        one = engine.exponents(engine.moments([temperature], [time]), [sq])
         assert [part[0] for part in one[:2]] == [part[k] for part in expected[:2]]
         point = one_pair(estimand, BathPoint(temperature, time), sq, sp)
         assert point[:2] == (expected[0][k], expected[1][k])

@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from qfibath.moments import ConvergenceError, MomentEngine, QuadratureConfig
 from qfibath.probe_state import ProbeInit
 from qfibath.qfi_engine import (
     DegenerateInputError,
@@ -54,7 +56,11 @@ def test_closed_form_rejects_degenerate_inputs():
                                                    r"dgamma = 1\.0 is not$"):
         qfi_closed_form(EQUATOR, 0.0, 1.0)
     with pytest.raises(DegenerateInputError):
-        qfi_closed_form(EQUATOR, 0.0, 5e-324)
+        qfi_closed_form(EQUATOR, 0.0, sys.float_info.min)
+    # |dgamma| / gamma is bounded, so a subnormal dgamma at gamma = 0 is the underflow
+    # of a qfi below 1e-300
+    assert qfi_closed_form(EQUATOR, 0.0, 5e-324) == 0.0
+    assert qfi_closed_form(EQUATOR, 0.0, -5e-324) == 0.0
     with pytest.raises(ValueError):
         qfi_closed_form(EQUATOR, -0.1, 1.0)
     with pytest.raises(ValueError, match=r"^decoherence exponent must be >= 0, got nan$"):
@@ -90,24 +96,27 @@ def test_closed_form_equals_the_float_expression_bit_for_bit(alpha, gamma_value,
 
 
 class _FixedExponents:
-    """An engine stand-in whose `exponents` hands back given gamma and d gamma."""
+    """An engine stand-in whose `exponents` hands back given gamma and d gamma, and the
+    truncations' agreement, all cells agreeing unless given."""
 
-    def __init__(self, gammas, dgammas):
+    qc = QuadratureConfig()
+
+    def __init__(self, gammas, dgammas, agree=None):
         self.gammas = np.asarray(gammas, dtype=float)
         self.dgammas = np.asarray(dgammas, dtype=float)
+        self.agree = np.ones(self.gammas.size, dtype=bool) if agree is None else np.asarray(agree)
 
     def moments(self, temperatures, times):
         return None
 
-    def exponents(self, moments, sq):
-        size = self.gammas.size
-        return self.gammas, self.dgammas, np.ones(size, dtype=bool), np.zeros(size)
+    def exponents(self, moments, squeezes):
+        return self.gammas, self.dgammas, self.agree, np.zeros(self.gammas.size)
 
 
 def _closed_form_over_cells(gammas, dgammas, where=None):
     """`qfi_table` over fixed exponents: the closed form applied cell by cell."""
     pairs = [0.5] * len(gammas)
-    return qfi_table(_FixedExponents(gammas, dgammas), pairs, pairs, FIX_SQUEEZE, EQUATOR,
+    return qfi_table(_FixedExponents(gammas, dgammas), pairs, pairs, [(FIX_SQUEEZE, EQUATOR)],
                      where)[2]
 
 
@@ -122,6 +131,30 @@ def test_closed_form_on_arrays_raises_at_the_first_faulty_element():
                                 where=lambda k: f"cell {k}")
     assert _closed_form_over_cells([0.5, 0.0], [1.0, 0.0]) == [
         qfi_closed_form(EQUATOR, 0.5, 1.0), 0.0]
+
+
+SETTINGS = [(FIX_SQUEEZE, EQUATOR), (SqueezeParams(0.0), ProbeInit(alpha=1.1)),
+            (SqueezeParams(1.5, 4.0), ProbeInit(alpha=2.5))]
+PAIRS = ([0.5, 0.0, 1.5, 0.2], [1.0, 2.0, 0.0, 7.5])
+
+
+@pytest.mark.parametrize("estimand", list(Estimand))
+def test_table_of_settings_over_pairs_equals_its_cells_one_by_one(estimand):
+    engine = MomentEngine(estimand, FIX_SPECTRAL, QuadratureConfig())
+    table = qfi_table(engine, *PAIRS, SETTINGS)
+    cells = [qfi_table(engine, [temperature], [time], [setting])
+             for setting in SETTINGS for temperature, time in zip(*PAIRS)]
+    for column, one in zip(table, zip(*cells)):
+        assert [value.hex() for value in column] == [value.hex() for (value,) in one]
+
+
+def test_a_disagreeing_cell_names_its_pair_modulo_the_pairs():
+    # 2 settings over 3 pairs: cell 5 is the second setting at the third pair
+    engine = _FixedExponents([0.5] * 6, [1.0] * 6, agree=[True] * 5 + [False])
+    with pytest.raises(ConvergenceError, match=r"^cell 5: truncations disagree at "
+                                               r"\(T, t\) = \(0\.3, 3\.0\): gamma 0\.5, "):
+        qfi_table(engine, [0.1, 0.2, 0.3], [1.0, 2.0, 3.0], SETTINGS[:2],
+                  where=lambda k: f"cell {k}")
 
 
 def test_point_zero_time_gives_zero_sample():
