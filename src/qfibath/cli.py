@@ -19,6 +19,8 @@ Examples
 Numbers are serialized as shortest round-trip decimals; identical invocations
 produce identical data sections (only the timestamp metadata line varies).
 Exit codes: 0 success, 2 usage/validation failure, 3 numerical failure.
+Each flag is one entry of `FLAGS`, from which one loop builds every subcommand:
+the shared flags, --recipe (all but point), then those its spec echoes.
 The parameter records validate every value; a rejected one prints
 `error: <flag>: <message>`, the flag found from the field the record names.
 """
@@ -53,29 +55,18 @@ EXIT_NUMERICAL = 3
 # an explicit --rel-tol flag wins over it
 ENV_REL_TOL = "QFIBATH_REL_TOL"
 
-ESTIMANDS = {
-    "T": Estimand.TEMPERATURE,
-    "r": Estimand.SQUEEZE_AMPLITUDE,
-    "theta": Estimand.SQUEEZE_PHASE,
-}
-
 # sweep axis -> flag that would otherwise fix that variable
 AXIS_FLAG = {"T": "temp", "t": "time", "r": "r", "theta": "theta", "alpha": "alpha"}
 
-# record field -> the flag that sets it. The records are the only validators,
-# and each of their ValueErrors starts with the name of the field at fault.
-FIELD_FLAGS = {
-    "temperature": "--temp", "time": "--time", "r": "--r", "theta": "--theta",
-    "s": "--s", "omega_c": "--omega-c", "alpha": "--alpha",
-    "rel_tol": "--rel-tol", "abs_tol": "--abs-tol",
-    "lo": "--range", "hi": "--range", "points": "--points",
-    "t_lo": "--t-range", "T_lo": "--T-range", "t_points": "--t-points",
-    "T_points": "--T-points", "t_max": "--t-max",
-}
+# record field -> the flag that sets it, where their names differ; any other field is
+# set by the flag of its own name. The records are the only validators, and each of
+# their ValueErrors starts with the name of the field at fault.
+FIELD_FLAGS = {"temperature": "--temp", "lo": "--range", "hi": "--range",
+               "t_lo": "--t-range", "T_lo": "--T-range"}
 
-# subcommand -> (the flags its spec echoes, the values of its `fixed` block in output
-# order). Every flag named is required but --omega-c and --alpha, which take the record
-# defaults; a sweep leaves its axis out of `fixed`.
+# subcommand -> (the flags its spec echoes, which it alone takes, and the values of its
+# `fixed` block in output order). Every flag named is required but --omega-c and --alpha,
+# which take the record defaults; a sweep leaves its axis out of `fixed`.
 SPEC_FLAGS = {
     "point": ((), ("temp", "time", "r", "theta", "s", "omega_c", "alpha")),
     "sweep": (("axis", "range", "points"),
@@ -83,6 +74,47 @@ SPEC_FLAGS = {
     "grid": (("t_range", "T_range", "t_points", "T_points"),
              ("r", "theta", "s", "omega_c", "alpha")),
     "opt-time": (("T_range", "T_points", "t_max"), ("r", "theta", "s", "omega_c", "alpha")),
+}
+
+
+def _range_arg(text: str) -> tuple[float, float]:
+    """`lo:hi` as two floats; the spec records check their values."""
+    try:
+        lo_text, hi_text = text.split(":")
+        return float(lo_text), float(hi_text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}") from None
+
+
+# flag -> its argparse keywords, each flag once. The flags before --recipe are every
+# subcommand's, --recipe is every one's but point's, and the rest are those SPEC_FLAGS
+# gives a subcommand. An unset flag is None, for a recipe or a record default to fill.
+FLAGS = {
+    "--estimand": dict(choices=sorted(estimand.value for estimand in Estimand),
+                       help="parameter the information is taken with respect to"),
+    "--temp": dict(type=float, help="bath temperature (k_B = 1)"),
+    "--time": dict(type=float, help="interaction time"),
+    "--r": dict(type=float, help="bath squeezing amplitude, r >= 0"),
+    "--theta": dict(type=float, help="bath squeezing phase in radians"),
+    "--s": dict(type=float, help="ohmicity exponent, s > 0"),
+    "--omega-c": dict(type=float, help="spectral-density cutoff frequency (default 1)"),
+    "--alpha": dict(type=float, help="initial superposition angle in [0, pi] (default pi/2)"),
+    "--omega-0": dict(type=float, help="qubit transition frequency; recorded in metadata only, "
+                                       "pure dephasing leaves it out of every result"),
+    "--rel-tol": dict(type=float, help=f"relative tolerance (default 1e-8; env {ENV_REL_TOL})"),
+    "--abs-tol": dict(type=float, help="absolute tolerance (default 1e-12)"),
+    "--out": dict(default="-", help="output path, '-' for stdout (default)"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--recipe": dict(metavar="figN", help="expand the documented flag set of a published panel "
+                                          "(fig1a..fig9, fig10); explicit flags win"),
+    "--axis": dict(choices=SWEEP_AXES),
+    "--range": dict(type=_range_arg, metavar="lo:hi"),
+    "--points": dict(type=int),
+    "--t-range": dict(type=_range_arg, metavar="lo:hi"),
+    "--T-range": dict(type=_range_arg, metavar="lo:hi"),
+    "--t-points": dict(type=int),
+    "--T-points": dict(type=int),
+    "--t-max": dict(type=float, help="upper end of the time search"),
 }
 
 POINT_COLUMNS = [
@@ -159,41 +191,9 @@ def _fail(flag: str, message: str) -> NoReturn:
     raise SystemExit(EXIT_USAGE)
 
 
-def _range_arg(text: str) -> tuple[float, float]:
-    """`lo:hi` as two floats; the spec records check their values."""
-    try:
-        lo_text, hi_text = text.split(":")
-        return float(lo_text), float(hi_text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}") from None
-
-
-def _add_shared_arguments(parser: argparse.ArgumentParser, with_recipe: bool) -> None:
-    parser.add_argument("--estimand", choices=sorted(ESTIMANDS), default=None,
-                        help="parameter the information is taken with respect to")
-    parser.add_argument("--temp", type=float, default=None, help="bath temperature (k_B = 1)")
-    parser.add_argument("--time", type=float, default=None, help="interaction time")
-    parser.add_argument("--r", type=float, default=None, help="bath squeezing amplitude, r >= 0")
-    parser.add_argument("--theta", type=float, default=None,
-                        help="bath squeezing phase in radians")
-    parser.add_argument("--s", type=float, default=None, help="ohmicity exponent, s > 0")
-    parser.add_argument("--omega-c", type=float, default=None,
-                        help="spectral-density cutoff frequency (default 1)")
-    parser.add_argument("--alpha", type=float, default=None,
-                        help="initial superposition angle in [0, pi] (default pi/2)")
-    parser.add_argument("--omega-0", type=float, default=None,
-                        help="qubit transition frequency; recorded in metadata only, "
-                             "pure dephasing leaves it out of every result")
-    parser.add_argument("--rel-tol", type=float, default=None,
-                        help=f"relative tolerance (default 1e-8; env {ENV_REL_TOL})")
-    parser.add_argument("--abs-tol", type=float, default=None,
-                        help="absolute tolerance (default 1e-12)")
-    parser.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    if with_recipe:
-        parser.add_argument("--recipe", default=None, metavar="figN",
-                            help="expand the documented flag set of a published panel "
-                                 "(fig1a..fig9, fig10); explicit flags win")
+def _flag(name: str) -> str:
+    """The flag of the namespace attribute or record field `name`."""
+    return "--" + name.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,33 +203,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qfibath {__version__}")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-
-    point = subparsers.add_parser("point", help="evaluate one sample")
-    _add_shared_arguments(point, with_recipe=False)
-    point.set_defaults(handler=cmd_point)
-
-    sweep_parser = subparsers.add_parser("sweep", help="1-D sweep over one axis")
-    _add_shared_arguments(sweep_parser, with_recipe=True)
-    sweep_parser.add_argument("--axis", choices=SWEEP_AXES, default=None)
-    sweep_parser.add_argument("--range", type=_range_arg, default=None, metavar="lo:hi")
-    sweep_parser.add_argument("--points", type=int, default=None)
-    sweep_parser.set_defaults(handler=cmd_sweep)
-
-    grid = subparsers.add_parser("grid", help="(t, T) density grid")
-    _add_shared_arguments(grid, with_recipe=True)
-    grid.add_argument("--t-range", type=_range_arg, default=None, metavar="lo:hi")
-    grid.add_argument("--T-range", type=_range_arg, default=None, metavar="lo:hi")
-    grid.add_argument("--t-points", type=int, default=None)
-    grid.add_argument("--T-points", type=int, default=None)
-    grid.set_defaults(handler=cmd_grid)
-
-    opt = subparsers.add_parser("opt-time", help="optimal interaction time per temperature")
-    _add_shared_arguments(opt, with_recipe=True)
-    opt.add_argument("--T-range", type=_range_arg, default=None, metavar="lo:hi")
-    opt.add_argument("--T-points", type=int, default=None)
-    opt.add_argument("--t-max", type=float, default=None, help="upper end of the time search")
-    opt.set_defaults(handler=cmd_opt_time, estimand="T")
-
+    flags = list(FLAGS)
+    shared = flags.index("--recipe")
+    for name, help_text, handler in (
+            ("point", "evaluate one sample", cmd_point),
+            ("sweep", "1-D sweep over one axis", cmd_sweep),
+            ("grid", "(t, T) density grid", cmd_grid),
+            ("opt-time", "optimal interaction time per temperature", cmd_opt_time)):
+        subparser = subparsers.add_parser(name, help=help_text)
+        for flag in [*flags[:shared + (name != "point")], *map(_flag, SPEC_FLAGS[name][0])]:
+            subparser.add_argument(flag, **FLAGS[flag])
+        subparser.set_defaults(handler=handler)
+    subparsers.choices["opt-time"].set_defaults(estimand="T")
     return parser
 
 
@@ -257,11 +242,11 @@ def _run(args: argparse.Namespace) -> int:
     fixed = [dest for dest in fixed if dest != swept]
     for dest in ["estimand", *echoed, *fixed]:
         if getattr(args, dest) is None and dest not in ("omega_c", "alpha"):
-            _fail("--" + dest.replace("_", "-"), "is required")
+            _fail(_flag(dest), "is required")
     if swept is not None:
-        # the swept variable takes its placeholder from the range start; each row
-        # overrides it anyway
-        setattr(args, swept, args.range[0])
+        # a placeholder every record accepts; each row overrides it, and the spec
+        # checks the range ends
+        setattr(args, swept, 0.0)
 
     rel_tol = args.rel_tol
     env_value = os.environ.get(ENV_REL_TOL)
@@ -293,7 +278,7 @@ def _run(args: argparse.Namespace) -> int:
             _fail("--out", f"{exc.strerror}: {args.out!r}")
     try:
         names, metadata, columns = args.handler(
-            args, spec, qc, estimand=ESTIMANDS[args.estimand], sq=sq, sp=sp, init=init)
+            args, spec, qc, estimand=Estimand(args.estimand), sq=sq, sp=sp, init=init)
     except BaseException:
         if created:
             os.unlink(args.out)
@@ -367,11 +352,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:
         message = str(exc)
-        flag = FIELD_FLAGS.get(message.split(" ", 1)[0])
-        # a sweep builds the record of its swept variable from the range start
-        if flag is not None and flag[2:] == AXIS_FLAG.get(getattr(args, "axis", None)):
-            flag = "--range"
-        print(f"error: {flag}: {message}" if flag else f"error: {message}", file=sys.stderr)
+        field = message.split(" ", 1)[0]
+        flag = FIELD_FLAGS.get(field, _flag(field))
+        print(f"error: {flag}: {message}" if flag in FLAGS else f"error: {message}",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

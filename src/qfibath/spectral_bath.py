@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
 
 __all__ = [
     "TWO_PI",
+    "R_MAX",
     "COTH_SERIES_CUTOFF",
     "Estimand",
     "SpectralParams",
@@ -42,6 +44,9 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+# the largest squeezing amplitude whose exp(2 r) is a finite float
+R_MAX = 0.5 * math.log(sys.float_info.max)
 
 # coth(x) switches to its small-argument expansion 1/x + x/3 below this x;
 # keeps the w -> 0 pole of the thermal factor free of overflow and cancellation
@@ -92,7 +97,7 @@ class SpectralParams:
 
 @dataclass(frozen=True)
 class SqueezeParams:
-    """Mode-uniform reservoir squeezing: amplitude r >= 0 and phase theta.
+    """Mode-uniform reservoir squeezing: amplitude 0 <= r <= R_MAX and phase theta.
 
     theta is stored reduced to [0, 2*pi); every derived quantity is exactly
     2*pi-periodic in it.
@@ -106,6 +111,8 @@ class SqueezeParams:
         _check_finite("theta", self.theta)
         if not self.r >= 0.0:
             raise ValueError(f"r must be >= 0, got {self.r}")
+        if self.r > R_MAX:
+            raise ValueError(f"r must be <= {R_MAX}, where exp(2 r) overflows, got {self.r}")
         reduced = self.theta % TWO_PI
         if reduced == TWO_PI:  # -tiny % 2*pi can round up to 2*pi itself
             reduced = 0.0

@@ -156,6 +156,7 @@ REJECTIONS = [
     (POINT_ARGS, {"--omega-c": "inf"}, "--omega-c"),
     (POINT_ARGS, {"--r": "-1"}, "--r"),
     (POINT_ARGS, {"--r": "inf"}, "--r"),
+    (POINT_ARGS, {"--r": "400"}, "--r"),  # exp(2 r) overflows above R_MAX
     (POINT_ARGS, {"--theta": "inf"}, "--theta"),
     (POINT_ARGS, {"--alpha": "4"}, "--alpha"),
     (POINT_ARGS, {"--temp": "-1"}, "--temp"),
@@ -172,6 +173,7 @@ REJECTIONS = [
     (SWEEP_ARGS, {"--estimand": "r", "--axis": "T", "--range": "-1:1"}, "--range"),
     (SWEEP_ARGS, {"--axis": "T", "--range": "0:1"}, "--range"),  # estimand T
     (SWEEP_ARGS, {"--axis": "alpha", "--range": "0:4"}, "--range"),
+    (SWEEP_ARGS, {"--axis": "r", "--range": "0:400"}, "--range"),
     (SWEEP_ARGS, {"--axis": "r", "--range": "0:1", "--temp": "0"}, "--temp"),
     # the order and finiteness of a range are the spec records' to check, not argparse's
     (SWEEP_ARGS, {"--range": "2:1"}, "--range"),
@@ -198,6 +200,41 @@ REJECTIONS = [
 def test_rejected_value_exits_two_naming_its_flag(base, changes, flag, capsys):
     assert run_cli(with_flags(base, changes)) == 2
     assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
+
+# a valid value of each flag of cli.FLAGS, and the flags every subcommand takes
+FLAG_VALUES = {
+    "--estimand": "r", "--temp": "0.5", "--time": "1", "--r": "0.1", "--theta": "1",
+    "--s": "0.5", "--omega-c": "2", "--alpha": "1", "--omega-0": "5", "--rel-tol": "1e-9",
+    "--abs-tol": "1e-13", "--out": "out.csv", "--format": "json", "--recipe": "fig7",
+    "--axis": "T", "--range": "0:1", "--points": "3", "--t-range": "0:1", "--T-range": "0:1",
+    "--t-points": "3", "--T-points": "3", "--t-max": "4",
+}
+SHARED_FLAGS = ["--estimand", "--temp", "--time", "--r", "--theta", "--s", "--omega-c",
+                "--alpha", "--omega-0", "--rel-tol", "--abs-tol", "--out", "--format"]
+
+
+@pytest.mark.parametrize("subcommand", list(cli.SPEC_FLAGS))
+@pytest.mark.parametrize("flag", list(cli.FLAGS))
+def test_each_subcommand_takes_exactly_its_flags(subcommand, flag, capsys):
+    own = ["--" + dest.replace("_", "-") for dest in cli.SPEC_FLAGS[subcommand][0]]
+    takes = flag in SHARED_FLAGS or (flag == "--recipe" and subcommand != "point") or flag in own
+    argv = [subcommand, flag, FLAG_VALUES[flag]]
+    if takes:
+        args = cli.build_parser().parse_args(argv)
+        assert getattr(args, flag[2:].replace("-", "_")) is not None
+        assert args.handler is getattr(cli, "cmd_" + subcommand.replace("-", "_"))
+    else:
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", list(cli.SPEC_FLAGS))
+def test_only_opt_time_defaults_the_estimand(subcommand):
+    args = cli.build_parser().parse_args([subcommand])
+    assert args.estimand == ("T" if subcommand == "opt-time" else None)
 
 
 def test_json_output_parses_strictly(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qfibath.spectral_bath import (
+    R_MAX,
     TWO_PI,
     BathPoint,
     Estimand,
@@ -91,6 +92,13 @@ def test_squeeze_params_store_theta_reduced():
 def test_squeeze_params_reject_negative_amplitude():
     with pytest.raises(ValueError):
         SqueezeParams(r=-0.01)
+
+
+def test_squeeze_params_take_amplitudes_up_to_overflow_of_exp_2r():
+    assert SqueezeParams(r=R_MAX).r == R_MAX
+    assert math.isfinite(math.exp(2.0 * R_MAX))
+    with pytest.raises(ValueError, match="^r must be <="):
+        SqueezeParams(r=400.0)
 
 
 def test_bath_point_domain():
