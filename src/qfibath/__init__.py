@@ -44,12 +44,11 @@ from .qfi_engine import (
 )
 from .sweep_optimize import (
     GridSpec,
-    GridTable,
     OptimalTimeCurve,
     OptimalTimeResult,
     OptimalTimeSpec,
     SweepSpec,
-    SweepTable,
+    Table,
     density_grid,
     optimal_time,
     optimal_time_curve,
@@ -87,9 +86,8 @@ __all__ = [
     "qfi_spectral",
     "qfi_point",
     "SweepSpec",
-    "SweepTable",
     "GridSpec",
-    "GridTable",
+    "Table",
     "OptimalTimeSpec",
     "OptimalTimeResult",
     "OptimalTimeCurve",

@@ -31,6 +31,8 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import asdict
+from datetime import datetime, timezone
 from functools import lru_cache
 from typing import NoReturn
 
@@ -41,7 +43,7 @@ from .qfi_engine import Estimand, qfi_point
 from .spectral_bath import BathPoint, SpectralParams, SqueezeParams
 from .sweep_optimize import (
     SWEEP_AXES, GridSpec, OptimalTimeSpec, SweepSpec, Tiled, density_grid,
-    optimal_time_curve, run_metadata, sweep,
+    optimal_time_curve, sweep,
 )
 from .writers import csv_text, json_text, write
 
@@ -225,8 +227,8 @@ def _given(**fields) -> dict:
 
 def _run(args: argparse.Namespace) -> int:
     """The one path of every subcommand: expand the recipe, require the flags, build the
-    records and the spec block, then write the column names, metadata and columns its
-    handler returns."""
+    records and the spec block, then write the run record and the column names and
+    columns its handler returns."""
     name = getattr(args, "recipe", None)
     if name is not None:
         recipe = RECIPES.get(name)
@@ -277,14 +279,15 @@ def _run(args: argparse.Namespace) -> int:
         except OSError as exc:
             _fail("--out", f"{exc.strerror}: {args.out!r}")
     try:
-        names, metadata, columns = args.handler(
+        names, columns = args.handler(
             args, spec, qc, estimand=Estimand(args.estimand), sq=sq, sp=sp, init=init)
     except BaseException:
         if created:
             os.unlink(args.out)
         raise
-    # the library's metadata plus the output columns and the inert omega_0
-    metadata = {**metadata, "columns": names}
+    # the run record, with the output columns and the inert omega_0
+    metadata = {"tool": "qfibath", "version": __version__, "quadrature": asdict(qc),
+                "timestamp": datetime.now(timezone.utc).isoformat(), "columns": names}
     if args.omega_0 is not None:
         metadata["omega_0"] = args.omega_0
     if args.format == "json":
@@ -299,38 +302,36 @@ def _run(args: argparse.Namespace) -> int:
 
 
 # Each handler builds its library call from the records and the flags and returns
-# (column names, library metadata, columns).
+# (column names, columns).
 
 def cmd_point(args: argparse.Namespace, spec: dict, qc: QuadratureConfig, **records):
     sample = qfi_point(point=BathPoint(args.temp, args.time), qc=qc, **records)
     # the fixed block of a point is its row's leading cells
     row = [args.estimand, *spec["fixed"].values(), sample.gamma, sample.dgamma, sample.qfi,
            sample.cfi_term, sample.quantum_term]
-    return POINT_COLUMNS, run_metadata(qc), [[cell] for cell in row]
+    return POINT_COLUMNS, [[cell] for cell in row]
 
 
 def cmd_sweep(args: argparse.Namespace, spec: dict, qc: QuadratureConfig, **records):
     lo, hi = args.range
     table = sweep(SweepSpec(axis=args.axis, lo=lo, hi=hi, points=args.points,
                             point=BathPoint(args.temp, args.time), **records), qc)
-    return SWEEP_COLUMNS, table.metadata, [
-        Tiled([args.axis], each=len(table.values)), table.values, table.gamma, table.dgamma,
-        table.qfi]
+    return SWEEP_COLUMNS, [Tiled([args.axis], each=len(table.gamma)), *table.columns,
+                           table.gamma, table.dgamma, table.qfi]
 
 
 def cmd_grid(args: argparse.Namespace, spec: dict, qc: QuadratureConfig, **records):
     (t_lo, t_hi), (T_lo, T_hi) = args.t_range, args.T_range
     table = density_grid(GridSpec(t_lo=t_lo, t_hi=t_hi, T_lo=T_lo, T_hi=T_hi,
                                   t_points=args.t_points, T_points=args.T_points, **records), qc)
-    # the axes as tiled columns, so each axis value is spelled once
-    return GRID_COLUMNS, table.metadata, [*table.axes, table.gamma, table.dgamma, table.qfi]
+    return GRID_COLUMNS, [*table.columns, table.gamma, table.dgamma, table.qfi]
 
 
 def cmd_opt_time(args: argparse.Namespace, spec: dict, qc: QuadratureConfig, **records):
     T_lo, T_hi = args.T_range
     curve = optimal_time_curve(OptimalTimeSpec(T_lo=T_lo, T_hi=T_hi, T_points=args.T_points,
                                                t_max=args.t_max, **records), qc)
-    return OPT_TIME_COLUMNS, curve.metadata, [
+    return OPT_TIME_COLUMNS, [
         [getattr(result, name) for result in curve.results]
         for name in ("temperature", "t_star", "qfi_star")]
 

@@ -51,8 +51,11 @@ once per temperature.
 Each point takes the two truncations of TRUNCATIONS: (N, J) Euler-Maclaurin
 terms, or N + 2 + J Taylor terms. The second is reported. `exponents` flags a
 point where the two disagree by more than the QuadratureConfig tolerance, on
-gamma or on d gamma relative to max(|d gamma|, gamma), or are not finite;
-`qfi_engine.qfi_table` raises ConvergenceError there.
+gamma or on d gamma relative to max(|d gamma|, gamma), or are not finite, and
+where eps times the size of the assembly's terms exceeds the same tolerance. The
+truncations share that assembly, so their gap cannot see its rounding: at small
+omega t and theta near 0, M0 - C is about (omega t)**2 times M0, and exp(2r)
+makes it most of gamma. `qfi_engine.qfi_table` raises ConvergenceError there.
 What depends on the temperature alone is computed once per temperature, and a
 batch is evaluated in chunks of at most CHUNK pairs, so its temporaries stay
 small. Every sum over a pair's terms runs in one fixed order, so its moments
@@ -400,17 +403,25 @@ class MomentEngine:
 
     def exponents(self, moments: np.ndarray,
                   squeezes: Sequence[SqueezeParams]) -> tuple[np.ndarray, ...]:
-        """gamma, d gamma / d estimand, the truncations' agreement and their gap on gamma
-        per cell, as 1-D arrays of k * n cells: the k `squeezes` over the n pairs of
+        """gamma, d gamma / d estimand, the cell's agreement and the truncations' gap on
+        gamma per cell, as 1-D arrays of k * n cells: the k `squeezes` over the n pairs of
         `moments` (the output of `moments`), squeezing outer and pair inner.
+
+        A cell agrees where its truncations do and where eps (|a| + |b| + |c|)
+        (|M0| + |Mc| + |Ms|), a bound on the rounding of the reported assembly, is within
+        the same tolerance; where that bound is not, the gap is minus it, on gamma.
         """
         # per squeezing, as a (k, 1) column against the pairs, the scalars of its own
         # call: cos and sin of theta, then the weights of gamma and of the derivative
-        cos_th, sin_th, *weights = np.array([
+        table = np.array([
             (math.cos(one.theta), math.sin(one.theta), *derivative_rule(None, one.r)[1],
              *derivative_rule(self.estimand, one.r)[1])
             for one in squeezes
         ]).T[..., None]
+        cos_th, sin_th, *weights = table
+        # eps times the size of the weights of gamma and of the derivative: a rounded sum
+        # errs by a few eps = ulp(1) relative to the size of its terms
+        spans = math.ulp(1.0) * np.abs(table[2:]).reshape(2, 3, -1, 1).sum(1)
 
         def assemble(m, a, b, c):
             # the moments of 1 + cos(theta - w t), 1 - cos(theta - w t), sin(theta - w t)
@@ -419,19 +430,23 @@ class MomentEngine:
             odd = sin_th * m[:, 1] - cos_th * m[:, 2]
             return (a * (m[:, 0] + even) + b * (m[:, 0] - even) + c * odd).reshape(2, -1)
 
-        def agrees(pair, scale):
-            return np.abs(pair[0] - pair[1]) <= np.maximum(self.qc.abs_tol, self.qc.rel_tol * scale)
+        def checked(m, weights, span, scale):
+            # both truncations' assembly, whether they agree, whether the rounding of the
+            # reported one is within the tolerance, and the bound on that rounding
+            pair = assemble(m, *weights)
+            tolerance = np.maximum(self.qc.abs_tol, self.qc.rel_tol * scale(pair[1]))
+            bound = (span * np.abs(m[1]).sum(0)).reshape(-1)
+            return pair, np.abs(pair[0] - pair[1]) <= tolerance, bound <= tolerance, bound
 
         with np.errstate(**_NON_FINITE):
-            value = assemble(moments[:, 0], *weights[:3])
+            value, agree, exact, bound = checked(moments[:, 0], weights[:3], spans[0], np.abs)
             # the derivative takes the last thermal set: d coth / dT where there is one
-            derivative = assemble(moments[:, self.sets - 1], *weights[3:])
-            agree = agrees(value, np.abs(value[1])) & agrees(
-                derivative, np.maximum(np.abs(derivative[1]), value[1])
-            )
-            gap = np.abs(value[0] - value[1])
+            derivative, *both = checked(moments[:, self.sets - 1], weights[3:], spans[1],
+                                        lambda pair: np.maximum(np.abs(pair), value[1]))
+            exact &= both[1]
+            gap = np.where(exact, np.abs(value[0] - value[1]), -bound)
         # the integrand of gamma is non-negative; roundoff can undershoot 0
-        return np.maximum(value[1], 0.0), derivative[1], agree, gap
+        return np.maximum(value[1], 0.0), derivative[1], agree & both[0] & exact, gap
 
 
 def grid_pairs(temperatures: Sequence[float],

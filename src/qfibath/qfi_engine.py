@@ -149,8 +149,9 @@ def qfi_table(engine: MomentEngine, temperatures: Sequence[float], times: Sequen
     setting outer and pair inner, so cell c is setting c // n at pair c % n.
 
     One `engine.moments` batch of the pairs, one `engine.exponents` call with the k
-    squeezings, then one pass over the cells in order. The first cell whose
-    truncations disagree (ConvergenceError), whose closed form is degenerate
+    squeezings, then one pass over the cells in order. The first cell whose gamma or
+    d gamma overflows, whose truncations disagree or whose assembly's rounding
+    exceeds the tolerance (ConvergenceError), whose closed form is degenerate
     (DegenerateInputError), or whose gamma, d gamma or qfi is not finite
     (ConvergenceError) raises, its message prefixed with `where(cell)` when `where` is
     given.
@@ -164,13 +165,21 @@ def qfi_table(engine: MomentEngine, temperatures: Sequence[float], times: Sequen
     for k, (agrees, gamma_value, dgamma, gap, sin_a) in enumerate(
             zip(agree.tolist(), gammas, dgammas, gaps, sines)):
         try:
-            if not agrees:
+            overflows = math.isinf(gamma_value) or math.isinf(dgamma)
+            if overflows or not agrees:
                 p, qc = k % n, engine.qc
-                raise ConvergenceError(
-                    f"truncations disagree at (T, t) = ({float(temperatures[p])!r}, "
-                    f"{float(times[p])!r}): gamma {gamma_value!r}, gap {gap:.3e} above "
-                    f"tolerance (rel_tol {qc.rel_tol:g}, abs_tol {qc.abs_tol:g}) on gamma "
-                    "or d gamma", value=gamma_value, est_error=gap)
+                at = (f"at (T, t) = ({float(temperatures[p])!r}, {float(times[p])!r}): "
+                      f"gamma {gamma_value!r}")
+                tolerance = f"tolerance (rel_tol {qc.rel_tol:g}, abs_tol {qc.abs_tol:g})"
+                if overflows:
+                    fault = f"gamma or d gamma overflows {at}, dgamma {dgamma!r}"
+                elif gap < 0.0:  # minus the bound on the rounding of the assembly
+                    fault = (f"rounding of the assembly fails {at}, rounding bound {-gap:.3e} "
+                             f"on gamma; the bound exceeds the {tolerance} on gamma or d gamma")
+                else:
+                    fault = (f"truncations disagree {at}, gap {gap:.3e} above {tolerance} on "
+                             "gamma or d gamma")
+                raise ConvergenceError(fault, value=gamma_value, est_error=abs(gap))
             qfi = _closed_form(sin_a, gamma_value, dgamma)
             if not (math.isfinite(gamma_value) and math.isfinite(dgamma) and math.isfinite(qfi)):
                 raise ConvergenceError(

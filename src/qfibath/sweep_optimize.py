@@ -9,25 +9,27 @@ A grid, a T or t sweep and a search round are one setting over their pairs (a
 grid's are the flattened cross product of its axes); an r, theta or alpha
 sweep is one setting per value over its single pair. The first failing cell
 aborts the run with its location and the message it would raise alone.
-Identical specs always produce bit-identical tables. The optimal-time search
-brackets the global maximum with a coarse scan before golden-section
-refinement, because the squeezing kernel can make the information oscillate in
-t and unimodal search alone would lock onto the wrong peak. A curve searches
-all its temperatures as one batch: their coarse scans are one (T, t) table
-like a grid, and the refinement runs in lockstep, each round one table of the
-probes of the next two golden-section steps of every temperature whose bracket
-is still open (3 per temperature: the next step's, and one for each outcome of
-the step after). The values then choose the path as a sequential search would;
-the probes off it do not enter the result but are checked like every cell.
+A sweep and a grid both return a `Table`: the values of each axis, outermost
+first, and gamma, dgamma and qfi per cell. No result reads the clock or
+carries run metadata. Identical specs always produce bit-identical tables.
+The optimal-time search brackets the global maximum with a coarse scan before
+golden-section refinement, because the squeezing kernel can make the
+information oscillate in t and unimodal search alone would lock onto the
+wrong peak. A curve searches all its temperatures as one batch: their coarse
+scans are one (T, t) table like a grid, and the refinement runs in lockstep,
+each round one table of the probes of the next two golden-section steps of
+every temperature whose bracket is still open (3 per temperature: the next
+step's, and one for each outcome of the step after). The values then choose
+the path as a sequential search would; the probes off it do not enter the
+result but are checked like every cell.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, replace
-from datetime import datetime, timezone
+from dataclasses import dataclass, replace
 from functools import cached_property
-from math import isfinite, sqrt
+from math import isfinite, prod, sqrt
 
 import numpy as np
 
@@ -39,10 +41,9 @@ from .spectral_bath import BathPoint, SpectralParams, SqueezeParams
 __all__ = [
     "SWEEP_AXES",
     "SweepSpec",
-    "SweepTable",
-    "Tiled",
     "GridSpec",
-    "GridTable",
+    "Table",
+    "Tiled",
     "OptimalTimeSpec",
     "OptimalTimeResult",
     "OptimalTimeCurve",
@@ -50,7 +51,6 @@ __all__ = [
     "density_grid",
     "optimal_time_curve",
     "optimal_time",
-    "run_metadata",
 ]
 
 SWEEP_AXES = ("T", "t", "r", "theta", "alpha")
@@ -96,24 +96,6 @@ class SweepSpec:
             _check_estimable(self.estimand, self.point)
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    """Sweep result by column, in ascending axis order: the axis `values`, and gamma,
-    dgamma and qfi at each."""
-
-    spec: SweepSpec
-    values: tuple[float, ...]
-    gamma: tuple[float, ...]
-    dgamma: tuple[float, ...]
-    qfi: tuple[float, ...]
-    metadata: dict = field(compare=False)
-
-    @cached_property
-    def rows(self) -> tuple[tuple[float, float, float, float], ...]:
-        """(axis value, gamma, dgamma, qfi) rows, built on first use."""
-        return tuple(zip(self.values, self.gamma, self.dgamma, self.qfi))
-
-
 class Tiled:
     """The column of `values`, each repeated `each` times in place and the whole
     `copies` times over: cell k is values[(k // each) % len(values)]."""
@@ -157,29 +139,29 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class GridTable:
-    """Grid result by column: the axes `temperatures` and `times`, and gamma, dgamma and
-    qfi at each cell, row-major, temperature outer, time inner."""
+class Table:
+    """A sweep or grid result by column: `axes`, the values of each axis outermost
+    first (a sweep's `(values,)`, a grid's `(temperatures, times)`), and gamma, dgamma
+    and qfi at each cell, the cells in row-major order of the axes."""
 
-    spec: GridSpec
-    temperatures: tuple[float, ...]
-    times: tuple[float, ...]
+    spec: SweepSpec | GridSpec
+    axes: tuple[tuple[float, ...], ...]
     gamma: tuple[float, ...]
     dgamma: tuple[float, ...]
     qfi: tuple[float, ...]
-    metadata: dict = field(compare=False)
 
     @property
-    def axes(self) -> tuple[Tiled, Tiled]:
-        """The T and t columns of the cells: each temperature for its row of times, the
-        times for every temperature."""
-        return (Tiled(self.temperatures, each=len(self.times)),
-                Tiled(self.times, copies=len(self.temperatures)))
+    def columns(self) -> tuple[Tiled, ...]:
+        """One column per axis in cell order: each value repeated once for every cell of
+        the inner axes, the whole once for every cell of the outer axes."""
+        sizes = [len(values) for values in self.axes]
+        return tuple(Tiled(values, each=prod(sizes[i + 1:]), copies=prod(sizes[:i]))
+                     for i, values in enumerate(self.axes))
 
     @cached_property
-    def rows(self) -> tuple[tuple[float, float, float, float, float], ...]:
-        """(T, t, gamma, dgamma, qfi) rows in cell order, built on first use."""
-        return tuple(zip(*(axis.tile(axis.values) for axis in self.axes),
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        """(axis values, gamma, dgamma, qfi) rows in cell order, built on first use."""
+        return tuple(zip(*(column.tile(column.values) for column in self.columns),
                          self.gamma, self.dgamma, self.qfi))
 
 
@@ -233,19 +215,6 @@ class OptimalTimeCurve:
 
     spec: OptimalTimeSpec
     results: tuple[OptimalTimeResult, ...]
-    metadata: dict = field(compare=False)
-
-
-def run_metadata(qc: QuadratureConfig) -> dict:
-    """Tool, version, quadrature settings and a UTC timestamp."""
-    from . import __version__
-
-    return {
-        "tool": "qfibath",
-        "version": __version__,
-        "quadrature": asdict(qc),
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
 
 
 def _with_axis_value(
@@ -262,7 +231,7 @@ def _with_axis_value(
     return point, sq, replace(init, alpha=value)
 
 
-def sweep(spec: SweepSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> SweepTable:
+def sweep(spec: SweepSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> Table:
     """The information at `points` equally spaced axis values.
 
     One table serves the whole sweep: a T or t axis gives its values as the
@@ -283,10 +252,10 @@ def sweep(spec: SweepSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> SweepTa
     gammas, dgammas, qfis, _ = qfi_table(
         MomentEngine(spec.estimand, spec.sp, qc), temperatures, times, settings,
         lambda k: f"sweep aborted at {spec.axis} = {values[k]!r}")
-    return SweepTable(spec, values, tuple(gammas), tuple(dgammas), tuple(qfis), run_metadata(qc))
+    return Table(spec, (values,), tuple(gammas), tuple(dgammas), tuple(qfis))
 
 
-def density_grid(spec: GridSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> GridTable:
+def density_grid(spec: GridSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> Table:
     """Full t x T grid of gamma, dgamma and qfi, temperature outer, time inner, checked
     and computed as one table."""
     temperatures = tuple(np.linspace(spec.T_lo, spec.T_hi, spec.T_points).tolist())
@@ -296,8 +265,7 @@ def density_grid(spec: GridSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> G
         engine, *grid_pairs(temperatures, times), [(spec.sq, spec.init)],
         lambda k: f"grid aborted at (T, t) = "
                   f"({temperatures[k // len(times)]!r}, {times[k % len(times)]!r})")
-    return GridTable(spec, temperatures, times, tuple(gammas), tuple(dgammas), tuple(qfis),
-                     run_metadata(qc))
+    return Table(spec, (temperatures, times), tuple(gammas), tuple(dgammas), tuple(qfis))
 
 
 def _step(lo: float, hi: float, left: float, right: float,
@@ -411,7 +379,7 @@ def optimal_time_curve(
         searches = {i: _walk(searches[i], tree, values) for i, tree in trees.items()}
     results = tuple(OptimalTimeResult(temperature, *outcomes[i])
                     for i, temperature in enumerate(temperatures))
-    return OptimalTimeCurve(spec=spec, results=results, metadata=run_metadata(qc))
+    return OptimalTimeCurve(spec=spec, results=results)
 
 
 def optimal_time(

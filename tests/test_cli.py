@@ -1,3 +1,4 @@
+import errno
 import importlib.util
 import json
 import math
@@ -485,6 +486,81 @@ def test_a_failing_call_keeps_the_bytes_of_an_existing_out(tmp_path):
     out.write_bytes(b"kept,bytes\n1,2\n")
     assert run_cli(FAILING_POINT + ["--out", str(out)]) == 3
     assert out.read_bytes() == b"kept,bytes\n1,2\n"
+
+
+class _FullDisk:
+    """A file opened as `open` would, whose every write fails as on a full disk."""
+
+    def __init__(self, path, mode, encoding):
+        self.stream = open(path, mode, encoding=encoding)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.stream.close()
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_a_write_failing_after_its_file_opened_exits_two_and_removes_the_file(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(writers, "open", _FullDisk, raising=False)
+    out = tmp_path / "point.csv"
+    assert run_cli(POINT_ARGS + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out: No space left on device: {str(out)!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_out_to_a_full_device_exits_two_and_leaves_the_device(capsys):
+    assert run_cli(POINT_ARGS + ["--out", "/dev/full"]) == 2
+    assert capsys.readouterr().err.startswith("error: --out: No space left on device: ")
+    assert os.path.exists("/dev/full")
+
+
+@pytest.mark.parametrize("base, flag, value", [
+    (SWEEP_ARGS, "--range", "1"),
+    (GRID_ARGS, "--t-range", "a:b"),
+    (GRID_ARGS, "--T-range", "1:2:3"),
+])
+def test_a_range_not_of_the_form_lo_hi_exits_two(base, flag, value, capsys):
+    assert run_cli(with_flags(base, {flag: value})) == 2
+    assert f"argument {flag}: expected lo:hi, got {value!r}" in capsys.readouterr().err
+
+
+# theta = 0 and omega t <= 1e-4 at r = 20: b (M0 - even), b = e^(2r) / 2, cancels to about
+# (omega t)**2 of its size and carries most of gamma. Both truncations share that rounding,
+# so their gap cannot see it; without a bound on it these exited 0 up to 1.3e-6 off
+ROUNDING_POINTS = {
+    "r-T0.5-t1e-5": ["--estimand", "r", "--temp", "0.5", "--time", "1e-5"],
+    "r-T0-t1e-5": ["--estimand", "r", "--temp", "0", "--time", "1e-5"],
+    "T-T3-t1e-4": ["--estimand", "T", "--temp", "3", "--time", "1e-4"],
+}
+
+
+@pytest.mark.parametrize("flags", ROUNDING_POINTS.values(), ids=list(ROUNDING_POINTS))
+def test_a_point_whose_assembly_rounding_exceeds_the_tolerance_exits_three(flags, tmp_path,
+                                                                          capsys):
+    out = tmp_path / "point.csv"
+    argv = ["point", *flags, "--r", "20", "--theta", "0", "--s", "0.5", "--out", str(out)]
+    assert run_cli(argv) == 3
+    temperature, time_ = float(flags[3]), float(flags[5])
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: rounding of the assembly fails at "
+        f"(T, t) = ({temperature!r}, {time_!r}): gamma ")
+    assert not out.exists()
+
+
+def test_a_point_whose_gamma_overflows_exits_three_saying_so(capsys):
+    # gamma is about e^(2r) times the moments, beyond the float range at r = 352, t = 1000
+    argv = ["point", "--estimand", "T", "--temp", "0.5", "--time", "1000", "--r", "352",
+            "--theta", "1", "--s", "0.3"]
+    assert run_cli(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: gamma or d gamma overflows at "
+                          "(T, t) = (0.5, 1000.0): gamma inf"), err
 
 
 # one call of each subcommand: its CSV metadata lines and header row (the tool line and the

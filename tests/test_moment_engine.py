@@ -414,6 +414,36 @@ def test_large_cutoff_long_time_point_needs_few_terms():
     assert abs(derivative - expected_derivative) <= 1e-8 * max(abs(expected_derivative), expected)
 
 
+# at theta = 0 and small omega t, b (M0 - even) with b = e^(2r) / 2 cancels to about
+# (omega t)**2 of its size and carries most of gamma; without a bound on its rounding some
+# of these points came back up to 180 times the tolerance off the oracle
+LARGE_R_SMALL_T = [
+    (Estimand(estimand), BathPoint(T, t), SqueezeParams(r, 0.0), SpectralParams(s))
+    for estimand, T, s in (("r", 3.0, 0.5), ("T", 0.5, 0.5), ("theta", 0.0, 3.0), ("r", 0.0, 3.0))
+    for r in (15.0, 20.0, 30.0) for t in (1e-5, 1e-4)
+]
+
+
+def test_large_r_small_time_points_meet_tolerance_or_are_refused():
+    outcomes = []
+    for estimand, point, sq, sp in LARGE_R_SMALL_T:
+        try:
+            sample = qfi_point(estimand, point, sq, sp)
+        except moments.ConvergenceError as exc:
+            assert "rounding of the assembly fails" in str(exc), (estimand, point, sq, sp)
+            outcomes.append("refused")
+            continue
+        # the tolerance of the engine's checks, abs_tol included: gamma is near 1e-7 here
+        expected, expected_derivative = hurwitz_reference.exponents(estimand, point, sq, sp)
+        assert abs(sample.gamma - expected) <= max(1e-12, 1e-8 * expected), (
+            estimand, point, sq, sp, sample.gamma, expected)
+        assert abs(sample.dgamma - expected_derivative) <= max(
+            1e-12, 1e-8 * max(abs(expected_derivative), expected)), (
+            estimand, point, sq, sp, sample.dgamma, expected_derivative)
+        outcomes.append("met")
+    assert set(outcomes) == {"met", "refused"}
+
+
 def _domain_sample():
     """(estimand, point, squeeze, spectral) at the corners of the supported domain
     (s in [0.05, 10], omega_c in [1e-3, 1e3], t <= 1e3, T >= 0, here T <= 100), then

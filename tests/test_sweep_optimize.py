@@ -613,13 +613,6 @@ def test_optimal_time_spec_names_the_rejected_field(changes, field):
         replace(FIG10, **changes)
 
 
-def test_table_metadata_records_the_quadrature():
-    table = sweep(_time_sweep_spec())
-    assert table.metadata["tool"] == "qfibath"
-    assert table.metadata["quadrature"]["rel_tol"] == 1e-8
-    assert "timestamp" in table.metadata
-
-
 def _bits(rows):
     return [tuple(map(float.hex, row)) for row in rows]
 

@@ -7,7 +7,7 @@ import pytest
 import writer_reference
 from qfibath import cli, writers
 from qfibath.cli import RECIPES
-from qfibath.sweep_optimize import GridTable, SweepTable, Tiled
+from qfibath.sweep_optimize import Table, Tiled
 
 NAMES = {"sweep": cli.SWEEP_COLUMNS, "grid": cli.GRID_COLUMNS, "opt-time": cli.OPT_TIME_COLUMNS}
 
@@ -33,10 +33,9 @@ def _recording(library, tables: list):
 
 def _rows(table) -> list:
     """The rows of the CLI's output, from the library's table."""
-    if isinstance(table, SweepTable):
-        return [(table.spec.axis, *row) for row in table.rows]
-    if isinstance(table, GridTable):
-        return list(table.rows)
+    if isinstance(table, Table):
+        # a sweep's rows lead with its axis name, a grid's with its two axis values
+        return [(table.spec.axis, *row) if len(table.axes) == 1 else row for row in table.rows]
     return [(result.temperature, result.t_star, result.qfi_star) for result in table.results]
 
 
