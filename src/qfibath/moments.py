@@ -43,8 +43,9 @@ P_p(x) = [(1 + x)**p - 1 - p x] / (p (p - 1)); S(q + 1) keeps them, as times
 with real log1p, arctan, expm1, sin and cos, so s = 1 and s = 2, where Gamma(q)
 and zeta(1, .) have poles, are ordinary points. Below 2 T t = SERIES_CUTOFF * a
 the Taylor series S(p) = sum_(m >= 2) (i eps)**m Gamma(p + m) / m! zeta(p + m, a)
-takes over, summed per moment with the weights (1, 2**(m-1) - 1) of (I_1, I_2),
-so the cancellations between I_1 and I_2 are exact; d/dT differentiates it term
+takes over, summed per moment with the weights `_ORDERS`, the map `_by_moment`
+of the orders (i k)**m of (I_1, I_2), so the cancellations between I_1 and I_2
+are exact; the vacuum series takes the same weights. d/dT differentiates it term
 by term. Its real zeta(p + m, a) come from the same Euler-Maclaurin truncation,
 once per temperature.
 
@@ -91,6 +92,9 @@ SERIES_CUTOFF = 0.05
 
 # omega_c t below which the vacuum moments come from their Taylor series
 VACUUM_SERIES_CUTOFF = 1e-3
+
+# the highest order of the vacuum Taylor series in omega_c t
+_VACUUM_ORDER = 15
 
 # B_2j / (2j)! for j = 1..12
 _BERNOULLI = np.array([
@@ -167,6 +171,12 @@ def _by_moment(first: np.ndarray, second: np.ndarray) -> np.ndarray:
                      0.5 * second.imag - first.imag], axis=-2)
 
 
+# the weight in (M0, Mc, Ms) of a term c (i k)**m of I_k, shape (3, orders), at every
+# order m of the series: the vacuum one's and the thermal one's (`_coefficients`)
+_ORDERS = _by_moment(*np.power.outer([1j, 2j], np.arange(
+    1 + max(_VACUUM_ORDER, 2 + max(n + 2 + j for n, j in TRUNCATIONS)))))
+
+
 def _vacuum(sp: SpectralParams, times: np.ndarray) -> np.ndarray:
     """Vacuum part of (M0, Mc, Ms) at each time, shape (3, times): the integrals of
     J(w) E(w, t) [1, cos, sin] / w**2, in closed form or, below VACUUM_SERIES_CUTOFF
@@ -188,20 +198,14 @@ def _vacuum(sp: SpectralParams, times: np.ndarray) -> np.ndarray:
 def _vacuum_series(s: float, scale: float, x: np.ndarray) -> np.ndarray:
     """`_vacuum` as power series in x = omega_c t, from int J(w) w**(n - 2) dw =
     Gamma(s + n - 1) omega_c**n: with a_n = Gamma(s + n - 1) x**n / n!,
-    M0 = sum_even -(-1)**(n/2) a_n, Mc = sum_even (-1)**(n/2) (1 - 2**(n-1)) a_n,
-    Ms = sum_odd (-1)**((n-1)/2) (1 - 2**(n-1)) a_n. Fourteen orders leave the
-    truncation below 1e-25 relative for x < 1e-3 and s <= 10."""
-    out = np.zeros((3, x.size))
-    term = scale * x  # a_1
-    for n in range(2, 16):
+    I_k = -sum_n a_n (i k)**n, weighted per moment by `_ORDERS`. Fourteen orders leave
+    the truncation below 1e-25 relative for x < 1e-3 and s <= 10."""
+    term, terms = scale * x, []  # a_1
+    for n in range(2, _VACUUM_ORDER + 1):
         term = term * x * ((s + n - 2.0) / n)
-        sign, doubled = (-1.0) ** (n // 2), 1.0 - 2.0 ** (n - 1)
-        if n % 2:
-            out[2] += sign * doubled * term
-        else:
-            out[0] -= sign * term
-            out[1] += sign * doubled * term
-    return out
+        terms.append(term)
+    # a running sum adds the terms in order
+    return np.cumsum(-_ORDERS[:, 2:_VACUUM_ORDER + 1, None] * terms, axis=1)[:, -1]
 
 
 @lru_cache(maxsize=64)
@@ -270,17 +274,13 @@ class MomentEngine:
         with np.errstate(**_NON_FINITE):
             for start in range(0, times.size, CHUNK):
                 span = slice(start, start + CHUNK)
-                out[..., span] = self._chunk(temperatures[span], times[span])
+                chunk, T, t = out[..., span], temperatures[span], times[span]
+                chunk[:, 0] = _vacuum(self.sp, t)
+                hot = (T > 0.0) & (t > 0.0)
+                if hot.any():
+                    unique, row = np.unique(T[hot], return_inverse=True)
+                    chunk[..., hot] += self._thermal_moments(unique, row, T[hot] * t[hot])
         out[..., times == 0.0] = 0.0
-        return out
-
-    def _chunk(self, temperatures: np.ndarray, times: np.ndarray) -> np.ndarray:
-        out = np.zeros((2, self.sets, 3, times.size))
-        out[:, 0] = _vacuum(self.sp, times)
-        hot = (temperatures > 0.0) & (times > 0.0)
-        if hot.any():
-            unique, row = np.unique(temperatures[hot], return_inverse=True)
-            out[..., hot] += self._thermal_moments(unique, row, temperatures[hot] * times[hot])
         return out
 
     def _thermal_moments(self, temperatures: np.ndarray, row: np.ndarray,
@@ -315,10 +315,7 @@ class MomentEngine:
         for k, (n, j) in enumerate(TRUNCATIONS):
             zeta = _zeta(self.sp.s - 1.0 + orders, a, n, j).T  # zeta(q + m, a), (m, T)
             m = orders[:n + 2 + j]
-            # per moment, the weight of (i T t)**m: I_1, or I_2 / 2 - I_1, with its parity
-            even, sign = 1 - m % 2, (-1.0) ** (m // 2)
-            weights = (sign * np.array([even, (2.0 ** (m - 1) - 1.0) * even,
-                                        (2.0 ** (m - 1) - 1.0) * (1 - even)]))[..., None]
+            weights = _ORDERS[:, m, None]  # per moment, the weight of (i k T t)**m
             powers = products ** m[:, None]  # (m, pairs)
             terms = [plain[:m.size, None] * zeta[:m.size]]
             if self.sets == 2:

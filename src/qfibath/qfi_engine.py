@@ -100,11 +100,12 @@ def _closed_form(sin_a: float, gamma_value: float, dgamma: float) -> float:
 
     The denominator goes through `math.expm1`, so small exponents keep full
     precision; at small t, dgamma / gamma grows like sinh(2 r), and so does the
-    qfi. Raises where gamma is negative or nan (ValueError), or 0 while dgamma is
-    a normal number (DegenerateInputError), which no consistent evaluation produces:
-    at t = 0 both are exactly 0. A subnormal dgamma at gamma = 0 is the underflow of
-    a qfi below 1e-300 (|dgamma| / gamma is at most max(2, sinh 2r, 1/T)), which
-    gives 0, as the flush above gamma = 350 does.
+    qfi. Above gamma = 350, where exp(2 gamma) overflows, it is taken as
+    (dgamma exp(-gamma))^2 / -expm1(-2 gamma). Raises where gamma is negative or nan
+    (ValueError), or 0 while dgamma is a normal number (DegenerateInputError), which
+    no consistent evaluation produces: at t = 0 both are exactly 0. A subnormal dgamma
+    at gamma = 0 is the underflow of a qfi below 1e-300 (|dgamma| / gamma is at most
+    max(2, sinh 2r, 1/T)), which gives 0.
     """
     if not gamma_value >= 0.0:
         raise ValueError(f"decoherence exponent must be >= 0, got {gamma_value}")
@@ -113,8 +114,9 @@ def _closed_form(sin_a: float, gamma_value: float, dgamma: float) -> float:
             return 0.0
         raise DegenerateInputError(
             f"gamma = {gamma_value!r} is at the t -> 0 limit but dgamma = {dgamma!r} is not")
-    if gamma_value > 350.0:  # exp(2 gamma) overflows; the coherence is long gone
-        return 0.0
+    if gamma_value > 350.0:  # exp(2 gamma) overflows
+        damped = dgamma * math.exp(-gamma_value)
+        return sin_a * sin_a * damped * damped / -math.expm1(-2.0 * gamma_value)
     return sin_a * sin_a * dgamma * dgamma / math.expm1(2.0 * gamma_value)
 
 
@@ -136,9 +138,10 @@ def _closed_form_split(alpha: float, gamma_value: float, qfi: float) -> tuple[fl
     return cfi, quantum
 
 
-def _check_estimable(estimand: Estimand, point: BathPoint) -> None:
-    if estimand is Estimand.TEMPERATURE and not point.temperature > 0.0:
-        raise ValueError(f"temperature must be > 0 when estimating T, got {point.temperature}")
+def _check_estimable(estimand: Estimand, name: str, temperature: float) -> None:
+    """Estimating T needs T > 0: `temperature`, the field `name`, must then exceed 0."""
+    if estimand is Estimand.TEMPERATURE and not temperature > 0.0:
+        raise ValueError(f"{name} must be > 0 when estimating T, got {temperature}")
 
 
 def qfi_table(engine: MomentEngine, temperatures: Sequence[float], times: Sequence[float],
@@ -206,7 +209,7 @@ def qfi_point(
 ) -> QfiSample:
     """Production path for one point: the one-pair `qfi_table`, then the closed form's
     split into its classical and eigenvector terms."""
-    _check_estimable(estimand, point)
+    _check_estimable(estimand, "temperature", point.temperature)
     (gamma_value,), (dgamma,), (qfi,), _ = qfi_table(
         MomentEngine(estimand, sp, qc), [point.temperature], [point.time], [(sq, init)])
     cfi, quantum = _closed_form_split(init.alpha, gamma_value, qfi)

@@ -13,6 +13,8 @@ mode-uniform squeezing of the reservoir. This module owns every pointwise
 factor of that integrand, and `derivative_rule`, the one statement of how
 gamma and its derivatives with respect to the estimable parameters (T, r,
 theta) are integrated. The integrals, in closed form, live in `moments`.
+`_PARAMETERS` names the record and field of each parameter, for
+`parameter_value`, `shift_parameter` and the axes of a sweep.
 
 All functions are pure and all parameter records are immutable value types,
 so everything here is safe to call concurrently without synchronization.
@@ -241,34 +243,30 @@ def gamma_integrand(
     )
 
 
+# the record, point (0) or squeezing (1), and field of each named parameter: the
+# value of every Estimand and every sweep axis but alpha
+_PARAMETERS = {"T": (0, "temperature"), "t": (0, "time"), "r": (1, "r"), "theta": (1, "theta")}
+
+
+def _with_parameter(name: str, value: float, point: BathPoint,
+                    sq: SqueezeParams) -> tuple[BathPoint, SqueezeParams]:
+    """(point, sq) with the parameter `name` set to `value`, checked by its record."""
+    records = [point, sq]
+    record, field = _PARAMETERS[name]
+    records[record] = replace(records[record], **{field: value})
+    return tuple(records)
+
+
 def parameter_value(estimand: Estimand, point: BathPoint, sq: SqueezeParams) -> float:
     """Current value of the estimated parameter."""
-    if estimand is Estimand.TEMPERATURE:
-        return point.temperature
-    if estimand is Estimand.SQUEEZE_AMPLITUDE:
-        return sq.r
-    if estimand is Estimand.SQUEEZE_PHASE:
-        return sq.theta
-    raise ValueError(f"unknown estimand {estimand!r}")
+    record, field = _PARAMETERS[estimand.value]
+    return getattr((point, sq)[record], field)
 
 
 def shift_parameter(
     estimand: Estimand, delta: float, point: BathPoint, sq: SqueezeParams
 ) -> tuple[BathPoint, SqueezeParams]:
-    """Shift the estimated parameter by delta, rejecting steps that leave its domain."""
-    if estimand is Estimand.TEMPERATURE:
-        shifted = point.temperature + delta
-        if shifted < 0.0:
-            raise ValueError(
-                f"temperature step leaves the domain: {point.temperature} + ({delta}) < 0"
-            )
-        return replace(point, temperature=shifted), sq
-    if estimand is Estimand.SQUEEZE_AMPLITUDE:
-        shifted = sq.r + delta
-        if shifted < 0.0:
-            raise ValueError(f"squeezing step leaves the domain: {sq.r} + ({delta}) < 0")
-        return point, replace(sq, r=shifted)
-    if estimand is Estimand.SQUEEZE_PHASE:
-        # the phase wraps modulo 2*pi, every shift stays in the domain
-        return point, replace(sq, theta=sq.theta + delta)
-    raise ValueError(f"unknown estimand {estimand!r}")
+    """Shift the estimated parameter by delta through its record, which rejects a
+    negative T or r and wraps theta modulo 2*pi."""
+    return _with_parameter(estimand.value, parameter_value(estimand, point, sq) + delta,
+                           point, sq)

@@ -36,7 +36,7 @@ import numpy as np
 from .moments import DEFAULT_QUADRATURE, MomentEngine, QuadratureConfig, grid_pairs
 from .probe_state import ProbeInit
 from .qfi_engine import Estimand, _check_estimable, qfi_table
-from .spectral_bath import BathPoint, SpectralParams, SqueezeParams
+from .spectral_bath import BathPoint, SpectralParams, SqueezeParams, _with_parameter
 
 __all__ = [
     "SWEEP_AXES",
@@ -90,10 +90,8 @@ class SweepSpec:
                 _with_axis_value(self.axis, value, self.point, self.sq, self.init)
             except ValueError as exc:
                 raise ValueError(f"{name} leaves the domain of axis {self.axis}: {exc}") from exc
-        if self.estimand is Estimand.TEMPERATURE and self.axis == "T" and self.lo <= 0.0:
-            raise ValueError(f"lo must be > 0 when estimating T, got {self.lo}")
-        if self.axis != "T":
-            _check_estimable(self.estimand, self.point)
+        _check_estimable(self.estimand, *(("lo", self.lo) if self.axis == "T"
+                                          else ("temperature", self.point.temperature)))
 
 
 class Tiled:
@@ -134,8 +132,7 @@ class GridSpec:
                 raise ValueError(f"{axis}_lo must be >= 0, got {lo}")
             if points < 2:
                 raise ValueError(f"{axis}_points must be >= 2, got {points}")
-        if self.estimand is Estimand.TEMPERATURE and self.T_lo <= 0.0:
-            raise ValueError(f"T_lo must be > 0 when estimating T, got {self.T_lo}")
+        _check_estimable(self.estimand, "T_lo", self.T_lo)
 
 
 @dataclass(frozen=True)
@@ -187,8 +184,7 @@ class OptimalTimeSpec:
             )
         if self.T_lo < 0.0:
             raise ValueError(f"T_lo must be >= 0, got {self.T_lo}")
-        if self.estimand is Estimand.TEMPERATURE and self.T_lo <= 0.0:
-            raise ValueError(f"T_lo must be > 0 when estimating T, got {self.T_lo}")
+        _check_estimable(self.estimand, "T_lo", self.T_lo)
         if self.T_points < 1:
             raise ValueError(f"T_points must be >= 1, got {self.T_points}")
         if self.T_lo == self.T_hi and self.T_points > 1:
@@ -220,15 +216,9 @@ class OptimalTimeCurve:
 def _with_axis_value(
     axis: str, value: float, point: BathPoint, sq: SqueezeParams, init: ProbeInit
 ) -> tuple[BathPoint, SqueezeParams, ProbeInit]:
-    if axis == "T":
-        return replace(point, temperature=value), sq, init
-    if axis == "t":
-        return replace(point, time=value), sq, init
-    if axis == "r":
-        return point, replace(sq, r=value), init
-    if axis == "theta":
-        return point, replace(sq, theta=value), init
-    return point, sq, replace(init, alpha=value)
+    if axis == "alpha":
+        return point, sq, replace(init, alpha=value)
+    return (*_with_parameter(axis, value, point, sq), init)
 
 
 def sweep(spec: SweepSpec, qc: QuadratureConfig = DEFAULT_QUADRATURE) -> Table:

@@ -563,6 +563,19 @@ def test_a_point_whose_gamma_overflows_exits_three_saying_so(capsys):
                           "(T, t) = (0.5, 1000.0): gamma inf"), err
 
 
+def test_a_point_above_gamma_350_prints_its_representable_qfi(capsys):
+    # exp(2 gamma) overflows at gamma = 355, yet the qfi, 2.3e-304, is a normal float:
+    # mpmath at 50 digits gives 2.2935619811965754e-304 from the printed gamma and d gamma
+    argv = ["point", "--estimand", "r", "--temp", "0.5", "--time", "40.354", "--r", "0.5",
+            "--theta", "1", "--s", "0.5"]
+    assert run_cli(argv) == 0
+    header, row = capsys.readouterr().out.splitlines()[-2:]
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert float(cells["gamma"]) > 350.0
+    for column in ("qfi", "cfi_term"):
+        assert float(cells[column]) == pytest.approx(2.2935619811965754e-304, rel=1e-12)
+
+
 # one call of each subcommand: its CSV metadata lines and header row (the tool line and the
 # timestamp left out) and its JSON spec object, keys in order. A sweep writes time before
 # temp and leaves its axis out of `fixed`; a point writes temp first.

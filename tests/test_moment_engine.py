@@ -526,6 +526,18 @@ def test_points_at_and_near_the_poles_match_the_zeta_oracle(s):
         assert within_tolerance(value, derivative, *expected), (point, sp, value, expected)
 
 
+def test_the_order_weights_equal_the_parity_rule_of_each_order():
+    # the weight of (i k)**m in (M0, Mc, Ms), as the series stated it per order: sign
+    # (-1)**(m // 2), 1 on M0 at even m, 2**(m - 1) - 1 on Mc at even m and on Ms at odd m
+    taylor = moments._coefficients(0.5, moments.TRUNCATIONS)["orders"]
+    used = sorted(set(range(2, moments._VACUUM_ORDER + 1)) | set(taylor.tolist()))
+    assert moments._ORDERS.shape == (3, used[-1] + 1)
+    for m in used:
+        sign, doubled, even = (-1.0) ** (m // 2), 2.0 ** (m - 1) - 1.0, m % 2 == 0
+        rule = sign * np.array([float(even), doubled * even, doubled * (not even)])
+        assert np.array_equal(moments._ORDERS[:, m], rule), m
+
+
 @pytest.mark.parametrize("s", [0.05, 0.5, 1.0, 2.0, 3.0, 10.0])
 def test_series_and_euler_maclaurin_agree_on_both_sides_of_the_switch(s):
     # the Taylor series takes over below 2 T t = SERIES_CUTOFF a; both forms hold there

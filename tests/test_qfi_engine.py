@@ -69,9 +69,12 @@ def test_closed_form_rejects_degenerate_inputs():
 
 def _closed_form_on_floats(alpha, gamma_value, dgamma):
     """The closed form as floats: the reference for `qfi_closed_form`."""
-    if gamma_value == 0.0 or gamma_value > 350.0:
+    if gamma_value == 0.0:
         return 0.0
     sin_a = math.sin(alpha)
+    if gamma_value > 350.0:  # exp(2 gamma) overflows; exp(-gamma) and exp(-2 gamma) do not
+        damped = dgamma * math.exp(-gamma_value)
+        return sin_a * sin_a * damped * damped / -math.expm1(-2.0 * gamma_value)
     return sin_a * sin_a * dgamma * dgamma / math.expm1(2.0 * gamma_value)
 
 

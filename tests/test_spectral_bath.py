@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qfibath import spectral_bath
 from qfibath.spectral_bath import (
     R_MAX,
     TWO_PI,
@@ -21,6 +22,7 @@ from qfibath.spectral_bath import (
     thermal_factor,
     thermal_factor_dT,
 )
+from qfibath.sweep_optimize import SWEEP_AXES
 from reference_values import REFERENCE_VALUES
 
 frequencies = st.floats(1e-6, 50.0)
@@ -284,3 +286,8 @@ def test_parameter_value_and_shift():
         shift_parameter(Estimand.TEMPERATURE, -0.6, point, sq)
     with pytest.raises(ValueError):
         shift_parameter(Estimand.SQUEEZE_AMPLITUDE, -0.3, point, sq)
+
+
+def test_the_parameter_table_names_every_estimand_and_sweep_axis_but_alpha():
+    names = {estimand.value for estimand in Estimand} | set(SWEEP_AXES) - {"alpha"}
+    assert set(spectral_bath._PARAMETERS) == names
