@@ -4,6 +4,7 @@
 Usage:
     python scripts/profile_grid.py
     python scripts/profile_grid.py --out BENCH_grid.json
+    python scripts/profile_grid.py --baseline parent.json   # another tree's result alongside
 
 Each part is timed on the inputs of one fig7 call, in this process, and reported as
 the median and quartiles (ms) over CALLS repetitions:
@@ -15,6 +16,11 @@ the median and quartiles (ms) over CALLS repetitions:
   writer_csv          the CSV text from the same columns
   call                one whole `cli.main` call, JSON to memory, as the benchmark makes it
 
+It also reports `moments_peak_mib`, the tracemalloc peak (MiB) of one `moments` call on
+the grid's pairs: the NumPy temporaries of one batch. `--baseline` embeds a result this
+script wrote on another tree (say the parent commit, on the same machine) under
+`baseline`, so a change shows its numbers beside the ones it is measured against.
+
 BLAS is held to one thread, as in the benchmark.
 """
 
@@ -25,6 +31,7 @@ import os
 import platform
 import statistics
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 from time import perf_counter
@@ -68,6 +75,7 @@ def _captured() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(ROOT / "BENCH_grid.json"))
+    parser.add_argument("--baseline", help="a result of this script to embed as `baseline`")
     args = parser.parse_args(argv)
 
     seen = _captured()
@@ -101,6 +109,13 @@ def main(argv=None) -> int:
             function()
             samples[name].append(1e3 * (perf_counter() - start))
 
+    tracemalloc.start()
+    try:
+        engine.moments(temperatures, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
     result = {
         "command": "qfibath " + " ".join(ARGV),
         "calls": CALLS,
@@ -114,6 +129,10 @@ def main(argv=None) -> int:
         result["parts"][name] = {"median": round(median, 3), "q1": round(q1, 3),
                                  "q3": round(q3, 3)}
         print(f"{name:19s} median {median:8.3f} ms   quartiles {q1:.3f} .. {q3:.3f}")
+    result["moments_peak_mib"] = round(peak / 2**20, 3)
+    print(f"moments_peak_mib    {result['moments_peak_mib']:.3f} MiB")
+    if args.baseline:
+        result["baseline"] = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
     return 0

@@ -281,23 +281,23 @@ def _run(args: argparse.Namespace) -> int:
     try:
         names, columns = args.handler(
             args, spec, qc, estimand=Estimand(args.estimand), sq=sq, sp=sp, init=init)
+        # the run record, with the output columns and the inert omega_0
+        metadata = {"tool": "qfibath", "version": __version__, "quadrature": asdict(qc),
+                    "timestamp": datetime.now(timezone.utc).isoformat(), "columns": names}
+        if args.omega_0 is not None:
+            metadata["omega_0"] = args.omega_0
+        if args.format == "json":
+            text = json_text(spec, metadata, columns)
+        else:
+            text = csv_text(spec, metadata, names, columns)
+        try:
+            write(text, args.out)
+        except OSError as exc:
+            _fail("--out", f"{exc.strerror}: {args.out!r}")
     except BaseException:
         if created:
             os.unlink(args.out)
         raise
-    # the run record, with the output columns and the inert omega_0
-    metadata = {"tool": "qfibath", "version": __version__, "quadrature": asdict(qc),
-                "timestamp": datetime.now(timezone.utc).isoformat(), "columns": names}
-    if args.omega_0 is not None:
-        metadata["omega_0"] = args.omega_0
-    if args.format == "json":
-        text = json_text(spec, metadata, columns)
-    else:
-        text = csv_text(spec, metadata, names, columns)
-    try:
-        write(text, args.out)
-    except OSError as exc:
-        _fail("--out", f"{exc.strerror}: {args.out!r}")
     return EXIT_OK
 
 

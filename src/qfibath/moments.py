@@ -58,9 +58,12 @@ truncations share that assembly, so their gap cannot see its rounding: at small
 omega t and theta near 0, M0 - C is about (omega t)**2 times M0, and exp(2r)
 makes it most of gamma. `qfi_engine.qfi_table` raises ConvergenceError there.
 What depends on the temperature alone is computed once per temperature, and a
-batch is evaluated in chunks of at most CHUNK pairs, so its temporaries stay
-small. Every sum over a pair's terms runs in one fixed order, so its moments
-are the same bits in a batch of one pair as in any other batch.
+batch is evaluated in chunks of at most CHUNK pairs, the largest batch a figure
+makes, so each figure's batch is one chunk. Its temporaries stay small: the
+Euler-Maclaurin kernel keeps two whole (n, k, pairs) tables, its direct terms,
+builds them in place and releases each once summed; all else it keeps at the
+truncations' last rows. Every sum over a pair's terms runs in one fixed order,
+so its moments are the same bits in a batch of one pair as in any other batch.
 """
 
 from __future__ import annotations
@@ -83,9 +86,9 @@ __all__ = [
 # Taylor series takes N + 2 + J terms. The second truncation is reported.
 TRUNCATIONS = ((3, 10), (4, 12))
 
-# pairs per chunk of a batch: a fig10 scan or fig7 grid takes 3 chunks, whose
-# temporaries stay below a few MiB of RSS
-CHUNK = 1024
+# pairs per chunk of a batch: fig10's 40 x 64 scan, the largest batch a recipe makes
+# (figs 7-9 are 2,500), so each is one chunk; its temporaries peak near 3.6 MiB
+CHUNK = 2560
 
 # 2 T t / a below which the thermal moments come from their Taylor series
 SERIES_CUTOFF = 0.05
@@ -165,10 +168,10 @@ def _expm1(p: float, log: np.ndarray) -> np.ndarray:
 
 
 def _by_moment(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """(M0, Mc, Ms) = (Re I_1, Re I_2 / 2 - Re I_1, Im I_2 / 2 - Im I_1) from I_1 and I_2,
-    stacked on the second-to-last axis."""
-    return np.stack([first.real, 0.5 * second.real - first.real,
-                     0.5 * second.imag - first.imag], axis=-2)
+    """(M0, Mc, Ms) = (Re I_1, Re I_2 / 2 - Re I_1, Im I_2 / 2 - Im I_1) from I_1 and I_2
+    of one or two axes, stacked on the second-to-last axis (`np.stack` costs more)."""
+    return np.array([first.real, 0.5 * second.real - first.real,
+                     0.5 * second.imag - first.imag]).swapaxes(0, -2)
 
 
 # the weight in (M0, Mc, Ms) of a term c (i k)**m of I_k, shape (3, orders), at every
@@ -214,7 +217,10 @@ def _coefficients(s: float, truncations: tuple) -> dict:
     q = s - 1.0
     j = np.arange(1, _BERNOULLI.size + 1)
     m = np.arange(2, 2 + max(n + 2 + k for n, k in truncations) + 1)  # one more for d/dT
-    gamma = np.vectorize(_gamma_function, otypes=[float])
+
+    def gamma(values):  # a list, not np.vectorize, whose set-up costs more than the values
+        return np.array([*map(_gamma_function, values.tolist())])
+
     factorial = np.array([math.factorial(int(k)) for k in m], dtype=float)
     # each truncation's Bernoulli terms: B_2j / (2j)! for j up to its J, else 0
     cut = np.array([np.where(j <= k, _BERNOULLI, 0.0) for _, k in truncations])
@@ -334,67 +340,89 @@ class MomentEngine:
 
         One expm1 of the whole (n, k, pairs) table, at exponent 1 - s or -s, gives
         E_(1-s), E_(-s), P_(1-s) and (1 + x)**(1 - s); P_(2-s) at the ends takes its
-        own from s = 3/2, where no other form of it is free of cancellation.
+        own from s = 3/2, where no other form of it is free of cancellation. Only the
+        direct terms P_(1-s) and E_(-s) are needed at every n: they are built in place,
+        everything else is kept at the ends alone, and each direct table is released
+        once summed, so a batch of CHUNK pairs holds few whole tables at once.
         """
         s, sets = self.sp.s, self.sets
-        ends = [n for n, _ in TRUNCATIONS]
+        ends = np.array([n for n, _ in TRUNCATIONS])  # `take` copies rows faster than [ends]
         w = (a[:, None] + np.arange(ends[-1] + 1.0)).T  # w_n per temperature, (n, T)
+        w_row = w.take(row, 1)[:, None]  # and per pair, (n, 1, pairs)
         eps = np.multiply.outer([1.0, 2.0], products)  # (k, pairs)
-        y = eps / w[:, None, row]  # (n, k, pairs)
+        y = eps / w_row  # (n, k, pairs)
         x = -1j * y
         log = _complex(0.5 * np.log1p(y * y), -np.arctan(y))  # log1p(x)
-        # E_(1-s), E_(-s) and (1 + x)**(1 - s); divisions by real numbers as products,
-        # which NumPy takes faster
+        del y
+        x_end, log_end = x.take(ends, 0), log.take(ends, 0)
+        # E_(-s) `lower` and P_(1-s) `first` in place, E_(1-s) `ratio` and (1 + x)**(1 - s)
+        # `power` at the ends; divisions by real numbers as products, which NumPy takes faster
         if s >= 0.5:
             grown = _expm1(1.0 - s, log)
-            ratio = log if s == 1.0 else grown * (1.0 / (1.0 - s))
-            lower = (grown - x) / (1.0 + x) * (-1.0 / s) if sets == 2 else None
-            power = 1.0 + grown
-            first = (ratio - x) * (-1.0 / s)  # P_(1-s)
+            power = 1.0 + grown.take(ends, 0)
+            first = log if s == 1.0 else grown * (1.0 / (1.0 - s))
+            del log
+            ratio = first.take(ends, 0)
+            first -= x
+            first *= -1.0 / s
+            lower = grown
+            if sets == 2:
+                lower -= x
+                lower /= 1.0 + x
+                lower *= -1.0 / s
         else:
             grown = _expm1(-s, log)
-            lower = grown * (-1.0 / s)
-            ratio = (x + grown * (1.0 + x)) * (1.0 / (1.0 - s))
-            power = (1.0 + x) * (1.0 + grown)
-            first = ((1.0 + x) * lower - x) * (1.0 / (1.0 - s))
+            del log
+            grown_end = grown.take(ends, 0)
+            ratio = (x_end + grown_end * (1.0 + x_end)) * (1.0 / (1.0 - s))
+            power = (1.0 + x_end) * (1.0 + grown_end)
+            lower = np.multiply(grown, -1.0 / s, out=grown)
+            first = (1.0 + x) * lower
+            first -= x
+            first *= 1.0 / (1.0 - s)
+        del x, grown
+        # S(q) from P, and S(q + 1) from E, both with Gamma(s + 1) and Gamma(s): each direct
+        # table times w_n**-p, summed in place to each end plus half the end term, and released
+        sigma = s - 1.0 + np.arange(sets)[:, None, None]
+        scale = w ** -sigma  # (p, n, T)
+        gamma_direct, gamma_tail = coefficients["direct"], coefficients["tail"]
+
+        def summed(p, factor, direct):
+            np.multiply(factor, direct, out=direct)
+            direct *= scale[p].take(row, 1)[:, None]
+            half = 0.5 * direct.take(ends, 0)
+            return direct.cumsum(0, out=direct).take(ends - 1, 0) + half
+
+        first = summed(0, gamma_direct, first)
+        lower = summed(1, -gamma_direct, lower) if sets == 2 else None
         # at the ends: P_(2-s), (1 + x)**(1 - p) for p = q, q + 1, and (w_N - i eps)**-2
-        x_end = x[ends]
         if s >= 1.5:
-            tail = (log[ends] if s == 2.0 else _expm1(2.0 - s, log[ends]) / (2.0 - s)) - x_end
+            tail = (log_end if s == 2.0 else _expm1(2.0 - s, log_end) / (2.0 - s)) - x_end
             tail *= 1.0 / (1.0 - s)
         else:
-            tail = ((1.0 + x_end) * ratio[ends] - x_end) * (1.0 / (2.0 - s))
+            tail = ((1.0 + x_end) * ratio - x_end) * (1.0 / (2.0 - s))
         w_end = w[ends]  # (ends, T)
-        shifted = 1.0 / (w_end[:, None, row] * (1.0 + x_end)) ** 2
+        shifted = 1.0 / (w_row.take(ends, 0) * (1.0 + x_end)) ** 2
         # the Bernoulli polynomials of both p at (w_N - i eps)**-2, by Horner's rule
         bernoulli = coefficients["bernoulli"][:sets].transpose(2, 0, 1)  # (j, p, ends)
         polynomial = np.zeros((sets, *shifted.shape), dtype=complex)
         for coefficient in bernoulli[::-1, ..., None, None]:
             polynomial += coefficient
             polynomial *= shifted
-        # per temperature: w_N**(1 - p) alone and times the Bernoulli polynomial at
-        # w_N**-2, and the direct terms' w_n**-p
-        sigma = s - 1.0 + np.arange(sets)[:, None, None]
+        # per temperature: w_N**(1 - p) alone and times the Bernoulli polynomial at w_N**-2
         rise = w_end ** (1.0 - sigma)  # (p, ends, T)
         j = np.arange(1.0, bernoulli.shape[0] + 1)[:, None, None, None]
         plain = (bernoulli[..., None] * w_end ** (-2.0 * j)).sum(0) * rise
-        rise, plain = rise[..., None, row], plain[..., None, row]
-        scale = (w ** -sigma)[..., None, row]
-        gamma_direct, gamma_tail = coefficients["direct"], coefficients["tail"]
-        powers = [(1.0 + x_end) * power[ends], power[ends]]
-        # S(q) from P, and S(q + 1) from E, both with Gamma(s + 1) and Gamma(s)
-        terms = [(gamma_direct * first, gamma_tail * tail)]
-        if sets == 2:
-            terms.append((-gamma_direct * lower, -gamma_tail * ratio[ends]))
-        sums = []
-        for p, (direct, end) in enumerate(terms):
-            direct *= scale[p]
-            direct = np.stack([direct[:n].sum(0) + 0.5 * direct[n] for n in ends])
-            sums.append(direct + rise[p] * (end + powers[p] * polynomial[p]) - plain[p])
+        rise, plain = rise.take(row, 2)[..., None, :], plain.take(row, 2)[..., None, :]
+        powers = [(1.0 + x_end) * power, power]
+        terms = [(first, gamma_tail * tail), (lower, -gamma_tail * ratio)][:sets]
+        del tail, ratio, x_end, power
+        sums = [direct + rise[p] * (end + powers[p] * polynomial[p]) - plain[p]
+                for p, (direct, end) in enumerate(terms)]
         out = np.empty((2, sets, 3, products.size))
         out[:, 0] = _by_moment(*sums[0].transpose(1, 0, 2))
         if sets == 2:  # -q S(q) + (tau - i eps) S(q + 1)
-            bracket = (1.0 - s) * sums[0] + (tau[row] - 1j * eps) * sums[1]
+            bracket = (1.0 - s) * sums[0] + (tau.take(row) - 1j * eps) * sums[1]
             out[:, 1] = _by_moment(*bracket.transpose(1, 0, 2))
         return out
 

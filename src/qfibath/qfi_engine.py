@@ -36,7 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import DEFAULT_QUADRATURE, ConvergenceError, MomentEngine, QuadratureConfig
+from .moments import (
+    _NON_FINITE,
+    DEFAULT_QUADRATURE,
+    ConvergenceError,
+    MomentEngine,
+    QuadratureConfig,
+)
 from .probe_state import ProbeInit, eigensystem, reduced_dm
 from .spectral_bath import (
     BathPoint,
@@ -151,25 +157,36 @@ def qfi_table(engine: MomentEngine, temperatures: Sequence[float], times: Sequen
     `settings` (SqueezeParams, ProbeInit) over the n pairs (temperatures[p], times[p]),
     setting outer and pair inner, so cell c is setting c // n at pair c % n.
 
-    One `engine.moments` batch of the pairs, one `engine.exponents` call with the k
-    squeezings, then one pass over the cells in order. The first cell whose gamma or
-    d gamma overflows, whose truncations disagree or whose assembly's rounding
-    exceeds the tolerance (ConvergenceError), whose closed form is degenerate
-    (DegenerateInputError), or whose gamma, d gamma or qfi is not finite
-    (ConvergenceError) raises, its message prefixed with `where(cell)` when `where` is
-    given.
+    One `engine.moments` batch of the pairs and one `engine.exponents` call with the k
+    squeezings, then one array pass: a cell is plain where its truncations agree,
+    0 < gamma <= 350 and its qfi is finite, and takes the expression of `_closed_form`
+    there, in its association and with its `math.expm1`. Then one walk over the other
+    cells in order. The first whose gamma or d gamma overflows, whose truncations
+    disagree or whose assembly's rounding exceeds the tolerance (ConvergenceError),
+    whose closed form is degenerate (DegenerateInputError), or whose gamma, d gamma or
+    qfi is not finite (ConvergenceError) raises, its message prefixed with `where(cell)`
+    when `where` is given; the others (gamma == 0, gamma > 350) take `_closed_form`.
     """
     squeezes, inits = zip(*settings)
     values, derivatives, agree, gaps = engine.exponents(
         engine.moments(temperatures, times), squeezes)
-    gammas, dgammas, gaps, qfis = values.tolist(), derivatives.tolist(), gaps.tolist(), []
     n = len(times)
-    sines = [sin_a for init in inits for sin_a in [math.sin(init.alpha)] * n]
-    for k, (agrees, gamma_value, dgamma, gap, sin_a) in enumerate(
-            zip(agree.tolist(), gammas, dgammas, gaps, sines)):
+    sines = [math.sin(init.alpha) for init in inits]
+    with np.errstate(**_NON_FINITE):
+        # `_closed_form`'s expression, in its association and with its math.expm1 (NumPy's
+        # differs in the last bit); above gamma = 350 the denominator is expm1(0), so that
+        # qfi is not finite either and the walk takes the cell
+        expm1 = list(map(math.expm1, (2.0 * values * (values <= 350.0)).tolist()))
+        squares = np.array([sin_a * sin_a for sin_a in sines]).repeat(n)
+        qfis = squares * derivatives * derivatives / expm1
+    # the cells the array pass cannot settle, in order
+    hard = (~(agree & (values > 0.0) & np.isfinite(qfis))).nonzero()[0]
+    gammas, dgammas, gaps = values.tolist(), derivatives.tolist(), gaps.tolist()
+    for k in hard.tolist():
+        gamma_value, dgamma, gap = gammas[k], dgammas[k], gaps[k]
         try:
             overflows = math.isinf(gamma_value) or math.isinf(dgamma)
-            if overflows or not agrees:
+            if overflows or not agree[k]:
                 p, qc = k % n, engine.qc
                 at = (f"at (T, t) = ({float(temperatures[p])!r}, {float(times[p])!r}): "
                       f"gamma {gamma_value!r}")
@@ -183,7 +200,7 @@ def qfi_table(engine: MomentEngine, temperatures: Sequence[float], times: Sequen
                     fault = (f"truncations disagree {at}, gap {gap:.3e} above {tolerance} on "
                              "gamma or d gamma")
                 raise ConvergenceError(fault, value=gamma_value, est_error=abs(gap))
-            qfi = _closed_form(sin_a, gamma_value, dgamma)
+            qfi = _closed_form(sines[k // n], gamma_value, dgamma)
             if not (math.isfinite(gamma_value) and math.isfinite(dgamma) and math.isfinite(qfi)):
                 raise ConvergenceError(
                     f"non-finite sample: gamma {gamma_value!r}, dgamma {dgamma!r}, qfi {qfi!r}",
@@ -195,8 +212,8 @@ def qfi_table(engine: MomentEngine, temperatures: Sequence[float], times: Sequen
             if isinstance(exc, ConvergenceError):
                 raise ConvergenceError(located, value=exc.value, est_error=exc.est_error) from exc
             raise type(exc)(located) from exc
-        qfis.append(qfi)
-    return gammas, dgammas, qfis, gaps
+        qfis[k] = qfi
+    return gammas, dgammas, qfis.tolist(), gaps
 
 
 def qfi_point(

@@ -11,17 +11,16 @@ byte-identical data sections.
 from __future__ import annotations
 
 import json
+import math
 import os
+import shutil
 import sys
+import tempfile
 from collections.abc import Callable, Sequence
 
 from .sweep_optimize import Tiled
 
 __all__ = ["spell", "csv_text", "json_text", "write"]
-
-# what `float.__repr__` writes for the floats JSON spells otherwise
-_NON_FINITE_REPRS = {"nan", "inf", "-inf"}
-
 
 def spell(value) -> str:
     """Shortest decimal that round-trips the binary float (locale-independent); a
@@ -42,9 +41,13 @@ def _texts(column: Sequence, fallback: Callable[[object], str] = spell) -> list[
 
 def _json_texts(column: Sequence) -> list[str]:
     """The JSON text of each cell of `column`, as `json.dumps` spells it: the float repr
-    where it is valid JSON, else JSON's own spelling (strings, NaN, Infinity)."""
-    texts = _texts(column, json.dumps)
-    return texts if _NON_FINITE_REPRS.isdisjoint(texts) else list(map(json.dumps, column))
+    where every cell is a finite number, else JSON's own spelling of each (strings, NaN,
+    Infinity). The numbers are tested, not their texts."""
+    try:
+        finite = all(map(math.isfinite, column))
+    except TypeError:  # a cell that is not a number: a string
+        finite = False
+    return _texts(column, json.dumps) if finite else list(map(json.dumps, column))
 
 
 def _cells(column: Sequence | Tiled, texts_of: Callable[[Sequence], list[str]]) -> list[str]:
@@ -89,17 +92,34 @@ def json_text(spec: dict, metadata: dict, columns: Sequence[Sequence | Tiled]) -
 
 
 def write(text: str, out: str) -> None:
-    """`text` to stdout when `out` is "-", else into the file `out`. A failing write
-    raises, and removes the file it opened."""
+    """`text` to stdout when `out` is "-", else into the file `out`. An existing regular
+    file keeps its bytes until the new ones are complete: they go to a temporary file
+    beside it (beside the file a symbolic link names), which then replaces it whole.
+    Anything else, a new file or a device such as /dev/null, is written in place. A
+    failing write raises, and removes the temporary file or the new file it opened."""
     if out == "-":
         sys.stdout.write(text)
         return
-    stream = None
+    if not os.path.isfile(out):
+        stream = None
+        try:
+            with open(out, "w", encoding="utf-8") as stream:
+                stream.write(text)
+        except BaseException:
+            # never leave a partial file behind, nor touch what the call did not open
+            if stream is not None and os.path.isfile(out):
+                os.unlink(out)
+            raise
+        return
+    target = os.path.realpath(out)
+    descriptor, temporary = tempfile.mkstemp(
+        prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=os.path.dirname(target))
+    os.close(descriptor)
     try:
-        with open(out, "w", encoding="utf-8") as stream:
+        shutil.copymode(target, temporary)
+        with open(temporary, "w", encoding="utf-8") as stream:
             stream.write(text)
+        os.replace(temporary, target)
     except BaseException:
-        # never leave a partial file behind, nor touch what the call did not open
-        if stream is not None and os.path.isfile(out):
-            os.unlink(out)
+        os.unlink(temporary)
         raise

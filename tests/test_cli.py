@@ -513,6 +513,29 @@ def test_a_write_failing_after_its_file_opened_exits_two_and_removes_the_file(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_write_failing_into_an_existing_out_keeps_its_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(writers, "open", _FullDisk, raising=False)
+    out = tmp_path / "kept.csv"
+    out.write_bytes(b"kept,bytes\n1,2\n")
+    assert run_cli(POINT_ARGS + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out: No space left on device: {str(out)!r}\n"
+    assert out.read_bytes() == b"kept,bytes\n1,2\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_out_through_a_symbolic_link_replaces_the_file_it_names(tmp_path):
+    out = tmp_path / "point.csv"
+    out.write_bytes(b"old\n")
+    out.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(out)
+    assert run_cli(POINT_ARGS + ["--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert out.read_text(encoding="utf-8").startswith("# tool = qfibath")
+    assert out.stat().st_mode & 0o777 == 0o640
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.csv", "point.csv"]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 def test_out_to_a_full_device_exits_two_and_leaves_the_device(capsys):
     assert run_cli(POINT_ARGS + ["--out", "/dev/full"]) == 2

@@ -1,5 +1,9 @@
+import io
 import itertools
 import math
+import os
+import tracemalloc
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ import pytest
 import hurwitz_reference
 import panel_reference
 from adaptive_reference import gamma, gamma_partial
-from qfibath import decoherence, moments
+from qfibath import cli, decoherence, moments
 from qfibath.moments import DEFAULT_QUADRATURE, MomentEngine, grid_pairs
 from qfibath.probe_state import ProbeInit
 from qfibath.qfi_engine import qfi_point, qfi_table
@@ -286,6 +290,37 @@ def test_long_time_grid_is_chunked_and_matches_a_single_block(monkeypatch):
     for k, (i, j) in enumerate(picked):
         _, _, gamma_value, dgamma, _ = table.rows[400 * i + j]
         assert (gamma_value, dgamma) == (values[k], derivatives[k])
+
+
+def test_every_recipe_batch_is_one_chunk(monkeypatch):
+    # CHUNK is the largest batch a recipe makes: fig10's 40 x 64 scan
+    sizes, moments_of = {}, MomentEngine.moments
+
+    def recorded(engine, temperatures, times):
+        sizes[name] = max(sizes.get(name, 0), len(times))
+        return moments_of(engine, temperatures, times)
+
+    monkeypatch.setattr(MomentEngine, "moments", recorded)
+    for name, recipe in cli.RECIPES.items():
+        with redirect_stdout(io.StringIO()):
+            assert cli.main([recipe["subcommand"], "--recipe", name, "--out", os.devnull]) == 0
+    assert sizes["fig7"] == sizes["fig8"] == sizes["fig9"] == 2500
+    assert max(sizes.values()) == sizes["fig10"] == moments.CHUNK == 40 * 64
+
+
+def test_a_fig10_scan_chunk_peaks_below_a_few_mib():
+    # the kernel keeps two whole (n, k, pairs) tables alive, about 3.6 MiB at 2,560 pairs;
+    # all eight of its (n, k, pairs) tables alive at once would peak above 7 MiB
+    engine = MomentEngine(Estimand.TEMPERATURE, SpectralParams(0.5), DEFAULT_QUADRATURE)
+    pairs = grid_pairs(np.linspace(0.2, 2.0, 40), np.linspace(0.0, 20.0, 64))
+    engine.moments(*pairs)  # the cached coefficients
+    tracemalloc.start()
+    try:
+        engine.moments(*pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20
 
 
 def test_row_and_time_chunks_do_not_change_the_moments(monkeypatch):

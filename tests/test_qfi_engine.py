@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -9,6 +10,7 @@ from qfibath.probe_state import ProbeInit
 from qfibath.qfi_engine import (
     DegenerateInputError,
     QfiSample,
+    _closed_form,
     qfi_closed_form,
     qfi_point,
     qfi_spectral,
@@ -158,6 +160,45 @@ def test_a_disagreeing_cell_names_its_pair_modulo_the_pairs():
                                                r"\(T, t\) = \(0\.3, 3\.0\): gamma 0\.5, "):
         qfi_table(engine, [0.1, 0.2, 0.3], [1.0, 2.0, 3.0], SETTINGS[:2],
                   where=lambda k: f"cell {k}")
+
+
+def test_a_many_cell_table_equals_the_closed_form_cell_by_cell():
+    # plain cells take the array pass, t = 0 cells (gamma == 0) and one above gamma = 350
+    # the walk; each qfi is `_closed_form` of its cell bit for bit
+    engine = MomentEngine(Estimand.SQUEEZE_AMPLITUDE, FIX_SPECTRAL, QuadratureConfig())
+    temperatures = [0.5, 0.5, 0.01, 3.0, *np.linspace(0.1, 3.0, 40)]
+    times = [40.354, 0.0, 1e-6, 10.0, *np.linspace(0.0, 10.0, 40)]
+    settings = [(SqueezeParams(0.5, 1.0), EQUATOR), (SqueezeParams(0.1, 2.0), ProbeInit(1.1))]
+    gammas, dgammas, qfis, _ = qfi_table(engine, temperatures, times, settings)
+    assert gammas[0] > 350.0 and gammas.count(0.0) == 4
+    sines = [math.sin(init.alpha) for _, init in settings]
+    expected = [_closed_form(sines[cell // len(times)], gamma_value, dgamma)
+                for cell, (gamma_value, dgamma) in enumerate(zip(gammas, dgammas))]
+    assert [value.hex() for value in qfis] == [value.hex() for value in expected]
+
+
+# a failing cell of each kind: (gamma, dgamma, agrees), the error and its message
+FAULTS = {
+    "disagree": ((0.5, 1.0, False), ConvergenceError, "truncations disagree at "),
+    "overflow": ((math.inf, 1.0, True), ConvergenceError, "gamma or d gamma overflows at "),
+    "degenerate": ((0.0, 1.0, True), DegenerateInputError, "gamma = 0.0 is at the t -> 0 "),
+    "negative": ((-1.0, 1.0, True), ValueError, "decoherence exponent must be >= 0"),
+    "non-finite": ((1e-320, 1.0, True), ConvergenceError, "non-finite sample: gamma 1e-320"),
+}
+
+
+@pytest.mark.parametrize("earlier, later", [
+    (earlier, later) for earlier in FAULTS for later in FAULTS if earlier != later])
+def test_the_earlier_of_two_failing_cells_raises_with_its_where_prefix(earlier, later):
+    cells = [(0.5, 1.0, True), FAULTS[earlier][0], (0.25, 2.0, True), FAULTS[later][0],
+             (0.0, 0.0, True)]
+    gammas, dgammas, agree = zip(*cells)
+    pairs = [0.5] * len(cells)
+    error, message = FAULTS[earlier][1:]
+    with pytest.raises(error, match="^cell 1: " + re.escape(message)) as raised:
+        qfi_table(_FixedExponents(gammas, dgammas, agree), pairs, pairs,
+                  [(FIX_SQUEEZE, EQUATOR)], where=lambda k: f"cell {k}")
+    assert type(raised.value) is error
 
 
 def test_point_zero_time_gives_zero_sample():

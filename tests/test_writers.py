@@ -75,3 +75,15 @@ def test_tiled_columns_spell_zero_and_negative_zero_apart():
     assert "\n-0.0,0.0,T,nan\n" in csv
     json_text = writers.json_text(spec, metadata, columns)
     assert json_text.endswith(writer_reference.json_data_section(rows))
+
+
+def test_json_spells_nan_and_infinities_as_json_does():
+    # the float repr is not JSON for these; the writer tests the numbers, not their texts
+    columns = [[1.5, math.nan], [math.inf, -math.inf], Tiled([math.nan, 0.25], each=1)]
+    rows = list(zip(*[[1.5, math.nan], [math.inf, -math.inf], [math.nan, 0.25]]))
+    spec = {"subcommand": "sweep"}
+    metadata = {"tool": "qfibath", "version": "0", "quadrature": {}, "timestamp": "0"}
+    text = writers.json_text(spec, metadata, columns)
+    assert text.endswith(writer_reference.json_data_section(rows))
+    assert "      1.5,\n      Infinity,\n      NaN\n" in text
+    assert "      NaN,\n      -Infinity,\n      0.25\n" in text
