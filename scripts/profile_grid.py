@@ -1,25 +1,32 @@
 #!/usr/bin/env python3
-"""Time one `grid --recipe fig7` call part by part and write BENCH_grid.json.
+"""Time one `grid --recipe fig7` and one `opt-time --recipe fig10` call part by part and
+write BENCH_grid.json.
 
 Usage:
     python scripts/profile_grid.py
     python scripts/profile_grid.py --out BENCH_grid.json
     python scripts/profile_grid.py --baseline parent.json   # another tree's result alongside
 
-Each part is timed on the inputs of one fig7 call, in this process, and reported as
-the median and quartiles (ms) over CALLS repetitions:
+Each part is timed on the inputs of one call, in this process, and reported as the
+median and quartiles (ms) over CALLS repetitions, with `minflt`, the median number of
+minor page faults one repetition takes (the `ru_minflt` delta of `getrusage`): memory
+that the allocator handed back to the system and the next call touches again.
 
-  moments             MomentEngine.moments of the grid's 2,500 (T, t) pairs
+  moments             MomentEngine.moments of the fig7 grid's 2,500 (T, t) pairs
   exponents_qfi_pass  qfi_engine.qfi_table on those moments: the exponents,
                       then the checked pass over the cells
   writer_json         the JSON text from the columns the grid handler returns
   writer_csv          the CSV text from the same columns
-  call                one whole `cli.main` call, JSON to memory, as the benchmark makes it
+  call                one whole fig7 `cli.main` call, JSON to memory, as the benchmark makes it
+  fig10_moments       MomentEngine.moments of fig10's scan: 64 times at each of 40
+                      temperatures, the largest batch a recipe makes
+  fig10_call          one whole fig10 `cli.main` call, CSV to memory
 
-It also reports `moments_peak_mib`, the tracemalloc peak (MiB) of one `moments` call on
-the grid's pairs: the NumPy temporaries of one batch. `--baseline` embeds a result this
-script wrote on another tree (say the parent commit, on the same machine) under
-`baseline`, so a change shows its numbers beside the ones it is measured against.
+It also reports `moments_peak_mib` and `fig10_moments_peak_mib`, the tracemalloc peak
+(MiB) of one `moments` call on each batch: the NumPy temporaries of one batch.
+`--baseline` embeds a result this script wrote on another tree (say the parent commit,
+on the same machine) under `baseline`, so a change shows its numbers beside the ones it
+is measured against.
 
 BLAS is held to one thread, as in the benchmark.
 """
@@ -29,6 +36,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import sys
 import tracemalloc
@@ -47,6 +55,7 @@ from qfibath.moments import MomentEngine, grid_pairs  # noqa: E402
 from qfibath.qfi_engine import qfi_table  # noqa: E402
 
 ARGV = ["grid", "--recipe", "fig7", "--format", "json"]
+FIG10_ARGV = ["opt-time", "--recipe", "fig10"]
 CALLS = 60
 
 
@@ -72,6 +81,35 @@ def _captured() -> dict:
     return seen
 
 
+def _largest_batch(argv: list[str]) -> tuple:
+    """The engine and pairs of the largest `moments` batch one `cli.main(argv)` call makes."""
+    largest = []
+    library = MomentEngine.moments
+
+    def moments(engine, temperatures, times):
+        if not largest or len(times) > len(largest[2]):
+            largest[:] = engine, temperatures, times
+        return library(engine, temperatures, times)
+
+    MomentEngine.moments = moments
+    try:
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    finally:
+        MomentEngine.moments = library
+    return tuple(largest)
+
+
+def _peak_mib(function) -> float:
+    """The tracemalloc peak of one call, MiB."""
+    tracemalloc.start()
+    try:
+        function()
+        return round(tracemalloc.get_traced_memory()[1] / 2**20, 3)
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(ROOT / "BENCH_grid.json"))
@@ -87,10 +125,11 @@ def main(argv=None) -> int:
     # an engine whose moments are already computed, so the table times the rest alone
     computed = MomentEngine(spec.estimand, spec.sp, qc)
     computed.moments = lambda *_: moments
+    scan_engine, *scan = _largest_batch(FIG10_ARGV)
 
-    def call():
+    def call(argv):
         with redirect_stdout(io.StringIO()):
-            cli.main(ARGV)
+            cli.main(argv)
 
     parts = {
         "moments": lambda: engine.moments(temperatures, times),
@@ -98,26 +137,24 @@ def main(argv=None) -> int:
                                                   [(spec.sq, spec.init)]),
         "writer_json": lambda: cli.json_text(block, metadata, columns),
         "writer_csv": lambda: cli.csv_text(block, metadata, cli.GRID_COLUMNS, columns),
-        "call": call,
+        "call": lambda: call(ARGV),
+        "fig10_moments": lambda: scan_engine.moments(*scan),
+        "fig10_call": lambda: call(FIG10_ARGV),
     }
     samples = {name: [] for name in parts}
+    faults = {name: [] for name in parts}
     for function in parts.values():  # warm-up
         function()
     for _ in range(CALLS):  # the parts in turn, so a slower spell of the machine hits all
         for name, function in parts.items():
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = perf_counter()
             function()
             samples[name].append(1e3 * (perf_counter() - start))
-
-    tracemalloc.start()
-    try:
-        engine.moments(temperatures, times)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+            faults[name].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
     result = {
-        "command": "qfibath " + " ".join(ARGV),
+        "command": "qfibath " + " ".join(ARGV) + "; qfibath " + " ".join(FIG10_ARGV),
         "calls": CALLS,
         "machine": {"python": platform.python_version(), "arch": platform.machine(),
                     "cpus": os.cpu_count()},
@@ -126,11 +163,15 @@ def main(argv=None) -> int:
     }
     for name, values in samples.items():
         q1, median, q3 = statistics.quantiles(values, n=4)
+        minflt = statistics.median(faults[name])
         result["parts"][name] = {"median": round(median, 3), "q1": round(q1, 3),
-                                 "q3": round(q3, 3)}
-        print(f"{name:19s} median {median:8.3f} ms   quartiles {q1:.3f} .. {q3:.3f}")
-    result["moments_peak_mib"] = round(peak / 2**20, 3)
-    print(f"moments_peak_mib    {result['moments_peak_mib']:.3f} MiB")
+                                 "q3": round(q3, 3), "minflt": minflt}
+        print(f"{name:19s} median {median:8.3f} ms   quartiles {q1:.3f} .. {q3:.3f}"
+              f"   minor faults {minflt:g}")
+    result["moments_peak_mib"] = _peak_mib(parts["moments"])
+    result["fig10_moments_peak_mib"] = _peak_mib(parts["fig10_moments"])
+    for name in ("moments_peak_mib", "fig10_moments_peak_mib"):
+        print(f"{name:23s} {result[name]:.3f} MiB")
     if args.baseline:
         result["baseline"] = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")

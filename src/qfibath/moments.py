@@ -43,11 +43,11 @@ P_p(x) = [(1 + x)**p - 1 - p x] / (p (p - 1)); S(q + 1) keeps them, as times
 with real log1p, arctan, expm1, sin and cos, so s = 1 and s = 2, where Gamma(q)
 and zeta(1, .) have poles, are ordinary points. Below 2 T t = SERIES_CUTOFF * a
 the Taylor series S(p) = sum_(m >= 2) (i eps)**m Gamma(p + m) / m! zeta(p + m, a)
-takes over, summed per moment with the weights `_ORDERS`, the map `_by_moment`
-of the orders (i k)**m of (I_1, I_2), so the cancellations between I_1 and I_2
-are exact; the vacuum series takes the same weights. d/dT differentiates it term
-by term. Its real zeta(p + m, a) come from the same Euler-Maclaurin truncation,
-once per temperature.
+of `taylor` takes over, summed per moment with the weights `_ORDERS`, the map
+`_by_moment` of the orders (i k)**m of (I_1, I_2), so the cancellations between
+I_1 and I_2 are exact; the vacuum series takes the same weights. d/dT
+differentiates it term by term. Its real zeta(p + m, a) come from the same
+Euler-Maclaurin truncation, once per temperature that has such pairs.
 
 Each point takes the two truncations of TRUNCATIONS: (N, J) Euler-Maclaurin
 terms, or N + 2 + J Taylor terms. The second is reported. `exponents` flags a
@@ -57,9 +57,11 @@ where eps times the size of the assembly's terms exceeds the same tolerance. The
 truncations share that assembly, so their gap cannot see its rounding: at small
 omega t and theta near 0, M0 - C is about (omega t)**2 times M0, and exp(2r)
 makes it most of gamma. `qfi_engine.qfi_table` raises ConvergenceError there.
-What depends on the temperature alone is computed once per temperature, and a
-batch is evaluated in chunks of at most CHUNK pairs, the largest batch a figure
-makes, so each figure's batch is one chunk. Its temporaries stay small: the
+What depends on the temperature alone is computed once per batch, at each of its
+distinct temperatures (`_batch`); the batch then runs in blocks of CHUNK pairs,
+the vacuum part of each block of times and the thermal part of each block of
+pairs with T > 0 and t > 0, each block added into its pairs of the result. A
+block costs only its per-pair work, and its temporaries stay a block's size: the
 Euler-Maclaurin kernel keeps two whole (n, k, pairs) tables, its direct terms,
 builds them in place and releases each once summed; all else it keeps at the
 truncations' last rows. Every sum over a pair's terms runs in one fixed order,
@@ -75,7 +77,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import taylor
 from .spectral_bath import Estimand, SpectralParams, SqueezeParams, derivative_rule
+from .taylor import BERNOULLI
 
 __all__ = [
     "TRUNCATIONS", "CHUNK", "SERIES_CUTOFF", "VACUUM_SERIES_CUTOFF",
@@ -86,9 +90,11 @@ __all__ = [
 # Taylor series takes N + 2 + J terms. The second truncation is reported.
 TRUNCATIONS = ((3, 10), (4, 12))
 
-# pairs per chunk of a batch: fig10's 40 x 64 scan, the largest batch a recipe makes
-# (figs 7-9 are 2,500), so each is one chunk; its temporaries peak near 3.6 MiB
-CHUNK = 2560
+# pairs per block of a batch: fig10's 2,560-pair scan peaks near 1 MiB of temporaries
+# in blocks of 512, against 3.6 MiB in one block, which the allocator hands back to
+# the system after each call and the next call faults in again (about 1,200 minor
+# page faults, 2 MB of peak RSS); 384 and 1,024 measured slower
+CHUNK = 512
 
 # 2 T t / a below which the thermal moments come from their Taylor series
 SERIES_CUTOFF = 0.05
@@ -98,12 +104,6 @@ VACUUM_SERIES_CUTOFF = 1e-3
 
 # the highest order of the vacuum Taylor series in omega_c t
 _VACUUM_ORDER = 15
-
-# B_2j / (2j)! for j = 1..12
-_BERNOULLI = np.array([
-    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
-    43867 / 798, -174611 / 330, 854513 / 138, -236364091 / 2730,
-]) / np.array([math.factorial(2 * j) for j in range(1, 13)], dtype=float)
 
 # overflowing terms compute non-finite moments without warnings; they fail the
 # truncation check, which raises ConvergenceError
@@ -215,7 +215,7 @@ def _vacuum_series(s: float, scale: float, x: np.ndarray) -> np.ndarray:
 def _coefficients(s: float, truncations: tuple) -> dict:
     """Everything of the thermal terms that depends on s and the truncations alone."""
     q = s - 1.0
-    j = np.arange(1, _BERNOULLI.size + 1)
+    j = np.arange(1, BERNOULLI.size + 1)
     m = np.arange(2, 2 + max(n + 2 + k for n, k in truncations) + 1)  # one more for d/dT
 
     def gamma(values):  # a list, not np.vectorize, whose set-up costs more than the values
@@ -223,7 +223,7 @@ def _coefficients(s: float, truncations: tuple) -> dict:
 
     factorial = np.array([math.factorial(int(k)) for k in m], dtype=float)
     # each truncation's Bernoulli terms: B_2j / (2j)! for j up to its J, else 0
-    cut = np.array([np.where(j <= k, _BERNOULLI, 0.0) for _, k in truncations])
+    cut = np.array([np.where(j <= k, BERNOULLI, 0.0) for _, k in truncations])
     tables = {
         # Gamma(s + 1) and Gamma(s) of the direct and tail terms, and
         # Gamma(p + 2j - 1) B_2j / (2j)! per truncation for p = q, q + 1
@@ -236,22 +236,6 @@ def _coefficients(s: float, truncations: tuple) -> dict:
     # above s = 148.6, Gamma(s + 23) overflows: no thermal term is then representable
     finite = all(np.isfinite(table).all() for table in tables.values())
     return {**tables, "orders": m, "finite": finite}
-
-
-def _zeta(sigma: np.ndarray, a: np.ndarray, direct: int, bernoulli: int) -> np.ndarray:
-    """Hurwitz zeta(sigma, a) for sigma > 1 and a >= 1 by Euler-Maclaurin, shape
-    (a, sigma): `direct` terms, the tail and `bernoulli` Bernoulli terms at a + direct."""
-    logs = np.log(a[:, None] + np.arange(direct + 1.0))
-    powers = np.exp(-sigma[None, :, None] * logs[:, None, :])  # (a + n)**-sigma
-    end = a + direct
-    j = np.arange(1, bernoulli + 1)
-    # rising factorials (sigma)_(2j-1)
-    rising = np.cumprod(sigma[:, None] + np.arange(2 * bernoulli - 1.0), axis=1)[:, ::2]
-    series = (rising * _BERNOULLI[:bernoulli]
-              * end[:, None, None] ** (1.0 - 2.0 * j)).sum(-1)
-    last = powers[..., direct]
-    return (powers[..., :direct].sum(-1)
-            + last * (end[:, None] / (sigma - 1.0) + 0.5 + series))
 
 
 class MomentEngine:
@@ -279,76 +263,87 @@ class MomentEngine:
         out = np.zeros((2, self.sets, 3, times.size))
         with np.errstate(**_NON_FINITE):
             for start in range(0, times.size, CHUNK):
-                span = slice(start, start + CHUNK)
-                chunk, T, t = out[..., span], temperatures[span], times[span]
-                chunk[:, 0] = _vacuum(self.sp, t)
-                hot = (T > 0.0) & (t > 0.0)
-                if hot.any():
-                    unique, row = np.unique(T[hot], return_inverse=True)
-                    chunk[..., hot] += self._thermal_moments(unique, row, T[hot] * t[hot])
+                out[:, 0, :, start:start + CHUNK] = _vacuum(self.sp, times[start:start + CHUNK])
+            hot = np.flatnonzero((temperatures > 0.0) & (times > 0.0))
+            if not _coefficients(self.sp.s, TRUNCATIONS)["finite"]:
+                out[..., hot] = np.nan  # above s = 148.6: every thermal point fails the check
+            elif hot.size:
+                batch = self._batch(temperatures[hot], times[hot])
+                for start in range(0, hot.size, CHUNK):  # blocks of the hot pairs
+                    part = slice(start, start + CHUNK)
+                    row, products, series = (batch[key][part]
+                                             for key in ("row", "products", "series"))
+                    for branch, pick in ((self._taylor, series), (self._euler_maclaurin, ~series)):
+                        if pick.any():
+                            chosen = row[pick]
+                            out[..., hot[part][pick]] += (branch(batch, chosen, products[pick])
+                                                          * batch["factors"].take(chosen, -1))
         out[..., times == 0.0] = 0.0
         return out
 
-    def _thermal_moments(self, temperatures: np.ndarray, row: np.ndarray,
-                         products: np.ndarray) -> np.ndarray:
-        """Thermal (M0, Mc, Ms) per truncation and set of pairs whose temperature is
-        temperatures[row[p]] > 0 and whose T t is products[p] > 0: shape (2, sets, 3, pairs)."""
+    def _batch(self, temperatures: np.ndarray, times: np.ndarray) -> dict:
+        """What the thermal terms of the pairs (temperatures[p] > 0, times[p] > 0) take
+        from the temperature alone, once per batch. Per pair: its `row` among the distinct
+        temperatures, its T t and whether it takes the Taylor `series`. Per temperature:
+        the factors -2 tau**q and (2 / omega_c) tau**(q - 1) of the sets, shape
+        (sets, 1, T); the Taylor `terms` at the temperatures that have such pairs; and,
+        if any pair takes Euler-Maclaurin, its w_n, w_n**-p, w_N**(1 - p) and w_N**(1 - p)
+        times the Bernoulli polynomial at w_N**-2, for p = q, q + 1."""
         sp, sets = self.sp, self.sets
         coefficients = _coefficients(sp.s, TRUNCATIONS)
-        if not coefficients["finite"]:  # every thermal point fails the truncation check
-            return np.full((2, sets, 3, products.size), np.nan)
-        tau = temperatures / sp.omega_c
-        a = 1.0 + tau
-        out = np.empty((2, sets, 3, products.size))
-        series = 2.0 * products < SERIES_CUTOFF * a[row]
-        for branch, pick in ((self._taylor, series), (self._euler_maclaurin, ~series)):
-            if pick.any():
-                out[..., pick] = branch(coefficients, tau, a, row[pick], products[pick])
-        # -2 tau**q and (2 / omega_c) tau**(q - 1) of the two sets, per pair
-        scale = tau[row] ** (sp.s - 1.0)
-        out[:, 0] *= -2.0 * scale
+        order = temperatures.argsort()  # np.unique's values and rows, at less cost
+        ordered = temperatures[order]
+        new = np.empty(ordered.size, dtype=bool)
+        new[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        row = np.empty(ordered.size, dtype=int)
+        row[order] = new.cumsum() - 1
+        tau = ordered[new] / sp.omega_c
+        scale = tau ** (sp.s - 1.0)
+        factors = [-2.0 * scale]
         if sets == 2:
-            out[:, 1] *= 2.0 / sp.omega_c * (scale / tau[row])
-        return out
+            factors.append(2.0 / sp.omega_c * (scale / tau))
+        products = temperatures * times
+        series = 2.0 * products < SERIES_CUTOFF * (1.0 + tau)[row]
+        batch = {"row": row, "products": products, "series": series, "tau": tau,
+                 "factors": np.array(factors)[:, None]}
+        rows = row[series]
+        if rows.size:
+            used = np.zeros(tau.size, dtype=bool)
+            used[rows] = True
+            batch["terms"] = taylor.terms(coefficients, TRUNCATIONS, sp.s, tau, used, sets)
+        if rows.size < row.size:
+            ends = [n for n, _ in TRUNCATIONS]
+            w = (1.0 + tau[:, None] + np.arange(ends[-1] + 1.0)).T  # (n, T)
+            sigma = sp.s - 1.0 + np.arange(sets)[:, None, None]
+            w_end = w[ends]  # (ends, T)
+            bernoulli = coefficients["bernoulli"][:sets].transpose(2, 0, 1)  # (j, p, ends)
+            j = np.arange(1.0, bernoulli.shape[0] + 1)[:, None, None, None]
+            rise = w_end ** (1.0 - sigma)  # (p, ends, T)
+            batch.update(w=w, scale=w ** -sigma, rise=rise, bernoulli=bernoulli,
+                         gammas=(coefficients["direct"], coefficients["tail"]),
+                         plain=(bernoulli[..., None] * w_end ** (-2.0 * j)).sum(0) * rise)
+        return batch
 
-    def _taylor(self, coefficients: dict, tau: np.ndarray, a: np.ndarray,
-                row: np.ndarray, products: np.ndarray) -> np.ndarray:
-        """S(q) and the bracket of d I / dT as Taylor series in T t, summed per moment:
-        shape (2, sets, 3, pairs), before the factors -2 tau**q and (2 / omega_c) tau**(q - 1)."""
-        orders = coefficients["orders"]
-        plain, raised = coefficients["series"]
-        out = np.empty((2, self.sets, 3, products.size))
-        for k, (n, j) in enumerate(TRUNCATIONS):
-            zeta = _zeta(self.sp.s - 1.0 + orders, a, n, j).T  # zeta(q + m, a), (m, T)
-            m = orders[:n + 2 + j]
-            weights = _ORDERS[:, m, None]  # per moment, the weight of (i k T t)**m
-            powers = products ** m[:, None]  # (m, pairs)
-            terms = [plain[:m.size, None] * zeta[:m.size]]
-            if self.sets == 2:
-                # -Gamma(q + m + 1) / m! [zeta(q + m, a) - tau zeta(q + m + 1, a)]
-                terms.append(-raised[:m.size, None] * (zeta[:m.size] - tau * zeta[1:m.size + 1]))
-            for set_, term in enumerate(terms):
-                # a running sum adds the terms in order at any number of pairs; NumPy's
-                # sum pairs them up when the batch has one
-                out[k, set_] = np.cumsum(weights * (powers * term[:, row]), axis=1)[:, -1]
-        return out
+    def _taylor(self, batch: dict, row: np.ndarray, products: np.ndarray) -> np.ndarray:
+        """S(q) and the bracket of d I / dT as Taylor series in T t (`taylor.sums`)."""
+        return taylor.sums(batch["terms"], _ORDERS, row, products)
 
-    def _euler_maclaurin(self, coefficients: dict, tau: np.ndarray, a: np.ndarray,
-                         row: np.ndarray, products: np.ndarray) -> np.ndarray:
-        """S(q) and the bracket of d I / dT by Euler-Maclaurin, per moment: shape
-        (2, sets, 3, pairs), before the factors -2 tau**q and (2 / omega_c) tau**(q - 1).
+    def _euler_maclaurin(self, batch: dict, row: np.ndarray, products: np.ndarray) -> np.ndarray:
+        """S(q) and the bracket of d I / dT by Euler-Maclaurin, per moment, of pairs at
+        temperature row[p] of `batch` with T t = products[p]: shape (2, sets, 3, pairs),
+        before the factors -2 tau**q and (2 / omega_c) tau**(q - 1).
 
         One expm1 of the whole (n, k, pairs) table, at exponent 1 - s or -s, gives
         E_(1-s), E_(-s), P_(1-s) and (1 + x)**(1 - s); P_(2-s) at the ends takes its
         own from s = 3/2, where no other form of it is free of cancellation. Only the
         direct terms P_(1-s) and E_(-s) are needed at every n: they are built in place,
         everything else is kept at the ends alone, and each direct table is released
-        once summed, so a batch of CHUNK pairs holds few whole tables at once.
+        once summed, so a block of CHUNK pairs holds few whole tables at once.
         """
         s, sets = self.sp.s, self.sets
         ends = np.array([n for n, _ in TRUNCATIONS])  # `take` copies rows faster than [ends]
-        w = (a[:, None] + np.arange(ends[-1] + 1.0)).T  # w_n per temperature, (n, T)
-        w_row = w.take(row, 1)[:, None]  # and per pair, (n, 1, pairs)
+        w_row = batch["w"].take(row, 1)[:, None]  # w_n per pair, (n, 1, pairs)
         eps = np.multiply.outer([1.0, 2.0], products)  # (k, pairs)
         y = eps / w_row  # (n, k, pairs)
         x = -1j * y
@@ -383,15 +378,15 @@ class MomentEngine:
         del x, grown
         # S(q) from P, and S(q + 1) from E, both with Gamma(s + 1) and Gamma(s): each direct
         # table times w_n**-p, summed in place to each end plus half the end term, and released
-        sigma = s - 1.0 + np.arange(sets)[:, None, None]
-        scale = w ** -sigma  # (p, n, T)
-        gamma_direct, gamma_tail = coefficients["direct"], coefficients["tail"]
+        gamma_direct, gamma_tail = batch["gammas"]
 
         def summed(p, factor, direct):
             np.multiply(factor, direct, out=direct)
-            direct *= scale[p].take(row, 1)[:, None]
+            direct *= batch["scale"][p].take(row, 1)[:, None]
             half = 0.5 * direct.take(ends, 0)
-            return direct.cumsum(0, out=direct).take(ends - 1, 0) + half
+            for n in range(1, ends[-1]):  # a running sum of the rows, in order
+                direct[n] += direct[n - 1]
+            return direct.take(ends - 1, 0) + half
 
         first = summed(0, gamma_direct, first)
         lower = summed(1, -gamma_direct, lower) if sets == 2 else None
@@ -401,19 +396,14 @@ class MomentEngine:
             tail *= 1.0 / (1.0 - s)
         else:
             tail = ((1.0 + x_end) * ratio - x_end) * (1.0 / (2.0 - s))
-        w_end = w[ends]  # (ends, T)
         shifted = 1.0 / (w_row.take(ends, 0) * (1.0 + x_end)) ** 2
         # the Bernoulli polynomials of both p at (w_N - i eps)**-2, by Horner's rule
-        bernoulli = coefficients["bernoulli"][:sets].transpose(2, 0, 1)  # (j, p, ends)
         polynomial = np.zeros((sets, *shifted.shape), dtype=complex)
-        for coefficient in bernoulli[::-1, ..., None, None]:
-            polynomial += coefficient
+        real = polynomial.real  # the coefficients are real: added here, they are not cast
+        for coefficient in batch["bernoulli"][::-1, ..., None, None]:
+            real += coefficient
             polynomial *= shifted
-        # per temperature: w_N**(1 - p) alone and times the Bernoulli polynomial at w_N**-2
-        rise = w_end ** (1.0 - sigma)  # (p, ends, T)
-        j = np.arange(1.0, bernoulli.shape[0] + 1)[:, None, None, None]
-        plain = (bernoulli[..., None] * w_end ** (-2.0 * j)).sum(0) * rise
-        rise, plain = rise.take(row, 2)[..., None, :], plain.take(row, 2)[..., None, :]
+        rise, plain = (batch[key].take(row, 2)[..., None, :] for key in ("rise", "plain"))
         powers = [(1.0 + x_end) * power, power]
         terms = [(first, gamma_tail * tail), (lower, -gamma_tail * ratio)][:sets]
         del tail, ratio, x_end, power
@@ -422,7 +412,7 @@ class MomentEngine:
         out = np.empty((2, sets, 3, products.size))
         out[:, 0] = _by_moment(*sums[0].transpose(1, 0, 2))
         if sets == 2:  # -q S(q) + (tau - i eps) S(q + 1)
-            bracket = (1.0 - s) * sums[0] + (tau.take(row) - 1j * eps) * sums[1]
+            bracket = (1.0 - s) * sums[0] + (batch["tau"].take(row) - 1j * eps) * sums[1]
             out[:, 1] = _by_moment(*bracket.transpose(1, 0, 2))
         return out
 

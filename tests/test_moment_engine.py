@@ -293,7 +293,7 @@ def test_long_time_grid_is_chunked_and_matches_a_single_block(monkeypatch):
 
 
 def test_every_recipe_batch_is_one_chunk(monkeypatch):
-    # CHUNK is the largest batch a recipe makes: fig10's 40 x 64 scan
+    # figs 7-9 are 2,500 pairs, and fig10's 40 x 64 scan is the largest batch a recipe makes
     sizes, moments_of = {}, MomentEngine.moments
 
     def recorded(engine, temperatures, times):
@@ -305,12 +305,12 @@ def test_every_recipe_batch_is_one_chunk(monkeypatch):
         with redirect_stdout(io.StringIO()):
             assert cli.main([recipe["subcommand"], "--recipe", name, "--out", os.devnull]) == 0
     assert sizes["fig7"] == sizes["fig8"] == sizes["fig9"] == 2500
-    assert max(sizes.values()) == sizes["fig10"] == moments.CHUNK == 40 * 64
+    assert max(sizes.values()) == sizes["fig10"] == 40 * 64
 
 
 def test_a_fig10_scan_chunk_peaks_below_a_few_mib():
-    # the kernel keeps two whole (n, k, pairs) tables alive, about 3.6 MiB at 2,560 pairs;
-    # all eight of its (n, k, pairs) tables alive at once would peak above 7 MiB
+    # the batch runs in blocks of CHUNK pairs, so its temporaries are a block's: about
+    # 0.94 MiB with the result; the whole 2,560-pair scan in one block peaks near 3.6 MiB
     engine = MomentEngine(Estimand.TEMPERATURE, SpectralParams(0.5), DEFAULT_QUADRATURE)
     pairs = grid_pairs(np.linspace(0.2, 2.0, 40), np.linspace(0.0, 20.0, 64))
     engine.moments(*pairs)  # the cached coefficients
@@ -320,17 +320,29 @@ def test_a_fig10_scan_chunk_peaks_below_a_few_mib():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.5 * 2**20
+    assert peak < 2 * 2**20
 
 
-def test_row_and_time_chunks_do_not_change_the_moments(monkeypatch):
-    engine = MomentEngine(Estimand.TEMPERATURE, SpectralParams(0.5), DEFAULT_QUADRATURE)
-    pairs = grid_pairs([0.01, 0.5, 3.0], [0.0, 0.5, 3.0, 10.0])
-    whole = engine.moments(*pairs)
-    assert whole.shape == (2, 2, 3, 12)
-    assert np.array_equal(engine.moments(*pairs), whole)  # a second call repeats exactly
-    monkeypatch.setattr(moments, "CHUNK", 1)  # one pair per chunk
-    assert np.array_equal(engine.moments(*pairs), whole)
+@pytest.mark.parametrize("estimand", list(Estimand))
+@pytest.mark.parametrize("s", [0.3, 1.0, 2.0, 3.0])
+def test_row_and_time_chunks_do_not_change_the_moments(monkeypatch, estimand, s):
+    # a grid, then T = 0, t = 0, Taylor (2 T t < 0.05 a) and Euler-Maclaurin pairs; the
+    # pairs at T = 0.5 run from the Taylor branch into Euler-Maclaurin, across a block of 7
+    engine = MomentEngine(estimand, SpectralParams(s), DEFAULT_QUADRATURE)
+    pairs = [*zip(*grid_pairs([0.01, 0.5, 3.0], [0.0, 0.5, 3.0, 10.0])),
+             (0.0, 0.7), (0.01, 1e-4), (3.0, 0.0),
+             *[(0.5, t) for t in np.geomspace(1e-3, 50.0, 11)],
+             (0.5, 0.0), (0.01, 0.5), (3.0, 2.0), (0.0, 0.0)]
+    temperatures, times = zip(*pairs)
+    whole = engine.moments(temperatures, times)
+    assert whole.shape == (2, engine.sets, 3, 30)
+    assert np.array_equal(engine.moments(temperatures, times), whole)  # a second call repeats
+    for chunk in (1, 7):  # one pair per block; blocks that split T = 0.5's pairs
+        monkeypatch.setattr(moments, "CHUNK", chunk)
+        assert np.array_equal(engine.moments(temperatures, times), whole), chunk
+    monkeypatch.undo()
+    for p, (temperature, time) in enumerate(pairs):  # and each pair alone
+        assert np.array_equal(engine.moments([temperature], [time]), whole[..., p:p + 1])
 
 
 def test_one_pair_batches_equal_the_grid_batch_bit_for_bit():
@@ -577,17 +589,19 @@ def test_the_order_weights_equal_the_parity_rule_of_each_order():
 def test_series_and_euler_maclaurin_agree_on_both_sides_of_the_switch(s):
     # the Taylor series takes over below 2 T t = SERIES_CUTOFF a; both forms hold there
     engine = MomentEngine(Estimand.TEMPERATURE, SpectralParams(s), DEFAULT_QUADRATURE)
-    coefficients = moments._coefficients(s, moments.TRUNCATIONS)
-    temperatures = np.array([0.01, 0.7, 30.0])
+    temperatures = np.repeat([0.01, 0.7, 30.0], 2)
     a = 1.0 + temperatures
-    row = np.repeat(np.arange(3), 2)
-    products = np.outer(a, [1.0 - 1e-9, 1.0 + 1e-9]).ravel() * moments.SERIES_CUTOFF / 2.0
-    series = engine._taylor(coefficients, temperatures, a, row, products)
-    summed = engine._euler_maclaurin(coefficients, temperatures, a, row, products)
+    products = a * np.tile([1.0 - 1e-9, 1.0 + 1e-9], 3) * moments.SERIES_CUTOFF / 2.0
+    # each temperature has a pair on each side, so the batch has both branches' tables
+    batch = engine._batch(temperatures, products / temperatures)
+    assert batch["series"].tolist() == [True, False] * 3
+    row, products = batch["row"], batch["products"]
+    series = engine._taylor(batch, row, products)
+    summed = engine._euler_maclaurin(batch, row, products)
     scale = np.abs(summed).max(axis=2, keepdims=True)
     assert np.all(np.abs(series - summed) <= 1e-12 * scale)
     sq = SqueezeParams(1.5, 0.0)
-    for temperature, product in zip(temperatures[row], products):
+    for temperature, product in zip(temperatures, products):
         point = BathPoint(float(temperature), float(product / temperature))
         value, derivative, _ = one_pair(Estimand.TEMPERATURE, point, sq, SpectralParams(s))
         expected = hurwitz_reference.exponents(Estimand.TEMPERATURE, point, sq, SpectralParams(s))
