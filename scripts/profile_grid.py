@@ -21,9 +21,13 @@ that the allocator handed back to the system and the next call touches again.
   fig10_moments       MomentEngine.moments of fig10's scan: 64 times at each of 40
                       temperatures, the largest batch a recipe makes
   fig10_call          one whole fig10 `cli.main` call, CSV to memory
+  point               qfi_engine.qfi_point, one call on each of POINTS seeded inputs
+                      (estimand, s in {0.5, 1, 3}, T, t, r and theta drawn at random),
+                      each timed once after a warm-up pass: the median is per call
 
 It also reports `moments_peak_mib` and `fig10_moments_peak_mib`, the tracemalloc peak
-(MiB) of one `moments` call on each batch: the NumPy temporaries of one batch.
+(MiB) of one `moments` call on each batch: the NumPy temporaries of one batch; and
+`fig10_exponents_peak_mib`, that of the `exponents` call on fig10's scan.
 `--baseline` embeds a result this script wrote on another tree (say the parent commit,
 on the same machine) under `baseline`, so a change shows its numbers beside the ones it
 is measured against.
@@ -34,6 +38,7 @@ BLAS is held to one thread, as in the benchmark.
 import argparse
 import io
 import json
+import math
 import os
 import platform
 import resource
@@ -50,13 +55,18 @@ os.environ.pop("QFIBATH_REL_TOL", None)
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
+
 from qfibath import cli  # noqa: E402
 from qfibath.moments import MomentEngine, grid_pairs  # noqa: E402
-from qfibath.qfi_engine import qfi_table  # noqa: E402
+from qfibath.qfi_engine import qfi_point, qfi_table  # noqa: E402
+from qfibath.spectral_bath import (BathPoint, Estimand, SpectralParams,  # noqa: E402
+                                   SqueezeParams)
 
 ARGV = ["grid", "--recipe", "fig7", "--format", "json"]
 FIG10_ARGV = ["opt-time", "--recipe", "fig10"]
 CALLS = 60
+POINTS = 200
 
 
 def _captured() -> dict:
@@ -81,23 +91,35 @@ def _captured() -> dict:
     return seen
 
 
-def _largest_batch(argv: list[str]) -> tuple:
-    """The engine and pairs of the largest `moments` batch one `cli.main(argv)` call makes."""
+def _largest_batch(argv: list[str], method: str, pairs) -> tuple:
+    """The engine and arguments of the `MomentEngine` `method` call with the most
+    `pairs(arguments)` that one `cli.main(argv)` call makes."""
     largest = []
-    library = MomentEngine.moments
+    library = getattr(MomentEngine, method)
 
-    def moments(engine, temperatures, times):
-        if not largest or len(times) > len(largest[2]):
-            largest[:] = engine, temperatures, times
-        return library(engine, temperatures, times)
+    def recorded(engine, *arguments):
+        if not largest or pairs(arguments) > pairs(largest[1:]):
+            largest[:] = engine, *arguments
+        return library(engine, *arguments)
 
-    MomentEngine.moments = moments
+    setattr(MomentEngine, method, recorded)
     try:
         with redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
     finally:
-        MomentEngine.moments = library
+        setattr(MomentEngine, method, library)
     return tuple(largest)
+
+
+def _seeded_points() -> list[dict]:
+    """POINTS `qfi_point` inputs drawn at random over the benchmark's point domain."""
+    rng = np.random.default_rng(2026)
+    estimands = list(Estimand)
+    return [{"estimand": estimands[k % 3],
+             "point": BathPoint(float(rng.uniform(0.01, 3.0)), float(rng.uniform(0.05, 10.0))),
+             "sq": SqueezeParams(float(rng.uniform(0.0, 1.5)),
+                                 float(rng.uniform(0.0, 2.0 * math.pi))),
+             "sp": SpectralParams(float(rng.choice([0.5, 1.0, 3.0])))} for k in range(POINTS)]
 
 
 def _peak_mib(function) -> float:
@@ -125,7 +147,9 @@ def main(argv=None) -> int:
     # an engine whose moments are already computed, so the table times the rest alone
     computed = MomentEngine(spec.estimand, spec.sp, qc)
     computed.moments = lambda *_: moments
-    scan_engine, *scan = _largest_batch(FIG10_ARGV)
+    scan_engine, *scan = _largest_batch(FIG10_ARGV, "moments", lambda pairs: len(pairs[1]))
+    _, *scan_exponents = _largest_batch(FIG10_ARGV, "exponents",
+                                        lambda cells: cells[0].shape[-1] * len(cells[1]))
 
     def call(argv):
         with redirect_stdout(io.StringIO()):
@@ -153,6 +177,18 @@ def main(argv=None) -> int:
             samples[name].append(1e3 * (perf_counter() - start))
             faults[name].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
+    points = _seeded_points()
+    for inputs in points:  # warm-up
+        qfi_point(**inputs)
+    point, point_faults = [], []
+    for inputs in points:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = perf_counter()
+        qfi_point(**inputs)
+        point.append(1e3 * (perf_counter() - start))
+        point_faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    samples["point"], faults["point"] = point, point_faults
+
     result = {
         "command": "qfibath " + " ".join(ARGV) + "; qfibath " + " ".join(FIG10_ARGV),
         "calls": CALLS,
@@ -170,8 +206,9 @@ def main(argv=None) -> int:
               f"   minor faults {minflt:g}")
     result["moments_peak_mib"] = _peak_mib(parts["moments"])
     result["fig10_moments_peak_mib"] = _peak_mib(parts["fig10_moments"])
-    for name in ("moments_peak_mib", "fig10_moments_peak_mib"):
-        print(f"{name:23s} {result[name]:.3f} MiB")
+    result["fig10_exponents_peak_mib"] = _peak_mib(lambda: scan_engine.exponents(*scan_exponents))
+    for name in ("moments_peak_mib", "fig10_moments_peak_mib", "fig10_exponents_peak_mib"):
+        print(f"{name:24s} {result[name]:.3f} MiB")
     if args.baseline:
         result["baseline"] = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")

@@ -271,8 +271,8 @@ def _run(args: argparse.Namespace) -> int:
         "fixed": {dest: values[dest] for dest in fixed},
     }
     # fail fast on an unwritable --out: opening for append truncates nothing, and a
-    # file this check created is removed again if the call fails
-    created = args.out != "-" and not os.path.lexists(args.out)
+    # file this check created (a symbolic link's target) is removed if the call fails
+    created = args.out != "-" and not os.path.exists(args.out)
     if args.out != "-":
         try:
             open(args.out, "a", encoding="utf-8").close()
@@ -296,7 +296,7 @@ def _run(args: argparse.Namespace) -> int:
             _fail("--out", f"{exc.strerror}: {args.out!r}")
     except BaseException:
         if created:
-            os.unlink(args.out)
+            os.unlink(os.path.realpath(args.out))
         raise
     return EXIT_OK
 

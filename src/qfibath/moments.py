@@ -7,8 +7,9 @@ factor f(T, w) = J(w) coth(w / 2T) / w**2 and E(w, t) = 2 sin(w t / 2)**2,
     C  = cos(theta) Mc + sin(theta) Ms,
     gamma = [exp(-2r) (M0 + C) + exp(2r) (M0 - C)] / 2,
 
-grouped as in `spectral_bath.squeeze_kernel`; each derivative is the same
-assembly with the thermal row and weights of `spectral_bath.derivative_rule`.
+grouped as in `spectral_bath.squeeze_kernel`. `exponents` runs this assembly as
+rows: gamma's on thermal set 0 and the derivative's on the last set, each with the
+weights of `spectral_bath.derivative_rule`, so another derivative is one more row.
 With I_k = int f (1 - e^(i k w t)) dw for k = 1, 2, M0 = Re I_1,
 Mc = Re I_2 / 2 - Re I_1 and Ms = Im I_2 / 2 - Im I_1, so any part of I_k that
 is imaginary and linear in k cancels from all three; such parts are left out.
@@ -47,7 +48,8 @@ of `taylor` takes over, summed per moment with the weights `_ORDERS`, the map
 `_by_moment` of the orders (i k)**m of (I_1, I_2), so the cancellations between
 I_1 and I_2 are exact; the vacuum series takes the same weights. d/dT
 differentiates it term by term. Its real zeta(p + m, a) come from the same
-Euler-Maclaurin truncation, once per temperature that has such pairs.
+Euler-Maclaurin truncation, once per temperature that has such pairs; truncations
+and thermal sets are axes of its one table of terms.
 
 Each point takes the two truncations of TRUNCATIONS: (N, J) Euler-Maclaurin
 terms, or N + 2 + J Taylor terms. The second is reported. `exponents` flags a
@@ -187,11 +189,9 @@ def _vacuum(sp: SpectralParams, times: np.ndarray) -> np.ndarray:
     s, x = sp.s, sp.omega_c * times
     scale = _gamma_function(s)
     # I_k = Gamma(s) E(L_k), E(L) = expm1((1 - s) L) / (1 - s), L_k = log(1 - i k x)
-    parts = []
-    for k in (1.0, 2.0):
-        log = _complex(0.5 * np.log1p((k * x) ** 2), -np.arctan(k * x))
-        parts.append(log if s == 1.0 else _expm1(1.0 - s, log) * (1.0 / (1.0 - s)))
-    out = scale * _by_moment(*parts)
+    kx = np.multiply.outer([1.0, 2.0], x)  # (k, times)
+    log = _complex(0.5 * np.log1p(kx ** 2), -np.arctan(kx))
+    out = scale * _by_moment(*(log if s == 1.0 else _expm1(1.0 - s, log) * (1.0 / (1.0 - s))))
     small = x < VACUUM_SERIES_CUTOFF
     if small.any():
         out[:, small] = _vacuum_series(s, scale, x[small])
@@ -407,14 +407,11 @@ class MomentEngine:
         powers = [(1.0 + x_end) * power, power]
         terms = [(first, gamma_tail * tail), (lower, -gamma_tail * ratio)][:sets]
         del tail, ratio, x_end, power
-        sums = [direct + rise[p] * (end + powers[p] * polynomial[p]) - plain[p]
-                for p, (direct, end) in enumerate(terms)]
-        out = np.empty((2, sets, 3, products.size))
-        out[:, 0] = _by_moment(*sums[0].transpose(1, 0, 2))
+        sums = np.array([direct + rise[p] * (end + powers[p] * polynomial[p]) - plain[p]
+                         for p, (direct, end) in enumerate(terms)])  # (sets, ends, k, pairs)
         if sets == 2:  # -q S(q) + (tau - i eps) S(q + 1)
-            bracket = (1.0 - s) * sums[0] + (batch["tau"].take(row) - 1j * eps) * sums[1]
-            out[:, 1] = _by_moment(*bracket.transpose(1, 0, 2))
-        return out
+            sums[1] = (1.0 - s) * sums[0] + (batch["tau"].take(row) - 1j * eps) * sums[1]
+        return _by_moment(*sums.transpose(2, 0, 1, 3))
 
     def exponents(self, moments: np.ndarray,
                   squeezes: Sequence[SqueezeParams]) -> tuple[np.ndarray, ...]:
@@ -433,35 +430,34 @@ class MomentEngine:
              *derivative_rule(self.estimand, one.r)[1])
             for one in squeezes
         ]).T[..., None]
-        cos_th, sin_th, *weights = table
-        # eps times the size of the weights of gamma and of the derivative: a rounded sum
-        # errs by a few eps = ulp(1) relative to the size of its terms
-        spans = math.ulp(1.0) * np.abs(table[2:]).reshape(2, 3, -1, 1).sum(1)
-
-        def assemble(m, a, b, c):
-            # the moments of 1 + cos(theta - w t), 1 - cos(theta - w t), sin(theta - w t)
-            m = m[:, :, None]
-            even = cos_th * m[:, 1] + sin_th * m[:, 2]
-            odd = sin_th * m[:, 1] - cos_th * m[:, 2]
-            return (a * (m[:, 0] + even) + b * (m[:, 0] - even) + c * odd).reshape(2, -1)
-
-        def checked(m, weights, span, scale):
-            # both truncations' assembly, whether they agree, whether the rounding of the
-            # reported one is within the tolerance, and the bound on that rounding
-            pair = assemble(m, *weights)
-            tolerance = np.maximum(self.qc.abs_tol, self.qc.rel_tol * scale(pair[1]))
-            bound = (span * np.abs(m[1]).sum(0)).reshape(-1)
-            return pair, np.abs(pair[0] - pair[1]) <= tolerance, bound <= tolerance, bound
-
+        cos_th, sin_th, weights = table[0], table[1], table[2:].reshape(2, 3, -1, 1)
+        # eps times the size of each row's weights: a rounded sum errs by a few
+        # eps = ulp(1) relative to the size of its terms
+        spans = math.ulp(1.0) * np.abs(weights).sum(1)
+        # the rows of one assembly: gamma on the coth set, then the derivative on the
+        # last set, d coth / dT where there is one
+        rows = zip(weights, spans, (moments[:, 0], moments[:, self.sets - 1]))
+        agree, exact, value = True, True, None
         with np.errstate(**_NON_FINITE):
-            value, agree, exact, bound = checked(moments[:, 0], weights[:3], spans[0], np.abs)
-            # the derivative takes the last thermal set: d coth / dT where there is one
-            derivative, *both = checked(moments[:, self.sets - 1], weights[3:], spans[1],
-                                        lambda pair: np.maximum(np.abs(pair), value[1]))
-            exact &= both[1]
-            gap = np.where(exact, np.abs(value[0] - value[1]), -bound)
+            for (a, b, c), span, m in rows:
+                # the moments of 1 + cos(theta - w t), 1 - cos(theta - w t), sin(theta - w t)
+                m = m[:, :, None]
+                even = cos_th * m[:, 1] + sin_th * m[:, 2]
+                odd = sin_th * m[:, 1] - cos_th * m[:, 2]
+                pair = (a * (m[:, 0] + even) + b * (m[:, 0] - even) + c * odd).reshape(2, -1)
+                bound = (span * np.abs(m[1]).sum(0)).reshape(-1)
+                if value is None:  # gamma's row: its gap, and the derivative's scale floor
+                    value, rounding = pair, bound
+                # both truncations agree, and the rounding of the reported one is within
+                # the tolerance, relative to |gamma| or to max(|d gamma|, gamma)
+                tolerance = np.maximum(self.qc.abs_tol,
+                                       self.qc.rel_tol * np.maximum(np.abs(pair[1]), value[1]))
+                agree = agree & (np.abs(pair[0] - pair[1]) <= tolerance)
+                exact = exact & (bound <= tolerance)
+                del even, odd, tolerance  # hold one row's temporaries at a time
+            gap = np.where(exact, np.abs(value[0] - value[1]), -rounding)
         # the integrand of gamma is non-negative; roundoff can undershoot 0
-        return np.maximum(value[1], 0.0), derivative[1], agree & both[0] & exact, gap
+        return np.maximum(value[1], 0.0), pair[1], agree & exact, gap
 
 
 def grid_pairs(temperatures: Sequence[float],

@@ -42,35 +42,31 @@ def zeta(sigma: np.ndarray, a: np.ndarray, direct: int, bernoulli: int) -> np.nd
 
 
 def terms(coefficients: dict, truncations: tuple, s: float, tau: np.ndarray,
-          used: np.ndarray, sets: int) -> list:
-    """Per truncation, its orders m and, per thermal set, the factor of (i eps)**m at
-    each temperature tau = T / omega_c, shape (m, T): Gamma(q + m) / m! zeta(q + m, a)
-    and -Gamma(q + m + 1) / m! [zeta(q + m, a) - tau zeta(q + m + 1, a)]. Only the
-    temperatures `used` are computed; the others are 0."""
+          used: np.ndarray, sets: int) -> np.ndarray:
+    """The factor of (i eps)**m at each order m and temperature tau = T / omega_c, shape
+    (truncation, set, m, T): Gamma(q + m) / m! zeta(q + m, a) and
+    -Gamma(q + m + 1) / m! [zeta(q + m, a) - tau zeta(q + m + 1, a)], 0 past a
+    truncation's own N + 2 + J orders. Only the temperatures `used` are computed; the
+    others are 0."""
     orders = coefficients["orders"]
-    plain, raised = coefficients["series"]
-    out = []
-    for n, j in truncations:
+    plain, raised = coefficients["series"][:, :-1, None]
+    out = np.zeros((len(truncations), sets, orders.size - 1, tau.size))
+    for table, (n, j) in zip(out, truncations):
         values = np.zeros((orders.size, tau.size))  # zeta(q + m, a), (m, T)
         values[:, used] = zeta(s - 1.0 + orders, 1.0 + tau[used], n, j).T
-        m = orders[:n + 2 + j]
-        factors = [plain[:m.size, None] * values[:m.size]]
-        if sets == 2:
-            factors.append(-raised[:m.size, None] * (values[:m.size] - tau * values[1:m.size + 1]))
-        out.append((m, factors))
+        factors = [plain * values[:-1], -raised * (values[:-1] - tau * values[1:])]
+        table[:, :n + 2 + j] = np.array(factors[:sets])[:, :n + 2 + j]
     return out
 
 
-def sums(terms: list, weights: np.ndarray, row: np.ndarray, products: np.ndarray) -> np.ndarray:
+def sums(terms: np.ndarray, weights: np.ndarray, row: np.ndarray,
+         products: np.ndarray) -> np.ndarray:
     """S(q) and the bracket of d I / dT of pairs at temperature row[p] of `terms` with
     T t = products[p], summed per moment with the weights of (i k)**m in (M0, Mc, Ms):
     shape (2, sets, 3, pairs), before the factors -2 tau**q and (2 / omega_c) tau**(q - 1)."""
-    out = np.empty((len(terms), len(terms[0][1]), 3, products.size))
-    for k, (m, factors) in enumerate(terms):
-        weight = weights[:, m, None]  # per moment, the weight of (i k T t)**m
-        powers = products ** m[:, None]  # (m, pairs)
-        for set_, factor in enumerate(factors):
-            # a running sum adds the terms in order at any number of pairs; NumPy's
-            # sum pairs them up when the batch has one
-            out[k, set_] = np.cumsum(weight * (powers * factor[:, row]), axis=1)[:, -1]
-    return out
+    m = 2 + np.arange(terms.shape[2])
+    powers = products ** m[:, None]  # (m, pairs)
+    summed = weights[:, m, None] * (powers * terms.take(row, -1)[:, :, None])
+    # a running sum adds the terms in order at any number of pairs; NumPy's sum pairs
+    # them up when the batch has one. The zero terms past a truncation's orders add 0
+    return np.cumsum(summed, axis=-2, out=summed)[..., -1, :]

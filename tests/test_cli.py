@@ -479,6 +479,13 @@ def test_a_failing_call_leaves_a_missing_out_missing(tmp_path, capsys):
     assert run_cli(FAILING_POINT + ["--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("numerical failure: ")
     assert list(tmp_path.iterdir()) == []
+    # through a dangling symbolic link: the link stays, and its target stays missing
+    link = tmp_path / "link.csv"
+    link.symlink_to("target.csv")
+    assert run_cli(FAILING_POINT + ["--out", str(link)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert list(tmp_path.iterdir()) == [link] and link.is_symlink()
+    assert not (tmp_path / "target.csv").exists()
 
 
 def test_a_failing_call_keeps_the_bytes_of_an_existing_out(tmp_path):

@@ -18,6 +18,7 @@ from qfibath.qfi_engine import qfi_point, qfi_table
 from qfibath.spectral_bath import (BathPoint, Estimand, SpectralParams, SqueezeParams,
                                    thermal_factor)
 from qfibath.sweep_optimize import GridSpec, density_grid
+from domain_sample_values import DOMAIN_SAMPLE_VALUES
 from reference_values import REFERENCE_VALUES
 
 TEMPERATURES = [0.0, 0.01, 0.1, 0.5, 1.5, 3.0]
@@ -269,6 +270,28 @@ def test_zero_time_is_exactly_zero_where_the_moments_are_not_finite():
     assert engine.exponents(batch, [SqueezeParams(0.5, 1.0)])[2].tolist() == [True, False]
     assert one_pair(Estimand.TEMPERATURE, BathPoint(0.5, 0.0), SqueezeParams(0.5, 1.0),
                     SpectralParams(150.0)) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("estimand", list(Estimand))
+def test_a_family_of_squeezings_equals_its_squeezings_one_by_one(estimand):
+    # all four outputs of a k-squeezing call are those of k one-squeezing calls, bit for
+    # bit: cells that pass, cells the rounding bound refuses (r = 20 at t = 1e-5,
+    # theta = 0: a negative gap) and cells whose truncations disagree (s = 150)
+    squeezes = [SqueezeParams(0.0), SqueezeParams(0.7, 1.0), SqueezeParams(20.0, 0.0),
+                SqueezeParams(3.0, 5.5)]
+    kinds = set()
+    for s, temperatures, times in ((0.5, [0.5, 0.01, 3.0, 0.5, 0.0], [1e-5, 0.3, 7.5, 0.0, 2.0]),
+                                   (150.0, [0.5, 0.001, 0.5], [1.0, 0.3, 0.0])):
+        engine = MomentEngine(estimand, SpectralParams(s), DEFAULT_QUADRATURE)
+        batch = engine.moments(temperatures, times)
+        family, n = engine.exponents(batch, squeezes), len(times)
+        for k, sq in enumerate(squeezes):
+            for got, one in zip(family, engine.exponents(batch, [sq])):
+                assert got[k * n:(k + 1) * n].tobytes() == one.tobytes(), (s, sq)
+        _, _, agree, gaps = family
+        kinds |= {"passes" if ok else "refused" if gap < 0.0 else "disagrees"
+                  for ok, gap in zip(agree, gaps)}
+    assert kinds == {"passes", "refused", "disagrees"}
 
 
 def test_long_time_grid_is_chunked_and_matches_a_single_block(monkeypatch):
@@ -529,12 +552,28 @@ def test_seeded_domain_sample_is_finite():
         assert (result.value, result.est_error) == (value, gap), (point, sq, sp)
 
 
+def _sample_inputs(estimand, point, sq, sp):
+    return (estimand.value, point.temperature, point.time, sq.r, sq.theta, sp.s, sp.omega_c)
+
+
+def test_the_frozen_domain_oracle_is_the_sample_and_the_zeta_oracle():
+    # the frozen values are the sample's points in order, and the live oracle's values
+    # at a few of them: regenerate them with scripts/make_domain_sample_values.py
+    sample = list(_domain_sample())
+    assert [_sample_inputs(*case) for case in sample] == [
+        row[:7] for row in DOMAIN_SAMPLE_VALUES]
+    for k in (0, 15, 16, 215):
+        assert hurwitz_reference.exponents(*sample[k]) == DOMAIN_SAMPLE_VALUES[k][7:], k
+
+
 def test_seeded_domain_sample_meets_tolerance_against_the_zeta_oracle():
     # inside the supported domain every result the engine returns meets 1e-8 on gamma,
-    # and on d gamma relative to max(|d gamma|, gamma)
-    for estimand, point, sq, sp in _domain_sample():
+    # and on d gamma relative to max(|d gamma|, gamma), against the zeta oracle's values
+    # frozen in DOMAIN_SAMPLE_VALUES
+    for (estimand, point, sq, sp), row in zip(_domain_sample(), DOMAIN_SAMPLE_VALUES,
+                                              strict=True):
         value, derivative, _ = one_pair(estimand, point, sq, sp)
-        expected, expected_derivative = hurwitz_reference.exponents(estimand, point, sq, sp)
+        expected, expected_derivative = row[7:]
         assert abs(value - expected) <= 1e-8 * expected, (estimand, point, sq, sp)
         assert abs(derivative - expected_derivative) <= 1e-8 * max(
             abs(expected_derivative), expected), (estimand, point, sq, sp)
@@ -583,6 +622,20 @@ def test_the_order_weights_equal_the_parity_rule_of_each_order():
         sign, doubled, even = (-1.0) ** (m // 2), 2.0 ** (m - 1) - 1.0, m % 2 == 0
         rule = sign * np.array([float(even), doubled * even, doubled * (not even)])
         assert np.array_equal(moments._ORDERS[:, m], rule), m
+
+
+def test_each_truncation_of_the_taylor_terms_stops_at_its_own_orders():
+    # one (truncation, set, order, T) table: the first truncation's N + 2 + J orders,
+    # then zeros that leave its running sums' bits unchanged, so its gap to the
+    # second is the orders it leaves out
+    tau = np.array([0.01, 0.7, 30.0])
+    used = np.array([True, False, True])
+    terms = moments.taylor.terms(moments._coefficients(0.5, moments.TRUNCATIONS),
+                                 moments.TRUNCATIONS, 0.5, tau, used, 2)
+    assert terms.shape == (2, 2, 18, 3) and np.all(terms[..., ~used] == 0.0)
+    for truncation, (n, j) in zip(terms[..., used], moments.TRUNCATIONS):
+        orders = n + 2 + j
+        assert np.all(truncation[:, :orders] != 0.0) and np.all(truncation[:, orders:] == 0.0)
 
 
 @pytest.mark.parametrize("s", [0.05, 0.5, 1.0, 2.0, 3.0, 10.0])
