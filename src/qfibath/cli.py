@@ -45,7 +45,7 @@ from .sweep_optimize import (
     SWEEP_AXES, GridSpec, OptimalTimeSpec, SweepSpec, Tiled, density_grid,
     optimal_time_curve, sweep,
 )
-from .writers import csv_text, json_text, write
+from .writers import csv_text, json_text, output
 
 __all__ = ["main", "build_parser", "RECIPES", "EXIT_OK", "EXIT_USAGE", "EXIT_NUMERICAL"]
 
@@ -270,34 +270,20 @@ def _run(args: argparse.Namespace) -> int:
         **{dest: getattr(args, dest) for dest in echoed},
         "fixed": {dest: values[dest] for dest in fixed},
     }
-    # fail fast on an unwritable --out: opening for append truncates nothing, and a
-    # file this check created (a symbolic link's target) is removed if the call fails
-    created = args.out != "-" and not os.path.exists(args.out)
-    if args.out != "-":
-        try:
-            open(args.out, "a", encoding="utf-8").close()
-        except OSError as exc:
-            _fail("--out", f"{exc.strerror}: {args.out!r}")
+    # the output is made before anything is computed, so an unwritable --out fails fast
     try:
-        names, columns = args.handler(
-            args, spec, qc, estimand=Estimand(args.estimand), sq=sq, sp=sp, init=init)
-        # the run record, with the output columns and the inert omega_0
-        metadata = {"tool": "qfibath", "version": __version__, "quadrature": asdict(qc),
-                    "timestamp": datetime.now(timezone.utc).isoformat(), "columns": names}
-        if args.omega_0 is not None:
-            metadata["omega_0"] = args.omega_0
-        if args.format == "json":
-            text = json_text(spec, metadata, columns)
-        else:
-            text = csv_text(spec, metadata, names, columns)
-        try:
-            write(text, args.out)
-        except OSError as exc:
-            _fail("--out", f"{exc.strerror}: {args.out!r}")
-    except BaseException:
-        if created:
-            os.unlink(os.path.realpath(args.out))
-        raise
+        with output(args.out) as write:
+            names, columns = args.handler(
+                args, spec, qc, estimand=Estimand(args.estimand), sq=sq, sp=sp, init=init)
+            # the run record, with the output columns and the inert omega_0
+            metadata = {"tool": "qfibath", "version": __version__, "quadrature": asdict(qc),
+                        "timestamp": datetime.now(timezone.utc).isoformat(), "columns": names}
+            if args.omega_0 is not None:
+                metadata["omega_0"] = args.omega_0
+            write(json_text(spec, metadata, columns) if args.format == "json"
+                  else csv_text(spec, metadata, names, columns))
+    except OSError as exc:
+        _fail("--out", f"{exc.strerror}: {args.out!r}")
     return EXIT_OK
 
 

@@ -5,7 +5,7 @@ A table reaches the writers as columns, and they spell its cells column by colum
 cell of a float column, `str` or `json.dumps` for the other cells. A `Tiled` column,
 a grid axis, has its distinct values spelled once and each text repeated in place;
 the texts are those of spelling every cell, so identical invocations keep
-byte-identical data sections.
+byte-identical data sections. `output` is the one path of the text to `--out`.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ import math
 import os
 import shutil
 import sys
-import tempfile
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 
 from .sweep_optimize import Tiled
 
-__all__ = ["spell", "csv_text", "json_text", "write"]
+__all__ = ["spell", "csv_text", "json_text", "output"]
 
 def spell(value) -> str:
     """Shortest decimal that round-trips the binary float (locale-independent); a
@@ -91,34 +91,34 @@ def json_text(spec: dict, metadata: dict, columns: Sequence[Sequence | Tiled]) -
     return f'{head[:-2]},\n  "rows": [\n{rows}\n  ]\n}}\n'
 
 
-def write(text: str, out: str) -> None:
-    """`text` to stdout when `out` is "-", else into the file `out`. An existing regular
-    file keeps its bytes until the new ones are complete: they go to a temporary file
-    beside it (beside the file a symbolic link names), which then replaces it whole.
-    Anything else, a new file or a device such as /dev/null, is written in place. A
-    failing write raises, and removes the temporary file or the new file it opened."""
+@contextmanager
+def output(out: str) -> Iterator[Callable[[str], object]]:
+    """The function that writes text to `out`, made before the block runs: stdout when
+    `out` is "-"; an existing path that is not a regular file, such as /dev/null, opened
+    in place (a directory fails here). Any other path, missing or a regular file, gets a
+    new file beside it (beside the file a symbolic link names), which replaces it whole
+    when the block ends, and is removed if the block raises; an existing file the caller
+    may not write is refused first, as the replacement would not refuse it."""
     if out == "-":
-        sys.stdout.write(text)
-        return
-    if not os.path.isfile(out):
-        stream = None
-        try:
-            with open(out, "w", encoding="utf-8") as stream:
-                stream.write(text)
-        except BaseException:
-            # never leave a partial file behind, nor touch what the call did not open
-            if stream is not None and os.path.isfile(out):
-                os.unlink(out)
-            raise
+        yield sys.stdout.write
         return
     target = os.path.realpath(out)
-    descriptor, temporary = tempfile.mkstemp(
-        prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=os.path.dirname(target))
-    os.close(descriptor)
+    existing = os.path.isfile(target)
+    if not existing and os.path.exists(target):
+        with open(out, "w", encoding="utf-8") as stream:
+            yield stream.write
+        return
+    if existing:
+        os.close(os.open(target, os.O_WRONLY))
+    # "x" is O_CREAT | O_EXCL at mode 0o666: a new file takes the umask's mode, not 0600
+    temporary = os.path.join(os.path.dirname(target),
+                             f".{os.path.basename(target)}.{os.urandom(8).hex()}.tmp")
+    stream = open(temporary, "x", encoding="utf-8")
     try:
-        shutil.copymode(target, temporary)
-        with open(temporary, "w", encoding="utf-8") as stream:
-            stream.write(text)
+        with stream:
+            if existing:
+                shutil.copymode(target, temporary)
+            yield stream.write
         os.replace(temporary, target)
     except BaseException:
         os.unlink(temporary)

@@ -460,9 +460,15 @@ def test_out_naming_a_directory_exits_two_and_leaves_it_alone(tmp_path, capsys):
     assert (tmp_path / "kept.txt").read_text(encoding="utf-8") == "kept"
 
 
-def test_out_in_a_missing_directory_fails_before_any_moment(tmp_path, capsys, monkeypatch):
+def _count_batches(monkeypatch):
+    """The list each `MomentEngine.moments` batch appends to; no batch computes."""
     batches = []
     monkeypatch.setattr(moments.MomentEngine, "moments", lambda *args: batches.append(args))
+    return batches
+
+
+def test_out_in_a_missing_directory_fails_before_any_moment(tmp_path, capsys, monkeypatch):
+    batches = _count_batches(monkeypatch)
     out = tmp_path / "missing" / "x.csv"
     assert run_cli(["grid", "--recipe", "fig7", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: --out: No such file or directory: ")
@@ -541,6 +547,66 @@ def test_out_through_a_symbolic_link_replaces_the_file_it_names(tmp_path):
     assert out.read_text(encoding="utf-8").startswith("# tool = qfibath")
     assert out.stat().st_mode & 0o777 == 0o640
     assert sorted(path.name for path in tmp_path.iterdir()) == ["link.csv", "point.csv"]
+
+
+def _refuses_new_files(directory, batches, capsys):
+    """Run fig7 into the writable `kept.csv` of a `directory` that refuses a new file: it
+    fails there, before any moment batch, and the file keeps its bytes."""
+    out = directory / "kept.csv"
+    assert run_cli(["grid", "--recipe", "fig7", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out: Permission denied: {str(out)!r}\n"
+    assert batches == []
+    assert out.read_bytes() == b"kept\n"
+    assert list(directory.iterdir()) == [out]
+
+
+def test_out_in_a_directory_refusing_a_new_file_fails_before_any_moment(
+        tmp_path, capsys, monkeypatch):
+    def refusing_open(path, mode="r", **kwargs):
+        # this directory refuses every file it does not have yet
+        if os.path.dirname(path) == str(tmp_path) and not os.path.exists(path):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return open(path, mode, **kwargs)
+
+    monkeypatch.setattr(writers, "open", refusing_open, raising=False)
+    (tmp_path / "kept.csv").write_bytes(b"kept\n")
+    _refuses_new_files(tmp_path, _count_batches(monkeypatch), capsys)
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may create files in a read-only directory")
+def test_out_in_a_read_only_directory_fails_before_any_moment(tmp_path, capsys, monkeypatch):
+    directory = tmp_path / "ro"
+    directory.mkdir()
+    (directory / "kept.csv").write_bytes(b"kept\n")
+    directory.chmod(0o555)
+    try:
+        _refuses_new_files(directory, _count_batches(monkeypatch), capsys)
+    finally:
+        directory.chmod(0o755)
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+def test_a_read_only_out_fails_before_any_moment_and_keeps_its_bytes(
+        tmp_path, capsys, monkeypatch):
+    batches = _count_batches(monkeypatch)
+    out = tmp_path / "kept.csv"
+    out.write_bytes(b"kept\n")
+    out.chmod(0o444)
+    assert run_cli(["grid", "--recipe", "fig7", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out: Permission denied: {str(out)!r}\n"
+    assert batches == []
+    assert out.read_bytes() == b"kept\n"
+    assert out.stat().st_mode & 0o777 == 0o444
+
+
+def test_a_new_out_takes_the_mode_of_the_umask(tmp_path):
+    out = tmp_path / "point.csv"
+    previous = os.umask(0o027)
+    try:
+        assert run_cli(POINT_ARGS + ["--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert out.stat().st_mode & 0o777 == 0o640
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
