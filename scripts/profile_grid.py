@@ -14,7 +14,7 @@ that the allocator handed back to the system and the next call touches again.
 
   moments             MomentEngine.moments of the fig7 grid's 2,500 (T, t) pairs
   exponents_qfi_pass  qfi_engine.qfi_table on those moments: the exponents,
-                      then the checked pass over the cells
+                      then the closed form and the fault mask over the cells
   writer_json         the JSON text from the columns the grid handler returns
   writer_csv          the CSV text from the same columns
   call                one whole fig7 `cli.main` call, JSON to memory, as the benchmark makes it

@@ -131,10 +131,10 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 class ConvergenceError(RuntimeError):
-    """The two truncations disagreed above tolerance, or were not finite.
-
-    Carries the reported value of gamma and the truncations' gap on it, so callers
-    can see how far off it ended up.
+    """A cell's numbers failed: its truncations disagreed above tolerance, the rounding
+    of its assembly exceeded it, or its gamma, d gamma or qfi is invalid or not finite.
+    Carries the reported value of gamma and the truncations' gap on it (nan where the
+    fault is not the gap), so callers can see how far off it ended up.
     """
 
     def __init__(self, message: str, value: float, est_error: float):

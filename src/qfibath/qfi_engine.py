@@ -4,14 +4,14 @@ The production route evaluates the closed form
 
     I = sin(alpha)^2 * (d gamma / d eta)^2 / (exp(2 gamma) - 1)
 
-with the analytic parameter derivative of the decay exponent. One function
-(`_closed_form`) holds the expression for one cell, and one pass (`qfi_table`)
+with the analytic parameter derivative of the decay exponent. One array function
+(`_closed_form`) holds the expression for every cell, and one pass (`qfi_table`)
 takes k (squeezing, probe) settings over n (T, t) pairs from the moment engine
 to the gamma, d gamma, qfi and truncation gap of their k x n cells, setting
-outer and pair inner, checking every cell in order: points (`qfi_point`, and
-`decoherence.gamma` and `gamma_partial`, one-pair tables), sweeps, grids,
-search rounds and the oracles' shifted exponents all go through it.
-`qfi_closed_form` is the expression on given exponents.
+outer and pair inner, and raises at the first failing cell, found by one mask:
+points (`qfi_point`, and `decoherence.gamma` and `gamma_partial`, one-pair
+tables), sweeps, grids, search rounds and the oracles' shifted exponents all go
+through it. `qfi_closed_form` is the expression on one cell's given exponents.
 The oracle route (`qfi_spectral`) differentiates the spectral decomposition
 of the density matrix at eta - h, eta and eta + h, whose exponents are one
 `qfi_table` call (`_shifted_gammas`, which `decoherence.gamma_partial_fd`
@@ -97,33 +97,49 @@ class QfiSample:
 
 
 def qfi_closed_form(init: ProbeInit, gamma_value: float, dgamma: float) -> float:
-    """sin(alpha)^2 * dgamma^2 / (exp(2 gamma) - 1) at given exponents."""
-    return _closed_form(math.sin(init.alpha), gamma_value, dgamma)
+    """sin(alpha)^2 * dgamma^2 / (exp(2 gamma) - 1) at given exponents: one cell of
+    `_closed_form`. Raises ValueError where gamma is negative or nan, DegenerateInputError
+    where it is 0 while dgamma is a normal number."""
+    gammas, dgammas = np.array([[gamma_value], [dgamma]], dtype=float)
+    (qfi,), (invalid,) = _closed_form(np.array([math.sin(init.alpha)]), gammas, dgammas)
+    if invalid:
+        raise _invalid(gamma_value, dgamma)
+    return qfi.item()
 
 
-def _closed_form(sin_a: float, gamma_value: float, dgamma: float) -> float:
-    """`qfi_closed_form` given sin(alpha): the one copy of the expression.
+def _closed_form(sines: np.ndarray, gammas: np.ndarray,
+                 dgammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The qfi of every cell, given sin(alpha), gamma and d gamma per cell, and the mask of
+    the cells whose exponents are invalid: the one copy of the expression.
 
-    The denominator goes through `math.expm1`, so small exponents keep full
-    precision; at small t, dgamma / gamma grows like sinh(2 r), and so does the
-    qfi. Above gamma = 350, where exp(2 gamma) overflows, it is taken as
-    (dgamma exp(-gamma))^2 / -expm1(-2 gamma). Raises where gamma is negative or nan
-    (ValueError), or 0 while dgamma is a normal number (DegenerateInputError), which
-    no consistent evaluation produces: at t = 0 both are exactly 0. A subnormal dgamma
-    at gamma = 0 is the underflow of a qfi below 1e-300 (|dgamma| / gamma is at most
-    max(2, sinh 2r, 1/T)), which gives 0.
+    The denominator goes through `math.expm1` (NumPy's differs in the last bit), so small
+    exponents keep full precision; at small t, dgamma / gamma grows like sinh(2 r), and so
+    does the qfi. Above gamma = 350, where exp(2 gamma) overflows, it is taken as
+    (dgamma exp(-gamma))^2 / -expm1(-2 gamma). A cell is invalid where gamma is negative
+    or nan, or 0 while dgamma is a normal number, which no consistent evaluation
+    produces: at t = 0 both are exactly 0. A subnormal dgamma at gamma = 0 is the
+    underflow of a qfi below 1e-300 (|dgamma| / gamma is at most max(2, sinh 2r, 1/T)),
+    which gives 0.
     """
+    high = gammas > 350.0  # exp(2 gamma) overflows
+    signs = np.where(high, -1.0, 1.0)
+    with np.errstate(**_NON_FINITE):
+        expm1 = np.array(list(map(math.expm1, (signs * 2.0 * gammas).tolist())))
+        damped = dgammas.copy()
+        damped[high] *= list(map(math.exp, (-gammas[high]).tolist()))
+        qfis = sines * sines * damped * damped / (signs * expm1)
+    settled = (gammas == 0.0) & (abs(dgammas) < sys.float_info.min)
+    qfis[settled] = 0.0
+    return qfis, ~((gammas > 0.0) | settled)
+
+
+def _invalid(gamma_value: float, dgamma: float) -> ValueError:
+    """The error of a cell that `_closed_form` marks invalid: ValueError where gamma is
+    negative or nan, else DegenerateInputError."""
     if not gamma_value >= 0.0:
-        raise ValueError(f"decoherence exponent must be >= 0, got {gamma_value}")
-    if gamma_value == 0.0:
-        if abs(dgamma) < sys.float_info.min:
-            return 0.0
-        raise DegenerateInputError(
-            f"gamma = {gamma_value!r} is at the t -> 0 limit but dgamma = {dgamma!r} is not")
-    if gamma_value > 350.0:  # exp(2 gamma) overflows
-        damped = dgamma * math.exp(-gamma_value)
-        return sin_a * sin_a * damped * damped / -math.expm1(-2.0 * gamma_value)
-    return sin_a * sin_a * dgamma * dgamma / math.expm1(2.0 * gamma_value)
+        return ValueError(f"decoherence exponent must be >= 0, got {gamma_value}")
+    return DegenerateInputError(
+        f"gamma = {gamma_value!r} is at the t -> 0 limit but dgamma = {dgamma!r} is not")
 
 
 def _closed_form_split(alpha: float, gamma_value: float, qfi: float) -> tuple[float, float]:
@@ -157,63 +173,44 @@ def qfi_table(engine: MomentEngine, temperatures: Sequence[float], times: Sequen
     `settings` (SqueezeParams, ProbeInit) over the n pairs (temperatures[p], times[p]),
     setting outer and pair inner, so cell c is setting c // n at pair c % n.
 
-    One `engine.moments` batch of the pairs and one `engine.exponents` call with the k
-    squeezings, then one array pass: a cell is plain where its truncations agree,
-    0 < gamma <= 350 and its qfi is finite, and takes the expression of `_closed_form`
-    there, in its association and with its `math.expm1`. Then one walk over the other
-    cells in order. The first whose gamma or d gamma overflows, whose truncations
-    disagree or whose assembly's rounding exceeds the tolerance (ConvergenceError),
-    whose closed form is degenerate (DegenerateInputError), or whose gamma, d gamma or
-    qfi is not finite (ConvergenceError) raises, its message prefixed with `where(cell)`
-    when `where` is given; the others (gamma == 0, gamma > 350) take `_closed_form`.
+    One `engine.moments` batch of the pairs, one `engine.exponents` call with the k
+    squeezings and one `_closed_form` over all k n cells. A cell fails where its gamma or
+    d gamma overflows, its truncations disagree or its assembly's rounding exceeds the
+    tolerance, its exponents are invalid, or its gamma, d gamma or qfi is not finite, and
+    the first failing cell raises ConvergenceError with the message of its first fault in
+    that order, prefixed with `where(cell)` when `where` is given.
     """
     squeezes, inits = zip(*settings)
     values, derivatives, agree, gaps = engine.exponents(
         engine.moments(temperatures, times), squeezes)
     n = len(times)
-    sines = [math.sin(init.alpha) for init in inits]
-    with np.errstate(**_NON_FINITE):
-        # `_closed_form`'s expression, in its association and with its math.expm1 (NumPy's
-        # differs in the last bit); above gamma = 350 the denominator is expm1(0), so that
-        # qfi is not finite either and the walk takes the cell
-        expm1 = list(map(math.expm1, (2.0 * values * (values <= 350.0)).tolist()))
-        squares = np.array([sin_a * sin_a for sin_a in sines]).repeat(n)
-        qfis = squares * derivatives * derivatives / expm1
-    # the cells the array pass cannot settle, in order
-    hard = (~(agree & (values > 0.0) & np.isfinite(qfis))).nonzero()[0]
-    gammas, dgammas, gaps = values.tolist(), derivatives.tolist(), gaps.tolist()
-    for k in hard.tolist():
-        gamma_value, dgamma, gap = gammas[k], dgammas[k], gaps[k]
-        try:
-            overflows = math.isinf(gamma_value) or math.isinf(dgamma)
-            if overflows or not agree[k]:
-                p, qc = k % n, engine.qc
-                at = (f"at (T, t) = ({float(temperatures[p])!r}, {float(times[p])!r}): "
-                      f"gamma {gamma_value!r}")
-                tolerance = f"tolerance (rel_tol {qc.rel_tol:g}, abs_tol {qc.abs_tol:g})"
-                if overflows:
-                    fault = f"gamma or d gamma overflows {at}, dgamma {dgamma!r}"
-                elif gap < 0.0:  # minus the bound on the rounding of the assembly
-                    fault = (f"rounding of the assembly fails {at}, rounding bound {-gap:.3e} "
-                             f"on gamma; the bound exceeds the {tolerance} on gamma or d gamma")
-                else:
-                    fault = (f"truncations disagree {at}, gap {gap:.3e} above {tolerance} on "
-                             "gamma or d gamma")
-                raise ConvergenceError(fault, value=gamma_value, est_error=abs(gap))
-            qfi = _closed_form(sines[k // n], gamma_value, dgamma)
-            if not (math.isfinite(gamma_value) and math.isfinite(dgamma) and math.isfinite(qfi)):
-                raise ConvergenceError(
-                    f"non-finite sample: gamma {gamma_value!r}, dgamma {dgamma!r}, qfi {qfi!r}",
-                    value=gamma_value, est_error=math.nan)
-        except (ConvergenceError, ValueError) as exc:
-            if where is None:
-                raise
-            located = f"{where(k)}: {exc}"
-            if isinstance(exc, ConvergenceError):
-                raise ConvergenceError(located, value=exc.value, est_error=exc.est_error) from exc
-            raise type(exc)(located) from exc
-        qfis[k] = qfi
-    return gammas, dgammas, qfis.tolist(), gaps
+    sines = np.array([math.sin(init.alpha) for init in inits]).repeat(n)
+    qfis, invalid = _closed_form(sines, values, derivatives)
+    faults = (~(agree & np.isfinite(values) & np.isfinite(derivatives) & np.isfinite(qfis))
+              | invalid).nonzero()[0]
+    if faults.size:
+        k = int(faults[0])
+        gamma_value, dgamma, gap = values[k].item(), derivatives[k].item(), gaps[k].item()
+        p, qc = k % n, engine.qc
+        at = (f"at (T, t) = ({float(temperatures[p])!r}, {float(times[p])!r}): "
+              f"gamma {gamma_value!r}")
+        tolerance = f"tolerance (rel_tol {qc.rel_tol:g}, abs_tol {qc.abs_tol:g})"
+        if math.isinf(gamma_value) or math.isinf(dgamma):
+            fault = f"gamma or d gamma overflows {at}, dgamma {dgamma!r}"
+        elif not agree[k] and gap < 0.0:  # minus the bound on the rounding of the assembly
+            fault = (f"rounding of the assembly fails {at}, rounding bound {-gap:.3e} on "
+                     f"gamma; the bound exceeds the {tolerance} on gamma or d gamma")
+        elif not agree[k]:
+            fault = (f"truncations disagree {at}, gap {gap:.3e} above {tolerance} on gamma "
+                     "or d gamma")
+        elif invalid[k]:
+            fault, gap = str(_invalid(gamma_value, dgamma)), math.nan
+        else:
+            fault, gap = (f"non-finite sample: gamma {gamma_value!r}, dgamma {dgamma!r}, "
+                          f"qfi {qfis[k].item()!r}"), math.nan
+        located = fault if where is None else f"{where(k)}: {fault}"
+        raise ConvergenceError(located, value=gamma_value, est_error=abs(gap))
+    return values.tolist(), derivatives.tolist(), qfis.tolist(), gaps.tolist()
 
 
 def qfi_point(

@@ -4,7 +4,7 @@ Every table and search runs on the moment engine (`moments`), as single
 points do. A table is k (squeezing, probe) settings over one batch of n
 (T, t) pairs, and sweeps, grids and each round of a search take it through
 `qfi_engine.qfi_table`: one exponents call by array algebra on the moments,
-then one pass that checks each cell in order and builds no record per cell.
+then the closed form and one mask of failing cells, with no record per cell.
 A grid, a T or t sweep and a search round are one setting over their pairs (a
 grid's are the flattened cross product of its axes); an r, theta or alpha
 sweep is one setting per value over its single pair. The first failing cell

@@ -875,6 +875,20 @@ def test_point_at_the_underflow_limit_gives_zero_information(tmp_path):
     assert rows[0][header.index("qfi")] == "0.0"
 
 
+@pytest.mark.parametrize("argv", [
+    ["point", "--time", "1e-160"],
+    ["sweep", "--axis", "t", "--range", "0:1e-159", "--points", "5"],
+])
+def test_a_vanishing_gamma_with_a_normal_derivative_exits_three(argv, capsys):
+    # gamma's terms cancel to 0 near theta = 0 while sinh(2 r) keeps dgamma a normal
+    # number: the engine's exponents fail numerically, not the user's input
+    argv = argv + ["--estimand", "theta", "--temp", "0", "--r", "20", "--theta", "0.001",
+                   "--s", "0.5"]
+    assert run_cli(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "gamma = 0.0 is at the t -> 0 limit" in err
+
+
 @pytest.mark.parametrize("r, theta, qfi", [
     ("4", "0.0006709252307053706", 8.212e-7),
     ("5", "9.079985986933496e-05", 3.964e-6),

@@ -10,7 +10,6 @@ from qfibath.probe_state import ProbeInit
 from qfibath.qfi_engine import (
     DegenerateInputError,
     QfiSample,
-    _closed_form,
     qfi_closed_form,
     qfi_point,
     qfi_spectral,
@@ -126,12 +125,13 @@ def _closed_form_over_cells(gammas, dgammas, where=None):
 
 
 def test_closed_form_on_arrays_raises_at_the_first_faulty_element():
-    with pytest.raises(DegenerateInputError, match=r"^gamma = 0\.0 is at the t -> 0 limit but "
-                                                   r"dgamma = 1\.0 is not$"):
+    with pytest.raises(ConvergenceError, match=r"^gamma = 0\.0 is at the t -> 0 limit but "
+                                               r"dgamma = 1\.0 is not$"):
         _closed_form_over_cells([0.5, 0.0, -1.0, 0.5], [1.0, 1.0, 1.0, 1.0])
-    with pytest.raises(ValueError, match=r"^decoherence exponent must be >= 0, got nan$"):
+    with pytest.raises(ConvergenceError, match=r"^decoherence exponent must be >= 0, got nan$"):
         _closed_form_over_cells([0.5, math.nan, 0.0], [1.0, 1.0, 1.0])
-    with pytest.raises(ValueError, match=r"^cell 2: decoherence exponent must be >= 0, got -1\.0$"):
+    with pytest.raises(ConvergenceError,
+                       match=r"^cell 2: decoherence exponent must be >= 0, got -1\.0$"):
         _closed_form_over_cells([0.5, 0.25, -1.0, 0.0], [1.0, 1.0, 1.0, 1.0],
                                 where=lambda k: f"cell {k}")
     assert _closed_form_over_cells([0.5, 0.0], [1.0, 0.0]) == [
@@ -163,16 +163,19 @@ def test_a_disagreeing_cell_names_its_pair_modulo_the_pairs():
 
 
 def test_a_many_cell_table_equals_the_closed_form_cell_by_cell():
-    # plain cells take the array pass, t = 0 cells (gamma == 0) and one above gamma = 350
-    # the walk; each qfi is `_closed_form` of its cell bit for bit
+    # one table holds ordinary cells, t = 0 cells, a gamma = 0 cell with a subnormal
+    # d gamma (the third setting at t = 1e-161) and cells above gamma = 350; each qfi is
+    # `qfi_closed_form` of its cell bit for bit
     engine = MomentEngine(Estimand.SQUEEZE_AMPLITUDE, FIX_SPECTRAL, QuadratureConfig())
-    temperatures = [0.5, 0.5, 0.01, 3.0, *np.linspace(0.1, 3.0, 40)]
-    times = [40.354, 0.0, 1e-6, 10.0, *np.linspace(0.0, 10.0, 40)]
-    settings = [(SqueezeParams(0.5, 1.0), EQUATOR), (SqueezeParams(0.1, 2.0), ProbeInit(1.1))]
+    temperatures = [0.5, 0.5, 0.01, 3.0, 0.5, *np.linspace(0.1, 3.0, 40)]
+    times = [40.354, 0.0, 1e-6, 10.0, 1e-161, *np.linspace(0.0, 10.0, 40)]
+    settings = [(SqueezeParams(0.5, 1.0), EQUATOR), (SqueezeParams(0.1, 2.0), ProbeInit(1.1)),
+                (SqueezeParams(2.0, 0.0), EQUATOR)]
     gammas, dgammas, qfis, _ = qfi_table(engine, temperatures, times, settings)
-    assert gammas[0] > 350.0 and gammas.count(0.0) == 4
-    sines = [math.sin(init.alpha) for _, init in settings]
-    expected = [_closed_form(sines[cell // len(times)], gamma_value, dgamma)
+    subnormal = 2 * len(times) + 4
+    assert gammas[0] > 350.0 and gammas.count(0.0) == 7
+    assert gammas[subnormal] == 0.0 and 0.0 < abs(dgammas[subnormal]) < sys.float_info.min
+    expected = [qfi_closed_form(settings[cell // len(times)][1], gamma_value, dgamma)
                 for cell, (gamma_value, dgamma) in enumerate(zip(gammas, dgammas))]
     assert [value.hex() for value in qfis] == [value.hex() for value in expected]
 
@@ -181,8 +184,8 @@ def test_a_many_cell_table_equals_the_closed_form_cell_by_cell():
 FAULTS = {
     "disagree": ((0.5, 1.0, False), ConvergenceError, "truncations disagree at "),
     "overflow": ((math.inf, 1.0, True), ConvergenceError, "gamma or d gamma overflows at "),
-    "degenerate": ((0.0, 1.0, True), DegenerateInputError, "gamma = 0.0 is at the t -> 0 "),
-    "negative": ((-1.0, 1.0, True), ValueError, "decoherence exponent must be >= 0"),
+    "degenerate": ((0.0, 1.0, True), ConvergenceError, "gamma = 0.0 is at the t -> 0 "),
+    "negative": ((-1.0, 1.0, True), ConvergenceError, "decoherence exponent must be >= 0"),
     "non-finite": ((1e-320, 1.0, True), ConvergenceError, "non-finite sample: gamma 1e-320"),
 }
 

@@ -471,7 +471,7 @@ def test_curve_aborts_with_a_degenerate_probe_in_a_refinement_round(monkeypatch)
 
     poisoned = _poison_third_round(monkeypatch, vanishing_gamma)
     spec = replace(FIG10, T_points=3)
-    with pytest.raises(ValueError) as raised:
+    with pytest.raises(ConvergenceError) as raised:
         optimal_time_curve(spec)
     prefix = _probe_prefix(poisoned)
     assert str(raised.value).startswith(prefix + "gamma = 0.0 is at the t -> 0")
@@ -712,7 +712,7 @@ def _vanishing_gamma_cell(out, k):
 @pytest.mark.parametrize("poison, error, message", [
     (_nan_order_3_cell, ConvergenceError, "truncations disagree"),
     (_overflowing_derivative_cell, ConvergenceError, "non-finite sample"),
-    (_vanishing_gamma_cell, ValueError, "gamma = 0.0 is at the t -> 0"),
+    (_vanishing_gamma_cell, ConvergenceError, "gamma = 0.0 is at the t -> 0"),
 ])
 def test_grid_aborts_at_the_first_poisoned_cell_in_row_major_order(monkeypatch, poison, error,
                                                                    message):
