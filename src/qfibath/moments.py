@@ -60,14 +60,15 @@ truncations share that assembly, so their gap cannot see its rounding: at small
 omega t and theta near 0, M0 - C is about (omega t)**2 times M0, and exp(2r)
 makes it most of gamma. `qfi_engine.qfi_table` raises ConvergenceError there.
 What depends on the temperature alone is computed once per batch, at each of its
-distinct temperatures (`_batch`); the batch then runs in blocks of CHUNK pairs,
-the vacuum part of each block of times and the thermal part of each block of
-pairs with T > 0 and t > 0, each block added into its pairs of the result. A
-block costs only its per-pair work, and its temporaries stay a block's size: the
-Euler-Maclaurin kernel keeps two whole (n, k, pairs) tables, its direct terms,
-builds them in place and releases each once summed; all else it keeps at the
-truncations' last rows. Every sum over a pair's terms runs in one fixed order,
-so its moments are the same bits in a batch of one pair as in any other batch.
+distinct temperatures (`_batch`), and the vacuum part, which depends on the time
+alone, once at each distinct time, then gathered into the pairs; `_distinct` finds
+both. Only the thermal part, of the pairs with T > 0 and t > 0, runs in blocks of
+CHUNK pairs, each block added into its pairs of the result. A block costs only its
+per-pair work, and its temporaries stay a block's size: the Euler-Maclaurin kernel
+keeps two whole (n, k, pairs) tables, its direct terms, builds them in place and
+releases each once summed; all else it keeps at the truncations' last rows. Every
+sum over a pair's terms runs in one fixed order, so its moments are the same bits in
+a batch of one pair as in any other batch.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ __all__ = [
 # Taylor series takes N + 2 + J terms. The second truncation is reported.
 TRUNCATIONS = ((3, 10), (4, 12))
 
-# pairs per block of a batch: fig10's 2,560-pair scan peaks near 1 MiB of temporaries
+# thermal pairs per block of a batch (the vacuum table is only (3, distinct times), so
+# it takes no blocks): fig10's 2,560-pair scan peaks near 1 MiB of temporaries
 # in blocks of 512, against 3.6 MiB in one block, which the allocator hands back to
 # the system after each call and the next call faults in again (about 1,200 minor
 # page faults, 2 MB of peak RSS); 384 and 1,024 measured slower
@@ -238,6 +240,21 @@ def _coefficients(s: float, truncations: tuple) -> dict:
     return {**tables, "orders": m, "finite": finite}
 
 
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values, ascending, and each value's row among them: np.unique's
+    values and inverse, at less cost. 0 or 1 values are their own distinct set."""
+    if values.size < 2:
+        return values, np.arange(values.size)
+    order = values.argsort()
+    ordered = values[order]
+    new = np.empty(ordered.size, dtype=bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    rows = np.empty(ordered.size, dtype=int)
+    rows[order] = new.cumsum() - 1
+    return ordered[new], rows
+
+
 class MomentEngine:
     """Moments of one spectral density at any (T, t) pairs.
 
@@ -262,8 +279,8 @@ class MomentEngine:
         times = np.asarray(times, dtype=float)
         out = np.zeros((2, self.sets, 3, times.size))
         with np.errstate(**_NON_FINITE):
-            for start in range(0, times.size, CHUNK):
-                out[:, 0, :, start:start + CHUNK] = _vacuum(self.sp, times[start:start + CHUNK])
+            distinct, rows = _distinct(times)
+            out[:, 0] = _vacuum(self.sp, distinct).take(rows, 1)
             hot = np.flatnonzero((temperatures > 0.0) & (times > 0.0))
             if not _coefficients(self.sp.s, TRUNCATIONS)["finite"]:
                 out[..., hot] = np.nan  # above s = 148.6: every thermal point fails the check
@@ -291,14 +308,8 @@ class MomentEngine:
         times the Bernoulli polynomial at w_N**-2, for p = q, q + 1."""
         sp, sets = self.sp, self.sets
         coefficients = _coefficients(sp.s, TRUNCATIONS)
-        order = temperatures.argsort()  # np.unique's values and rows, at less cost
-        ordered = temperatures[order]
-        new = np.empty(ordered.size, dtype=bool)
-        new[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-        row = np.empty(ordered.size, dtype=int)
-        row[order] = new.cumsum() - 1
-        tau = ordered[new] / sp.omega_c
+        distinct, row = _distinct(temperatures)
+        tau = distinct / sp.omega_c
         scale = tau ** (sp.s - 1.0)
         factors = [-2.0 * scale]
         if sets == 2:

@@ -324,20 +324,19 @@ def optimal_time_curve(
     temperatures = [float(T) for T in np.linspace(spec.T_lo, spec.T_hi, spec.T_points)]
     engine = MomentEngine(spec.estimand, spec.sp, qc)
 
-    def information(rows: list[int], times: list[float]) -> list[float]:
-        """qfi at every probe (temperatures[rows[k]], times[k]), one table in probe order."""
+    def information(probes: Sequence[float], times: Sequence[float]) -> list[float]:
+        """qfi at every probe (probes[k], times[k]), one table in probe order."""
         return qfi_table(
-            engine, [temperatures[i] for i in rows], times, [(spec.sq, spec.init)],
+            engine, probes, times, [(spec.sq, spec.init)],
             lambda k: f"optimal-time search aborted at (T, t) = "
-                      f"({temperatures[rows[k]]!r}, {times[k]!r})")[2]
+                      f"({float(probes[k])!r}, {float(times[k])!r})")[2]
 
-    scan = [float(time) for time in np.linspace(0.0, spec.t_max, spec.coarse_points)]
+    scan = np.linspace(0.0, spec.t_max, spec.coarse_points).tolist()
     tolerance, m = 1e-4 * spec.t_max, len(scan)
-    table = information([i for i in range(len(temperatures)) for _ in scan],
-                        scan * len(temperatures))
+    # the scan is a grid, temperature outer: one row of qfi per temperature
+    table = np.reshape(information(*grid_pairs(temperatures, scan)), (-1, m)).tolist()
     outcomes, brackets = {}, {}  # outcome: (t_star, qfi_star, bracket)
-    for i in range(len(temperatures)):
-        values = table[i * m:(i + 1) * m]
+    for i, values in enumerate(table):
         top = max(values)
         if top - min(values) < 1e-14:
             outcomes[i] = (0.0, 0.0, scan[-1])
@@ -347,7 +346,7 @@ def optimal_time_curve(
         brackets[i] = (lo, hi, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo),
                        (top, -scan[peak]))
     # the interior pair of every bracket, then rounds of DEPTH steps while any is open
-    pairs = information([i for i in brackets for _ in range(2)],
+    pairs = information([temperatures[i] for i in brackets for _ in range(2)],
                         [time for _, _, left, right, _ in brackets.values()
                          for time in (left, right)]) if brackets else []
     searches = {
@@ -356,16 +355,16 @@ def optimal_time_curve(
         in zip(brackets.items(), pairs[::2], pairs[1::2])
     }
     while searches:
-        rows, times, trees = [], [], {}
+        probes, times, trees = [], [], {}
         for i, (lo, hi, left, right, f_left, f_right, best) in searches.items():
             if hi - lo > tolerance:
                 start = len(times)
                 trees[i] = _tree((lo, hi, left, right), (f_left >= f_right,), DEPTH,
                                  tolerance, times)
-                rows += [i] * (len(times) - start)
+                probes += [temperatures[i]] * (len(times) - start)
             else:
                 outcomes[i] = (-best[1], best[0], hi - lo)
-        values = information(rows, times) if trees else []
+        values = information(probes, times) if trees else []
         searches = {i: _walk(searches[i], tree, values) for i, tree in trees.items()}
     results = tuple(OptimalTimeResult(temperature, *outcomes[i])
                     for i, temperature in enumerate(temperatures))

@@ -5,7 +5,8 @@ A table reaches the writers as columns, and they spell its cells column by colum
 cell of a float column, `str` or `json.dumps` for the other cells. A `Tiled` column,
 a grid axis, has its distinct values spelled once and each text repeated in place;
 the texts are those of spelling every cell, so identical invocations keep
-byte-identical data sections. `output` is the one path of the text to `--out`.
+byte-identical data sections. The JSON rows are one join of those texts between a
+fixed head and tail. `output` is the one path of the text to `--out`.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ def _json_texts(column: Sequence) -> list[str]:
     """The JSON text of each cell of `column`, as `json.dumps` spells it: the float repr
     where every cell is a finite number, else JSON's own spelling of each (strings, NaN,
     Infinity). The numbers are tested, not their texts."""
-    try:
-        finite = all(map(math.isfinite, column))
+    try:  # a nan or infinite cell makes the sum non-finite; a sum that overflows only
+        # takes json.dumps, which spells finite numbers as the float repr does
+        finite = math.isfinite(sum(column))
     except TypeError:  # a cell that is not a number: a string
         finite = False
     return _texts(column, json.dumps) if finite else list(map(json.dumps, column))
@@ -84,11 +86,12 @@ def csv_text(spec: dict, metadata: dict, names: list[str],
 def json_text(spec: dict, metadata: dict, columns: Sequence[Sequence | Tiled]) -> str:
     r"""`json.dumps({"spec": spec, "metadata": metadata, "rows": rows}, indent=2) + "\n"`
     for the rows whose columns are `columns`: the rows, the bulk of the text, are
-    spelled column by column and spliced in."""
+    spelled column by column and spliced in as one join. A table has at least one row
+    (a sweep at least 2 points, a grid 2 x 2, a curve 1 temperature, a point 1)."""
     head = json.dumps({"spec": spec, "metadata": metadata}, indent=2)
-    rows = ",\n".join("    [\n      %s\n    ]" % ",\n      ".join(cells)
-                      for cells in zip(*(_cells(column, _json_texts) for column in columns)))
-    return f'{head[:-2]},\n  "rows": [\n{rows}\n  ]\n}}\n'
+    cells = [_cells(column, _json_texts) for column in columns]
+    rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*cells)))
+    return f'{head[:-2]},\n  "rows": [\n    [\n      {rows}\n    ]\n  ]\n}}\n'
 
 
 @contextmanager

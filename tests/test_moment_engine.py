@@ -360,12 +360,23 @@ def test_row_and_time_chunks_do_not_change_the_moments(monkeypatch, estimand, s)
     whole = engine.moments(temperatures, times)
     assert whole.shape == (2, engine.sets, 3, 30)
     assert np.array_equal(engine.moments(temperatures, times), whole)  # a second call repeats
+    # the pairs shuffled: each time recurs at other temperatures, t = 0.5 in both branches
+    order = np.random.default_rng(29).permutation(len(pairs))
+    shuffled = [temperatures[p] for p in order], [times[p] for p in order]
+    assert np.array_equal(engine.moments(*shuffled), whole[..., order])
     for chunk in (1, 7):  # one pair per block; blocks that split T = 0.5's pairs
         monkeypatch.setattr(moments, "CHUNK", chunk)
         assert np.array_equal(engine.moments(temperatures, times), whole), chunk
+        assert np.array_equal(engine.moments(*shuffled), whole[..., order]), chunk
     monkeypatch.undo()
     for p, (temperature, time) in enumerate(pairs):  # and each pair alone
         assert np.array_equal(engine.moments([temperature], [time]), whole[..., p:p + 1])
+
+
+@pytest.mark.parametrize("estimand", list(Estimand))
+def test_an_empty_batch_has_no_pairs(estimand):
+    engine = MomentEngine(estimand, SpectralParams(0.5), DEFAULT_QUADRATURE)
+    assert engine.moments([], []).shape == (2, engine.sets, 3, 0)
 
 
 def test_one_pair_batches_equal_the_grid_batch_bit_for_bit():

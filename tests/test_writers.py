@@ -1,5 +1,6 @@
 """The column writers against the cell-by-cell writer of `writer_reference`, byte for byte."""
 
+import json
 import math
 
 import pytest
@@ -78,12 +79,23 @@ def test_tiled_columns_spell_zero_and_negative_zero_apart():
 
 
 def test_json_spells_nan_and_infinities_as_json_does():
-    # the float repr is not JSON for these; the writer tests the numbers, not their texts
-    columns = [[1.5, math.nan], [math.inf, -math.inf], Tiled([math.nan, 0.25], each=1)]
-    rows = list(zip(*[[1.5, math.nan], [math.inf, -math.inf], [math.nan, 0.25]]))
+    # the float repr is not JSON for these; the writer tests the numbers, not their texts.
+    # The sum of (1e308, 1e308) overflows although its cells are finite, -0.0 sits in a
+    # plain column, and a one-row table has no join between rows
     spec = {"subcommand": "sweep"}
     metadata = {"tool": "qfibath", "version": "0", "quadrature": {}, "timestamp": "0"}
-    text = writers.json_text(spec, metadata, columns)
-    assert text.endswith(writer_reference.json_data_section(rows))
-    assert "      1.5,\n      Infinity,\n      NaN\n" in text
-    assert "      NaN,\n      -Infinity,\n      0.25\n" in text
+    cells = [[1.5, math.nan], [math.inf, -math.inf], [math.nan, 0.25], [1e308, 1e308],
+             [-0.0, 0.5]]
+    texts = []
+    for columns, table in (([*cells[:2], Tiled(cells[2]), *cells[3:]], cells),
+                           ([[1e308], [-0.0], Tiled([math.nan])], [[1e308], [-0.0], [math.nan]])):
+        rows = list(zip(*table))
+        text = writers.json_text(spec, metadata, columns)
+        assert text.endswith(writer_reference.json_data_section(rows))
+        assert text == json.dumps({"spec": spec, "metadata": metadata, "rows": rows},
+                                  indent=2) + "\n"
+        texts.append(text)
+    assert "      1.5,\n      Infinity,\n      NaN,\n      1e+308,\n      -0.0\n" in texts[0]
+    assert "      NaN,\n      -Infinity,\n      0.25,\n      1e+308,\n      0.5\n" in texts[0]
+    assert texts[1].endswith('"rows": [\n    [\n      1e+308,\n      -0.0,\n      NaN\n'
+                             '    ]\n  ]\n}\n')
