@@ -12,6 +12,7 @@ Usage:
     python scripts/make_domain_sample_values.py
 """
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -36,7 +37,8 @@ DOMAIN_SAMPLE_VALUES = [
 '''
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     rows = []
     for estimand, point, sq, sp in _domain_sample():
         values = hurwitz_reference.exponents(estimand, point, sq, sp)

@@ -21,9 +21,9 @@ that the allocator handed back to the system and the next call touches again.
   fig10_moments       MomentEngine.moments of fig10's scan: 64 times at each of 40
                       temperatures, the largest batch a recipe makes
   fig10_call          one whole fig10 `cli.main` call, CSV to memory
-  point               qfi_engine.qfi_point, one call on each of POINTS seeded inputs
-                      (estimand, s in {0.5, 1, 3}, T, t, r and theta drawn at random),
-                      each timed once after a warm-up pass: the median is per call
+  point               qfi_engine.qfi_point, one loop of a call on each of POINTS seeded
+                      inputs (estimand, s in {0.5, 1, 3}, T, t, r and theta drawn at
+                      random), reported per call: its time and minflt over POINTS
 
 It also reports `moments_peak_mib` and `fig10_moments_peak_mib`, the tracemalloc peak
 (MiB) of one `moments` call on each batch: the NumPy temporaries of one batch; and
@@ -155,6 +155,12 @@ def main(argv=None) -> int:
         with redirect_stdout(io.StringIO()):
             cli.main(argv)
 
+    points = _seeded_points()
+
+    def point():
+        for inputs in points:
+            qfi_point(**inputs)
+
     parts = {
         "moments": lambda: engine.moments(temperatures, times),
         "exponents_qfi_pass": lambda: qfi_table(computed, temperatures, times,
@@ -164,7 +170,9 @@ def main(argv=None) -> int:
         "call": lambda: call(ARGV),
         "fig10_moments": lambda: scan_engine.moments(*scan),
         "fig10_call": lambda: call(FIG10_ARGV),
+        "point": point,
     }
+    calls = {name: POINTS if name == "point" else 1 for name in parts}  # per repetition
     samples = {name: [] for name in parts}
     faults = {name: [] for name in parts}
     for function in parts.values():  # warm-up
@@ -174,20 +182,9 @@ def main(argv=None) -> int:
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = perf_counter()
             function()
-            samples[name].append(1e3 * (perf_counter() - start))
-            faults[name].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-
-    points = _seeded_points()
-    for inputs in points:  # warm-up
-        qfi_point(**inputs)
-    point, point_faults = [], []
-    for inputs in points:
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        start = perf_counter()
-        qfi_point(**inputs)
-        point.append(1e3 * (perf_counter() - start))
-        point_faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    samples["point"], faults["point"] = point, point_faults
+            samples[name].append(1e3 * (perf_counter() - start) / calls[name])
+            faults[name].append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+                                / calls[name])
 
     result = {
         "command": "qfibath " + " ".join(ARGV) + "; qfibath " + " ".join(FIG10_ARGV),

@@ -19,8 +19,9 @@ closed form.
 
 Vacuum part: with x = omega_c t, L_k = log(1 - i k x) and
 I_k = Gamma(s) expm1((1 - s) L_k) / (1 - s) (L_k at s = 1). Below
-x = VACUUM_SERIES_CUTOFF, where that difference cancels the linear term of Ms,
-Taylor series in x take over. d coth / dT has no vacuum part.
+x = VACUUM_SERIES_CUTOFF, where that difference cancels the linear term of Ms, the
+thermal part's Taylor series below takes over, with zeta = 1, T t = x and the factor
+-1 for -2 tau**q. d coth / dT has no vacuum part.
 
 Thermal part: 2 n(w) = 2 sum_(n >= 1) e^(-n w / T) sums to Hurwitz zeta
 functions. With q = s - 1, tau = T / omega_c, a = 1 + tau, eps = k T t and
@@ -46,7 +47,7 @@ and zeta(1, .) have poles, are ordinary points. Below 2 T t = SERIES_CUTOFF * a
 the Taylor series S(p) = sum_(m >= 2) (i eps)**m Gamma(p + m) / m! zeta(p + m, a)
 of `taylor` takes over, summed per moment with the weights `_ORDERS`, the map
 `_by_moment` of the orders (i k)**m of (I_1, I_2), so the cancellations between
-I_1 and I_2 are exact; the vacuum series takes the same weights. d/dT
+I_1 and I_2 are exact; the vacuum series is the same sum. d/dT
 differentiates it term by term. Its real zeta(p + m, a) come from the same
 Euler-Maclaurin truncation, once per temperature that has such pairs; truncations
 and thermal sets are axes of its one table of terms.
@@ -105,9 +106,6 @@ SERIES_CUTOFF = 0.05
 
 # omega_c t below which the vacuum moments come from their Taylor series
 VACUUM_SERIES_CUTOFF = 1e-3
-
-# the highest order of the vacuum Taylor series in omega_c t
-_VACUUM_ORDER = 15
 
 # overflowing terms compute non-finite moments without warnings; they fail the
 # truncation check, which raises ConvergenceError
@@ -179,9 +177,9 @@ def _by_moment(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 
 
 # the weight in (M0, Mc, Ms) of a term c (i k)**m of I_k, shape (3, orders), at every
-# order m of the series: the vacuum one's and the thermal one's (`_coefficients`)
+# order m of the Taylor series (`_coefficients`), thermal and vacuum
 _ORDERS = _by_moment(*np.power.outer([1j, 2j], np.arange(
-    1 + max(_VACUUM_ORDER, 2 + max(n + 2 + j for n, j in TRUNCATIONS)))))
+    3 + max(n + 2 + j for n, j in TRUNCATIONS))))
 
 
 def _vacuum(sp: SpectralParams, times: np.ndarray) -> np.ndarray:
@@ -189,33 +187,25 @@ def _vacuum(sp: SpectralParams, times: np.ndarray) -> np.ndarray:
     J(w) E(w, t) [1, cos, sin] / w**2, in closed form or, below VACUUM_SERIES_CUTOFF
     in x = omega_c t, as Taylor series."""
     s, x = sp.s, sp.omega_c * times
-    scale = _gamma_function(s)
+    coefficients = _coefficients(s, TRUNCATIONS)
     # I_k = Gamma(s) E(L_k), E(L) = expm1((1 - s) L) / (1 - s), L_k = log(1 - i k x)
     kx = np.multiply.outer([1.0, 2.0], x)  # (k, times)
     log = _complex(0.5 * np.log1p(kx ** 2), -np.arctan(kx))
-    out = scale * _by_moment(*(log if s == 1.0 else _expm1(1.0 - s, log) * (1.0 / (1.0 - s))))
-    small = x < VACUUM_SERIES_CUTOFF
-    if small.any():
-        out[:, small] = _vacuum_series(s, scale, x[small])
+    out = coefficients["tail"] * _by_moment(
+        *(log if s == 1.0 else _expm1(1.0 - s, log) * (1.0 / (1.0 - s))))
+    small = np.flatnonzero(x < VACUUM_SERIES_CUTOFF)
+    if small.size:
+        # the thermal series with zeta = 1, T t = x and factor -1: I_k = -sum_m (i k x)**m
+        # Gamma(s + m - 1) / m!, as a (truncation, set, order, T) table of one row
+        terms = -coefficients["series"][None, :1, :-1, None]
+        out[:, small] = taylor.sums(terms, _ORDERS, np.zeros_like(small), x[small])[0, 0]
     return out
-
-
-def _vacuum_series(s: float, scale: float, x: np.ndarray) -> np.ndarray:
-    """`_vacuum` as power series in x = omega_c t, from int J(w) w**(n - 2) dw =
-    Gamma(s + n - 1) omega_c**n: with a_n = Gamma(s + n - 1) x**n / n!,
-    I_k = -sum_n a_n (i k)**n, weighted per moment by `_ORDERS`. Fourteen orders leave
-    the truncation below 1e-25 relative for x < 1e-3 and s <= 10."""
-    term, terms = scale * x, []  # a_1
-    for n in range(2, _VACUUM_ORDER + 1):
-        term = term * x * ((s + n - 2.0) / n)
-        terms.append(term)
-    # a running sum adds the terms in order
-    return np.cumsum(-_ORDERS[:, 2:_VACUUM_ORDER + 1, None] * terms, axis=1)[:, -1]
 
 
 @lru_cache(maxsize=64)
 def _coefficients(s: float, truncations: tuple) -> dict:
-    """Everything of the thermal terms that depends on s and the truncations alone."""
+    """Everything of the Euler-Maclaurin and Taylor terms that depends on s and the
+    truncations alone."""
     q = s - 1.0
     j = np.arange(1, BERNOULLI.size + 1)
     m = np.arange(2, 2 + max(n + 2 + k for n, k in truncations) + 1)  # one more for d/dT
@@ -232,10 +222,12 @@ def _coefficients(s: float, truncations: tuple) -> dict:
         "direct": _gamma_function(s + 1.0),
         "tail": _gamma_function(s),
         "bernoulli": np.array([gamma(q + 2 * j - 1), gamma(q + 2 * j)])[:, None, :] * cut,
-        # Gamma(q + m) / m! and Gamma(q + m + 1) / m! of the Taylor series
+        # Gamma(q + m) / m! and Gamma(q + m + 1) / m! of the Taylor series; the vacuum
+        # takes Gamma(s) and the first row too
         "series": np.array([gamma(q + m) / factorial, gamma(q + m + 1) / factorial]),
     }
     # above s = 148.6, Gamma(s + 23) overflows: no thermal term is then representable
+    # (the vacuum series' Gamma(s + 18) overflows above s = 153.6)
     finite = all(np.isfinite(table).all() for table in tables.values())
     return {**tables, "orders": m, "finite": finite}
 

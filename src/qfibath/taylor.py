@@ -9,7 +9,9 @@ and d/dT differentiates it term by term. `terms` builds, once per batch and only
 the temperatures that have such pairs, the factor of (i eps)**m of each order, from
 real zeta(p + m, a) that a truncation of their own gives (`zeta`); `sums` adds a
 block's terms per moment with the order weights of `moments`, so the cancellations
-between I_1 and I_2 are exact.
+between I_1 and I_2 are exact. The vacuum moments below `moments.VACUUM_SERIES_CUTOFF`
+are the same sum with zeta = 1 and omega_c t for T t: `sums` of a table of one row,
+Gamma(q + m) / m!.
 """
 
 from __future__ import annotations
@@ -63,7 +65,9 @@ def sums(terms: np.ndarray, weights: np.ndarray, row: np.ndarray,
          products: np.ndarray) -> np.ndarray:
     """S(q) and the bracket of d I / dT of pairs at temperature row[p] of `terms` with
     T t = products[p], summed per moment with the weights of (i k)**m in (M0, Mc, Ms):
-    shape (2, sets, 3, pairs), before the factors -2 tau**q and (2 / omega_c) tau**(q - 1)."""
+    shape (truncations, sets, 3, pairs), before the factors -2 tau**q and
+    (2 / omega_c) tau**(q - 1). A table of one truncation, set and row sums the vacuum
+    series."""
     m = 2 + np.arange(terms.shape[2])
     powers = products ** m[:, None]  # (m, pairs)
     summed = weights[:, m, None] * (powers * terms.take(row, -1)[:, :, None])

@@ -421,8 +421,9 @@ def test_every_product_of_a_sub_ohmic_engine_agrees(estimand):
 
 @pytest.mark.parametrize("omega_c", [1e-3, 1.0, 1e3])
 def test_ohmic_vacuum_is_half_log1p(omega_c):
-    # T = 0, r = 0, s = 1: gamma = int e^(-w / omega_c) (1 - cos wt) / w dw
-    for x in np.geomspace(1e-3, 1e6, 37):
+    # T = 0, r = 0, s = 1: gamma = int e^(-w / omega_c) (1 - cos wt) / w dw, through
+    # the Taylor series below x = VACUUM_SERIES_CUTOFF and the closed form above it
+    for x in [*np.geomspace(1e-8, 1e-4, 5), 9.99e-4, *np.geomspace(1e-3, 1e6, 37)]:
         point = BathPoint(0.0, float(x) / omega_c)
         value = decoherence.gamma(point, SqueezeParams(0.0), SpectralParams(1.0, omega_c)).value
         assert value == pytest.approx(0.5 * math.log1p((omega_c * point.time) ** 2), rel=1e-13)
@@ -431,13 +432,18 @@ def test_ohmic_vacuum_is_half_log1p(omega_c):
 @pytest.mark.parametrize("s", [0.05, 0.5, 1.5, 2.0, 2.5, 10.0])
 def test_zero_temperature_gamma_matches_the_mpmath_closed_form(s):
     # at T = 0 the oracle is the vacuum integrals Gamma(s - 1) [1 - (1 - i k omega_c t)**(1 - s)],
-    # k = 1, 2, alone
+    # k = 1, 2, alone; the theta derivative weighs the odd orders of Ms. At omega_c = 1,
+    # t = 9.99e-4 and 1.001e-3 straddle VACUUM_SERIES_CUTOFF
     sq = SqueezeParams(0.7, 2.0)
-    for omega_c, t in itertools.product((1e-3, 1.0, 1e3), (1e-6, 1e-2, 1.0, 30.0, 1e3)):
+    for omega_c, t in itertools.product((1e-3, 1.0, 1e3),
+                                        (1e-6, 9.99e-4, 1.001e-3, 1e-2, 1.0, 30.0, 1e3)):
         point, sp = BathPoint(0.0, t), SpectralParams(s, omega_c)
         expected, _ = hurwitz_reference.exponents(Estimand.SQUEEZE_AMPLITUDE, point, sq, sp)
         assert decoherence.gamma(point, sq, sp).value == pytest.approx(expected, rel=1e-12), (
             omega_c, t)
+        value, derivative, _ = one_pair(Estimand.SQUEEZE_PHASE, point, sq, sp)
+        assert within_tolerance(value, derivative, *hurwitz_reference.exponents(
+            Estimand.SQUEEZE_PHASE, point, sq, sp)), (omega_c, t)
 
 
 def test_long_time_sub_ohmic_gamma_matches_the_hurwitz_zeta_value():
@@ -626,10 +632,9 @@ def test_points_at_and_near_the_poles_match_the_zeta_oracle(s):
 def test_the_order_weights_equal_the_parity_rule_of_each_order():
     # the weight of (i k)**m in (M0, Mc, Ms), as the series stated it per order: sign
     # (-1)**(m // 2), 1 on M0 at even m, 2**(m - 1) - 1 on Mc at even m and on Ms at odd m
-    taylor = moments._coefficients(0.5, moments.TRUNCATIONS)["orders"]
-    used = sorted(set(range(2, moments._VACUUM_ORDER + 1)) | set(taylor.tolist()))
-    assert moments._ORDERS.shape == (3, used[-1] + 1)
-    for m in used:
+    orders = moments._coefficients(0.5, moments.TRUNCATIONS)["orders"].tolist()
+    assert moments._ORDERS.shape == (3, orders[-1] + 1)
+    for m in orders:
         sign, doubled, even = (-1.0) ** (m // 2), 2.0 ** (m - 1) - 1.0, m % 2 == 0
         rule = sign * np.array([float(even), doubled * even, doubled * (not even)])
         assert np.array_equal(moments._ORDERS[:, m], rule), m
