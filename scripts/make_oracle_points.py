@@ -19,6 +19,9 @@ Usage:
     python scripts/make_oracle_points.py
 """
 
+import argparse
+import sys
+
 import mpmath as mp
 
 mp.mp.dps = 30
@@ -93,7 +96,8 @@ def integrate(f, T, t, s, omega_c):
     return total
 
 
-def main():
+def main(argv=None) -> int:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     for estimand, *values in POINTS:
         T, t, r, theta, s, omega_c = (mp.mpf(value) for value in values)
         f = integrands(estimand, T, t, r, theta, s, omega_c)
@@ -101,7 +105,8 @@ def main():
         flags = [f'"{flag}", "{value}"' for flag, value in zip(FLAGS, values)]
         print(f'    (["--estimand", "{estimand}", {", ".join(flags)}],')
         print(f"     {mp.nstr(gamma_value, 17)}, {mp.nstr(dgamma, 17)}),")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -10,6 +10,9 @@ Usage:
     python scripts/make_reference_values.py
 """
 
+import argparse
+import sys
+
 import mpmath as mp
 
 mp.mp.dps = 50
@@ -30,7 +33,8 @@ def decay_exponent(t, T, r, theta, s, omega_c=1):
     return mp.quad(f, [0, 1, 10, 50, mp.inf])
 
 
-def main():
+def main(argv=None) -> int:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     values = {}
 
     values["coth_1"] = mp.coth(1)
@@ -93,7 +97,8 @@ def main():
     for key, value in values.items():
         print(f'    "{key}": {mp.nstr(value, 17)},')
     print("}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -48,7 +48,6 @@ def main(argv=None) -> int:
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[name] = "1"
-    env.pop("QFIBATH_REL_TOL", None)
     modules = sorted(str(path.relative_to(ROOT)) for path in (ROOT / "tests").glob("test_*.py"))
     walls, counts = {module: [] for module in modules}, {}
     for _ in range(RUNS):  # the modules in turn, so a slower spell of the machine hits all

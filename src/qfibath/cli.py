@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -52,10 +51,6 @@ __all__ = ["main", "build_parser", "RECIPES", "EXIT_OK", "EXIT_USAGE", "EXIT_NUM
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-# environment override for the default relative tolerance;
-# an explicit --rel-tol flag wins over it
-ENV_REL_TOL = "QFIBATH_REL_TOL"
 
 # sweep axis -> flag that would otherwise fix that variable
 AXIS_FLAG = {"T": "temp", "t": "time", "r": "r", "theta": "theta", "alpha": "alpha"}
@@ -101,9 +96,7 @@ FLAGS = {
     "--s": dict(type=float, help="ohmicity exponent, s > 0"),
     "--omega-c": dict(type=float, help="spectral-density cutoff frequency (default 1)"),
     "--alpha": dict(type=float, help="initial superposition angle in [0, pi] (default pi/2)"),
-    "--omega-0": dict(type=float, help="qubit transition frequency; recorded in metadata only, "
-                                       "pure dephasing leaves it out of every result"),
-    "--rel-tol": dict(type=float, help=f"relative tolerance (default 1e-8; env {ENV_REL_TOL})"),
+    "--rel-tol": dict(type=float, help="relative tolerance (default 1e-8)"),
     "--abs-tol": dict(type=float, help="absolute tolerance (default 1e-12)"),
     "--out": dict(default="-", help="output path, '-' for stdout (default)"),
     "--format": dict(choices=("csv", "json"), default="csv"),
@@ -137,13 +130,14 @@ def _build_recipes() -> dict[str, dict]:
         return {"subcommand": "sweep", "flags": flags}
 
     recipes: dict[str, dict] = {}
-    # information about T vs temperature (a, b) and vs time (c, d),
-    # one figure per ohmicity regime
+    # information about T vs temperature (a, b) and vs time (c, d), one figure per
+    # ohmicity regime; each pair of panels shares one flag set
     for prefix, s in (("fig1", 0.5), ("fig3", 1.0), ("fig5", 3.0)):
-        recipes[f"{prefix}a"] = sweep_recipe("T", "T", 0.01, 3.0, s, time=1.0, theta=1.0, r=0.1)
-        recipes[f"{prefix}b"] = sweep_recipe("T", "T", 0.01, 3.0, s, time=1.0, r=0.1, theta=1.0)
-        recipes[f"{prefix}c"] = sweep_recipe("T", "t", 0.0, 10.0, s, temp=0.5, theta=1.0, r=0.1)
-        recipes[f"{prefix}d"] = sweep_recipe("T", "t", 0.0, 10.0, s, temp=0.5, r=0.1, theta=1.0)
+        for panels, axis, lo, hi, fixed in (("ab", "T", 0.01, 3.0, {"time": 1.0}),
+                                            ("cd", "t", 0.0, 10.0, {"temp": 0.5})):
+            for panel in panels:
+                recipes[prefix + panel] = sweep_recipe("T", axis, lo, hi, s, theta=1.0, r=0.1,
+                                                       **fixed)
     # information about r vs r (a, b) and about theta vs theta (c, d)
     for prefix, s in (("fig2", 0.5), ("fig4", 1.0), ("fig6", 3.0)):
         recipes[f"{prefix}a"] = sweep_recipe("r", "r", 0.0, 3.0, s, time=1.0, theta=1.0, temp=0.1)
@@ -250,15 +244,7 @@ def _run(args: argparse.Namespace) -> int:
         # checks the range ends
         setattr(args, swept, 0.0)
 
-    rel_tol = args.rel_tol
-    env_value = os.environ.get(ENV_REL_TOL)
-    if rel_tol is None and env_value is not None:
-        # checked here, so a rejection names the variable instead of --rel-tol
-        try:
-            rel_tol = QuadratureConfig(rel_tol=float(env_value)).rel_tol
-        except ValueError as exc:
-            _fail(ENV_REL_TOL, str(exc))
-    qc = QuadratureConfig(**_given(rel_tol=rel_tol, abs_tol=args.abs_tol))
+    qc = QuadratureConfig(**_given(rel_tol=args.rel_tol, abs_tol=args.abs_tol))
     sq = SqueezeParams(r=args.r, theta=args.theta)
     sp = SpectralParams(**_given(s=args.s, omega_c=args.omega_c))
     init = ProbeInit(**_given(alpha=args.alpha))
@@ -275,11 +261,8 @@ def _run(args: argparse.Namespace) -> int:
         with output(args.out) as write:
             names, columns = args.handler(
                 args, spec, qc, estimand=Estimand(args.estimand), sq=sq, sp=sp, init=init)
-            # the run record, with the output columns and the inert omega_0
             metadata = {"tool": "qfibath", "version": __version__, "quadrature": asdict(qc),
                         "timestamp": datetime.now(timezone.utc).isoformat(), "columns": names}
-            if args.omega_0 is not None:
-                metadata["omega_0"] = args.omega_0
             write(json_text(spec, metadata, columns) if args.format == "json"
                   else csv_text(spec, metadata, names, columns))
     except OSError as exc:
@@ -330,8 +313,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if args.omega_0 is not None and not math.isfinite(args.omega_0):
-        _fail("--omega-0", f"must be finite, got {args.omega_0}")
     try:
         return _run(args)
     except ConvergenceError as exc:

@@ -39,9 +39,11 @@ import numpy as np
 from .moments import (
     _NON_FINITE,
     DEFAULT_QUADRATURE,
+    TRUNCATIONS,
     ConvergenceError,
     MomentEngine,
     QuadratureConfig,
+    _coefficients,
 )
 from .probe_state import ProbeInit, eigensystem, reduced_dm
 from .spectral_bath import (
@@ -175,7 +177,8 @@ def qfi_table(engine: MomentEngine, temperatures: Sequence[float], times: Sequen
 
     One `engine.moments` batch of the pairs, one `engine.exponents` call with the k
     squeezings and one `_closed_form` over all k n cells. A cell fails where its gamma or
-    d gamma overflows, its truncations disagree or its assembly's rounding exceeds the
+    d gamma is not finite because a Gamma coefficient of the series overflows at s, its
+    gamma or d gamma overflows, its truncations disagree or its assembly's rounding exceeds the
     tolerance, its exponents are invalid, or its gamma, d gamma or qfi is not finite, and
     the first failing cell raises ConvergenceError with the message of its first fault in
     that order, prefixed with `where(cell)` when `where` is given.
@@ -195,7 +198,12 @@ def qfi_table(engine: MomentEngine, temperatures: Sequence[float], times: Sequen
         at = (f"at (T, t) = ({float(temperatures[p])!r}, {float(times[p])!r}): "
               f"gamma {gamma_value!r}")
         tolerance = f"tolerance (rel_tol {qc.rel_tol:g}, abs_tol {qc.abs_tol:g})"
-        if math.isinf(gamma_value) or math.isinf(dgamma):
+        s = engine.sp.s
+        if (not (math.isfinite(gamma_value) and math.isfinite(dgamma))
+                and not _coefficients(s, TRUNCATIONS)["finite"]):
+            fault = (f"a Gamma coefficient of the moment series overflows at s = {s!r}, so the "
+                     f"moments are not finite {at}, dgamma {dgamma!r}")
+        elif math.isinf(gamma_value) or math.isinf(dgamma):
             fault = f"gamma or d gamma overflows {at}, dgamma {dgamma!r}"
         elif not agree[k] and gap < 0.0:  # minus the bound on the rounding of the assembly
             fault = (f"rounding of the assembly fails {at}, rounding bound {-gap:.3e} on "

@@ -73,8 +73,6 @@ def csv_text(spec: dict, metadata: dict, names: list[str],
             lines.append(f"# {key} = {spell(value)}")
     for key, value in metadata["quadrature"].items():
         lines.append(f"# {key} = {spell(value)}")
-    if "omega_0" in metadata:
-        lines.append(f"# omega_0 = {spell(metadata['omega_0'])}")
     # the timestamp is the only line that varies between identical invocations;
     # the data section (header onward) is byte-deterministic
     lines.append(f"# timestamp = {metadata['timestamp']}")

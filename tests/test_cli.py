@@ -169,7 +169,6 @@ REJECTIONS = [
     (POINT_ARGS, {"--rel-tol": "0"}, "--rel-tol"),
     (POINT_ARGS, {"--abs-tol": "-1"}, "--abs-tol"),
     (POINT_ARGS, {"--abs-tol": "inf"}, "--abs-tol"),
-    (POINT_ARGS, {"--omega-0": "nan"}, "--omega-0"),
     (SWEEP_ARGS, {"--points": "1"}, "--points"),
     (SWEEP_ARGS, {"--estimand": "r", "--axis": "T", "--range": "-1:1"}, "--range"),
     (SWEEP_ARGS, {"--axis": "T", "--range": "0:1"}, "--range"),  # estimand T
@@ -206,13 +205,13 @@ def test_rejected_value_exits_two_naming_its_flag(base, changes, flag, capsys):
 # a valid value of each flag of cli.FLAGS, and the flags every subcommand takes
 FLAG_VALUES = {
     "--estimand": "r", "--temp": "0.5", "--time": "1", "--r": "0.1", "--theta": "1",
-    "--s": "0.5", "--omega-c": "2", "--alpha": "1", "--omega-0": "5", "--rel-tol": "1e-9",
+    "--s": "0.5", "--omega-c": "2", "--alpha": "1", "--rel-tol": "1e-9",
     "--abs-tol": "1e-13", "--out": "out.csv", "--format": "json", "--recipe": "fig7",
     "--axis": "T", "--range": "0:1", "--points": "3", "--t-range": "0:1", "--T-range": "0:1",
     "--t-points": "3", "--T-points": "3", "--t-max": "4",
 }
 SHARED_FLAGS = ["--estimand", "--temp", "--time", "--r", "--theta", "--s", "--omega-c",
-                "--alpha", "--omega-0", "--rel-tol", "--abs-tol", "--out", "--format"]
+                "--alpha", "--rel-tol", "--abs-tol", "--out", "--format"]
 
 
 @pytest.mark.parametrize("subcommand", list(cli.SPEC_FLAGS))
@@ -243,11 +242,11 @@ def test_json_output_parses_strictly(tmp_path):
         raise ValueError(f"non-standard JSON constant {constant}")
 
     out = tmp_path / "point.json"
-    assert run_cli(POINT_ARGS + ["--omega-0", "nan", "--format", "json", "--out", str(out)]) == 2
+    assert run_cli(POINT_ARGS + ["--theta", "nan", "--format", "json", "--out", str(out)]) == 2
     assert not out.exists()
-    assert run_cli(POINT_ARGS + ["--omega-0", "5", "--format", "json", "--out", str(out)]) == 0
+    assert run_cli(POINT_ARGS + ["--format", "json", "--out", str(out)]) == 0
     payload = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject)
-    assert payload["metadata"]["omega_0"] == 5.0
+    assert payload["metadata"]["columns"] == cli.POINT_COLUMNS
 
 
 def test_sweep_schema_and_first_row(tmp_path):
@@ -317,7 +316,7 @@ WRITER_COLUMNS = [
 WRITER_SPEC = {"subcommand": "sweep", "estimand": "T", "range": [0.0, 2.5], "points": 3,
                "fixed": {"temp": 0.5, "alpha": math.pi / 2}}
 WRITER_METADATA = {"tool": "qfibath", "version": __version__,
-                   "quadrature": {"rel_tol": 1e-8, "abs_tol": 1e-12}, "omega_0": 5.0,
+                   "quadrature": {"rel_tol": 1e-8, "abs_tol": 1e-12},
                    "timestamp": "2026-01-01T00:00:00+00:00", "columns": list("abcdefgh")}
 
 
@@ -659,6 +658,20 @@ def test_a_point_whose_gamma_overflows_exits_three_saying_so(capsys):
                           "(T, t) = (0.5, 1000.0): gamma inf"), err
 
 
+@pytest.mark.parametrize("flags, at", [
+    (["--estimand", "T", "--temp", "0.001", "--time", "0.3", "--s", "150"], "(0.001, 0.3)"),
+    (["--estimand", "r", "--temp", "0", "--time", "5.1e-08", "--s", "155"], "(0.0, 5.1e-08)"),
+], ids=["thermal-s150", "vacuum-series-s155"])
+def test_a_point_whose_gamma_coefficients_overflow_exits_three_saying_so(flags, at, capsys):
+    # above s = 148.6 Gamma(s + 23) of the thermal series overflows, and above s = 153.6
+    # Gamma(s + 18) of the series the vacuum takes below omega_c t = 1e-3
+    assert run_cli(["point", *flags, "--r", "0.5", "--theta", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: a Gamma coefficient of the moment series overflows at "
+        f"s = {float(flags[-1])!r}, so the moments are not finite at (T, t) = {at}: "
+        "gamma nan, dgamma nan\n")
+
+
 def test_a_point_above_gamma_350_prints_its_representable_qfi(capsys):
     # exp(2 gamma) overflows at gamma = 355, yet the qfi, 2.3e-304, is a normal float:
     # mpmath at 50 digits gives 2.2935619811965754e-304 from the printed gamma and d gamma
@@ -676,7 +689,7 @@ def test_a_point_above_gamma_350_prints_its_representable_qfi(capsys):
 # timestamp left out) and its JSON spec object, keys in order. A sweep writes time before
 # temp and leaves its axis out of `fixed`; a point writes temp first.
 SPEC_BLOCKS = {
-    "point": (POINT_ARGS + ["--omega-0", "5"], """\
+    "point": (POINT_ARGS, """\
 # subcommand = point
 # estimand = T
 # temp = 0.5
@@ -688,7 +701,6 @@ SPEC_BLOCKS = {
 # alpha = 1.5707963267948966
 # rel_tol = 1e-08
 # abs_tol = 1e-12
-# omega_0 = 5.0
 estimand,T,t,r,theta,s,omega_c,alpha,gamma,dgamma,qfi,cfi_term,quantum_term
 """, '{"subcommand": "point", "estimand": "T", "fixed": {"temp": 0.5, "time": 1.0, "r": 0.1, '
         '"theta": 1.0, "s": 0.5, "omega_c": 1.0, "alpha": 1.5707963267948966}}'),
@@ -788,13 +800,8 @@ def test_stdout_output_matches_file_output(tmp_path, capsys):
     assert strip(stdout) == strip(out.read_text(encoding="utf-8"))
 
 
-def test_environment_variable_sets_the_tolerance(tmp_path, monkeypatch):
+def test_rel_tol_flag_sets_the_tolerance(tmp_path):
     out = tmp_path / "point.csv"
-    monkeypatch.setenv("QFIBATH_REL_TOL", "1e-6")
-    assert run_cli(POINT_ARGS + ["--out", str(out)]) == 0
-    comments, _, _ = read_csv(out)
-    assert any("rel_tol = 1e-06" in line for line in comments)
-    # an explicit flag wins over the environment
     assert run_cli(POINT_ARGS + ["--rel-tol", "1e-07", "--out", str(out)]) == 0
     comments, _, _ = read_csv(out)
     assert any("rel_tol = 1e-07" in line for line in comments)
@@ -999,18 +1006,27 @@ def test_point_matches_the_mpmath_oracle(flags, gamma_value, dgamma, tmp_path):
     assert abs(got_dgamma - dgamma) <= 1e-8 * max(abs(dgamma), gamma_value)
 
 
-def test_rejected_environment_tolerance_names_the_variable(monkeypatch, capsys):
+def test_the_environment_sets_no_tolerance(monkeypatch, capsys):
+    # every value comes from argv: QFIBATH_REL_TOL, even at a value the record would
+    # reject, changes neither the run nor its bytes
+    def run():
+        assert run_cli(POINT_ARGS) == 0
+        out, err = capsys.readouterr()
+        return [line for line in out.splitlines() if not line.startswith("# timestamp")], err
+
+    plain = run()
     monkeypatch.setenv("QFIBATH_REL_TOL", "0")
-    assert run_cli(POINT_ARGS) == 2
-    assert capsys.readouterr().err.startswith("error: QFIBATH_REL_TOL: rel_tol must be")
+    assert run() == plain
+    assert "# rel_tol = 1e-08" in plain[0]
 
 
-def test_omega_zero_is_recorded_but_inert(tmp_path):
-    plain, documented = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run_cli(POINT_ARGS + ["--out", str(plain)]) == 0
-    assert run_cli(POINT_ARGS + ["--omega-0", "5.0", "--out", str(documented)]) == 0
-    assert any("omega_0 = 5.0" in line for line in documented.read_text().splitlines())
-    assert data_section(plain) == data_section(documented)
+@pytest.mark.parametrize("subcommand", list(cli.SPEC_FLAGS))
+def test_the_removed_omega_zero_flag_exits_two(subcommand, capsys):
+    # pure dephasing leaves the qubit frequency out of every result, so no flag sets it
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--omega-0", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --omega-0" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs_in_a_subprocess():
@@ -1062,6 +1078,7 @@ def test_overflowing_spectral_density_exits_three_naming_the_point(base, where, 
         assert run_cli(with_flags(base, {"--s": s}) + ["--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and re.search(where, err), (s, err)
+        assert f"a Gamma coefficient of the moment series overflows at s = {s}.0" in err, err
         assert "Traceback" not in err
         assert not out.exists()
 

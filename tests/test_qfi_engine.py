@@ -103,7 +103,7 @@ class _FixedExponents:
     """An engine stand-in whose `exponents` hands back given gamma and d gamma, and the
     truncations' agreement, all cells agreeing unless given."""
 
-    qc = QuadratureConfig()
+    qc, sp = QuadratureConfig(), FIX_SPECTRAL
 
     def __init__(self, gammas, dgammas, agree=None):
         self.gammas = np.asarray(gammas, dtype=float)
