@@ -13,7 +13,10 @@ package code:
   nothing at this precision, the integrand oscillates with period 2 pi / t and
   goes through 48-point Gauss-Legendre on panels of two periods.
 
-Paste the printed entries into ORACLE_POINTS of tests/test_cli.py when they change.
+It prints one ORACLE_POINTS entry of tests/test_cli.py per point, wrapped as the
+file wraps them (the flags two by two, each line at most 95 characters): the
+last eleven entries there, which come from this script, match the printed text
+byte for byte. Paste the printed entries over them when they change.
 
 Usage:
     python scripts/make_oracle_points.py
@@ -27,6 +30,7 @@ import mpmath as mp
 mp.mp.dps = 30
 
 FLAGS = ("--temp", "--time", "--r", "--theta", "--s", "--omega-c")
+WIDTH = 95  # the longest line of an entry
 
 # (estimand, T, t, r, theta, s, omega_c), as the CLI flags spell them
 POINTS = [
@@ -96,15 +100,28 @@ def integrate(f, T, t, s, omega_c):
     return total
 
 
+def entry(estimand, values, gamma_value, dgamma) -> str:
+    """The ORACLE_POINTS entry of one point: its flags two by two, a pair moving to the
+    next line where it would make a line longer than WIDTH, then its two values."""
+    pairs = [f'"--estimand", "{estimand}"'] + [f'"{flag}", "{value}"'
+                                                for flag, value in zip(FLAGS, values)]
+    items = [pair + ("]," if k == len(pairs) - 1 else ",") for k, pair in enumerate(pairs)]
+    lines = ["    ([" + items[0]]
+    for item in items[1:]:
+        if len(lines[-1]) + 1 + len(item) <= WIDTH:
+            lines[-1] += " " + item
+        else:
+            lines.append("      " + item)
+    lines.append(f"     {mp.nstr(gamma_value, 17)}, {mp.nstr(dgamma, 17)}),")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     for estimand, *values in POINTS:
         T, t, r, theta, s, omega_c = (mp.mpf(value) for value in values)
         f = integrands(estimand, T, t, r, theta, s, omega_c)
-        gamma_value, dgamma = integrate(f, T, t, s, omega_c)
-        flags = [f'"{flag}", "{value}"' for flag, value in zip(FLAGS, values)]
-        print(f'    (["--estimand", "{estimand}", {", ".join(flags)}],')
-        print(f"     {mp.nstr(gamma_value, 17)}, {mp.nstr(dgamma, 17)}),")
+        print(entry(estimand, values, *integrate(f, T, t, s, omega_c)))
     return 0
 
 

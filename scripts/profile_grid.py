@@ -27,7 +27,9 @@ that the allocator handed back to the system and the next call touches again.
 
 It also reports `moments_peak_mib` and `fig10_moments_peak_mib`, the tracemalloc peak
 (MiB) of one `moments` call on each batch: the NumPy temporaries of one batch; and
-`fig10_exponents_peak_mib`, that of the `exponents` call on fig10's scan.
+`fig10_exponents_peak_mib`, that of the `exponents` call on fig10's scan; and
+`fig10_tables`, the number of (T, t) pairs of each `qfi_table` call of one fig10
+curve, in call order: the scan, then one table per refinement round.
 `--baseline` embeds a result this script wrote on another tree (say the parent commit,
 on the same machine) under `baseline`, so a change shows its numbers beside the ones it
 is measured against.
@@ -56,7 +58,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from qfibath import cli  # noqa: E402
+from qfibath import cli, sweep_optimize  # noqa: E402
 from qfibath.moments import MomentEngine, grid_pairs  # noqa: E402
 from qfibath.qfi_engine import qfi_point, qfi_table  # noqa: E402
 from qfibath.spectral_bath import (BathPoint, Estimand, SpectralParams,  # noqa: E402
@@ -108,6 +110,25 @@ def _largest_batch(argv: list[str], method: str, pairs) -> tuple:
     finally:
         setattr(MomentEngine, method, library)
     return tuple(largest)
+
+
+def _table_sizes(argv: list[str]) -> list[int]:
+    """The number of pairs of each `qfi_table` call that one `cli.main(argv)` search
+    makes, in call order."""
+    sizes = []
+    library = sweep_optimize.qfi_table
+
+    def recorded(engine, temperatures, times, *arguments):
+        sizes.append(len(times))
+        return library(engine, temperatures, times, *arguments)
+
+    sweep_optimize.qfi_table = recorded
+    try:
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    finally:
+        sweep_optimize.qfi_table = library
+    return sizes
 
 
 def _seeded_points() -> list[dict]:
@@ -205,6 +226,8 @@ def main(argv=None) -> int:
     result["fig10_exponents_peak_mib"] = _peak_mib(lambda: scan_engine.exponents(*scan_exponents))
     for name in ("moments_peak_mib", "fig10_moments_peak_mib", "fig10_exponents_peak_mib"):
         print(f"{name:24s} {result[name]:.3f} MiB")
+    result["fig10_tables"] = _table_sizes(FIG10_ARGV)
+    print(f"{'fig10_tables':24s} {result['fig10_tables']}")
     if args.baseline:
         result["baseline"] = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")

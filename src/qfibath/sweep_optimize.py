@@ -17,11 +17,15 @@ golden-section refinement, because the squeezing kernel can make the
 information oscillate in t and unimodal search alone would lock onto the
 wrong peak. A curve searches all its temperatures as one batch: their coarse
 scans are one (T, t) table like a grid, and the refinement runs in lockstep,
-each round one table of the probes of the next two golden-section steps of
-every temperature whose bracket is still open (3 per temperature: the next
-step's, and one for each outcome of the step after). The values then choose
-the path as a sequential search would; the probes off it do not enter the
-result but are checked like every cell.
+each round one table of every open search's probes. A search predicts its
+golden-section comparisons from the vertex of a parabola through three points
+it has evaluated (Brent's pairing of golden-section steps with parabolic
+interpolation, except that the parabola never chooses a probe) and probes its
+steps along that path until the bracket closes, with a hedge probe for the
+other outcome of its first predicted comparison. The values then choose the
+path as a sequential search would, up to the first comparison the prediction
+got wrong; the probes off it do not enter the result but are checked like
+every cell.
 """
 
 from __future__ import annotations
@@ -56,12 +60,6 @@ __all__ = [
 SWEEP_AXES = ("T", "t", "r", "theta", "alpha")
 
 _INV_PHI = 0.5 * (sqrt(5.0) - 1.0)
-
-# golden-section steps per refinement round of an optimal-time search: a round
-# evaluates the probe of the next step and those of every outcome of the steps after
-# it, 2**DEPTH - 1 probes, in one table
-DEPTH = 2
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -270,37 +268,71 @@ def _step(lo: float, hi: float, left: float, right: float,
     return (lo, hi, left, right), right
 
 
-def _tree(bracket: tuple, sides: tuple, depth: int, tolerance: float, times: list) -> dict:
-    """The probes of the next `depth` steps of an open `bracket`, appended to `times`
-    depth first: for each side in `sides`, {keep_left: (bracket after the step, index
-    of its probe in `times`, the tree of both sides of the following step)}. The tree
-    is None where the depth is spent or the bracket is at most `tolerance`."""
-    tree = {}
-    for keep_left in sides:
-        after, time = _step(*bracket, keep_left)
+def _vertex(x0: float, x1: float, x2: float, y0: float, y1: float, y2: float) -> float:
+    """Where the parabola through (x0, y0), (x1, y1) and (x2, y2), x0 <= x1 <= x2, peaks;
+    where it has no maximum, the better of x0 and x2 (x0 on ties)."""
+    a, b = (x1 - x0) * (y1 - y2), (x2 - x1) * (y1 - y0)
+    if a + b > 0.0:
+        return x1 - 0.5 * ((x1 - x0) * a - (x2 - x1) * b) / (a + b)
+    return x0 if y0 >= y2 else x2
+
+
+def _path(bracket: tuple, known: bool | None, vertex: float, tolerance: float,
+          times: list) -> list[tuple]:
+    """The steps of one search round from `bracket` (lo, hi, left, right) until it is at
+    most `tolerance`, their probes appended to `times`. The first step keeps the side
+    `known` where its comparison is known (None where it is not); every other predicts
+    its comparison from `vertex`, keeping the left side exactly when vertex is at most
+    (left + right) / 2. The first predicted step also probes its other side, the hedge.
+    Returns (keep_left, bracket after the step, index of its probe in `times`, the
+    hedge's bracket and index or None) per step."""
+    lo, hi, left, right = bracket
+    steps, hedged, k = [], False, len(times)
+    while hi - lo > tolerance:
+        other = None
+        if known is not None:
+            keep_left, known = known, None
+        else:
+            keep_left = vertex <= 0.5 * (left + right)
+            if not hedged:
+                hedge, time = _step(lo, hi, left, right, not keep_left)
+                times.append(time)
+                other, hedged, k = (hedge, k), True, k + 1
+        after, time = _step(lo, hi, left, right, keep_left)
         times.append(time)
-        k = len(times) - 1
-        branches = depth > 1 and after[1] - after[0] > tolerance
-        tree[keep_left] = (after, k, _tree(after, (True, False), depth - 1, tolerance, times)
-                           if branches else None)
-    return tree
+        steps.append((keep_left, after, k, other))
+        lo, hi, left, right = after
+        k += 1
+    return steps
 
 
-def _walk(state: tuple, tree: dict | None, values: list[float]) -> tuple:
-    """The search state (lo, hi, left, right, f_left, f_right, best) after the steps of
-    `tree` that its `values` choose, as one step at a time would reach it. `best` is
-    (qfi, -t): the larger value, on ties the smaller t; only the walked probes enter it."""
-    lo, hi, left, right, f_left, f_right, best = state
-    while tree is not None:
+def _follow(state: tuple, pair: int, steps: list, values: list[float]) -> tuple:
+    """The search state (lo, hi, left, right, f_lo, f_hi, f_left, f_right, best) after
+    the `steps` of a round that the real `values` confirm, as one step at a time would
+    reach it: at the first step that the values decide the other way, it takes the
+    hedge where there is one, and stops. A first round reads its interior pair at
+    values[pair:pair + 2] first. `best` is (qfi, -t): the larger value, on ties the
+    smaller t; only the followed probes enter it."""
+    lo, hi, left, right, f_lo, f_hi, f_left, f_right, best = state
+    if f_left is None:
+        f_left, f_right = values[pair:pair + 2]
+        best = max(best, (f_left, -left), (f_right, -right))
+    for side, after, k, other in steps:
         keep_left = f_left >= f_right  # keep the left interval on ties
-        (lo, hi, left, right), k, tree = tree[keep_left]
+        if keep_left != side:
+            if other is None:
+                break
+            after, k = other
+        lo, hi, left, right = after
         if keep_left:
-            f_left, f_right = values[k], f_left
+            f_hi, f_right, f_left = f_right, f_left, values[k]
             best = max(best, (f_left, -left))
         else:
-            f_left, f_right = f_right, values[k]
+            f_lo, f_left, f_right = f_left, f_right, values[k]
             best = max(best, (f_right, -right))
-    return lo, hi, left, right, f_left, f_right, best
+        if keep_left != side:
+            break
+    return lo, hi, left, right, f_lo, f_hi, f_left, f_right, best
 
 
 def optimal_time_curve(
@@ -313,13 +345,21 @@ def optimal_time_curve(
     1e-4 * t_max. qfi_star is the largest value the search's steps evaluated,
     at t_star. Ties break toward the smallest t. A coarse scan flatter than
     1e-14 is degenerate and returns t_star = 0 with qfi_star = 0. One engine
-    serves the curve: the scans of all temperatures are one batch of pairs,
-    the first interior pair of every bracket a second, and each later round
-    one batch of the next `DEPTH` steps of every search still open: the probe
-    of its next step and the probes of both outcomes of the step after (3 per
-    temperature). The values then choose the path; the probes off it do not
-    enter the result, but every evaluated probe is checked like a grid cell,
-    and the first that fails aborts the curve with its (T, t).
+    serves the curve: the scans of all temperatures are one batch of pairs, and
+    each round of the refinement one batch of the probes of every search still
+    open. A round probes the steps a search predicts until its bracket closes:
+    the first round the bracket's interior pair, then steps predicted from the
+    parabola through the scan's peak and its neighbours; a later round its next
+    step, whose comparison is known, then steps predicted from the parabola
+    through the pair and the bracket end on the side it keeps. The first
+    predicted step also probes its other outcome. The values then choose the
+    path one step at a time: a first predicted step that went the other way
+    takes that probe and ends the round, a later one ends it before the step.
+    So the first round takes the pair and at least one step, every later round
+    at least two, and the result is the sequential search's, bit for bit,
+    whatever the parabola predicts. The probes off the path do not enter the
+    result, but every evaluated probe is checked like a grid cell, and the
+    first that fails aborts the curve with its (T, t).
     """
     temperatures = [float(T) for T in np.linspace(spec.T_lo, spec.T_hi, spec.T_points)]
     engine = MomentEngine(spec.estimand, spec.sp, qc)
@@ -335,37 +375,37 @@ def optimal_time_curve(
     tolerance, m = 1e-4 * spec.t_max, len(scan)
     # the scan is a grid, temperature outer: one row of qfi per temperature
     table = np.reshape(information(*grid_pairs(temperatures, scan)), (-1, m)).tolist()
-    outcomes, brackets = {}, {}  # outcome: (t_star, qfi_star, bracket)
+    outcomes, searches = {}, {}  # outcome: (t_star, qfi_star, bracket)
     for i, values in enumerate(table):
         top = max(values)
         if top - min(values) < 1e-14:
             outcomes[i] = (0.0, 0.0, scan[-1])
             continue
         peak = values.index(top)  # first occurrence, i.e. the smallest t
-        lo, hi = scan[max(peak - 1, 0)], scan[min(peak + 1, m - 1)]
-        brackets[i] = (lo, hi, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo),
-                       (top, -scan[peak]))
-    # the interior pair of every bracket, then rounds of DEPTH steps while any is open
-    pairs = information([temperatures[i] for i in brackets for _ in range(2)],
-                        [time for _, _, left, right, _ in brackets.values()
-                         for time in (left, right)]) if brackets else []
-    searches = {
-        i: (lo, hi, left, right, f_left, f_right, max(best, (f_left, -left), (f_right, -right)))
-        for (i, (lo, hi, left, right, best)), f_left, f_right
-        in zip(brackets.items(), pairs[::2], pairs[1::2])
-    }
+        below, above = max(peak - 1, 0), min(peak + 1, m - 1)
+        lo, hi = scan[below], scan[above]
+        searches[i] = (lo, hi, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo),
+                       values[below], values[above], None, None, (top, -scan[peak]))
+    # rounds of one table while any search is open: its next steps along its path
     while searches:
-        probes, times, trees = [], [], {}
-        for i, (lo, hi, left, right, f_left, f_right, best) in searches.items():
-            if hi - lo > tolerance:
-                start = len(times)
-                trees[i] = _tree((lo, hi, left, right), (f_left >= f_right,), DEPTH,
-                                 tolerance, times)
-                probes += [temperatures[i]] * (len(times) - start)
+        probes, times, paths = [], [], {}
+        for i, (lo, hi, left, right, f_lo, f_hi, f_left, f_right, best) in searches.items():
+            start = len(times)
+            if f_left is None:  # the interior pair, then steps predicted from the scan
+                times += (left, right)
+                known, vertex = None, _vertex(lo, -best[1], hi, f_lo, best[0], f_hi)
+            elif hi - lo > tolerance:
+                known = f_left >= f_right
+                vertex = (_vertex(lo, left, right, f_lo, f_left, f_right) if known
+                          else _vertex(left, right, hi, f_left, f_right, f_hi))
             else:
                 outcomes[i] = (-best[1], best[0], hi - lo)
-        values = information(probes, times) if trees else []
-        searches = {i: _walk(searches[i], tree, values) for i, tree in trees.items()}
+                continue
+            paths[i] = start, _path((lo, hi, left, right), known, vertex, tolerance, times)
+            probes += [temperatures[i]] * (len(times) - start)
+        values = information(probes, times) if paths else []
+        searches = {i: _follow(searches[i], start, path, values)
+                    for i, (start, path) in paths.items()}
     results = tuple(OptimalTimeResult(temperature, *outcomes[i])
                     for i, temperature in enumerate(temperatures))
     return OptimalTimeCurve(spec=spec, results=results)

@@ -411,17 +411,17 @@ def test_curve_aborts_with_the_failing_point(monkeypatch):
         optimal_time_curve(spec)
 
 
-def _poison_third_round(monkeypatch, poison):
-    """Let `poison` edit the moments of the middle pair of the third refinement round,
-    the fourth `moments` call after the coarse scan; returns a list that receives that
-    pair's (T, t)."""
+def _poison_second_round(monkeypatch, poison):
+    """Let `poison` edit the moments of the middle pair of the second refinement round,
+    the third `moments` call of the curve; returns a list that receives that pair's
+    (T, t)."""
     calls, poisoned = [], []
     batch = moments.MomentEngine.moments
 
     def poisoned_moments(engine, temperatures, times):
         out = batch(engine, temperatures, times)
         calls.append(len(times))
-        if len(calls) == 4:
+        if len(calls) == 3:
             p = len(times) // 2
             poison(out, p)
             poisoned.append((temperatures[p], times[p]))
@@ -458,7 +458,7 @@ def _overflowing_derivative(out, p):
 ])
 def test_curve_aborts_with_the_probe_that_fails_in_a_refinement_round(monkeypatch, poison,
                                                                       message):
-    poisoned = _poison_third_round(monkeypatch, poison)
+    poisoned = _poison_second_round(monkeypatch, poison)
     spec = replace(FIG10, T_points=3)
     with pytest.raises(ConvergenceError) as raised:
         optimal_time_curve(spec)
@@ -469,7 +469,7 @@ def test_curve_aborts_with_a_degenerate_probe_in_a_refinement_round(monkeypatch)
     def vanishing_gamma(out, p):
         out[:, 0, :, p] = 0.0  # the moments of gamma, not those of d gamma / dT
 
-    poisoned = _poison_third_round(monkeypatch, vanishing_gamma)
+    poisoned = _poison_second_round(monkeypatch, vanishing_gamma)
     spec = replace(FIG10, T_points=3)
     with pytest.raises(ConvergenceError) as raised:
         optimal_time_curve(spec)
@@ -490,11 +490,14 @@ def _tables(monkeypatch):
     return tables
 
 
-def test_fig10_curve_takes_eight_tables(monkeypatch):
+def test_fig10_curve_takes_four_tables(monkeypatch):
     tables = _tables(monkeypatch)
     optimal_time_curve(FIG10)
-    # the scan, the interior pairs, then six rounds of two steps at 3 probes each
-    assert [len(times) for times in tables] == [40 * 64, 40 * 2] + [40 * 3] * 6
+    # the scan, then a round of every bracket's interior pair, the 12 steps its path
+    # predicts and a hedge, then two rounds that pick up where a prediction failed; two
+    # golden-section steps per round took the scan, the pairs and six rounds
+    assert [len(times) for times in tables] == [40 * 64, 40 * 15, 357, 52]
+    assert len(tables) < 8
 
 
 def _assert_curve_equals_the_sequential_search(spec):
@@ -539,33 +542,39 @@ def test_curve_walks_ties_like_the_sequential_search(monkeypatch):
     assert repeats > 0
 
 
-def test_a_round_can_end_halfway_through_its_tree(monkeypatch):
-    # from a 128-point scan the bracket closes after 11 steps: five rounds of two, then
-    # a round whose first step closes it, so the steps after it are not probed
+def test_a_path_probes_nothing_past_the_close_of_its_bracket(monkeypatch):
+    # from a 128-point scan the bracket closes after 11 steps. The first round probes the
+    # pair, the 11 steps of its path and a hedge; its 8th step goes the other way than
+    # predicted, so the second round probes that step, a hedge and the 3 steps left
     spec = replace(FIG10, T_points=1, coarse_points=128)
     tables = _tables(monkeypatch)
     _assert_curve_equals_the_sequential_search(spec)
-    assert [len(times) for times in tables[1:]] == [2, 3, 3, 3, 3, 3, 1]
+    path = golden_section_reference.optimal_time(spec, spec.T_lo, QuadratureConfig())[3]
+    assert len(path) == 2 + 11
+    assert [len(times) for times in tables[1:]] == [2 + 11 + 1, 4 + 1]
+    assert tables[-1][-1] == path[-1]  # the step that closes the bracket probes last
 
 
-def _untaken_probe(spec, monkeypatch):
+def _untaken_probe(spec, monkeypatch, kind):
     """(the sequential search of the one temperature of `spec`, a probe of the curve's
-    first round of two steps that its walk does not take)."""
+    first refinement round that the sequential search does not take): the hedge, which
+    follows the interior pair, or the last probe, a step past a comparison that went the
+    other way than predicted."""
     search = golden_section_reference.optimal_time(spec, spec.T_lo, QuadratureConfig())
     path = search[3]
     tables = _tables(monkeypatch)
     optimal_time_curve(spec)
-    # that round's next probe, then one for each outcome of the comparison after it
-    step, *outcomes = tables[2]
-    assert step == path[2] and path[3] in outcomes
-    (untaken,) = [time for time in outcomes if time != path[3]]
+    first = tables[1]
+    assert first[:2] == path[:2]
+    untaken = first[2] if kind == "hedge" else first[-1]
     assert untaken not in path
     return search, untaken
 
 
-def test_curve_aborts_at_a_poisoned_probe_off_the_walked_path(monkeypatch):
+@pytest.mark.parametrize("kind", ["hedge", "mispredicted step"])
+def test_curve_aborts_at_a_poisoned_probe_off_the_walked_path(monkeypatch, kind):
     spec = replace(FIG10, T_points=1)
-    _, untaken = _untaken_probe(spec, monkeypatch)
+    _, untaken = _untaken_probe(spec, monkeypatch, kind)
     batch = moments.MomentEngine.moments
 
     def poisoned(engine, temperatures, times):
@@ -582,9 +591,10 @@ def test_curve_aborts_at_a_poisoned_probe_off_the_walked_path(monkeypatch):
         "truncations disagree")
 
 
-def test_a_probe_off_the_walked_path_does_not_enter_the_result(monkeypatch):
+@pytest.mark.parametrize("kind", ["hedge", "mispredicted step"])
+def test_a_probe_off_the_walked_path_does_not_enter_the_result(monkeypatch, kind):
     spec = replace(FIG10, T_points=1)
-    (t_star, qfi_star, bracket, _), untaken = _untaken_probe(spec, monkeypatch)
+    (t_star, qfi_star, bracket, _), untaken = _untaken_probe(spec, monkeypatch, kind)
     table = sweep_optimize.qfi_table
 
     def inflated(engine, temperatures, times, *args):
@@ -595,6 +605,43 @@ def test_a_probe_off_the_walked_path_does_not_enter_the_result(monkeypatch):
     monkeypatch.setattr(sweep_optimize, "qfi_table", inflated)
     (result,) = optimal_time_curve(spec).results
     assert (result.t_star, result.qfi_star, result.bracket) == (t_star, qfi_star, bracket)
+
+
+@pytest.mark.parametrize("temperature", [0.2, 1.1, 2.0])
+def test_a_prediction_wrong_at_every_round_keeps_the_sequential_search(monkeypatch,
+                                                                         temperature):
+    # every round's path predicts from a vertex on the wrong side of its first predicted
+    # comparison, so every walk ends at the hedge: the pair and one step in the first
+    # round, two steps in every later one, never more tables than two golden-section
+    # steps per round took
+    spec = replace(FIG10, T_lo=temperature, T_hi=temperature, T_points=1)
+    t_star, qfi_star, bracket, probes = golden_section_reference.optimal_time(
+        spec, temperature, QuadratureConfig())
+    path, step, tolerance = sweep_optimize._path, sweep_optimize._step, 1e-4 * spec.t_max
+
+    def wrong(bracket, known, vertex, *args):
+        first = bracket if known is None else step(*bracket, known)[0]
+        if first[1] - first[0] > tolerance:
+            # one search: the side the sequential search keeps probes a time it takes, the
+            # other a time outside every later bracket
+            keeps_left = step(*first, True)[1] in probes
+            assert keeps_left != (step(*first, False)[1] in probes)
+            vertex = first[1] if keeps_left else first[0]
+        return path(bracket, known, vertex, *args)
+
+    monkeypatch.setattr(sweep_optimize, "_path", wrong)
+    tables = _tables(monkeypatch)
+    (result,) = optimal_time_curve(spec).results
+    assert (result.t_star, result.bracket) == (t_star, bracket)
+    assert result.qfi_star.hex() == qfi_star.hex()
+    steps = len(probes) - 2
+    assert len(tables) == 2 + math.ceil((steps - 1) / 2) <= 2 + math.ceil(steps / 2)
+
+
+@pytest.mark.parametrize("s", [1.0, 3.0])
+def test_fig10_curve_at_other_exponents_equals_the_sequential_search(s):
+    _assert_curve_equals_the_sequential_search(replace(FIG10, T_points=8,
+                                                       sp=SpectralParams(s=s)))
 
 
 @pytest.mark.parametrize("changes, field", [
