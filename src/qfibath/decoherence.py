@@ -53,8 +53,8 @@ def gamma(
 ) -> GammaResult:
     """Decoherence exponent gamma(T, t) at one point.
 
-    t = 0 is exactly 0 with a zero error estimate. Raises ConvergenceError when the
-    two truncations disagree above tolerance or are not finite.
+    t = 0 is exactly 0 with a zero error estimate. Raises ConvergenceError where
+    `qfi_engine.qfi_table` refuses the point.
     """
     (value,), _, _, (gap,) = qfi_table(
         MomentEngine(None, sp, qc), [point.temperature], [point.time], [(sq, ProbeInit())])

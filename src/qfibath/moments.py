@@ -53,13 +53,12 @@ Euler-Maclaurin truncation, once per temperature that has such pairs; truncation
 and thermal sets are axes of its one table of terms.
 
 Each point takes the two truncations of TRUNCATIONS: (N, J) Euler-Maclaurin
-terms, or N + 2 + J Taylor terms. The second is reported. `exponents` flags a
-point where the two disagree by more than the QuadratureConfig tolerance, on
-gamma or on d gamma relative to max(|d gamma|, gamma), or are not finite, and
-where eps times the size of the assembly's terms exceeds the same tolerance. The
-truncations share that assembly, so their gap cannot see its rounding: at small
-omega t and theta near 0, M0 - C is about (omega t)**2 times M0, and exp(2r)
-makes it most of gamma. `qfi_engine.qfi_table` raises ConvergenceError there.
+terms, or N + 2 + J Taylor terms. The second is reported. `exponents` measures,
+per row, both truncations' values and eps times the size of the assembly's terms,
+a bound on its rounding, which the truncations share, so their gap cannot see it:
+at small omega t and theta near 0, M0 - C is about (omega t)**2 times M0, and
+exp(2r) makes it most of gamma. `qfi_engine.qfi_table` alone judges the cells
+against the QuadratureConfig tolerance and raises ConvergenceError.
 What depends on the temperature alone is computed once per batch, at each of its
 distinct temperatures (`_batch`), and the vacuum part, which depends on the time
 alone, once at each distinct time, then gathered into the pairs; `_distinct` finds
@@ -108,13 +107,13 @@ SERIES_CUTOFF = 0.05
 VACUUM_SERIES_CUTOFF = 1e-3
 
 # overflowing terms compute non-finite moments without warnings; they fail the
-# truncation check, which raises ConvergenceError
+# checks of `qfi_engine.qfi_table`, which raises ConvergenceError
 _NON_FINITE = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerance the two truncations must agree within."""
+    """Tolerance of a cell's truncation gap and rounding bound (`qfi_engine.qfi_table`)."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
@@ -133,8 +132,8 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 class ConvergenceError(RuntimeError):
     """A cell's numbers failed: its truncations disagreed above tolerance, the rounding
     of its assembly exceeded it, or its gamma, d gamma or qfi is invalid or not finite.
-    Carries the reported value of gamma and the truncations' gap on it (nan where the
-    fault is not the gap), so callers can see how far off it ended up.
+    Carries the reported value of gamma and the est_error that `qfi_engine.qfi_table`
+    states, its gap or rounding bound, so callers can see how far off it ended up.
     """
 
     def __init__(self, message: str, value: float, est_error: float):
@@ -144,7 +143,7 @@ class ConvergenceError(RuntimeError):
 
 
 def _gamma_function(s: float) -> float:
-    """Gamma(s), inf where it overflows, so the point fails the truncation check instead."""
+    """Gamma(s), inf where it overflows, so the point fails a check instead of raising."""
     try:
         return math.gamma(s)
     except OverflowError:
@@ -263,6 +262,11 @@ class MomentEngine:
         self.estimand, self.sp, self.qc = estimand, sp, qc
         self.sets = 2 if derivative_rule(estimand, 0.0)[0] else 1
 
+    @property
+    def coefficients_finite(self) -> bool:
+        """Whether every Gamma coefficient of the terms is finite at s (not above 148.6)."""
+        return _coefficients(self.sp.s, TRUNCATIONS)["finite"]
+
     def moments(self, temperatures: Sequence[float], times: Sequence[float]) -> np.ndarray:
         """(M0, Mc, Ms) per truncation and thermal set at each pair
         (temperatures[p], times[p]): shape (2, sets, 3, pairs). Every moment at t = 0
@@ -274,8 +278,8 @@ class MomentEngine:
             distinct, rows = _distinct(times)
             out[:, 0] = _vacuum(self.sp, distinct).take(rows, 1)
             hot = np.flatnonzero((temperatures > 0.0) & (times > 0.0))
-            if not _coefficients(self.sp.s, TRUNCATIONS)["finite"]:
-                out[..., hot] = np.nan  # above s = 148.6: every thermal point fails the check
+            if not self.coefficients_finite:
+                out[..., hot] = np.nan  # above s = 148.6: every thermal point fails
             elif hot.size:
                 batch = self._batch(temperatures[hot], times[hot])
                 for start in range(0, hot.size, CHUNK):  # blocks of the hot pairs
@@ -416,15 +420,12 @@ class MomentEngine:
             sums[1] = (1.0 - s) * sums[0] + (batch["tau"].take(row) - 1j * eps) * sums[1]
         return _by_moment(*sums.transpose(2, 0, 1, 3))
 
-    def exponents(self, moments: np.ndarray,
-                  squeezes: Sequence[SqueezeParams]) -> tuple[np.ndarray, ...]:
-        """gamma, d gamma / d estimand, the cell's agreement and the truncations' gap on
-        gamma per cell, as 1-D arrays of k * n cells: the k `squeezes` over the n pairs of
-        `moments` (the output of `moments`), squeezing outer and pair inner.
-
-        A cell agrees where its truncations do and where eps (|a| + |b| + |c|)
-        (|M0| + |Mc| + |Ms|), a bound on the rounding of the reported assembly, is within
-        the same tolerance; where that bound is not, the gap is minus it, on gamma.
+    def exponents(self, moments: np.ndarray, squeezes: Sequence[SqueezeParams]) -> np.ndarray:
+        """What the assembly measures at each of the k * n cells, the k `squeezes` over the
+        n pairs of `moments` (the output of `moments`), squeezing outer and pair inner:
+        shape (rows, 3, cells), the rows gamma and the derivative, each with its first
+        truncation's value, its reported one's and eps (|a| + |b| + |c|)
+        (|M0| + |Mc| + |Ms|), a bound on the rounding of the reported assembly.
         """
         # per squeezing, as a (k, 1) column against the pairs, the scalars of its own
         # call: cos and sin of theta, then the weights of gamma and of the derivative
@@ -437,30 +438,20 @@ class MomentEngine:
         # eps times the size of each row's weights: a rounded sum errs by a few
         # eps = ulp(1) relative to the size of its terms
         spans = math.ulp(1.0) * np.abs(weights).sum(1)
+        out = np.empty((2, 3, len(squeezes) * moments.shape[-1]))
         # the rows of one assembly: gamma on the coth set, then the derivative on the
         # last set, d coth / dT where there is one
-        rows = zip(weights, spans, (moments[:, 0], moments[:, self.sets - 1]))
-        agree, exact, value = True, True, None
+        rows = zip(out, weights, spans, (moments[:, 0], moments[:, self.sets - 1]))
         with np.errstate(**_NON_FINITE):
-            for (a, b, c), span, m in rows:
+            for row, (a, b, c), span, m in rows:
                 # the moments of 1 + cos(theta - w t), 1 - cos(theta - w t), sin(theta - w t)
                 m = m[:, :, None]
                 even = cos_th * m[:, 1] + sin_th * m[:, 2]
                 odd = sin_th * m[:, 1] - cos_th * m[:, 2]
-                pair = (a * (m[:, 0] + even) + b * (m[:, 0] - even) + c * odd).reshape(2, -1)
-                bound = (span * np.abs(m[1]).sum(0)).reshape(-1)
-                if value is None:  # gamma's row: its gap, and the derivative's scale floor
-                    value, rounding = pair, bound
-                # both truncations agree, and the rounding of the reported one is within
-                # the tolerance, relative to |gamma| or to max(|d gamma|, gamma)
-                tolerance = np.maximum(self.qc.abs_tol,
-                                       self.qc.rel_tol * np.maximum(np.abs(pair[1]), value[1]))
-                agree = agree & (np.abs(pair[0] - pair[1]) <= tolerance)
-                exact = exact & (bound <= tolerance)
-                del even, odd, tolerance  # hold one row's temporaries at a time
-            gap = np.where(exact, np.abs(value[0] - value[1]), -rounding)
-        # the integrand of gamma is non-negative; roundoff can undershoot 0
-        return np.maximum(value[1], 0.0), pair[1], agree & exact, gap
+                row[:2] = (a * (m[:, 0] + even) + b * (m[:, 0] - even) + c * odd).reshape(2, -1)
+                row[2] = (span * np.abs(m[1]).sum(0)).reshape(-1)
+                del even, odd  # hold one row's temporaries at a time
+        return out
 
 
 def grid_pairs(temperatures: Sequence[float],

@@ -39,11 +39,9 @@ import numpy as np
 from .moments import (
     _NON_FINITE,
     DEFAULT_QUADRATURE,
-    TRUNCATIONS,
     ConvergenceError,
     MomentEngine,
     QuadratureConfig,
-    _coefficients,
 )
 from .probe_state import ProbeInit, eigensystem, reduced_dm
 from .spectral_bath import (
@@ -176,49 +174,60 @@ def qfi_table(engine: MomentEngine, temperatures: Sequence[float], times: Sequen
     setting outer and pair inner, so cell c is setting c // n at pair c % n.
 
     One `engine.moments` batch of the pairs, one `engine.exponents` call with the k
-    squeezings and one `_closed_form` over all k n cells. A cell fails where its gamma or
-    d gamma is not finite because a Gamma coefficient of the series overflows at s, its
-    gamma or d gamma overflows, its truncations disagree or its assembly's rounding exceeds the
-    tolerance, its exponents are invalid, or its gamma, d gamma or qfi is not finite, and
-    the first failing cell raises ConvergenceError with the message of its first fault in
-    that order, prefixed with `where(cell)` when `where` is given.
+    squeezings and one `_closed_form` over all k n cells. Here alone a cell is judged, by
+    one mask of six checks in this order, against the tolerance max(abs_tol, rel_tol
+    max(|x|, gamma)) for x = gamma and d gamma: (1) its gamma or d gamma is not finite
+    because a Gamma coefficient of the series overflows at s; (2) its gamma or d gamma
+    overflows; (3) the rounding bound of its gamma or d gamma exceeds the tolerance, and
+    gamma's is above 0; (4) its truncations' gap on gamma or d gamma, or a rounding bound
+    that (3) leaves (gamma's is 0, or nan with a nan gamma), exceeds it; (5) its exponents
+    are invalid; (6) its gamma, d gamma or qfi is not finite. The first failing cell raises
+    ConvergenceError with the message of its first failing check, prefixed with
+    `where(cell)` when `where` is given, and as est_error gamma's rounding bound where a
+    bound exceeds the tolerance, else its gap on gamma, nan past (4).
     """
     squeezes, inits = zip(*settings)
-    values, derivatives, agree, gaps = engine.exponents(
-        engine.moments(temperatures, times), squeezes)
-    n = len(times)
+    first, reported, rounding = engine.exponents(
+        engine.moments(temperatures, times), squeezes).swapaxes(0, 1)  # each (rows, cells)
+    n, qc = len(times), engine.qc
+    # the integrand of gamma is non-negative; roundoff can undershoot 0
+    values, derivatives = np.maximum(reported[0], 0.0), reported[1]
     sines = np.array([math.sin(init.alpha) for init in inits]).repeat(n)
     qfis, invalid = _closed_form(sines, values, derivatives)
-    faults = (~(agree & np.isfinite(values) & np.isfinite(derivatives) & np.isfinite(qfis))
-              | invalid).nonzero()[0]
+    with np.errstate(**_NON_FINITE):
+        tolerance = np.maximum(qc.abs_tol, qc.rel_tol * np.maximum(np.abs(reported), reported[0]))
+        gaps = np.abs(first - reported)
+        exact = (rounding <= tolerance).all(0)
+        finite = np.isfinite(values) & np.isfinite(derivatives)
+        checks = np.array([~finite & (not engine.coefficients_finite),
+                           np.isinf(values) | np.isinf(derivatives),
+                           ~exact & (rounding[0] > 0.0),
+                           ~(exact & (gaps <= tolerance).all(0)),
+                           invalid, ~(finite & np.isfinite(qfis))])
+    faults = checks.any(0).nonzero()[0]
     if faults.size:
         k = int(faults[0])
-        gamma_value, dgamma, gap = values[k].item(), derivatives[k].item(), gaps[k].item()
-        p, qc = k % n, engine.qc
+        gamma_value, dgamma = values[k].item(), derivatives[k].item()
+        error = (gaps if exact[k] else rounding)[0, k].item()
+        p, check = k % n, checks[:, k].argmax()
         at = (f"at (T, t) = ({float(temperatures[p])!r}, {float(times[p])!r}): "
               f"gamma {gamma_value!r}")
-        tolerance = f"tolerance (rel_tol {qc.rel_tol:g}, abs_tol {qc.abs_tol:g})"
-        s = engine.sp.s
-        if (not (math.isfinite(gamma_value) and math.isfinite(dgamma))
-                and not _coefficients(s, TRUNCATIONS)["finite"]):
-            fault = (f"a Gamma coefficient of the moment series overflows at s = {s!r}, so the "
-                     f"moments are not finite {at}, dgamma {dgamma!r}")
-        elif math.isinf(gamma_value) or math.isinf(dgamma):
-            fault = f"gamma or d gamma overflows {at}, dgamma {dgamma!r}"
-        elif not agree[k] and gap < 0.0:  # minus the bound on the rounding of the assembly
-            fault = (f"rounding of the assembly fails {at}, rounding bound {-gap:.3e} on "
-                     f"gamma; the bound exceeds the {tolerance} on gamma or d gamma")
-        elif not agree[k]:
-            fault = (f"truncations disagree {at}, gap {gap:.3e} above {tolerance} on gamma "
-                     "or d gamma")
-        elif invalid[k]:
-            fault, gap = str(_invalid(gamma_value, dgamma)), math.nan
-        else:
-            fault, gap = (f"non-finite sample: gamma {gamma_value!r}, dgamma {dgamma!r}, "
-                          f"qfi {qfis[k].item()!r}"), math.nan
+        limit = f"tolerance (rel_tol {qc.rel_tol:g}, abs_tol {qc.abs_tol:g})"
+        fault = [
+            f"a Gamma coefficient of the moment series overflows at s = {engine.sp.s!r}, so "
+            f"the moments are not finite {at}, dgamma {dgamma!r}",
+            f"gamma or d gamma overflows {at}, dgamma {dgamma!r}",
+            f"rounding of the assembly fails {at}, rounding bound {error:.3e} on gamma; the "
+            f"bound exceeds the {limit} on gamma or d gamma",
+            f"truncations disagree {at}, gap {error:.3e} above {limit} on gamma or d gamma",
+            str(_invalid(gamma_value, dgamma)),
+            f"non-finite sample: gamma {gamma_value!r}, dgamma {dgamma!r}, "
+            f"qfi {qfis[k].item()!r}",
+        ][check]
         located = fault if where is None else f"{where(k)}: {fault}"
-        raise ConvergenceError(located, value=gamma_value, est_error=abs(gap))
-    return values.tolist(), derivatives.tolist(), qfis.tolist(), gaps.tolist()
+        raise ConvergenceError(located, value=gamma_value,
+                               est_error=error if check < 4 else math.nan)
+    return values.tolist(), derivatives.tolist(), qfis.tolist(), gaps[0].tolist()
 
 
 def qfi_point(

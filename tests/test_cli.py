@@ -854,6 +854,23 @@ def test_quadrature_starvation_exits_three(capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_a_point_failing_rounding_and_truncations_reports_the_rounding(capsys, monkeypatch):
+    # r = 20 at t = 1e-5, theta = 0 exceeds the tolerance in its rounding bound, and with
+    # the starved first truncation in its gap on gamma too: the rounding check runs first
+    monkeypatch.setattr(moments, "TRUNCATIONS", ((0, 0), moments.TRUNCATIONS[1]))
+    engine = moments.MomentEngine(Estimand.SQUEEZE_AMPLITUDE, SpectralParams(0.5),
+                                  moments.DEFAULT_QUADRATURE)
+    (first, gamma_value, rounding), _ = engine.exponents(
+        engine.moments([0.5], [1e-5]), [SqueezeParams(20.0, 0.0)])[..., 0]
+    tolerance = 1e-8 * gamma_value
+    assert abs(first - gamma_value) > 1e3 * tolerance and rounding > tolerance
+    argv = ["point", "--estimand", "r", "--temp", "0.5", "--time", "1e-5",
+            "--r", "20", "--theta", "0", "--s", "0.5"]
+    assert run_cli(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: rounding of the assembly fails at "), err
+
+
 def test_point_with_an_overflowing_derivative_exits_three(capsys, monkeypatch):
     # the d coth / dT moments of both truncations grow alike, so they agree, but the qfi
     # overflows: the point must fail as every table cell does, not print qfi = inf

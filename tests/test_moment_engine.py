@@ -12,7 +12,7 @@ import hurwitz_reference
 import panel_reference
 from adaptive_reference import gamma, gamma_partial
 from qfibath import cli, decoherence, moments
-from qfibath.moments import DEFAULT_QUADRATURE, MomentEngine, grid_pairs
+from qfibath.moments import DEFAULT_QUADRATURE, ConvergenceError, MomentEngine, grid_pairs
 from qfibath.probe_state import ProbeInit
 from qfibath.qfi_engine import qfi_point, qfi_table
 from qfibath.spectral_bath import (BathPoint, Estimand, SpectralParams, SqueezeParams,
@@ -27,11 +27,12 @@ SQUEEZES = [SqueezeParams(0.0), SqueezeParams(1.2, 2.5), SqueezeParams(3.0, 5.5)
 
 
 def engine_point(estimand, point, sq, sp):
-    """(gamma, dgamma, truncation agreement, gap) of one point through the engine."""
+    """(gamma, dgamma, truncation gap on gamma) of one point from the rows the engine
+    measures, unjudged, with gamma clamped at 0 as `qfi_table` reports it."""
     engine = MomentEngine(estimand, sp, DEFAULT_QUADRATURE)
-    values, derivatives, agree, gaps = engine.exponents(
-        engine.moments([point.temperature], [point.time]), [sq])
-    return values[0], derivatives[0], agree[0], gaps[0]
+    (first, value, _), (_, derivative, _) = engine.exponents(
+        engine.moments([point.temperature], [point.time]), [sq])[..., 0]
+    return max(value, 0.0), derivative, abs(first - value)
 
 
 def one_pair(estimand, point, sq, sp):
@@ -56,15 +57,17 @@ def within_tolerance(value, derivative, oracle_value, oracle_derivative):
 def test_engine_matches_the_adaptive_path(estimand, s):
     sp = SpectralParams(s)
     engine = MomentEngine(estimand, sp, DEFAULT_QUADRATURE)
-    batch = engine.moments(*grid_pairs(TEMPERATURES, TIMES))
-    for sq in SQUEEZES:
-        values, derivatives, agree, _ = engine.exponents(batch, [sq])
+    n = len(TEMPERATURES) * len(TIMES)
+    # one checked table of every squeezing over the grid: it raises at a refused cell
+    values, derivatives, _, _ = qfi_table(
+        engine, *grid_pairs(TEMPERATURES, TIMES), [(sq, ProbeInit()) for sq in SQUEEZES],
+        where=lambda c: repr(SQUEEZES[c // n]))
+    for i, sq in enumerate(SQUEEZES):
         for k, (temperature, time) in enumerate(itertools.product(TEMPERATURES, TIMES)):
             point = BathPoint(temperature, time)
-            assert agree[k], (point, sq)
             assert within_tolerance(
-                values[k],
-                derivatives[k],
+                values[i * n + k],
+                derivatives[i * n + k],
                 gamma(point, sq, sp).value,
                 gamma_partial(estimand, point, sq, sp),
             ), (point, sq)
@@ -83,11 +86,10 @@ GAMMA_REFERENCES = [
 
 @pytest.mark.parametrize("temperature,t,r,theta,s,key", GAMMA_REFERENCES)
 def test_gamma_matches_high_precision_references(temperature, t, r, theta, s, key):
-    value, _, agree, _ = engine_point(
+    value, _, _ = one_pair(  # checked: a refused point raises
         Estimand.SQUEEZE_PHASE, BathPoint(temperature, t), SqueezeParams(r, theta),
         SpectralParams(s),
     )
-    assert agree
     assert value == pytest.approx(REFERENCE_VALUES[key], rel=1e-10)
 
 
@@ -101,10 +103,9 @@ def test_gamma_matches_high_precision_references(temperature, t, r, theta, s, ke
     ],
 )
 def test_partials_match_high_precision_references(estimand, r, key):
-    _, derivative, agree, _ = engine_point(
+    _, derivative, _ = one_pair(  # checked: a refused point raises
         estimand, BathPoint(0.5, 1.0), SqueezeParams(r, 1.0), SpectralParams(0.5)
     )
-    assert agree
     assert derivative == pytest.approx(REFERENCE_VALUES[key], rel=1e-10)
 
 
@@ -114,9 +115,11 @@ def test_zero_time_is_exactly_zero(estimand):
     temperatures, times = grid_pairs([0.0, 1.0], [0.0, 5.0])
     batch = engine.moments(temperatures, times)
     assert np.all(batch[..., times == 0.0] == 0.0)
-    values, derivatives, agree, _ = engine.exponents(batch, [SqueezeParams(0.7, 2.0)])
-    for k in (0, 2):  # t = 0 at both temperatures
-        assert values[k] == 0.0 and derivatives[k] == 0.0 and agree[k]
+    sq = SqueezeParams(0.7, 2.0)
+    measured = engine.exponents(batch, [sq])
+    for k in (0, 2):  # t = 0 at both temperatures: both truncations and the bound are 0
+        assert np.all(measured[..., k] == 0.0)
+    assert qfi_table(engine, temperatures, times, [(sq, ProbeInit())])[0][::2] == [0.0, 0.0]
 
 
 def test_zero_temperature_thermal_factors_are_exact():
@@ -128,7 +131,7 @@ def test_zero_temperature_thermal_factors_are_exact():
     batch = engine.moments(np.zeros(times.size), times)
     assert np.array_equal(batch[:, 0], np.broadcast_to(moments._vacuum(sp, times), (2, 3, 4)))
     assert np.all(batch[:, 1] == 0.0)
-    _, derivative, _, _ = engine_point(
+    _, derivative, _ = engine_point(
         Estimand.TEMPERATURE, BathPoint(0.0, 2.0), SqueezeParams(0.4, 1.0), sp
     )
     assert derivative == 0.0
@@ -232,12 +235,14 @@ def test_seeded_sample_matches_the_panel_rule_oracle():
         oracle = np.zeros((*thermal.shape, 1))
         oracle[..., 0] = thermal
         oracle[:, 0] += moments._vacuum(sp, np.array([point.time]))
-        expected, expected_derivative, agree, _ = MomentEngine(
-            estimand, sp, DEFAULT_QUADRATURE).exponents(oracle, [sq])
-        assert agree[0], (estimand, point, sq, sp)
+        engine = MomentEngine(estimand, sp, DEFAULT_QUADRATURE)
+        engine.moments = lambda *_: oracle  # the oracle's moments, judged by `qfi_table`
+        (expected,), (expected_derivative,), _, _ = qfi_table(
+            engine, [point.temperature], [point.time], [(sq, ProbeInit())],
+            where=lambda _: repr((estimand, point, sq, sp)))
         value, derivative, _ = one_pair(estimand, point, sq, sp)
-        assert within_tolerance(value, derivative, expected[0], expected_derivative[0]), (
-            estimand, point, sq, sp, value, expected[0])
+        assert within_tolerance(value, derivative, expected, expected_derivative), (
+            estimand, point, sq, sp, value, expected)
 
 
 def test_sub_ohmic_grid_cells_equal_point_evaluations_and_the_oracle():
@@ -263,20 +268,24 @@ def test_sub_ohmic_grid_cells_equal_point_evaluations_and_the_oracle():
 
 
 def test_zero_time_is_exactly_zero_where_the_moments_are_not_finite():
-    # at s = 150 Gamma(s + 23) of the thermal terms overflows, so every t > 0 cell disagrees
+    # at s = 150 Gamma(s + 23) of the thermal terms overflows, so every t > 0 cell fails
     engine = MomentEngine(Estimand.TEMPERATURE, SpectralParams(150.0), DEFAULT_QUADRATURE)
     batch = engine.moments([0.5, 0.5], [0.0, 1.0])
     assert np.all(batch[..., 0] == 0.0) and not np.all(np.isfinite(batch[..., 1]))
-    assert engine.exponents(batch, [SqueezeParams(0.5, 1.0)])[2].tolist() == [True, False]
+    measured = engine.exponents(batch, [SqueezeParams(0.5, 1.0)])
+    assert np.all(measured[..., 0] == 0.0) and not np.all(np.isfinite(measured[..., 1]))
+    with pytest.raises(ConvergenceError, match=r"^a Gamma coefficient .* at \(T, t\) = "
+                                               r"\(0\.5, 1\.0\)"):
+        qfi_table(engine, [0.5, 0.5], [0.0, 1.0], [(SqueezeParams(0.5, 1.0), ProbeInit())])
     assert one_pair(Estimand.TEMPERATURE, BathPoint(0.5, 0.0), SqueezeParams(0.5, 1.0),
                     SpectralParams(150.0)) == (0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("estimand", list(Estimand))
 def test_a_family_of_squeezings_equals_its_squeezings_one_by_one(estimand):
-    # all four outputs of a k-squeezing call are those of k one-squeezing calls, bit for
+    # every row a k-squeezing call measures is that of k one-squeezing calls, bit for
     # bit: cells that pass, cells the rounding bound refuses (r = 20 at t = 1e-5,
-    # theta = 0: a negative gap) and cells whose truncations disagree (s = 150)
+    # theta = 0) and cells whose moments are not finite (s = 150)
     squeezes = [SqueezeParams(0.0), SqueezeParams(0.7, 1.0), SqueezeParams(20.0, 0.0),
                 SqueezeParams(3.0, 5.5)]
     kinds = set()
@@ -286,12 +295,15 @@ def test_a_family_of_squeezings_equals_its_squeezings_one_by_one(estimand):
         batch = engine.moments(temperatures, times)
         family, n = engine.exponents(batch, squeezes), len(times)
         for k, sq in enumerate(squeezes):
-            for got, one in zip(family, engine.exponents(batch, [sq])):
-                assert got[k * n:(k + 1) * n].tobytes() == one.tobytes(), (s, sq)
-        _, _, agree, gaps = family
-        kinds |= {"passes" if ok else "refused" if gap < 0.0 else "disagrees"
-                  for ok, gap in zip(agree, gaps)}
-    assert kinds == {"passes", "refused", "disagrees"}
+            one = engine.exponents(batch, [sq])
+            assert family[..., k * n:(k + 1) * n].tobytes() == one.tobytes(), (s, sq)
+            for pair in zip(temperatures, times):  # each cell's verdict
+                try:
+                    qfi_table(engine, *zip(pair), [(sq, ProbeInit())])
+                    kinds.add("passes")
+                except ConvergenceError as error:
+                    kinds.add("refused" if "rounding of the assembly" in str(error) else "fails")
+    assert kinds == {"passes", "refused", "fails"}
 
 
 def test_long_time_grid_is_chunked_and_matches_a_single_block(monkeypatch):
@@ -308,8 +320,9 @@ def test_long_time_grid_is_chunked_and_matches_a_single_block(monkeypatch):
     engine = MomentEngine(spec.estimand, sp, DEFAULT_QUADRATURE)
     # the sampled cells as one batch
     picked = [(i, j) for i in range(2) for j in list(range(0, 400, 40)) + [399]]
-    values, derivatives, _, _ = engine.exponents(
-        engine.moments([(0.5, 1.0)[i] for i, _ in picked], [times[j] for _, j in picked]), [sq])
+    values, derivatives, _, _ = qfi_table(
+        engine, [(0.5, 1.0)[i] for i, _ in picked], [times[j] for _, j in picked],
+        [(sq, ProbeInit())])
     for k, (i, j) in enumerate(picked):
         _, _, gamma_value, dgamma, _ = table.rows[400 * i + j]
         assert (gamma_value, dgamma) == (values[k], derivatives[k])
@@ -414,9 +427,9 @@ def test_every_product_of_a_sub_ohmic_engine_agrees(estimand):
     expected = engine.exponents(engine.moments(*grid_pairs(temperatures, times)), [sq])
     for k, (temperature, time) in enumerate(itertools.product(temperatures, times)):
         one = engine.exponents(engine.moments([temperature], [time]), [sq])
-        assert [part[0] for part in one[:2]] == [part[k] for part in expected[:2]]
+        assert one[..., 0].tolist() == expected[..., k].tolist()
         point = one_pair(estimand, BathPoint(temperature, time), sq, sp)
-        assert point[:2] == (expected[0][k], expected[1][k])
+        assert point[:2] == (expected[0, 1, k], expected[1, 1, k])
 
 
 @pytest.mark.parametrize("omega_c", [1e-3, 1.0, 1e3])
@@ -560,11 +573,10 @@ def test_seeded_domain_sample_is_finite():
     for estimand, point, sq, sp in _domain_sample():
         sample = qfi_point(estimand, point, sq, sp, ProbeInit())
         assert all(map(math.isfinite, (sample.gamma, sample.dgamma, sample.qfi))), (point, sq, sp)
-        value, derivative, agree, _ = engine_point(estimand, point, sq, sp)
-        assert agree, (point, sq, sp)
+        value, derivative, _ = engine_point(estimand, point, sq, sp)
         assert (sample.gamma, sample.dgamma) == (value, derivative), (point, sq, sp)
         assert decoherence.gamma_partial(estimand, point, sq, sp) == derivative
-        value, _, _, gap = engine_point(None, point, sq, sp)
+        value, _, gap = engine_point(None, point, sq, sp)
         result = decoherence.gamma(point, sq, sp)
         assert (result.value, result.est_error) == (value, gap), (point, sq, sp)
 

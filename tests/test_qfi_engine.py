@@ -100,21 +100,24 @@ def test_closed_form_equals_the_float_expression_bit_for_bit(alpha, gamma_value,
 
 
 class _FixedExponents:
-    """An engine stand-in whose `exponents` hands back given gamma and d gamma, and the
-    truncations' agreement, all cells agreeing unless given."""
+    """An engine stand-in whose `exponents` measures given gamma and d gamma as the
+    reported truncation, the first truncation off by a given gap on gamma and a given
+    rounding bound on gamma, both 0 unless given."""
 
-    qc, sp = QuadratureConfig(), FIX_SPECTRAL
+    qc, sp, coefficients_finite = QuadratureConfig(), FIX_SPECTRAL, True
 
-    def __init__(self, gammas, dgammas, agree=None):
-        self.gammas = np.asarray(gammas, dtype=float)
-        self.dgammas = np.asarray(dgammas, dtype=float)
-        self.agree = np.ones(self.gammas.size, dtype=bool) if agree is None else np.asarray(agree)
+    def __init__(self, gammas, dgammas, gaps=0.0, roundings=0.0):
+        self.measured = np.zeros((2, 3, len(gammas)))
+        self.measured[0, 0] = np.add(gammas, gaps)
+        self.measured[0, 1] = gammas
+        self.measured[0, 2] = roundings
+        self.measured[1, :2] = dgammas
 
     def moments(self, temperatures, times):
         return None
 
     def exponents(self, moments, squeezes):
-        return self.gammas, self.dgammas, self.agree, np.zeros(self.gammas.size)
+        return self.measured
 
 
 def _closed_form_over_cells(gammas, dgammas, where=None):
@@ -128,10 +131,13 @@ def test_closed_form_on_arrays_raises_at_the_first_faulty_element():
     with pytest.raises(ConvergenceError, match=r"^gamma = 0\.0 is at the t -> 0 limit but "
                                                r"dgamma = 1\.0 is not$"):
         _closed_form_over_cells([0.5, 0.0, -1.0, 0.5], [1.0, 1.0, 1.0, 1.0])
-    with pytest.raises(ConvergenceError, match=r"^decoherence exponent must be >= 0, got nan$"):
+    # a nan gamma's tolerance is nan, so the truncation check, run before the closed
+    # form's, refuses it; a negative gamma is roundoff, taken as 0
+    with pytest.raises(ConvergenceError, match=r"^truncations disagree at \(T, t\) = "
+                                               r"\(0\.5, 0\.5\): gamma nan, gap "):
         _closed_form_over_cells([0.5, math.nan, 0.0], [1.0, 1.0, 1.0])
-    with pytest.raises(ConvergenceError,
-                       match=r"^cell 2: decoherence exponent must be >= 0, got -1\.0$"):
+    with pytest.raises(ConvergenceError, match=r"^cell 2: gamma = 0\.0 is at the t -> 0 limit "
+                                               r"but dgamma = 1\.0 is not$"):
         _closed_form_over_cells([0.5, 0.25, -1.0, 0.0], [1.0, 1.0, 1.0, 1.0],
                                 where=lambda k: f"cell {k}")
     assert _closed_form_over_cells([0.5, 0.0], [1.0, 0.0]) == [
@@ -155,7 +161,7 @@ def test_table_of_settings_over_pairs_equals_its_cells_one_by_one(estimand):
 
 def test_a_disagreeing_cell_names_its_pair_modulo_the_pairs():
     # 2 settings over 3 pairs: cell 5 is the second setting at the third pair
-    engine = _FixedExponents([0.5] * 6, [1.0] * 6, agree=[True] * 5 + [False])
+    engine = _FixedExponents([0.5] * 6, [1.0] * 6, gaps=[0.0] * 5 + [1.0])
     with pytest.raises(ConvergenceError, match=r"^cell 5: truncations disagree at "
                                                r"\(T, t\) = \(0\.3, 3\.0\): gamma 0\.5, "):
         qfi_table(engine, [0.1, 0.2, 0.3], [1.0, 2.0, 3.0], SETTINGS[:2],
@@ -180,28 +186,52 @@ def test_a_many_cell_table_equals_the_closed_form_cell_by_cell():
     assert [value.hex() for value in qfis] == [value.hex() for value in expected]
 
 
-# a failing cell of each kind: (gamma, dgamma, agrees), the error and its message
+# a failing cell of each kind, in the order of `qfi_table`'s checks: (gamma, dgamma, gap
+# on gamma, rounding bound on gamma), the error and its message. A negative gamma is
+# roundoff, taken as 0, so with a normal dgamma it is degenerate
 FAULTS = {
-    "disagree": ((0.5, 1.0, False), ConvergenceError, "truncations disagree at "),
-    "overflow": ((math.inf, 1.0, True), ConvergenceError, "gamma or d gamma overflows at "),
-    "degenerate": ((0.0, 1.0, True), ConvergenceError, "gamma = 0.0 is at the t -> 0 "),
-    "negative": ((-1.0, 1.0, True), ConvergenceError, "decoherence exponent must be >= 0"),
-    "non-finite": ((1e-320, 1.0, True), ConvergenceError, "non-finite sample: gamma 1e-320"),
+    "overflow": ((math.inf, 1.0, 0.0, 0.0), ConvergenceError, "gamma or d gamma overflows at "),
+    "rounding": ((0.5, 1.0, 0.0, 1.0), ConvergenceError, "rounding of the assembly fails at "),
+    "disagree": ((0.5, 1.0, 1.0, 0.0), ConvergenceError, "truncations disagree at "),
+    "degenerate": ((0.0, 1.0, 0.0, 0.0), ConvergenceError, "gamma = 0.0 is at the t -> 0 "),
+    "negative": ((-1.0, 1.0, 0.0, 0.0), ConvergenceError, "gamma = 0.0 is at the t -> 0 "),
+    "non-finite": ((1e-320, 1.0, 0.0, 0.0), ConvergenceError, "non-finite sample: gamma 1e-320"),
 }
+# a passing cell, which each fault changes in one field
+PASSING = (0.5, 1.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("earlier, later", [
     (earlier, later) for earlier in FAULTS for later in FAULTS if earlier != later])
 def test_the_earlier_of_two_failing_cells_raises_with_its_where_prefix(earlier, later):
-    cells = [(0.5, 1.0, True), FAULTS[earlier][0], (0.25, 2.0, True), FAULTS[later][0],
-             (0.0, 0.0, True)]
-    gammas, dgammas, agree = zip(*cells)
+    cells = [PASSING, FAULTS[earlier][0], (0.25, 2.0, 0.0, 0.0), FAULTS[later][0],
+             (0.0, 0.0, 0.0, 0.0)]
     pairs = [0.5] * len(cells)
     error, message = FAULTS[earlier][1:]
     with pytest.raises(error, match="^cell 1: " + re.escape(message)) as raised:
-        qfi_table(_FixedExponents(gammas, dgammas, agree), pairs, pairs,
+        qfi_table(_FixedExponents(*zip(*cells)), pairs, pairs,
                   [(FIX_SQUEEZE, EQUATOR)], where=lambda k: f"cell {k}")
     assert type(raised.value) is error
+
+
+def _changed(fault):
+    return {field for field, (got, passing) in enumerate(zip(FAULTS[fault][0], PASSING))
+            if got != passing}
+
+
+@pytest.mark.parametrize("earlier, later", [
+    (earlier, later) for i, earlier in enumerate(FAULTS) for later in list(FAULTS)[i + 1:]
+    if not _changed(earlier) & _changed(later)])
+def test_a_cell_failing_two_checks_reports_the_earlier_in_their_order(earlier, later):
+    # one cell with both faults' fields: the check that runs first names it, and a
+    # rounding fault carries its bound, every other its gap or nan
+    cell = [one if one != passing else other
+            for one, other, passing in zip(FAULTS[earlier][0], FAULTS[later][0], PASSING)]
+    with pytest.raises(ConvergenceError, match="^" + re.escape(FAULTS[earlier][2])) as raised:
+        qfi_table(_FixedExponents(*([one] for one in cell)), [0.5], [0.5],
+                  [(FIX_SQUEEZE, EQUATOR)])
+    if earlier == "rounding":
+        assert raised.value.est_error == 1.0
 
 
 def test_point_zero_time_gives_zero_sample():
