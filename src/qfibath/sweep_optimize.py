@@ -21,11 +21,12 @@ each round one table of every open search's probes. A search predicts its
 golden-section comparisons from the vertex of a parabola through three points
 it has evaluated (Brent's pairing of golden-section steps with parabolic
 interpolation, except that the parabola never chooses a probe) and probes its
-steps along that path until the bracket closes, with a hedge probe for the
-other outcome of its first predicted comparison. The values then choose the
-path as a sequential search would, up to the first comparison the prediction
-got wrong; the probes off it do not enter the result but are checked like
-every cell.
+steps along that path until the bracket closes (in the first round, whose
+parabola runs through scan points, until it is at most half the scan's
+spacing), with a hedge probe for the other outcome of its first predicted
+comparison. The values then choose the path as a sequential search would, up
+to the first comparison the prediction got wrong; the probes off it do not
+enter the result but are checked like every cell.
 """
 
 from __future__ import annotations
@@ -343,23 +344,26 @@ def optimal_time_curve(
     Per temperature, a coarse scan over [0, t_max] brackets the global
     maximum, then golden-section refinement shrinks the bracket to
     1e-4 * t_max. qfi_star is the largest value the search's steps evaluated,
-    at t_star. Ties break toward the smallest t. A coarse scan flatter than
-    1e-14 is degenerate and returns t_star = 0 with qfi_star = 0. One engine
-    serves the curve: the scans of all temperatures are one batch of pairs, and
-    each round of the refinement one batch of the probes of every search still
-    open. A round probes the steps a search predicts until its bracket closes:
-    the first round the bracket's interior pair, then steps predicted from the
-    parabola through the scan's peak and its neighbours; a later round its next
-    step, whose comparison is known, then steps predicted from the parabola
-    through the pair and the bracket end on the side it keeps. The first
-    predicted step also probes its other outcome. The values then choose the
-    path one step at a time: a first predicted step that went the other way
-    takes that probe and ends the round, a later one ends it before the step.
-    So the first round takes the pair and at least one step, every later round
-    at least two, and the result is the sequential search's, bit for bit,
-    whatever the parabola predicts. The probes off the path do not enter the
-    result, but every evaluated probe is checked like a grid cell, and the
-    first that fails aborts the curve with its (T, t).
+    at t_star. Ties break toward the smallest t. A flat coarse scan, whose
+    values are all equal (all 0 where the information vanishes), is degenerate
+    and returns t_star = 0 with qfi_star = 0. One engine serves the curve: the
+    scans of all temperatures are one batch of pairs, and each round of the
+    refinement one batch of the probes of every search still open. A round
+    probes the steps a search predicts: the first round the bracket's interior
+    pair, then steps predicted from the parabola through the scan's peak and
+    its neighbours until the bracket is at most half the scan's spacing h =
+    t_max / (coarse_points - 1) (3 steps for a peak inside the scan, 2 at its
+    end); a later round its next step, whose comparison is known, then steps
+    predicted from the parabola through the pair and the bracket end on the
+    side it keeps, until the bracket closes. The first predicted step also
+    probes its other outcome. The values then choose the path one step at a
+    time: a first predicted step that went the other way takes that probe and
+    ends the round, a later one ends it before the step. So the first round
+    takes the pair and at least one step, every later round at least two, and
+    the result is the sequential search's, bit for bit, whatever the parabola
+    predicts. The probes off the path do not enter the result, but every
+    evaluated probe is checked like a grid cell, and the first that fails
+    aborts the curve with its (T, t).
     """
     temperatures = [float(T) for T in np.linspace(spec.T_lo, spec.T_hi, spec.T_points)]
     engine = MomentEngine(spec.estimand, spec.sp, qc)
@@ -373,12 +377,16 @@ def optimal_time_curve(
 
     scan = np.linspace(0.0, spec.t_max, spec.coarse_points).tolist()
     tolerance, m = 1e-4 * spec.t_max, len(scan)
+    # the first round predicts only down to half the scan's spacing: its parabola passes
+    # through scan points, and below that scale its predictions often go wrong
+    first_tolerance = max(tolerance, 0.5 * spec.t_max / (m - 1))
     # the scan is a grid, temperature outer: one row of qfi per temperature
-    table = np.reshape(information(*grid_pairs(temperatures, scan)), (-1, m)).tolist()
+    qfis = information(*grid_pairs(temperatures, scan))
     outcomes, searches = {}, {}  # outcome: (t_star, qfi_star, bracket)
-    for i, values in enumerate(table):
+    for i in range(len(temperatures)):
+        values = qfis[i * m:(i + 1) * m]
         top = max(values)
-        if top - min(values) < 1e-14:
+        if top == min(values):
             outcomes[i] = (0.0, 0.0, scan[-1])
             continue
         peak = values.index(top)  # first occurrence, i.e. the smallest t
@@ -393,15 +401,16 @@ def optimal_time_curve(
             start = len(times)
             if f_left is None:  # the interior pair, then steps predicted from the scan
                 times += (left, right)
-                known, vertex = None, _vertex(lo, -best[1], hi, f_lo, best[0], f_hi)
+                known, close = None, first_tolerance
+                vertex = _vertex(lo, -best[1], hi, f_lo, best[0], f_hi)
             elif hi - lo > tolerance:
-                known = f_left >= f_right
+                known, close = f_left >= f_right, tolerance
                 vertex = (_vertex(lo, left, right, f_lo, f_left, f_right) if known
                           else _vertex(left, right, hi, f_left, f_right, f_hi))
             else:
                 outcomes[i] = (-best[1], best[0], hi - lo)
                 continue
-            paths[i] = start, _path((lo, hi, left, right), known, vertex, tolerance, times)
+            paths[i] = start, _path((lo, hi, left, right), known, vertex, close, times)
             probes += [temperatures[i]] * (len(times) - start)
         values = information(probes, times) if paths else []
         searches = {i: _follow(searches[i], start, path, values)

@@ -20,9 +20,9 @@ def search(information, times, tolerance):
     """(t_star, qfi_star, bracket, probes) of the search whose values `information`
     gives for a list of times: the coarse scan `times`, then golden-section steps until
     the bracket is at most `tolerance`. `probes` lists the refinement times evaluated,
-    in order. A scan flatter than 1e-14 gives (0.0, 0.0, times[-1], [])."""
+    in order. A flat scan, whose values are all equal, gives (0.0, 0.0, times[-1], [])."""
     values = information(times)
-    if max(values) - min(values) < 1e-14:
+    if max(values) == min(values):
         return 0.0, 0.0, times[-1], []
     peak = int(np.argmax(values))  # first occurrence, i.e. the smallest t
     best = (values[peak], -times[peak])  # the larger value, on ties the smaller t

@@ -386,6 +386,18 @@ def test_curve_keeps_flat_scan_temperatures_at_zero():
     )
 
 
+def test_a_curve_whose_information_is_small_everywhere_is_searched():
+    # the qfi about T scales with sin(alpha)**2: at alpha = 1e-7 the whole curve lies
+    # below 1e-14 but is no flatter than the one at alpha = pi / 2
+    spec = replace(FIG10, T_lo=0.5, T_hi=0.5, T_points=1)
+    alpha = 1e-7
+    (small,) = optimal_time_curve(replace(spec, init=ProbeInit(alpha=alpha))).results
+    (equator,) = optimal_time_curve(spec).results
+    assert 0.0 < small.qfi_star < 1e-14
+    assert (small.t_star, small.bracket) == (equator.t_star, equator.bracket)
+    assert small.qfi_star == pytest.approx(math.sin(alpha) ** 2 * equator.qfi_star, rel=1e-12)
+
+
 def test_curve_blocks_do_not_change_the_search(monkeypatch):
     whole = optimal_time_curve(FIG10)
     monkeypatch.setattr(moments, "CHUNK", 1)  # the engine takes one pair at a time
@@ -493,10 +505,11 @@ def _tables(monkeypatch):
 def test_fig10_curve_takes_four_tables(monkeypatch):
     tables = _tables(monkeypatch)
     optimal_time_curve(FIG10)
-    # the scan, then a round of every bracket's interior pair, the 12 steps its path
-    # predicts and a hedge, then two rounds that pick up where a prediction failed; two
-    # golden-section steps per round took the scan, the pairs and six rounds
-    assert [len(times) for times in tables] == [40 * 64, 40 * 15, 357, 52]
+    # the scan, then a round of every bracket's interior pair, a hedge and the 3 steps
+    # its path predicts down to half the scan's spacing, then two rounds that predict
+    # the rest of each path from its own bracket; two golden-section steps per round
+    # took the scan, the pairs and six rounds
+    assert [len(times) for times in tables] == [40 * 64, 40 * (2 + 1 + 3), 414, 67]
     assert len(tables) < 8
 
 
@@ -544,29 +557,69 @@ def test_curve_walks_ties_like_the_sequential_search(monkeypatch):
 
 def test_a_path_probes_nothing_past_the_close_of_its_bracket(monkeypatch):
     # from a 128-point scan the bracket closes after 11 steps. The first round probes the
-    # pair, the 11 steps of its path and a hedge; its 8th step goes the other way than
-    # predicted, so the second round probes that step, a hedge and the 3 steps left
+    # pair, a hedge and the 3 steps of its path down to half the scan's spacing, all
+    # confirmed; the second probes the 4th step, whose comparison is known, a hedge and
+    # the 7 steps left, the last of which closes the bracket
     spec = replace(FIG10, T_points=1, coarse_points=128)
     tables = _tables(monkeypatch)
     _assert_curve_equals_the_sequential_search(spec)
     path = golden_section_reference.optimal_time(spec, spec.T_lo, QuadratureConfig())[3]
     assert len(path) == 2 + 11
-    assert [len(times) for times in tables[1:]] == [2 + 11 + 1, 4 + 1]
+    assert [len(times) for times in tables[1:]] == [2 + 1 + 3, 1 + 1 + 7]
     assert tables[-1][-1] == path[-1]  # the step that closes the bracket probes last
 
 
+def test_the_first_round_predicts_down_to_half_the_scan_spacing(monkeypatch):
+    # an exact parabola in t, whose vertex lies inside the scan at one temperature and
+    # past either end at the others: the first round confirms every step it predicts and
+    # the second closes every bracket
+    spec = replace(FIG10, T_lo=0.2, T_hi=1.0, T_points=3, t_max=10.0)
+
+    def parabola(temperature, times):
+        return [10.0 - (time - (15.0 * temperature - 4.3)) ** 2 for time in times]
+
+    def table(engine, temperatures, times, *args):
+        return None, None, [parabola(T, [t])[0] for T, t in zip(temperatures, times)], None
+
+    monkeypatch.setattr(sweep_optimize, "qfi_table", table)
+    tables = _tables(monkeypatch)
+    results = optimal_time_curve(spec).results
+    assert len(tables) == 3
+    scan = [float(t) for t in np.linspace(0.0, spec.t_max, spec.coarse_points)]
+    h, inv_phi = spec.t_max / (spec.coarse_points - 1), golden_section_reference.INV_PHI
+    expected = []
+    for result, steps in zip(results, [2, 3, 2]):  # the peak at t = 0, inside, at t_max
+        values = parabola(result.temperature, scan)
+        t_star, qfi_star, bracket, path = golden_section_reference.search(
+            lambda times: parabola(result.temperature, times), scan, 1e-4 * spec.t_max)
+        assert (result.t_star, result.qfi_star, result.bracket) == (t_star, qfi_star, bracket)
+        peak = values.index(max(values))
+        lo, hi = scan[max(peak - 1, 0)], scan[min(peak + 1, len(scan) - 1)]
+        # the steps that leave the bracket at most h / 2, from 2 h or from h at a scan end
+        width, count = hi - lo, 0
+        while width > 0.5 * h:
+            width, count = inv_phi * width, count + 1
+        assert count == steps
+        left, right = path[:2]
+        # the hedge probes the side the first step does not keep
+        hedge = left + inv_phi * (hi - left) if path[2] < left else right - inv_phi * (right - lo)
+        expected += path[:2] + [hedge] + path[2:2 + steps]
+    assert tables[1] == expected
+
+
 def _untaken_probe(spec, monkeypatch, kind):
-    """(the sequential search of the one temperature of `spec`, a probe of the curve's
-    first refinement round that the sequential search does not take): the hedge, which
-    follows the interior pair, or the last probe, a step past a comparison that went the
-    other way than predicted."""
+    """(the sequential search of the one temperature of `spec`, a probe of the curve that
+    the sequential search does not take): the first refinement round's hedge, which
+    follows the interior pair, or the last probe of the first round that ends off the
+    path, a step past a comparison that went the other way than predicted."""
     search = golden_section_reference.optimal_time(spec, spec.T_lo, QuadratureConfig())
     path = search[3]
     tables = _tables(monkeypatch)
     optimal_time_curve(spec)
-    first = tables[1]
-    assert first[:2] == path[:2]
-    untaken = first[2] if kind == "hedge" else first[-1]
+    rounds = tables[1:]
+    assert rounds[0][:2] == path[:2]
+    untaken = (rounds[0][2] if kind == "hedge"
+               else next(times[-1] for times in rounds if times[-1] not in path))
     assert untaken not in path
     return search, untaken
 
