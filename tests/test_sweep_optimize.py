@@ -556,27 +556,33 @@ def test_curve_walks_ties_like_the_sequential_search(monkeypatch):
 
 
 def test_a_path_probes_nothing_past_the_close_of_its_bracket(monkeypatch):
-    # from a 128-point scan the bracket closes after 11 steps. The first round probes the
-    # pair, a hedge and the 3 steps of its path down to half the scan's spacing, all
-    # confirmed; the second probes the 4th step, whose comparison is known, a hedge and
-    # the 7 steps left, the last of which closes the bracket
+    # from a 128-point scan the bracket closes after 11 steps. The first round of this
+    # one search probes the pair, the 11 steps of its path and a hedge; its 8th step goes
+    # the other way than predicted, so the second round probes that step, a hedge and
+    # the 3 steps left
     spec = replace(FIG10, T_points=1, coarse_points=128)
     tables = _tables(monkeypatch)
     _assert_curve_equals_the_sequential_search(spec)
     path = golden_section_reference.optimal_time(spec, spec.T_lo, QuadratureConfig())[3]
     assert len(path) == 2 + 11
-    assert [len(times) for times in tables[1:]] == [2 + 1 + 3, 1 + 1 + 7]
+    assert [len(times) for times in tables[1:]] == [2 + 11 + 1, 4 + 1]
     assert tables[-1][-1] == path[-1]  # the step that closes the bracket probes last
 
 
-def test_the_first_round_predicts_down_to_half_the_scan_spacing(monkeypatch):
-    # an exact parabola in t, whose vertex lies inside the scan at one temperature and
-    # past either end at the others: the first round confirms every step it predicts and
-    # the second closes every bracket
-    spec = replace(FIG10, T_lo=0.2, T_hi=1.0, T_points=3, t_max=10.0)
+@pytest.mark.parametrize("searches", [sweep_optimize._CUT_SEARCHES - 1,
+                                      sweep_optimize._CUT_SEARCHES])
+def test_the_first_round_of_many_searches_predicts_down_to_half_the_scan_spacing(
+        monkeypatch, searches):
+    # an exact parabola in t, whose vertex lies inside the scan at most temperatures and
+    # past either end at the others, never within h / 2 inside an end, where the scan's
+    # parabola degenerates: every predicted step is confirmed. With enough
+    # searches the first round stops where the bracket is at most h / 2 and the second
+    # closes every bracket; with one search fewer the first round closes them itself
+    spec = replace(FIG10, T_lo=0.2, T_hi=1.0, T_points=searches, t_max=10.0)
+    cut = searches == sweep_optimize._CUT_SEARCHES
 
     def parabola(temperature, times):
-        return [10.0 - (time - (15.0 * temperature - 4.3)) ** 2 for time in times]
+        return [10.0 - (time - (15.0 * temperature - 4.4)) ** 2 for time in times]
 
     def table(engine, temperatures, times, *args):
         return None, None, [parabola(T, [t])[0] for T, t in zip(temperatures, times)], None
@@ -584,26 +590,29 @@ def test_the_first_round_predicts_down_to_half_the_scan_spacing(monkeypatch):
     monkeypatch.setattr(sweep_optimize, "qfi_table", table)
     tables = _tables(monkeypatch)
     results = optimal_time_curve(spec).results
-    assert len(tables) == 3
+    assert len(tables) == (3 if cut else 2)
     scan = [float(t) for t in np.linspace(0.0, spec.t_max, spec.coarse_points)]
     h, inv_phi = spec.t_max / (spec.coarse_points - 1), golden_section_reference.INV_PHI
-    expected = []
-    for result, steps in zip(results, [2, 3, 2]):  # the peak at t = 0, inside, at t_max
+    expected, counts = [], set()
+    for result in results:
         values = parabola(result.temperature, scan)
         t_star, qfi_star, bracket, path = golden_section_reference.search(
             lambda times: parabola(result.temperature, times), scan, 1e-4 * spec.t_max)
         assert (result.t_star, result.qfi_star, result.bracket) == (t_star, qfi_star, bracket)
         peak = values.index(max(values))
+        end = peak in (0, len(scan) - 1)
         lo, hi = scan[max(peak - 1, 0)], scan[min(peak + 1, len(scan) - 1)]
         # the steps that leave the bracket at most h / 2, from 2 h or from h at a scan end
-        width, count = hi - lo, 0
+        width, steps = hi - lo, 0
         while width > 0.5 * h:
-            width, count = inv_phi * width, count + 1
-        assert count == steps
+            width, steps = inv_phi * width, steps + 1
+        assert steps == (2 if end else 3)
+        counts.add((peak == 0, end, steps))
         left, right = path[:2]
         # the hedge probes the side the first step does not keep
         hedge = left + inv_phi * (hi - left) if path[2] < left else right - inv_phi * (right - lo)
-        expected += path[:2] + [hedge] + path[2:2 + steps]
+        expected += path[:2] + [hedge] + (path[2:2 + steps] if cut else path[2:])
+    assert counts == {(True, True, 2), (False, False, 3), (False, True, 2)}
     assert tables[1] == expected
 
 
